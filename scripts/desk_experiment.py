@@ -50,7 +50,7 @@ def binaural_through(geom, head, listener, rigid):
             alpha = estimation.rigid_sphere_estimate(obs[fi], geom, k, est_order)
             if np.any(listener != geom.baffle.center):
                 alpha = translate_coeffs(alpha, listener, out_order=est_order)
-            out[fi] = rendering.render_sph(alpha, spec.at_index(0), 1.5)
+            out[fi] = rendering.render_coeffs(alpha, spec.at_index(0), "sph", 1.5)
         else:
             est = estimation.Estimator(geom, k)
             out[fi] = rendering.render_full(obs[fi], est, listener, EulerAngles(),

@@ -37,8 +37,8 @@ def left_ear_sd(head, spectrum, src):
         alpha = wf.point_source_coeffs(src, np.zeros(3), k, order)
         h_pair = spectrum.at_index(fi)
         y_true[fi] = ear_pressure(head, src, k)[0]
-        y_sph[fi] = rendering.render_sph(alpha, h_pair, MEASURE_RADIUS, order)[0]
-        y_pln[fi] = rendering.render_pln(alpha, h_pair, order)[0]
+        y_sph[fi] = rendering.render_coeffs(alpha, h_pair, "sph", MEASURE_RADIUS, order)[0]
+        y_pln[fi] = rendering.render_coeffs(alpha, h_pair, "pln", order=order)[0]
     return (metrics.spectral_distortion(y_sph, y_true, normalize=True),
             metrics.spectral_distortion(y_pln, y_true, normalize=True))
 

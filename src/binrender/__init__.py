@@ -45,9 +45,8 @@ from .metrics import (
 from .rendering import (
     BinauralFilterBank,
     apply_filter_bank,
+    render_coeffs,
     render_full,
-    render_pln,
-    render_sph,
     synth_fir_filters,
 )
 from .simulate import PointSource, Scene, band_freqs, simulate_observation, true_binaural

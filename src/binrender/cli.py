@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import metadata
 from pathlib import Path
 
@@ -44,9 +43,10 @@ from .metrics import (
     truncation_order,
     write_metric_report,
 )
-from .rendering import binaural_rows, save_filter_bank, synth_fir_filters
+from .rendering import bin_rows, save_filter_bank, synth_fir_filters
 from .simulate import PointSource, Scene, band_freqs, simulate_observation, true_binaural
 from .special import EulerAngles
+from .utils import ordered_map
 
 
 class ConfigError(Exception):
@@ -58,14 +58,6 @@ def _workers():
         return max(1, int(os.environ.get("BINRENDER_WORKERS", "1")))
     except ValueError:
         return 1
-
-
-def _ordered_map(fn, items):
-    workers = _workers()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _library_version():
@@ -161,7 +153,6 @@ class RunConfig:
         self.lam = est.get("lambda", "auto")
         self.eta = est.get("eta", "auto")
         self.order = est.get("order", "auto")
-        self.buffer = int(est.get("buffer", 10))
         if self.lam != "auto" and float(self.lam) < 0:
             raise ConfigError("estimator lambda must be non-negative")
 
@@ -231,16 +222,12 @@ def _render_responses(cfg: RunConfig, observations):
     spectrum = cfg.spectrum_at(freqs)
 
     def one(fi):
-        f = freqs[fi]
-        k = 2.0 * math.pi * f / cfg.scene.sound_speed
-        order = truncation_order(k, cfg.shoulder_radius, cfg.order_cap)
-        est = Estimator(cfg.geometry, k, cfg.lam)
-        h_pair = spectrum.interpolated(f)  # exact at grid frequencies
-        rows = binaural_rows(est, cfg.listener_position, cfg.angles, h_pair,
-                             cfg.mode, measure_radius=cfg.measure_radius, order=order)
-        return rows @ est.solve(observations[fi])
+        rows = bin_rows(cfg.geometry, freqs[fi], cfg.listener_position, cfg.angles, spectrum,
+                        cfg.mode, cfg.lam, cfg.order_cap, cfg.shoulder_radius,
+                        cfg.scene.sound_speed)
+        return rows @ observations[fi]
 
-    return np.array(_ordered_map(one, range(freqs.size)))
+    return np.array(ordered_map(one, range(freqs.size), _workers()))
 
 
 def _multitone_wav(freqs, responses, sample_rate, duration, gain):
@@ -327,8 +314,6 @@ def _estimator_flags(fn):
                       help="Rigid-sphere estimator ridge (overrides config).")(fn)
     fn = click.option("--order", default=None,
                       help="Truncation order, or 'auto' (overrides config).")(fn)
-    fn = click.option("--buffer", "buffer_", default=None, type=int,
-                      help="Translation order buffer (overrides config).")(fn)
     return fn
 
 
@@ -341,7 +326,7 @@ def _parse_reg(value, name):
         raise ConfigError(f"--{name} must be a number or 'auto'") from exc
 
 
-def _load_config(config_path, lam=None, eta=None, order=None, buffer_=None):
+def _load_config(config_path, lam=None, eta=None, order=None):
     doc = _load_json(config_path)
     cfg = RunConfig(doc, Path(config_path).resolve().parent)
     if lam is not None:
@@ -350,8 +335,6 @@ def _load_config(config_path, lam=None, eta=None, order=None, buffer_=None):
         cfg.eta = _parse_reg(eta, "eta")
     if order is not None:
         cfg.order = order if order == "auto" else int(order)
-    if buffer_ is not None:
-        cfg.buffer = int(buffer_)
     return cfg
 
 
@@ -376,9 +359,9 @@ def simulate(config_path):
 @_estimator_flags
 @click.option("--observations", default=None,
               help="Observation bundle base path (default: output_dir/observation).")
-def estimate(config_path, lam, eta, order, buffer_, observations):
+def estimate(config_path, lam, eta, order, observations):
     """Estimate expansion coefficients at the listener position per frequency."""
-    cfg = _load_config(config_path, lam, eta, order, buffer_)
+    cfg = _load_config(config_path, lam, eta, order)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     obs_base = Path(observations) if observations else cfg.out_dir / "observation"
     freqs, obs = bundleio.load_observation_bundle(obs_base)
@@ -399,7 +382,7 @@ def estimate(config_path, lam, eta, order, buffer_, observations):
                 obs[fi], cfg.listener_position, order)
         return order, alpha.coeffs
 
-    results = _ordered_map(one, range(freqs.size))
+    results = ordered_map(one, range(freqs.size), _workers())
     orders = [r[0] for r in results]
     flat = np.concatenate([r[1] for r in results])
     header = {
@@ -419,9 +402,9 @@ def estimate(config_path, lam, eta, order, buffer_, observations):
 @_config_arg
 @_estimator_flags
 @click.option("--observations", default=None)
-def render(config_path, lam, eta, order, buffer_, observations):
+def render(config_path, lam, eta, order, observations):
     """Render per-frequency binaural responses (CSV) and a multitone WAV."""
-    cfg = _load_config(config_path, lam, eta, order, buffer_)
+    cfg = _load_config(config_path, lam, eta, order)
     cfg.require_hrtf()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     obs_base = Path(observations) if observations else cfg.out_dir / "observation"
@@ -447,9 +430,9 @@ def render(config_path, lam, eta, order, buffer_, observations):
 @cli.command()
 @_config_arg
 @_estimator_flags
-def filters(config_path, lam, eta, order, buffer_):
+def filters(config_path, lam, eta, order):
     """Synthesize and export the MIMO FIR binaural filter bank."""
-    cfg = _load_config(config_path, lam, eta, order, buffer_)
+    cfg = _load_config(config_path, lam, eta, order)
     cfg.require_hrtf()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     nyq_freqs = np.arange(1, cfg.nfft // 2 + 1) * cfg.sample_rate / cfg.nfft
@@ -470,9 +453,9 @@ def filters(config_path, lam, eta, order, buffer_):
 @_config_arg
 @_estimator_flags
 @click.option("--observations", default=None)
-def evaluate(config_path, lam, eta, order, buffer_, observations):
+def evaluate(config_path, lam, eta, order, observations):
     """Compare rendered binaural responses against the analytic ground truth."""
-    cfg = _load_config(config_path, lam, eta, order, buffer_)
+    cfg = _load_config(config_path, lam, eta, order)
     cfg.require_hrtf()
     if cfg.synthetic_head is None and cfg.hrtf_set is None:
         raise ConfigError("evaluate needs a synthetic head or HRTF set as reference")

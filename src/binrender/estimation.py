@@ -12,7 +12,6 @@ Two estimators:
   rotation; retargeting only swaps the synthesis matrix Xi(r).
 """
 
-import hashlib
 import math
 
 import numpy as np
@@ -33,7 +32,12 @@ SQRT_4PI = math.sqrt(4.0 * math.pi)
 def rigid_sphere_matrix(geom: ArrayGeometry, k, order):
     """Forward matrix Pi mapping center coefficients to surface observations.
 
-    Pi[i, (n, m)] = -sqrt(4 pi) j Y_n^m(mic angles) / (k^2 R^2 h_n'(k R)).
+    Pi @ alpha is the total (incident plus scattered) pressure at the
+    baffle-mounted mics for incident-field coefficients alpha about the
+    baffle center:
+
+        Pi[i, (n, m)] = -sqrt(4 pi) j Y_n^m(mic angles) / (k^2 R^2 h_n'(k R)).
+
     h_n' has no real zeros, so no frequency is forbidden on a rigid baffle.
     """
     if geom.baffle is None:
@@ -115,8 +119,9 @@ class Estimator:
     """Distributed-array estimator state for one (geometry, wavenumber, lambda).
 
     Holds Psi and a Hermitian factorization of (Psi + lambda I) shared
-    across target positions, rotations, and observations; per-observation
-    solves are cached by content digest.
+    across target positions, rotations, and observations, plus the most
+    recently requested synthesis matrix Xi(r), which head rotations at a
+    fixed position reuse.
     """
 
     def __init__(self, geom: ArrayGeometry, k, lam="auto"):
@@ -136,36 +141,34 @@ class Estimator:
             raise np.linalg.LinAlgError(
                 "Psi + lambda I is singular; increase lambda"
             ) from exc
-        self._solve_cache = {}
-        self._xi_cache = {}
+        self._xi_key = None
+        self._xi = None
 
     def solve(self, s):
-        """w = (Psi + lambda I)^{-1} s, cached per observation vector."""
+        """w = (Psi + lambda I)^{-1} s for s of shape (n_mics,) or (n_mics, K)."""
         s = np.asarray(s, dtype=complex)
-        if s.shape != (self.geom.n_mics,):
+        if s.ndim not in (1, 2) or s.shape[0] != self.geom.n_mics:
             raise ValueError("observation length must equal the microphone count")
-        key = hashlib.sha1(s.tobytes()).hexdigest()
-        w = self._solve_cache.get(key)
-        if w is None:
-            w = cho_solve(self._factor, s)
-            w.flags.writeable = False
-            self._solve_cache[key] = w
-        return w
+        return cho_solve(self._factor, s)
 
     def xi(self, target, order):
+        """Synthesis matrix Xi(target) truncated at ``order`` (read-only).
+
+        Only the last (target, order) is kept: a repeated request returns the
+        same array, any other request replaces it.
+        """
         key = (tuple(np.asarray(target, dtype=float)), int(order))
-        xi = self._xi_cache.get(key)
-        if xi is None:
+        if key != self._xi_key:
             xi = build_xi(self.geom, target, self.k, order)
             xi.flags.writeable = False
-            self._xi_cache[key] = xi
-        return xi
+            self._xi_key, self._xi = key, xi
+        return self._xi
 
     def coeffs(self, s, target, order) -> ShCoeffVec:
         """Estimated expansion coefficients about ``target``.
 
         alpha(r) = Xi(r) (Psi + lambda I)^{-1} s. Changing ``target`` reuses
-        the cached solve; only Xi is rebuilt.
+        the factorization; only Xi is rebuilt.
         """
         w = self.solve(s)
         alpha = self.xi(target, order) @ w

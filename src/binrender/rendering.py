@@ -11,8 +11,9 @@ Two rendering modes share one code path:
   exp(-j k R_s) / R_s) as R_s grows.
 
 ``render_full`` evaluates the whole chain observation -> binaural response
-as one linear form; ``synth_fir_filters`` samples that form on an FFT grid
-and realizes it as a MIMO FIR filter bank.
+as one linear form; ``bin_rows`` folds that form for one frequency bin into
+rows applied directly to the observations, and ``synth_fir_filters``
+samples it on an FFT grid and realizes it as a MIMO FIR filter bank.
 """
 
 import json
@@ -21,14 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.io import wavfile
-from scipy.linalg import cho_solve
 from scipy.signal.windows import tukey
 
 from .estimation import Estimator
 from .hrtf import HrtfShSpectrum
 from .metrics import truncation_order
-from .special import EulerAngles, num_coeffs, sph_hankel2, wigner_d_block
-from .wavefield import ShCoeffVec, rotate_coeffs
+from .special import EulerAngles, num_coeffs, sph_hankel2
+from .special import wigner_d_block  # noqa: F401 -- kept for perfbench/tracing.py to rebind
+from .utils import ordered_map
+from .wavefield import ShCoeffVec, rotate_blocks, rotate_coeffs
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
 
@@ -51,47 +53,28 @@ def render_weights(mode, order, k=None, measure_radius=None):
     return out
 
 
-def _render(alpha: ShCoeffVec, h_pair, weights, order):
-    y = np.empty(2, dtype=complex)
-    ncoef = num_coeffs(order)
-    for ear in (0, 1):
-        y[ear] = np.sum(weights[:ncoef] * alpha.coeffs[:ncoef] * h_pair[ear][:ncoef])
-    return y[0], y[1]
+def _hrtf_order(h_pair):
+    return math.isqrt(np.asarray(h_pair).shape[1]) - 1
 
 
-def _common_order(alpha: ShCoeffVec, h_pair, order=None):
-    h_order = math.isqrt(np.asarray(h_pair).shape[1]) - 1
-    avail = min(alpha.order, h_order)
-    return avail if order is None else min(order, avail)
+def _weighted_hrtf(h_pair, mode, k, measure_radius, order):
+    """(2, (order+1)^2) HRTF coefficients times the rendering weights."""
+    weights = render_weights(mode, order, k=k, measure_radius=measure_radius)
+    return np.asarray(h_pair)[:, : num_coeffs(order)] * weights[None, :]
 
 
-def render_pln(alpha: ShCoeffVec, h_pair, order=None):
-    """Plane-wave-decomposition binaural pair (L, R) at one frequency.
+def render_coeffs(alpha: ShCoeffVec, h_pair, mode, measure_radius=None, order=None):
+    """Binaural pair (L, R) at one frequency from expansion coefficients.
 
     ``h_pair`` is the (2, (N+1)^2) HRTF SH coefficient slice at the same
-    frequency. Orders are truncated to the smaller of the operands.
+    frequency; ``mode`` is "pln" or "sph" (which needs ``measure_radius``).
+    Orders are truncated to the smallest of ``order`` and the operands'.
     """
-    order = _common_order(alpha, h_pair, order)
-    return _render(alpha, h_pair, render_weights("pln", order), order)
-
-
-def render_sph(alpha: ShCoeffVec, h_pair, measure_radius, order=None):
-    """Spherical-wave-decomposition binaural pair (L, R) at one frequency."""
-    order = _common_order(alpha, h_pair, order)
-    weights = render_weights("sph", order, k=alpha.k, measure_radius=measure_radius)
-    return _render(alpha, h_pair, weights, order)
-
-
-def _rotated_xi(estimator: Estimator, target, angles: EulerAngles, order):
-    xi = estimator.xi(target, order)
-    if angles == EulerAngles():
-        return xi
-    out = np.empty_like(xi)
-    for n in range(order + 1):
-        block = wigner_d_block(n, angles).conj().T
-        sl = slice(n * n, n * n + 2 * n + 1)
-        out[sl] = block @ xi[sl]
-    return out
+    avail = min(alpha.order, _hrtf_order(h_pair))
+    order = avail if order is None else min(order, avail)
+    weighted = _weighted_hrtf(h_pair, mode, alpha.k, measure_radius, order)
+    y = weighted @ alpha.coeffs[: num_coeffs(order)]
+    return y[0], y[1]
 
 
 def binaural_rows(estimator: Estimator, target, angles: EulerAngles, h_pair,
@@ -99,18 +82,31 @@ def binaural_rows(estimator: Estimator, target, angles: EulerAngles, h_pair,
     """Row vectors r with binaural pair y = r @ (Psi + lambda I)^{-1} s.
 
     Shape (2, n_mics); the whole estimation + rotation + rendering chain
-    collapsed onto the observation functionals. ``h_pair`` as in the render
-    functions.
+    collapsed onto the observation functionals. ``h_pair`` as in
+    ``render_coeffs``.
     """
-    h_pair = np.asarray(h_pair)
-    h_order = math.isqrt(h_pair.shape[1]) - 1
-    if order is None:
-        order = h_order
-    order = min(order, h_order)
-    xi_rot = _rotated_xi(estimator, target, angles, order)
-    weights = render_weights(mode, order, k=estimator.k, measure_radius=measure_radius)
-    ncoef = num_coeffs(order)
-    return (h_pair[:, :ncoef] * weights[None, :]) @ xi_rot
+    h_order = _hrtf_order(h_pair)
+    order = h_order if order is None else min(order, h_order)
+    xi_rot = rotate_blocks(estimator.xi(target, order), angles)
+    return _weighted_hrtf(h_pair, mode, estimator.k, measure_radius, order) @ xi_rot
+
+
+def bin_rows(geometry, freq, target, angles: EulerAngles, spectrum: HrtfShSpectrum,
+             mode="sph", lam="auto", order_cap=35, shoulder_radius=0.45, sound_speed=346.2):
+    """Rows r of one frequency bin with binaural pair y = r @ s, shape (2, n_mics).
+
+    Builds the bin's estimator, renders at the truncation order
+    ``truncation_order(k, shoulder_radius, order_cap)`` against ``spectrum``
+    interpolated at ``freq`` (exact on its grid), and folds
+    (Psi + lambda I)^{-1} into the rows.
+    """
+    k = 2.0 * math.pi * freq / sound_speed
+    order = truncation_order(k, shoulder_radius, order_cap)
+    est = Estimator(geometry, k, lam)
+    rows = binaural_rows(est, target, angles, spectrum.interpolated(freq), mode,
+                         measure_radius=spectrum.radius, order=order)
+    # Psi + lambda I is Hermitian: r (Psi + lambda I)^{-1} = ((Psi + lambda I)^{-1} r^H)^H
+    return est.solve(rows.conj().T).conj().T
 
 
 def render_full(s, estimator: Estimator, target, angles: EulerAngles, h_pair,
@@ -118,9 +114,8 @@ def render_full(s, estimator: Estimator, target, angles: EulerAngles, h_pair,
     """Binaural pair straight from microphone observations.
 
     Equal (to reassociation rounding) to the composed path
-    render_*(rotate_coeffs(estimator.coeffs(s, target, order), angles), ...);
-    the factored form shares the cached (Psi + lambda I)^{-1} s solve across
-    target positions and rotations.
+    ``render_composed``; the factored form shares the factorization and
+    Xi(target) across head rotations.
     """
     rows = binaural_rows(estimator, target, angles, h_pair, mode, measure_radius, order)
     y = rows @ estimator.solve(s)
@@ -130,12 +125,10 @@ def render_full(s, estimator: Estimator, target, angles: EulerAngles, h_pair,
 def render_composed(s, estimator: Estimator, target, angles: EulerAngles, h_pair,
                     mode="sph", measure_radius=None, order=None):
     """Reference composed path: estimate, rotate, then render."""
-    h_order = math.isqrt(np.asarray(h_pair).shape[1]) - 1
+    h_order = _hrtf_order(h_pair)
     order = h_order if order is None else min(order, h_order)
     alpha = rotate_coeffs(estimator.coeffs(s, target, order), angles)
-    if mode == "sph":
-        return render_sph(alpha, h_pair, measure_radius, order)
-    return render_pln(alpha, h_pair, order)
+    return render_coeffs(alpha, h_pair, mode, measure_radius, order)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +176,8 @@ def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpe
                       sound_speed=346.2, workers=1):
     """Sample the end-to-end linear form on an FFT grid and window it to taps.
 
-    Per in-band bin the estimator chain is folded into (2, n_mics) complex
-    rows including (Psi + lambda I)^{-1}; above the band edge the band-edge
+    Per in-band bin ``bin_rows`` gives the (2, n_mics) complex response,
+    on ``workers`` threads; above the band edge the band-edge
     response is rolled off linearly in magnitude to zero over one octave;
     DC and Nyquist take the real part of the nearest assembled response.
     The impulse responses are circularly shifted by nfft/2 (the modeled
@@ -205,22 +198,10 @@ def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpe
     if not in_band:
         raise ValueError("band contains no FFT bins")
 
-    def bin_rows(b):
-        k = 2.0 * math.pi * freqs[b] / sound_speed
-        order = truncation_order(k, shoulder_radius, order_cap)
-        est = Estimator(geometry, k, lam)
-        h_pair = spectrum.interpolated(freqs[b])
-        rows = binaural_rows(est, target, angles, h_pair, mode,
-                             measure_radius=spectrum.radius, order=order)
-        return cho_solve(est._factor, rows.conj().T).conj().T
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(bin_rows, in_band))
-    else:
-        results = [bin_rows(b) for b in in_band]
+    results = ordered_map(
+        lambda b: bin_rows(geometry, freqs[b], target, angles, spectrum, mode, lam,
+                           order_cap, shoulder_radius, sound_speed),
+        in_band, workers)
     for b, rows in zip(in_band, results):
         responses[:, :, b] = rows
 

@@ -12,12 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ArrayGeometry
+from .estimation import rigid_sphere_matrix
 from .hrtf import HrtfSet, SyntheticHead, ear_pressure, fit_sh
-from .special import orders_degrees, sh_matrix, sph_hankel2_deriv
 from .utils import cart2sph
 from .wavefield import point_source_coeffs
-
-SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 DEFAULT_SOUND_SPEED = 346.2
 
@@ -77,32 +75,6 @@ def rigid_baffle_series_order(k, radius, margin=12):
     return math.ceil(math.e * k * radius / 2.0) + margin
 
 
-def rigid_baffle_observation(alpha_coeffs, geom: ArrayGeometry, k):
-    """Total surface pressure at baffle-mounted mics from incident coefficients.
-
-    ``alpha_coeffs`` are interior expansion coefficients of the incident
-    field about the baffle center; the scattered contribution of the rigid
-    sphere is folded in analytically:
-
-        s_i = sum_{n,m} -sqrt(4 pi) j Y_n^m(mic angles)
-                        / (k^2 R^2 h_n'(k R)) * alpha_n^m
-
-    A zero of j_n'(k R) is not a problem here: the rigid baffle's h_n'
-    denominator never vanishes for real arguments (no forbidden
-    frequencies).
-    """
-    if geom.baffle is None:
-        raise ValueError("geometry has no rigid baffle")
-    order = math.isqrt(len(alpha_coeffs)) - 1
-    radius = geom.baffle.radius
-    rel = geom.positions() - geom.baffle.center[None, :]
-    _, theta, phi = cart2sph(rel)
-    y = sh_matrix(order, theta, phi)
-    n_all, _ = orders_degrees(order)
-    gain = -SQRT_4PI * 1j / (k**2 * radius**2 * sph_hankel2_deriv(n_all, k * radius))
-    return (y * gain[None, :]) @ np.asarray(alpha_coeffs, dtype=complex)
-
-
 def _directional_observation(src_pos, geom: ArrayGeometry, k):
     out = np.empty(geom.n_mics, dtype=complex)
     for i, mic in enumerate(geom.mics):
@@ -116,7 +88,8 @@ def simulate_observation(scene: Scene, geom: ArrayGeometry):
 
     Directional mics observe conj(c_i) . alpha(mic position) with alpha the
     local expansion of each source; rigid-baffle arrays observe the total
-    surface pressure series, truncated at ceil(e k R / 2) + 8 (the
+    surface pressure ``rigid_sphere_matrix @ alpha`` with alpha about the
+    baffle center, truncated at ``rigid_baffle_series_order`` (the
     convergence guard doubles this in the tests).
     """
     ks = scene.wavenumbers()
@@ -129,9 +102,10 @@ def simulate_observation(scene: Scene, geom: ArrayGeometry):
                 raise ValueError("source lies inside the rigid baffle")
         for fi, k in enumerate(ks):
             order = rigid_baffle_series_order(k, radius)
+            pi = rigid_sphere_matrix(geom, k, order)
             for src in scene.sources:
                 alpha = point_source_coeffs(src.position, center, k, order)
-                out[fi] += src.amplitude(fi) * rigid_baffle_observation(alpha.coeffs, geom, k)
+                out[fi] += src.amplitude(fi) * (pi @ alpha.coeffs)
     else:
         for fi, k in enumerate(ks):
             for src in scene.sources:

@@ -75,13 +75,6 @@ def num_coeffs(order):
     return (order + 1) ** 2
 
 
-def max_order(n_coeffs):
-    order = math.isqrt(n_coeffs) - 1
-    if (order + 1) ** 2 != n_coeffs:
-        raise ValueError(f"{n_coeffs} is not a perfect square coefficient count")
-    return order
-
-
 @lru_cache(maxsize=None)
 def orders_degrees(order):
     """Arrays of n and m for every linear index q < (order+1)^2."""
@@ -101,11 +94,6 @@ def sph_bessel_j(n, x):
     return _sp.spherical_jn(n, x)
 
 
-def sph_bessel_y(n, x):
-    """Spherical Bessel function of the second kind y_n(x), x > 0."""
-    return _sp.spherical_yn(n, x)
-
-
 def sph_hankel2(n, x):
     """Spherical Hankel function of the second kind h_n(x) = j_n(x) - j*y_n(x).
 
@@ -121,11 +109,6 @@ def sph_bessel_j_deriv(n, x):
     return _sp.spherical_jn(n, x, derivative=True)
 
 
-def sph_bessel_y_deriv(n, x):
-    """d/dx y_n(x), x > 0."""
-    return _sp.spherical_yn(n, x, derivative=True)
-
-
 def sph_hankel2_deriv(n, x):
     """d/dx h_n(x), x > 0 (raises ValueError at x = 0)."""
     _check_positive(x, "sph_hankel2_deriv")
@@ -135,11 +118,6 @@ def sph_hankel2_deriv(n, x):
 def _check_positive(x, name):
     if np.any(np.asarray(x) <= 0):
         raise ValueError(f"{name} is singular at x <= 0")
-
-
-def legendre_p(n, x):
-    """Legendre polynomial P_n(x)."""
-    return _sp.eval_legendre(n, x)
 
 
 # ---------------------------------------------------------------------------

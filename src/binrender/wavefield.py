@@ -272,6 +272,24 @@ def translate_coeffs(alpha: ShCoeffVec, new_center, out_order=None) -> ShCoeffVe
     return t.apply(alpha)
 
 
+def rotate_blocks(x, angles: EulerAngles):
+    """Apply the per-order rotation blocks along the leading axis of ``x``.
+
+    ``x`` has leading length (N+1)^2 (a coefficient vector, or a matrix
+    whose rows are indexed by q = n^2 + n + m); order n's rows are mapped
+    by the conjugate transpose of the Wigner-D block. The identity rotation
+    returns ``x`` itself.
+    """
+    if angles == EulerAngles():
+        return x
+    out = np.empty_like(x)
+    for n in range(math.isqrt(x.shape[0])):
+        block = wigner_d_block(n, angles).conj().T
+        sl = slice(n * n, n * n + 2 * n + 1)
+        out[sl] = block @ x[sl]
+    return out
+
+
 def rotate_coeffs(alpha: ShCoeffVec, angles: EulerAngles) -> ShCoeffVec:
     """Re-express the expansion in a frame rotated by R(angles).
 
@@ -286,12 +304,7 @@ def rotate_coeffs(alpha: ShCoeffVec, angles: EulerAngles) -> ShCoeffVec:
     multiplies alpha_n^m by exp(+j m psi). The expansion center is kept;
     rotating about a different pivot is translation + rotation.
     """
-    out = np.empty_like(alpha.coeffs)
-    for n in range(alpha.order + 1):
-        block = wigner_d_block(n, angles).conj().T
-        sl = slice(n * n, n * n + 2 * n + 1)
-        out[sl] = block @ alpha.coeffs[sl]
-    return ShCoeffVec(out, alpha.center, alpha.k, alpha.order)
+    return ShCoeffVec(rotate_blocks(alpha.coeffs, angles), alpha.center, alpha.k, alpha.order)
 
 
 def point_source_coeffs(r_src, center, k, order) -> ShCoeffVec:

@@ -182,8 +182,8 @@ def test_c06_sph_beats_pln():
             alpha = wf.point_source_coeffs(src, np.zeros(3), k, order)
             h_pair = spectrum.at_index(fi)
             y_true[fi] = ear_pressure(head, src, k)[0]
-            y_sph[fi] = rendering.render_sph(alpha, h_pair, measure_radius, order)[0]
-            y_pln[fi] = rendering.render_pln(alpha, h_pair, order)[0]
+            y_sph[fi] = rendering.render_coeffs(alpha, h_pair, "sph", measure_radius, order)[0]
+            y_pln[fi] = rendering.render_coeffs(alpha, h_pair, "pln", order=order)[0]
         sd_sph.append(metrics.spectral_distortion(y_sph, y_true, normalize=True).db)
         sd_pln.append(metrics.spectral_distortion(y_pln, y_true, normalize=True).db)
     mean_sph = float(np.mean(sd_sph))
@@ -303,7 +303,7 @@ def test_c09_estimator_sanity():
     k = k_of(2000.0)
     eta = np.array([0.3, 0.5, math.sqrt(1.0 - 0.34)])
     alpha = wf.plane_wave_coeffs(eta, k, 7, center=geom.baffle.center)
-    s = simulate.rigid_baffle_observation(alpha.coeffs, geom, k)
+    s = estimation.rigid_sphere_matrix(geom, k, 7) @ alpha.coeffs
     est = estimation.rigid_sphere_estimate(s, geom, k, 7, eta=1e-10)
     recovery = float(np.max(np.abs(est.coeffs - alpha.coeffs)))
     assert recovery < 1e-6

@@ -128,6 +128,11 @@ class TestPipeline:
         assert doc["orders"] == [3, 3, 3, 3, 3]
         assert main(["estimate", str(cfg), "--lam", "bogus"]) == 1
 
+    def test_removed_buffer_flag_is_user_error(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["simulate", str(cfg)]) == 0
+        assert main(["render", str(cfg), "--buffer", "99"]) == 1
+
     def test_render_without_hrtf_is_user_error(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["simulate", str(cfg)]) == 0

@@ -1,7 +1,9 @@
 """Estimator oracles: forward-model consistency, position independence,
 retargeting, linearity."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ class TestRigidSphereEstimate:
         k = k_of(2000.0)
         eta = np.array([0.3, 0.5, math.sqrt(1 - 0.34)])
         alpha = wf.plane_wave_coeffs(eta, k, 7, center=sphere_array.baffle.center)
-        s = simulate.rigid_baffle_observation(alpha.coeffs, sphere_array, k)
+        s = estimation.rigid_sphere_matrix(sphere_array, k, 7) @ alpha.coeffs
         est = estimation.rigid_sphere_estimate(s, sphere_array, k, 7, eta=1e-10)
         assert np.max(np.abs(est.coeffs - alpha.coeffs)) < 1e-6
 
@@ -184,12 +186,40 @@ class TestEstimator:
             errs.append(np.linalg.norm(s_hat - s) / np.linalg.norm(s))
         assert errs[0] < errs[1] < errs[2]
 
-    def test_solve_cache_reused(self, composite, rng):
+    def test_solve_repeatable(self, composite, rng):
         est = estimation.Estimator(composite, k_of(300.0))
         s = rng.normal(size=64) + 1j * rng.normal(size=64)
-        w1 = est.solve(s)
-        w2 = est.solve(s.copy())
-        assert w1 is w2
+        assert np.array_equal(est.solve(s), est.solve(s.copy()))
+
+    def test_solve_matrix_right_hand_side(self, composite, rng):
+        # an (n_mics, K) right-hand side is solved column by column
+        est = estimation.Estimator(composite, k_of(300.0))
+        s = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
+        w = est.solve(s)
+        assert w.shape == (64, 3)
+        for j in range(3):
+            assert np.max(np.abs(w[:, j] - est.solve(s[:, j]))) < 1e-12 * np.max(np.abs(w))
+        with pytest.raises(ValueError):
+            est.solve(np.zeros((63, 3)))
+        with pytest.raises(ValueError):
+            est.solve(np.zeros((64, 3, 1)))
+
+    def test_xi_keeps_only_the_last_target(self, rng):
+        # a head-tracking session visits unboundedly many positions: only
+        # the most recent synthesis matrix may stay alive
+        est = estimation.Estimator(arrays.build_small_array(), k_of(500.0))
+        refs = [weakref.ref(est.xi(rng.uniform(-0.1, 0.1, 3), 2)) for _ in range(100)]
+        gc.collect()
+        alive = [r() for r in refs if r() is not None]
+        assert len(alive) == 1
+        assert alive[0] is refs[-1]()
+
+    def test_xi_repeated_target_reused(self, composite):
+        est = estimation.Estimator(composite, k_of(500.0))
+        target = np.array([0.01, -0.02, 0.03])
+        xi = est.xi(target, 4)
+        assert est.xi(target.copy(), 4) is xi
+        assert est.xi(target, 5) is not xi
 
     def test_agreement_with_rigid_sphere_estimator(self, composite, sphere_array):
         # both 64-mic arrays listening to the same scene agree on the pressure

@@ -41,7 +41,7 @@ class TestRenderSph:
     def test_zero_coefficients(self, head):
         spec = rigid_sphere_hrtf_spectrum(head, [500.0], 1.5, 6)
         alpha = wf.ShCoeffVec(np.zeros(49), np.zeros(3), k_of(500.0), 6)
-        assert rendering.render_sph(alpha, spec.at_index(0), 1.5) == (0.0, 0.0)
+        assert rendering.render_coeffs(alpha, spec.at_index(0), "sph", 1.5) == (0.0, 0.0)
 
     def test_point_source_truth(self, head, rng):
         # SPH rendering of an analytic point-source field reproduces the
@@ -53,7 +53,7 @@ class TestRenderSph:
             src = rng.normal(size=3)
             src *= 2.0 / np.linalg.norm(src)
             alpha = wf.point_source_coeffs(src, np.zeros(3), k, 30)
-            left, right = rendering.render_sph(alpha, spec.at_index(0), 1.5)
+            left, right = rendering.render_coeffs(alpha, spec.at_index(0), "sph", 1.5)
             truth = ear_pressure(head, src, k)
             assert left == pytest.approx(truth[0], rel=1e-10)
             assert right == pytest.approx(truth[1], rel=1e-10)
@@ -71,7 +71,7 @@ class TestRenderSph:
         src = 1.5 * np.array([math.sin(theta) * math.cos(phi),
                               math.sin(theta) * math.sin(phi), math.cos(theta)])
         alpha = wf.point_source_coeffs(src, np.zeros(3), k, 16)
-        left, right = rendering.render_sph(alpha, spec.at_index(0), 1.5)
+        left, right = rendering.render_coeffs(alpha, spec.at_index(0), "sph", 1.5)
         assert abs(left - hs.responses[0, 0, node]) / abs(hs.responses[0, 0, node]) < 0.02
         assert abs(right - hs.responses[1, 0, node]) / abs(hs.responses[1, 0, node]) < 0.02
 
@@ -81,15 +81,15 @@ class TestRenderPln:
         f = 800.0
         spec = rigid_sphere_hrtf_spectrum(head, [f], 1.5, 8)
         z = wf.ShCoeffVec(np.zeros(81), np.zeros(3), k_of(f), 8)
-        assert rendering.render_pln(z, spec.at_index(0)) == (0.0, 0.0)
+        assert rendering.render_coeffs(z, spec.at_index(0), "pln") == (0.0, 0.0)
         c1 = rng.normal(size=81) + 1j * rng.normal(size=81)
         c2 = rng.normal(size=81) + 1j * rng.normal(size=81)
         a1 = wf.ShCoeffVec(c1, np.zeros(3), k_of(f), 8)
         a2 = wf.ShCoeffVec(c2, np.zeros(3), k_of(f), 8)
         a12 = wf.ShCoeffVec(2.0 * c1 - 1j * c2, np.zeros(3), k_of(f), 8)
-        l1, r1 = rendering.render_pln(a1, spec.at_index(0))
-        l2, r2 = rendering.render_pln(a2, spec.at_index(0))
-        l12, r12 = rendering.render_pln(a12, spec.at_index(0))
+        l1, r1 = rendering.render_coeffs(a1, spec.at_index(0), "pln")
+        l2, r2 = rendering.render_coeffs(a2, spec.at_index(0), "pln")
+        l12, r12 = rendering.render_coeffs(a12, spec.at_index(0), "pln")
         assert l12 == pytest.approx(2.0 * l1 - 1j * l2, rel=1e-12)
         assert r12 == pytest.approx(2.0 * r1 - 1j * r2, rel=1e-12)
 
@@ -104,7 +104,7 @@ class TestRenderPln:
             spec = rigid_sphere_hrtf_spectrum(head, [f], rs, order)
             eta = np.array([0.4, -0.7, math.sqrt(1 - 0.65)])
             alpha = wf.plane_wave_coeffs(eta, k, order)
-            left, right = rendering.render_pln(alpha, spec.at_index(0))
+            left, right = rendering.render_coeffs(alpha, spec.at_index(0), "pln")
             compensation = rs * np.exp(1j * k * rs)
             cos_g = np.array([head.ear_direction(e) @ eta for e in (0, 1)])
             d_big = 5.0e4
@@ -169,6 +169,25 @@ class TestRenderFull:
             scale = max(abs(y2[0]), abs(y2[1]))
             assert abs(y1[0] - y2[0]) < 1e-12 * scale
             assert abs(y1[1] - y2[1]) < 1e-12 * scale
+
+    def test_bin_rows_equal_render_full(self, head, composite):
+        # the folded per-bin rows applied to the observations reproduce the
+        # factored path up to reassociation rounding
+        f = 700.0
+        k = k_of(f)
+        spec = rigid_sphere_hrtf_spectrum(head, [f], 1.5, truncation_order(k))
+        scene = simulate.Scene(
+            sources=(simulate.PointSource(np.array([1.2, 0.6, -0.3])),),
+            freqs=np.array([f]))
+        s = simulate.simulate_observation(scene, composite)[0]
+        target = np.array([0.02, -0.03, 0.01])
+        angles = EulerAngles(0.6, -0.4, 0.9)
+        for mode in ("sph", "pln"):
+            rows = rendering.bin_rows(composite, f, target, angles, spec, mode)
+            assert rows.shape == (2, composite.n_mics)
+            want = rendering.render_full(s, estimation.Estimator(composite, k), target, angles,
+                                         spec.at_index(0), mode, 1.5, truncation_order(k))
+            assert np.max(np.abs(rows @ s - np.array(want))) < 1e-12 * np.max(np.abs(want))
 
     def test_half_turn_swaps_ears_for_symmetric_head(self, head, composite):
         # frontal source, mirror-symmetric head: yawing the listener 180 deg
@@ -253,14 +272,7 @@ class TestFirSynthesis:
         resp = np.fft.rfft(bank.taps, axis=2)
         shift = np.exp(-1j * np.pi * np.arange(nfft // 2 + 1))  # nfft/2 delay
         b = int(round(in_band[3] / (fs / nfft)))
-        k = k_of(bin_freqs[b - 1])
-        est = estimation.Estimator(geom, k)
-        from scipy.linalg import cho_solve
-
-        rows = rendering.binaural_rows(est, np.zeros(3), EulerAngles(),
-                                       spec.interpolated(bin_freqs[b - 1]), "sph", 1.5,
-                                       order=truncation_order(k, cap=10))
-        rows = cho_solve(est._factor, rows.conj().T).conj().T
+        rows = rendering.bin_rows(geom, bin_freqs[b - 1], np.zeros(3), EulerAngles(), spec)
         got = resp[:, :, b] / shift[b]
         assert np.max(np.abs(got - rows)) < 1e-10 * np.max(np.abs(rows))
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from binrender import arrays, simulate
+from binrender import arrays, estimation, simulate
 from binrender import wavefield as wf
 from binrender.hrtf import SyntheticHead, synth_rigid_sphere_hrtf
 from binrender.special import orders_degrees, sph_harmonic, sph_hankel2_deriv
@@ -86,13 +86,14 @@ class TestDirectionalObservation:
 class TestRigidBaffleObservation:
     def test_reordered_summation_oracle(self):
         # independent implementation: scalar loop in reversed order with the
-        # raw Eq.-style terms, vs the vectorized matrix path
+        # raw Eq.-style terms, vs the shared rigid-baffle forward matrix that
+        # both the simulator and the rigid-sphere estimator use
         geom = arrays.build_rigid_sphere_array()
         k = 2 * math.pi * 1200.0 / C
         eta = np.array([0.3, -0.5, math.sqrt(1 - 0.34)])
         order = simulate.rigid_baffle_series_order(k, geom.baffle.radius)
         alpha = wf.plane_wave_coeffs(eta, k, order, center=geom.baffle.center)
-        got = simulate.rigid_baffle_observation(alpha.coeffs, geom, k)
+        got = estimation.rigid_sphere_matrix(geom, k, order) @ alpha.coeffs
 
         radius = geom.baffle.radius
         ref = np.zeros(geom.n_mics, dtype=complex)
@@ -115,8 +116,8 @@ class TestRigidBaffleObservation:
         order = simulate.rigid_baffle_series_order(k, geom.baffle.radius)
         a1 = wf.point_source_coeffs(src, geom.baffle.center, k, order)
         a2 = wf.point_source_coeffs(src, geom.baffle.center, k, 2 * order)
-        o1 = simulate.rigid_baffle_observation(a1.coeffs, geom, k)
-        o2 = simulate.rigid_baffle_observation(a2.coeffs, geom, k)
+        o1 = estimation.rigid_sphere_matrix(geom, k, order) @ a1.coeffs
+        o2 = estimation.rigid_sphere_matrix(geom, k, 2 * order) @ a2.coeffs
         assert np.max(np.abs(o1 - o2)) < 1e-8 * np.max(np.abs(o2))
 
     def test_source_inside_baffle_rejected(self):
