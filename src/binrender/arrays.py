@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .special import sh_row
+from .special import sh_matrix
 from .utils import (
     cart2sph,
     format_significant,
@@ -125,7 +125,7 @@ def cardioid_coeffs(beta, orientation):
         raise ValueError("beta must lie in [0, 1]")
     ori = unit(orientation)
     _, theta, phi = cart2sph(ori)
-    first = (SQRT_4PI * 1j / 3.0) * (1.0 - beta) * np.conj(sh_row(1, theta, phi))
+    first = (SQRT_4PI * 1j / 3.0) * (1.0 - beta) * np.conj(sh_matrix(1, theta, phi)[0, 1:])
     return np.concatenate([[beta + 0.0j], first])
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import zherk
 
 from .special import num_coeffs, orders_degrees, sh_matrix, sph_hankel2, sph_hankel2_deriv
 from .utils import cart2sph, sph2cart
@@ -117,8 +118,9 @@ def fit_sh(hrtf_set: HrtfSet, order, gamma="auto") -> HrtfShSpectrum:
         )
     theta = hrtf_set.directions[:, 0]
     phi = hrtf_set.directions[:, 1]
-    y = np.conj(sh_matrix(order, theta, phi))
-    normal = y.conj().T @ y
+    sh = sh_matrix(order, theta, phi)  # Y = conj(sh)
+    # Y^H Y = conj(sh^H sh), upper triangle only: the one cho_factor reads
+    normal = np.conj(zherk(1.0, sh, trans=2))
     if gamma == "auto":
         gamma = 1e-6 * np.real(np.trace(normal)) / ncoef
     n_all, _ = orders_degrees(order)
@@ -130,7 +132,7 @@ def fit_sh(hrtf_set: HrtfSet, order, gamma="auto") -> HrtfShSpectrum:
             "singular normal matrix in SH fit; the grid does not support "
             f"order {order} at gamma={gamma}"
         ) from exc
-    rhs = np.einsum("jq,efj->efq", y.conj(), hrtf_set.responses)
+    rhs = hrtf_set.responses @ sh  # Y^H h per ear and frequency
     coeffs = cho_solve(factor, rhs.reshape(-1, ncoef).T).T.reshape(rhs.shape)
     return HrtfShSpectrum(
         order=order,
@@ -176,6 +178,7 @@ def rigid_sphere_pressure(radius, cos_gamma, source_distance, k, tol=1e-12, cap_
     kd = k * source_distance
 
     n_start = int(math.ceil(math.e * ka / 2.0)) + 16
+    coefs = _scattering_coefs(0, min(n_start, cap_order) + 1, ka, kd)
     p_prev = np.ones_like(cos_gamma)  # P_0
     p_curr = cos_gamma.copy()  # P_1
     total = np.zeros(cos_gamma.shape, dtype=complex)
@@ -190,8 +193,10 @@ def rigid_sphere_pressure(radius, cos_gamma, source_distance, k, tol=1e-12, cap_
             p_next = ((2 * n - 1) * cos_gamma * p_curr - (n - 1) * p_prev) / n
             p_prev, p_curr = p_curr, p_next
             pn = p_curr
-        coef = (2 * n + 1) * sph_hankel2(n, kd) / sph_hankel2_deriv(n, ka)
-        term = coef * pn
+        if n == coefs.size:
+            coefs = np.concatenate(
+                [coefs, _scattering_coefs(n, min(2 * n, cap_order + 1), ka, kd)])
+        term = coefs[n] * pn
         total += term
         ref = max(ref, float(np.max(np.abs(total))))
         if n >= n_start and float(np.max(np.abs(term))) < tol * max(ref, 1e-300):
@@ -202,6 +207,17 @@ def rigid_sphere_pressure(radius, cos_gamma, source_distance, k, tol=1e-12, cap_
                 f"rigid-sphere scattering series did not converge within {cap_order} terms"
             )
     return -total / (4.0 * math.pi * k * radius**2)
+
+
+def _scattering_coefs(n_lo, n_hi, ka, kd):
+    """(2n+1) h_n(k d) / h_n'(k a) for n_lo <= n < n_hi, one table per call.
+
+    Orders past the point where the series stops may overflow; their
+    warnings are silenced because they are never summed.
+    """
+    n = np.arange(n_lo, n_hi)
+    with np.errstate(all="ignore"):
+        return (2 * n + 1) * sph_hankel2(n, kd) / sph_hankel2_deriv(n, ka)
 
 
 def ear_pressure(head: SyntheticHead, source_pos, k):

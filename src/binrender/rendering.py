@@ -27,7 +27,7 @@ from scipy.signal.windows import tukey
 from .estimation import Estimator
 from .hrtf import HrtfShSpectrum
 from .metrics import truncation_order
-from .special import EulerAngles, num_coeffs, sph_hankel2
+from .special import EulerAngles, ipow, num_coeffs, orders_degrees, sph_hankel2
 from .special import wigner_d_block  # noqa: F401 -- kept for perfbench/tracing.py to rebind
 from .utils import ordered_map
 from .wavefield import ShCoeffVec, rotate_blocks, rotate_coeffs
@@ -37,20 +37,18 @@ SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 def render_weights(mode, order, k=None, measure_radius=None):
     """Per-coefficient diagonal rendering weights (depend only on order n)."""
-    out = np.empty(num_coeffs(order), dtype=complex)
-    for n in range(order + 1):
-        if mode == "pln":
-            w = SQRT_4PI * (1j) ** (-n)
-        elif mode == "sph":
-            if measure_radius is None or k is None:
-                raise ValueError("sph mode needs k and measure_radius")
-            if not measure_radius > 0:
-                raise ValueError("measure_radius must be positive")
-            w = SQRT_4PI * 1j / (k * sph_hankel2(n, k * measure_radius))
-        else:
-            raise ValueError(f"unknown rendering mode {mode!r}")
-        out[n * n : n * n + 2 * n + 1] = w
-    return out
+    n = np.arange(order + 1)
+    if mode == "pln":
+        w = SQRT_4PI * ipow(-n)
+    elif mode == "sph":
+        if measure_radius is None or k is None:
+            raise ValueError("sph mode needs k and measure_radius")
+        if not measure_radius > 0:
+            raise ValueError("measure_radius must be positive")
+        w = SQRT_4PI * 1j / (k * sph_hankel2(n, k * measure_radius))
+    else:
+        raise ValueError(f"unknown rendering mode {mode!r}")
+    return w[orders_degrees(order)[0]]
 
 
 def _hrtf_order(h_pair):

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ArrayGeometry
-from .estimation import rigid_sphere_matrix
+from .estimation import _stacked_directivities, rigid_sphere_matrix
 from .hrtf import HrtfSet, SyntheticHead, ear_pressure, fit_sh
+from .special import orders_degrees, sh_matrix, sph_hankel2
 from .utils import cart2sph
-from .wavefield import point_source_coeffs
+from .wavefield import SQRT_4PI, point_source_coeffs
 
 DEFAULT_SOUND_SPEED = 346.2
 
@@ -75,12 +76,19 @@ def rigid_baffle_series_order(k, radius, margin=12):
     return math.ceil(math.e * k * radius / 2.0) + margin
 
 
-def _directional_observation(src_pos, geom: ArrayGeometry, k):
-    out = np.empty(geom.n_mics, dtype=complex)
-    for i, mic in enumerate(geom.mics):
-        alpha = point_source_coeffs(src_pos, mic.position, k, mic.directivity_order)
-        out[i] = np.vdot(mic.dir_coeffs, alpha.coeffs)
-    return out
+def _directional_observation(src_pos, positions, dir_coeffs, order, k):
+    """conj(c_i) . alpha_i for every mic i, alpha_i the source's local expansion.
+
+    ``dir_coeffs`` is the (n_mics, (order+1)^2) zero-padded directivity
+    table; alpha_i follows ``point_source_coeffs`` at the mic position.
+    """
+    d, theta, phi = cart2sph(src_pos[None, :] - positions)
+    if np.any(d == 0):
+        raise ValueError("source coincides with a microphone")
+    n_all, _ = orders_degrees(order)
+    radial = sph_hankel2(np.arange(order + 1)[None, :], k * d[:, None])
+    alpha = (-1j * k / SQRT_4PI) * radial[:, n_all] * np.conj(sh_matrix(order, theta, phi))
+    return np.sum(np.conj(dir_coeffs) * alpha, axis=1)
 
 
 def simulate_observation(scene: Scene, geom: ArrayGeometry):
@@ -107,9 +115,12 @@ def simulate_observation(scene: Scene, geom: ArrayGeometry):
                 alpha = point_source_coeffs(src.position, center, k, order)
                 out[fi] += src.amplitude(fi) * (pi @ alpha.coeffs)
     else:
+        positions = geom.positions()
+        dir_coeffs, order = _stacked_directivities(geom)
         for fi, k in enumerate(ks):
             for src in scene.sources:
-                out[fi] += src.amplitude(fi) * _directional_observation(src.position, geom, k)
+                out[fi] += src.amplitude(fi) * _directional_observation(
+                    src.position, positions, dir_coeffs, order, k)
     return out
 
 

@@ -134,21 +134,17 @@ def sph_harmonic(n, m, theta, phi):
     return _sp.sph_harm_y(n, m, theta, phi)
 
 
-def sh_row(order, theta, phi):
-    """Y_l^m for l = order, m = -l..l as a vector of length 2*order+1."""
-    m = np.arange(-order, order + 1)
-    return _sp.sph_harm_y(order, m, theta, phi)
-
-
 def sh_matrix(order, theta, phi):
     """Matrix of Y_n^m(theta_i, phi_i), shape (len(theta), (order+1)^2).
 
-    Columns follow the linear index q = n^2 + n + m. Not conjugated.
+    Columns follow the linear index q = n^2 + n + m. Not conjugated. One
+    ``sph_harm_y_all`` table (degree axis wrapped, so negative m index it
+    directly); the result is the transposed (column-major) view.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     n, m = orders_degrees(order)
-    return _sp.sph_harm_y(n[None, :], m[None, :], theta[:, None], phi[:, None])
+    return _sp.sph_harm_y_all(order, order, theta, phi)[n, m].T
 
 
 # ---------------------------------------------------------------------------

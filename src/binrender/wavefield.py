@@ -27,7 +27,6 @@ from .special import (
     num_coeffs,
     orders_degrees,
     sh_matrix,
-    sh_row,
     sph_hankel2,
     wigner_d_block,
 )
@@ -163,7 +162,7 @@ def translation_matrix(displacement, k, order_out, order_in=None) -> Translation
         raise ValueError("displacement must be a 3-vector")
     if not k > 0:
         raise ValueError("wavenumber must be positive")
-    r, theta, phi = cart2sph(d)
+    r, _, _ = cart2sph(d)
     if order_in is None:
         order_in = order_out + translation_buffer(k * r)
 
@@ -173,33 +172,45 @@ def translation_matrix(displacement, k, order_out, order_in=None) -> Translation
         entries = np.eye(n_rows, n_cols, dtype=complex)
         return TranslationMatrix(entries, d, k, order_out, order_in)
 
-    lmax = order_out + order_in
-    jl = _sp.spherical_jn(np.arange(lmax + 1), k * r)
-    # conj(Y_l^mu) padded to a rectangular table; out-of-range degrees are 0,
-    # matching the Gaunt selection-rule zeros they multiply.
-    y_conj = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
-    for l in range(lmax + 1):
-        y_conj[l, lmax - l : lmax + l + 1] = np.conj(sh_row(l, theta, phi))
-
     entries = np.zeros((n_rows, n_cols), dtype=complex)
+    ones = np.ones((1, n_cols))
+    for n, n_out, terms in _translation_terms(d[None, :], k, order_out, ones):
+        entries[n_out * n_out : (n_out + 1) ** 2, n * n : (n + 1) ** 2] = terms[..., 0].sum(axis=0)
+    return TranslationMatrix(entries, d, k, order_out, order_in)
+
+
+def _translation_terms(displacements, k, order_out, coeff_rows):
+    """The one translation kernel: yield ``(n, n_out, terms)`` per order pair.
+
+    ``terms[i, m', m, p]`` is the l = ls[i] summand of element
+    ((n_out, m'), (n, m)) of T(d_p, k) (formula in ``translation_matrix``),
+    scaled by ``coeff_rows[p, (n, m)]``; ls runs over |n - n_out| .. n + n_out
+    in steps of 2. Summing over i gives the block of the operator, summing
+    over i and m its product with the rows. Displacements must be nonzero.
+    One SH table over all displacements serves every block, and each block
+    is one product over the stacked Gaunt slices.
+    """
+    r, theta, phi = cart2sph(displacements)
+    order_in = math.isqrt(coeff_rows.shape[1]) - 1
+    lmax = order_out + order_in
+    jl = _sp.spherical_jn(np.arange(lmax + 1)[:, None], k * r[None, :])
+    # y_conj[l, mu + lmax, p] = conj(Y_l^mu(d_p)); the table is zero for
+    # |mu| > l, matching the Gaunt selection-rule zeros it multiplies
+    mu = np.arange(-lmax, lmax + 1)
+    y_conj = np.conj(_sp.sph_harm_y_all(lmax, lmax, theta, phi)[:, mu])
     for n in range(order_in + 1):
         m = np.arange(-n, n + 1)
-        col = n * n
-        sign_m = np.where(m % 2 == 0, 1.0, -1.0)
+        sign_m = np.where(m % 2 == 0, 1.0, -1.0)[None, :, None]
+        c = coeff_rows[:, n * n : (n + 1) ** 2].T
         for n_out in range(order_out + 1):
-            mp = np.arange(-n_out, n_out + 1)
-            row = n_out * n_out
-            mu = mp[:, None] - m[None, :]
-            block = np.zeros((2 * n_out + 1, 2 * n + 1), dtype=complex)
-            for l in range(abs(n - n_out), n + n_out + 1, 2):
-                g = gaunt_grid(n, n_out, l)
-                # reorder to G(n, m; n_out, -m'; l) laid out as [m', m]
-                g_needed = g[:, ::-1].T
-                block += (ipow(l) * jl[l]) * y_conj[l, mu + lmax] * g_needed
-            entries[row : row + 2 * n_out + 1, col : col + 2 * n + 1] = (
-                4.0 * math.pi * ipow(n_out - n) * sign_m[None, :] * block
-            )
-    return TranslationMatrix(entries, d, k, order_out, order_in)
+            ls = np.arange(abs(n - n_out), n + n_out + 1, 2)
+            # G(n, m; n_out, -m'; l) laid out as [l, m', m]
+            g = np.stack([gaunt_grid(n, n_out, l)[:, ::-1].T for l in ls])
+            w = (ipow(ls) * (4.0 * math.pi * ipow(n_out - n)))[:, None] * jl[ls]
+            mu_idx = np.arange(-n_out, n_out + 1)[:, None] - m[None, :] + lmax
+            y = y_conj[ls[:, None, None], mu_idx[None, :, :]]
+            scaled = (sign_m * w[:, None, :]) * c[None, :, :]
+            yield n, n_out, (scaled[:, None, :, :] * y) * g[..., None]
 
 
 def translate_multi(displacements, k, order_out, coeff_rows):
@@ -208,50 +219,29 @@ def translate_multi(displacements, k, order_out, coeff_rows):
     ``displacements`` is (P, 3) and ``coeff_rows`` (P, (order_in+1)^2) with a
     small input order (microphone directivities). Returns (P, (order_out+1)^2)
     with row p equal to ``translation_matrix(d_p, k, order_out, order_in)
-    @ coeff_rows[p]``; identical arithmetic structure, vectorized over p.
-    Zero displacements map to identity.
+    @ coeff_rows[p]`` up to rounding (the same kernel terms, summed in
+    (n, l, m) order). Zero displacements map to identity.
     """
     d = np.asarray(displacements, dtype=float)
     c = np.asarray(coeff_rows, dtype=complex)
-    n_p = d.shape[0]
-    order_in = math.isqrt(c.shape[1]) - 1
-    if (order_in + 1) ** 2 != c.shape[1]:
+    if math.isqrt(c.shape[1]) ** 2 != c.shape[1]:
         raise ValueError("coeff_rows must have a perfect-square width")
-    r, theta, phi = cart2sph(d)
-    nonzero = r > 0
+    nonzero = cart2sph(d)[0] > 0
 
-    out = np.zeros((n_p, num_coeffs(order_out)), dtype=complex)
+    out = np.zeros((d.shape[0], num_coeffs(order_out)), dtype=complex)
     ncopy = min(c.shape[1], out.shape[1])
     out[~nonzero, :ncopy] = c[~nonzero, :ncopy]
     if not np.any(nonzero):
         return out
 
-    idx = np.nonzero(nonzero)[0]
-    lmax = order_out + order_in
-    jl = _sp.spherical_jn(np.arange(lmax + 1)[None, :], k * r[idx, None])
-    y_conj = np.zeros((idx.size, lmax + 1, 2 * lmax + 1), dtype=complex)
-    for l in range(lmax + 1):
-        mu = np.arange(-l, l + 1)
-        y_conj[:, l, mu + lmax] = np.conj(
-            _sp.sph_harm_y(l, mu[None, :], theta[idx, None], phi[idx, None])
-        )
-
-    for n in range(order_in + 1):
-        col = n * n
-        for n_out in range(order_out + 1):
-            mp = np.arange(-n_out, n_out + 1)
-            row = n_out * n_out
-            pref = 4.0 * math.pi * ipow(n_out - n)
-            for l in range(abs(n - n_out), n + n_out + 1, 2):
-                g = gaunt_grid(n, n_out, l)
-                g_needed = g[:, ::-1].T  # [m', m] layout of G(n, m; n_out, -m'; l)
-                w_l = (ipow(l) * pref) * jl[:, l]
-                for mi, m in enumerate(range(-n, n + 1)):
-                    sign = -1.0 if m % 2 else 1.0
-                    yfac = y_conj[:, l, mp + (lmax - m)]
-                    out[idx, row : row + 2 * n_out + 1] += (
-                        (sign * w_l * c[idx, col + mi])[:, None] * yfac * g_needed[None, :, mi]
-                    )
+    out_nz = np.zeros((out.shape[1], np.count_nonzero(nonzero)), dtype=complex)
+    for n, n_out, terms in _translation_terms(d[nonzero], k, order_out, c[nonzero]):
+        rows = out_nz[n_out * n_out : (n_out + 1) ** 2]
+        # one term at a time in (l, m) order: test_equals_per_degree_loop
+        # pins these bits, and with them Psi, Xi and the filter banks
+        for term in terms.transpose(0, 2, 1, 3).reshape(-1, *rows.shape):
+            rows += term
+    out[nonzero] = out_nz.T
     return out
 
 

@@ -96,6 +96,27 @@ class TestFitSh:
         scale = np.max(np.abs(ana.coeffs))
         assert np.max(np.abs(fit.coeffs - ana.coeffs)) / scale < 1e-10
 
+    def test_matches_dense_normal_equations(self, rng):
+        # the zherk/matmul fit against the full GEMM normal matrix and the
+        # einsum right-hand side it replaced
+        from scipy.linalg import cho_factor, cho_solve
+
+        from binrender.special import sh_matrix
+
+        order = 12
+        grid = hrtf.fibonacci_grid(500)
+        responses = rng.normal(size=(2, 3, 500)) + 1j * rng.normal(size=(2, 3, 500))
+        hs = _flat_set(grid, [300.0, 900.0, 2700.0], responses)
+        y = np.conj(sh_matrix(order, grid[:, 0], grid[:, 1]))
+        normal = y.conj().T @ y
+        gamma = 1e-6 * np.real(np.trace(normal)) / num_coeffs(order)
+        n_all, _ = orders_degrees(order)
+        factor = cho_factor(normal + gamma * np.diag(1.0 + n_all * (n_all + 1.0)))
+        rhs = np.einsum("jq,efj->efq", y.conj(), responses)
+        want = cho_solve(factor, rhs.reshape(-1, rhs.shape[2]).T).T.reshape(rhs.shape)
+        got = hrtf.fit_sh(hs, order).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_mirror_symmetry_relation(self):
         # mirror-symmetric set: h_R(theta, phi) = h_L(theta, -phi), and since
         # Y_n^m(theta, -phi) = conj(Y_n^m(theta, phi)) the fitted spectra obey
@@ -155,6 +176,60 @@ class TestSyntheticHead:
             p = hrtf.ear_pressure(head, src, k)
             ilds.append(20.0 * math.log10(abs(p[0]) / abs(p[1])))
         assert ilds[1] > ilds[0]
+
+    @staticmethod
+    def scalar_series(radius, cos_gamma, source_distance, k, tol=1e-12, cap_order=400):
+        """The series with two scalar scipy calls per order, summed n-ascending."""
+        from binrender.special import sph_hankel2, sph_hankel2_deriv
+
+        cos_gamma = np.asarray(cos_gamma, dtype=float)
+        ka = k * radius
+        kd = k * source_distance
+        n_start = int(math.ceil(math.e * ka / 2.0)) + 16
+        p_prev = np.ones_like(cos_gamma)
+        p_curr = cos_gamma.copy()
+        total = np.zeros(cos_gamma.shape, dtype=complex)
+        n = 0
+        ref = 0.0
+        while True:
+            if n == 0:
+                pn = p_prev
+            elif n == 1:
+                pn = p_curr
+            else:
+                p_next = ((2 * n - 1) * cos_gamma * p_curr - (n - 1) * p_prev) / n
+                p_prev, p_curr = p_curr, p_next
+                pn = p_curr
+            term = (2 * n + 1) * sph_hankel2(n, kd) / sph_hankel2_deriv(n, ka) * pn
+            total += term
+            ref = max(ref, float(np.max(np.abs(total))))
+            if n >= n_start and float(np.max(np.abs(term))) < tol * max(ref, 1e-300):
+                break
+            n += 1
+            if n > cap_order:
+                raise RuntimeError("did not converge")
+        return -total / (4.0 * math.pi * k * radius**2)
+
+    def test_blocked_series_equals_scalar_series(self):
+        # sources near the head need several blocks of orders, the scalar
+        # cosine one block
+        cos_g = np.cos(np.linspace(0.0, math.pi, 37))
+        for f in (100.0, 1000.0, 6000.0, 12000.0, 20000.0):
+            for dist in (0.12, 0.3, 1.5, 10.0):
+                k = 2.0 * math.pi * f / C
+                want = self.scalar_series(0.0875, cos_g, dist, k)
+                assert np.array_equal(hrtf.rigid_sphere_pressure(0.0875, cos_g, dist, k), want)
+        want = self.scalar_series(0.0875, 0.3, 1.5, 20.0)
+        assert np.array_equal(hrtf.rigid_sphere_pressure(0.0875, 0.3, 1.5, 20.0), want)
+
+    def test_blocked_series_non_convergence_as_scalar(self):
+        # a low cap, and a source so close that the series overflows first
+        k_low = 2.0 * math.pi * 100.0 / C
+        for args in ((0.0875, 1.0, 1.5, 8000.0, 1e-12, 10), (0.0875, 0.2, 0.1, k_low, 1e-12, 400)):
+            with np.errstate(all="ignore"), pytest.raises(RuntimeError):
+                self.scalar_series(*args)
+            with pytest.raises(RuntimeError, match="did not converge within"):
+                hrtf.rigid_sphere_pressure(*args)
 
     def test_source_inside_sphere_rejected(self):
         with pytest.raises(ValueError):

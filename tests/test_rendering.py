@@ -114,6 +114,38 @@ class TestRenderPln:
             assert abs(right * compensation - truth[1]) / abs(truth[1]) < 0.02
 
 
+class TestRenderWeights:
+    @staticmethod
+    def per_order_weights(mode, order, k=None, measure_radius=None):
+        """The per-n formula, one scalar scipy call per order."""
+        from binrender.special import sph_hankel2
+
+        out = np.empty((order + 1) ** 2, dtype=complex)
+        for n in range(order + 1):
+            if mode == "pln":
+                w = math.sqrt(4.0 * math.pi) * (1j) ** (-n)
+            else:
+                w = math.sqrt(4.0 * math.pi) * 1j / (k * sph_hankel2(n, k * measure_radius))
+            out[n * n : n * n + 2 * n + 1] = w
+        return out
+
+    @pytest.mark.parametrize("mode", ["pln", "sph"])
+    def test_equal_to_per_order_formula(self, mode):
+        for k in (k_of(100.0), k_of(3000.0), k_of(12000.0)):
+            for order in range(36):
+                got = rendering.render_weights(mode, order, k=k, measure_radius=1.5)
+                assert np.array_equal(
+                    got, self.per_order_weights(mode, order, k=k, measure_radius=1.5))
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            rendering.render_weights("sph", 3, k=None, measure_radius=1.5)
+        with pytest.raises(ValueError):
+            rendering.render_weights("sph", 3, k=2.0, measure_radius=0.0)
+        with pytest.raises(ValueError):
+            rendering.render_weights("foo", 3)
+
+
 class TestWeightRatio:
     def test_sph_over_pln_magnitude_n_independent_far_field(self):
         # |w_sph / w_pln| constant across n at k R_s = 1000 (within 1%)

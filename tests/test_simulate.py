@@ -83,6 +83,57 @@ class TestDirectionalObservation:
         assert obs1[0, 0] == pytest.approx(obs2[0, 0], rel=1e-10)
 
 
+class TestVectorizedObservation:
+    @staticmethod
+    def per_mic_observation(scene, geom):
+        """One point_source_coeffs expansion and one np.vdot per mic."""
+        out = np.zeros((scene.freqs.size, geom.n_mics), dtype=complex)
+        for fi, k in enumerate(scene.wavenumbers()):
+            for src in scene.sources:
+                for i, mic in enumerate(geom.mics):
+                    alpha = wf.point_source_coeffs(src.position, mic.position, k,
+                                                   mic.directivity_order)
+                    out[fi, i] += src.amplitude(fi) * np.vdot(mic.dir_coeffs, alpha.coeffs)
+        return out
+
+    def _scene(self, rng):
+        spec = rng.normal(size=3) + 1j * rng.normal(size=3)
+        return simulate.Scene(
+            sources=(simulate.PointSource(np.array([1.4, 0.3, -0.2])),
+                     simulate.PointSource(np.array([-0.8, 1.1, 0.4]), spectrum=spec)),
+            freqs=np.array([150.0, 1300.0, 7000.0]))
+
+    def test_composite_array(self, rng):
+        geom = arrays.build_composite_array()
+        scene = self._scene(rng)
+        want = self.per_mic_observation(scene, geom)
+        got = simulate.simulate_observation(scene, geom)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+    def test_mixed_directivity_orders(self, rng):
+        # omni, cardioid and order-2 mics: the padded directivity table
+        order2 = rng.normal(size=9) + 1j * rng.normal(size=9)
+        geom = arrays.ArrayGeometry(mics=(
+            omni_mic([0.05, -0.02, 0.01]),
+            arrays.Microphone(position=np.array([-0.03, 0.04, 0.0]),
+                              orientation=np.array([0.0, 1.0, 0.0]),
+                              dir_coeffs=arrays.cardioid_coeffs(0.6, np.array([0.0, 1.0, 0.0]))),
+            arrays.Microphone(position=np.array([0.0, 0.02, -0.06]),
+                              orientation=np.array([0.0, 0.0, 1.0]), dir_coeffs=order2),
+        ))
+        scene = self._scene(rng)
+        want = self.per_mic_observation(scene, geom)
+        got = simulate.simulate_observation(scene, geom)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+    def test_source_on_a_mic_rejected(self):
+        geom = arrays.build_small_array()
+        scene = simulate.Scene(sources=(simulate.PointSource(geom.mics[2].position),),
+                               freqs=np.array([500.0]))
+        with pytest.raises(ValueError):
+            simulate.simulate_observation(scene, geom)
+
+
 class TestRigidBaffleObservation:
     def test_reordered_summation_oracle(self):
         # independent implementation: scalar loop in reversed order with the

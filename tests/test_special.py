@@ -119,6 +119,20 @@ class TestSphericalHarmonics:
         gram = (y.conj() * w[:, None]).T @ y
         assert np.max(np.abs(gram - np.eye(121))) < 1e-8
 
+    @pytest.mark.parametrize("order", [0, 1, 7, 35])
+    def test_sh_matrix_equals_broadcast_sph_harm_y(self, order):
+        # the one-table sh_matrix against the per-(n, m) scipy evaluation,
+        # poles included
+        from scipy.special import sph_harm_y
+
+        theta = np.concatenate([[0.0, math.pi], np.linspace(0.05, 3.1, 9)])
+        phi = np.concatenate([[0.3, -2.0], np.linspace(-3.0, 6.0, 9)])
+        n, m = sp.orders_degrees(order)
+        want = sph_harm_y(n[None, :], m[None, :], theta[:, None], phi[:, None])
+        got = sp.sh_matrix(order, theta, phi)
+        assert got.shape == (theta.size, sp.num_coeffs(order))
+        assert np.array_equal(got, want)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 12), st.data())
     def test_conjugation_symmetry(self, n, data):

@@ -165,6 +165,32 @@ class TestTranslationMatrix:
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-3
 
+    def test_equals_scalar_gaunt_sum(self):
+        # every element against the defining sum, built from scalar Gaunt
+        # coefficients, scalar harmonics and scalar Bessel values
+        from scipy.special import spherical_jn, sph_harm_y
+
+        from binrender.special import gaunt
+
+        k = k_of(1100.0)
+        for d in (np.array([0.08, -0.13, 0.05]), np.array([0.0, 0.0, -0.2])):
+            r = np.linalg.norm(d)
+            theta, phi = math.acos(d[2] / r), math.atan2(d[1], d[0])
+            got = wf.translation_matrix(d, k, 4, 3).entries
+            want = np.zeros((25, 16), dtype=complex)
+            for n_out in range(5):
+                for mp in range(-n_out, n_out + 1):
+                    for n in range(4):
+                        for m in range(-n, n + 1):
+                            acc = 0.0
+                            for l in range(abs(n - n_out), n + n_out + 1):
+                                acc += (1j**l * spherical_jn(l, k * r)
+                                        * np.conj(sph_harm_y(l, mp - m, theta, phi))
+                                        * gaunt(n, m, n_out, -mp, l))
+                            want[n_out**2 + n_out + mp, n * n + n + m] = (
+                                4.0 * math.pi * (-1.0) ** m * 1j ** (n_out - n) * acc)
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
     def test_wavenumber_mismatch_asserts(self):
         t = wf.translation_matrix(np.array([0.1, 0, 0]), 5.0, 3, 3)
         alpha = wf.ShCoeffVec(np.zeros(16), np.zeros(3), 6.0, 3)
@@ -237,6 +263,47 @@ class TestRotateCoeffs:
 
 
 class TestTranslateMulti:
+    @staticmethod
+    def per_degree_loop(d, k, order_out, c):
+        """translate_multi as explicit n/n_out/l/m loops, one SH call per l."""
+        from scipy.special import spherical_jn, sph_harm_y
+
+        from binrender.special import gaunt_grid, ipow
+
+        order_in = math.isqrt(c.shape[1]) - 1
+        r = np.linalg.norm(d, axis=1)
+        theta, phi = np.arccos(d[:, 2] / r), np.arctan2(d[:, 1], d[:, 0])
+        lmax = order_out + order_in
+        jl = spherical_jn(np.arange(lmax + 1)[None, :], k * r[:, None])
+        y_conj = np.zeros((d.shape[0], lmax + 1, 2 * lmax + 1), dtype=complex)
+        for l in range(lmax + 1):
+            mu = np.arange(-l, l + 1)
+            y_conj[:, l, mu + lmax] = np.conj(sph_harm_y(l, mu[None, :], theta[:, None], phi[:, None]))
+        out = np.zeros((d.shape[0], (order_out + 1) ** 2), dtype=complex)
+        for n in range(order_in + 1):
+            for n_out in range(order_out + 1):
+                mp = np.arange(-n_out, n_out + 1)
+                pref = 4.0 * math.pi * ipow(n_out - n)
+                for l in range(abs(n - n_out), n + n_out + 1, 2):
+                    g = gaunt_grid(n, n_out, l)[:, ::-1].T
+                    w_l = (ipow(l) * pref) * jl[:, l]
+                    for mi, m in enumerate(range(-n, n + 1)):
+                        sign = -1.0 if m % 2 else 1.0
+                        out[:, n_out * n_out : (n_out + 1) ** 2] += (
+                            (sign * w_l * c[:, n * n + mi])[:, None]
+                            * y_conj[:, l, mp + (lmax - m)] * g[None, :, mi])
+        return out
+
+    def test_equals_per_degree_loop(self, rng):
+        # same products summed in the same (n, l, m) order: equal bit for bit,
+        # which keeps Psi, Xi and the filter banks built on them unchanged
+        ds = rng.normal(scale=0.15, size=(7, 3))
+        ds[2] = [0.0, 0.0, 0.1]
+        for order_in, order_out in ((0, 5), (1, 12), (2, 3)):
+            cs = rng.normal(size=(7, (order_in + 1) ** 2)) + 1j * rng.normal(size=(7, (order_in + 1) ** 2))
+            got = wf.translate_multi(ds, 21.0, order_out, cs)
+            assert np.array_equal(got, self.per_degree_loop(ds, 21.0, order_out, cs))
+
     def test_matches_dense_matrix(self, rng):
         k = 14.0
         ds = rng.normal(scale=0.15, size=(6, 3))
