@@ -90,8 +90,12 @@ def save_observation_bundle(base, freqs, observations, geometry_hash=None):
     return write_bundle(base, header, observations)
 
 
-def load_observation_bundle(base):
+def load_observation_bundle(base, geometry_hash=None):
+    """(freqs, observations); ValueError if it records a hash other than ``geometry_hash``."""
     doc, data = read_bundle(base)
     if doc.get("kind") != "observation":
         raise ValueError(f"bundle kind is {doc.get('kind')!r}, expected 'observation'")
+    recorded = doc.get("geometry_hash")
+    if geometry_hash is not None and recorded is not None and recorded != geometry_hash:
+        raise ValueError("bundle was recorded with another array geometry")
     return np.array(doc["freqs"], dtype=float), data

@@ -1,13 +1,14 @@
 """Command-line front end: geometry, simulate, estimate, render, filters,
 evaluate.
 
-Every command validates its whole configuration before computing, writes
-deterministic outputs (no wall-clock anywhere), and drops a manifest JSON
-holding the config hash, library version, and content hashes of the files
-it produced. Exit codes: 0 ok, 1 configuration/user error, 2 internal
-error. Parallelism across frequency bins follows the BINRENDER_WORKERS
-environment variable; results are reduced in a fixed order so outputs are
-byte-identical for any worker count.
+Every command checks its inputs (the config; an observation bundle against
+the geometry and frequency grid) before computing, writes deterministic
+outputs (no wall-clock anywhere), and drops a manifest JSON holding the
+config hash, library version, and content hashes of the files it produced.
+Exit codes: 0 ok, 1 configuration/user error, 2 internal error.
+BINRENDER_WORKERS (an integer >= 1, default 1) sets the frequency-bin
+threads; results are reduced in a fixed order so outputs are byte-identical
+for any worker count.
 """
 
 import hashlib
@@ -54,10 +55,11 @@ class ConfigError(Exception):
 
 
 def _workers():
-    try:
-        return max(1, int(os.environ.get("BINRENDER_WORKERS", "1")))
-    except ValueError:
-        return 1
+    """Bin thread count: BINRENDER_WORKERS, an integer >= 1 (default 1)."""
+    value = os.environ.get("BINRENDER_WORKERS", "1")
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise ConfigError(f"BINRENDER_WORKERS must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _library_version():
@@ -196,10 +198,14 @@ class RunConfig:
 
         self.out_dir = Path(base / doc.get("output_dir", "out"))
         self.seed = int(doc.get("seed", 0))
+        self.workers = _workers()
 
-    def require_hrtf(self):
+    def require_rendering(self):
+        """An HRTF, and free-field mics: the only kind the distributed estimator models."""
         if self.hrtf_set is None and self.synthetic_head is None:
             raise ConfigError("this command needs an 'hrtf' entry in the config")
+        if self.geometry.baffle is not None:
+            raise ConfigError("rigid-baffle arrays are not rendered; use 'estimate'")
 
     def spectrum_at(self, freqs):
         """HRTF SH spectrum on the given frequency grid."""
@@ -212,8 +218,7 @@ class RunConfig:
                 self.synthetic_head, freqs, self.measure_radius, order,
                 sample_rate=self.sample_rate, sound_speed=self.scene.sound_speed)
         order = min(order, math.isqrt(self.hrtf_set.n_directions) - 1)
-        spec = fit_sh(self.hrtf_set, order)
-        return spec
+        return fit_sh(self.hrtf_set, order)
 
 
 def _render_responses(cfg: RunConfig, observations):
@@ -227,7 +232,7 @@ def _render_responses(cfg: RunConfig, observations):
                         cfg.scene.sound_speed)
         return rows @ observations[fi]
 
-    return np.array(ordered_map(one, range(freqs.size), _workers()))
+    return np.array(ordered_map(one, range(freqs.size), cfg.workers))
 
 
 def _multitone_wav(freqs, responses, sample_rate, duration, gain):
@@ -302,19 +307,13 @@ def hrtf_import(csv_path, radius, sample_rate, out_base):
                f"{hrtf_set.freqs.size} frequencies)")
 
 
-def _config_arg(fn):
-    return click.argument("config_path", type=click.Path())(fn)
-
-
-def _estimator_flags(fn):
-    """Estimator overrides; flag values take precedence over the config file."""
-    fn = click.option("--lam", "--lambda", "lam", default=None,
-                      help="Distributed-estimator ridge (overrides config).")(fn)
-    fn = click.option("--eta", default=None,
-                      help="Rigid-sphere estimator ridge (overrides config).")(fn)
-    fn = click.option("--order", default=None,
-                      help="Truncation order, or 'auto' (overrides config).")(fn)
-    return fn
+_config_arg = click.argument("config_path", type=click.Path())
+# estimator overrides (--lam here, --eta/--order on estimate) beat the config file
+_lam_flag = click.option("--lam", "--lambda", "lam", default=None,
+                         help="Distributed-estimator ridge (overrides config).")
+_observations_flag = click.option(
+    "--observations", default=None,
+    help="Observation bundle base path (default: output_dir/observation).")
 
 
 def _parse_reg(value, name):
@@ -324,6 +323,22 @@ def _parse_reg(value, name):
         return float(value)
     except ValueError as exc:
         raise ConfigError(f"--{name} must be a number or 'auto'") from exc
+
+
+def _observations(cfg: RunConfig, path):
+    """(F, n_mics) observations, checked against the run's geometry and grid."""
+    base = Path(path) if path else cfg.out_dir / "observation"
+    try:
+        freqs, obs = bundleio.load_observation_bundle(base, cfg.geometry.content_hash())
+    except FileNotFoundError as exc:
+        raise ConfigError(f"observation bundle not found: {base}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"observation bundle {base}: {exc}") from exc
+    if obs.shape[1] != cfg.geometry.n_mics:
+        raise ConfigError("observation bundle does not match the geometry's microphone count")
+    if not np.array_equal(freqs, cfg.scene.freqs):
+        raise ConfigError("observation bundle frequencies differ from the scene's grid")
+    return obs
 
 
 def _load_config(config_path, lam=None, eta=None, order=None):
@@ -343,9 +358,9 @@ def _load_config(config_path, lam=None, eta=None, order=None):
 def simulate(config_path):
     """Simulate microphone observations for the configured scene."""
     cfg = _load_config(config_path)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     freqs = cfg.scene.freqs
     obs = simulate_observation(cfg.scene, cfg.geometry)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     base = bundleio.save_observation_bundle(
         cfg.out_dir / "observation", freqs, obs,
         geometry_hash=cfg.geometry.content_hash())
@@ -356,17 +371,15 @@ def simulate(config_path):
 
 @cli.command()
 @_config_arg
-@_estimator_flags
-@click.option("--observations", default=None,
-              help="Observation bundle base path (default: output_dir/observation).")
+@_lam_flag
+@click.option("--eta", default=None, help="Rigid-sphere estimator ridge (overrides config).")
+@click.option("--order", default=None, help="Truncation order, or 'auto' (overrides config).")
+@_observations_flag
 def estimate(config_path, lam, eta, order, observations):
     """Estimate expansion coefficients at the listener position per frequency."""
     cfg = _load_config(config_path, lam, eta, order)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    obs_base = Path(observations) if observations else cfg.out_dir / "observation"
-    freqs, obs = bundleio.load_observation_bundle(obs_base)
-    if obs.shape[1] != cfg.geometry.n_mics:
-        raise ConfigError("observation bundle does not match the geometry's microphone count")
+    obs = _observations(cfg, observations)
+    freqs = cfg.scene.freqs
 
     def one(fi):
         k = 2.0 * math.pi * freqs[fi] / cfg.scene.sound_speed
@@ -382,7 +395,7 @@ def estimate(config_path, lam, eta, order, observations):
                 obs[fi], cfg.listener_position, order)
         return order, alpha.coeffs
 
-    results = ordered_map(one, range(freqs.size), _workers())
+    results = ordered_map(one, range(freqs.size), cfg.workers)
     orders = [r[0] for r in results]
     flat = np.concatenate([r[1] for r in results])
     header = {
@@ -392,6 +405,7 @@ def estimate(config_path, lam, eta, order, observations):
         "orders": orders,
         "center": [float(x) for x in cfg.listener_position],
     }
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     base = bundleio.write_bundle(cfg.out_dir / "coefficients", header, flat)
     outputs = [base.with_suffix(".json"), base.with_suffix(".bin")]
     manifest = _write_manifest(cfg.out_dir, "estimate", cfg.doc, outputs, cfg.seed)
@@ -400,17 +414,17 @@ def estimate(config_path, lam, eta, order, observations):
 
 @cli.command()
 @_config_arg
-@_estimator_flags
-@click.option("--observations", default=None)
-def render(config_path, lam, eta, order, observations):
+@_lam_flag
+@_observations_flag
+def render(config_path, lam, observations):
     """Render per-frequency binaural responses (CSV) and a multitone WAV."""
-    cfg = _load_config(config_path, lam, eta, order)
-    cfg.require_hrtf()
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    obs_base = Path(observations) if observations else cfg.out_dir / "observation"
-    freqs, obs = bundleio.load_observation_bundle(obs_base)
+    cfg = _load_config(config_path, lam)
+    cfg.require_rendering()
+    obs = _observations(cfg, observations)
+    freqs = cfg.scene.freqs
     responses = _render_responses(cfg, obs)
 
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = cfg.out_dir / "binaural_response.csv"
     with open(csv_path, "w") as f:
         f.write("freq_hz,left_re,left_im,right_re,right_im\n")
@@ -429,12 +443,11 @@ def render(config_path, lam, eta, order, observations):
 
 @cli.command()
 @_config_arg
-@_estimator_flags
-def filters(config_path, lam, eta, order):
+@_lam_flag
+def filters(config_path, lam):
     """Synthesize and export the MIMO FIR binaural filter bank."""
-    cfg = _load_config(config_path, lam, eta, order)
-    cfg.require_hrtf()
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    cfg = _load_config(config_path, lam)
+    cfg.require_rendering()
     nyq_freqs = np.arange(1, cfg.nfft // 2 + 1) * cfg.sample_rate / cfg.nfft
     spectrum = cfg.spectrum_at(nyq_freqs[(nyq_freqs >= cfg.band[0]) & (nyq_freqs <= cfg.band[1])])
     bank = synth_fir_filters(
@@ -442,7 +455,8 @@ def filters(config_path, lam, eta, order):
         cfg.band, cfg.nfft, cfg.sample_rate, mode=cfg.mode, lam=cfg.lam,
         window=cfg.window, order_cap=cfg.order_cap,
         shoulder_radius=cfg.shoulder_radius, sound_speed=cfg.scene.sound_speed,
-        workers=_workers())
+        workers=cfg.workers)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     base = save_filter_bank(bank, cfg.out_dir / "filterbank")
     outputs = [base.with_suffix(".wav"), base.with_suffix(".json")]
     manifest = _write_manifest(cfg.out_dir, "filters", cfg.doc, outputs, cfg.seed)
@@ -451,17 +465,14 @@ def filters(config_path, lam, eta, order):
 
 @cli.command()
 @_config_arg
-@_estimator_flags
-@click.option("--observations", default=None)
-def evaluate(config_path, lam, eta, order, observations):
+@_lam_flag
+@_observations_flag
+def evaluate(config_path, lam, observations):
     """Compare rendered binaural responses against the analytic ground truth."""
-    cfg = _load_config(config_path, lam, eta, order)
-    cfg.require_hrtf()
-    if cfg.synthetic_head is None and cfg.hrtf_set is None:
-        raise ConfigError("evaluate needs a synthetic head or HRTF set as reference")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    obs_base = Path(observations) if observations else cfg.out_dir / "observation"
-    freqs, obs = bundleio.load_observation_bundle(obs_base)
+    cfg = _load_config(config_path, lam)
+    cfg.require_rendering()
+    obs = _observations(cfg, observations)
+    freqs = cfg.scene.freqs
     responses = _render_responses(cfg, obs)
     reference = true_binaural(
         cfg.scene, cfg.synthetic_head if cfg.synthetic_head is not None else cfg.hrtf_set,
@@ -493,6 +504,7 @@ def evaluate(config_path, lam, eta, order, observations):
         rows.append({"position": pos, "azimuth_deg": "", "frequency_or_band": "time",
                      "metric": f"ild_{name}_db", "value": f"{ild(pair):.6f}", "excluded_bins": 0})
 
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     report = cfg.out_dir / "metrics.csv"
     write_metric_report(report, rows)
     manifest = _write_manifest(cfg.out_dir, "evaluate", cfg.doc, [report], cfg.seed)

@@ -17,8 +17,6 @@ from scipy.linalg.blas import zherk
 from .special import num_coeffs, orders_degrees, sh_matrix, sph_hankel2, sph_hankel2_deriv
 from .utils import cart2sph, sph2cart
 
-SQRT_4PI = math.sqrt(4.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class HrtfSet:
@@ -82,8 +80,10 @@ class HrtfShSpectrum:
         return self.coeffs[:, freq_index, :]
 
     def interpolated(self, freq):
-        """Linear per-coefficient interpolation along the frequency axis."""
-        f = np.asarray(self.freqs)
+        """Linear per-coefficient interpolation in frequency; ValueError off the grid."""
+        f = self.freqs
+        if not f[0] <= freq <= f[-1]:
+            raise ValueError(f"{freq:g} Hz lies outside the HRTF grid [{f[0]:g}, {f[-1]:g}] Hz")
         if freq <= f[0]:
             return self.coeffs[:, 0, :]
         if freq >= f[-1]:
@@ -247,12 +247,12 @@ def rigid_sphere_hrtf_spectrum(head: SyntheticHead, freqs, measure_radius,
     ears = np.stack([head.ear_direction(0), head.ear_direction(1)])
     _, theta, phi = cart2sph(ears)
     y_ear = sh_matrix(order, theta, phi)  # (2, ncoef), unconjugated ear factor
-    coeffs = np.empty((2, freqs.size, num_coeffs(order)), dtype=complex)
-    for fi, f in enumerate(freqs):
-        k = 2.0 * math.pi * f / sound_speed
-        radial = sph_hankel2(np.arange(order + 1), k * measure_radius)
-        gain = -radial[n_all] / (k * head.radius**2 * sph_hankel2_deriv(n_all, k * head.radius))
-        coeffs[:, fi, :] = gain[None, :] * y_ear
+    k = (2.0 * math.pi * freqs / sound_speed)[:, None]
+    n = np.arange(order + 1)
+    radial = sph_hankel2(n, k * measure_radius)[:, n_all]
+    deriv = sph_hankel2_deriv(n, k * head.radius)[:, n_all]
+    gain = -radial / (k * head.radius**2 * deriv)  # (F, ncoef)
+    coeffs = gain[None, :, :] * y_ear[:, None, :]
     return HrtfShSpectrum(
         order=order,
         radius=measure_radius,

@@ -149,7 +149,7 @@ def _measured_binaural(scene: Scene, hrtf: HrtfSet, listener_position):
     if not np.array_equal(np.asarray(scene.freqs), np.asarray(hrtf.freqs)):
         raise ValueError("scene frequency grid must match the HRTF set")
     out = np.zeros((scene.freqs.size, 2), dtype=complex)
-    spectrum_cache = {}
+    spec = None
     for src in scene.sources:
         rel = src.position - listener_position
         d, theta, phi = cart2sph(rel)
@@ -162,11 +162,8 @@ def _measured_binaural(scene: Scene, hrtf: HrtfSet, listener_position):
         if node is not None:
             resp = hrtf.responses[:, :, node].T  # (F, 2)
         else:
-            spec = spectrum_cache.get("spec")
             if spec is None:
-                order = min(35, math.isqrt(hrtf.n_directions) - 1)
-                spec = fit_sh(hrtf, order)
-                spectrum_cache["spec"] = spec
+                spec = fit_sh(hrtf, min(35, math.isqrt(hrtf.n_directions) - 1))
             resp = spec.evaluate(np.array([theta]), np.array([phi]))[:, :, 0].T
         for fi in range(scene.freqs.size):
             out[fi] += src.amplitude(fi) * resp[fi]

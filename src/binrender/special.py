@@ -151,20 +151,6 @@ def sh_matrix(order, theta, phi):
 # Wigner 3j and Gaunt coefficients (log-factorial arithmetic)
 # ---------------------------------------------------------------------------
 
-_LGF_SIZE = 512
-_LGF = _sp.gammaln(np.arange(_LGF_SIZE) + 1.0)
-
-
-def _lgf(n):
-    """log(n!) with a growable precomputed table."""
-    global _LGF, _LGF_SIZE
-    nmax = int(np.max(n))
-    if nmax >= _LGF_SIZE:
-        _LGF_SIZE = 2 * nmax + 2
-        _LGF = _sp.gammaln(np.arange(_LGF_SIZE) + 1.0)
-    return _LGF[n]
-
-
 def _triangle_ok(j1, j2, j3):
     return abs(j1 - j2) <= j3 <= j1 + j2
 

@@ -37,6 +37,17 @@ class TestBundle:
         assert np.array_equal(freqs, freqs2)
         assert np.array_equal(obs2.astype(np.complex64), obs.astype(np.complex64))
 
+    def test_observation_geometry_hash_checked(self, tmp_path):
+        obs = np.ones((2, 3), dtype=complex)
+        base = bundleio.save_observation_bundle(tmp_path / "obs", [1.0, 2.0], obs,
+                                                geometry_hash="abc")
+        bundleio.load_observation_bundle(base, geometry_hash="abc")
+        with pytest.raises(ValueError, match="another array geometry"):
+            bundleio.load_observation_bundle(base, geometry_hash="xyz")
+        # bundles that record no hash are not checked
+        base = bundleio.save_observation_bundle(tmp_path / "bare", [1.0, 2.0], obs)
+        bundleio.load_observation_bundle(base, geometry_hash="xyz")
+
     def test_kind_mismatch_rejected(self, tmp_path, rng):
         obs = rng.normal(size=(2, 2)).astype(complex)
         base = bundleio.save_observation_bundle(tmp_path / "obs", [1.0, 2.0], obs)

@@ -142,6 +142,74 @@ class TestPipeline:
         assert main(["render", str(cfg)]) == 1
 
 
+class TestInputChecks:
+    """Inputs are cross-checked before anything is computed or written."""
+
+    @pytest.mark.parametrize("command", ["render", "filters", "evaluate"])
+    @pytest.mark.parametrize("flag", [["--order", "2"], ["--eta", "1"]])
+    def test_estimate_only_flags_rejected(self, tmp_path, command, flag):
+        cfg = write_config(tmp_path)
+        assert main(["simulate", str(cfg)]) == 0
+        assert main([command, str(cfg), *flag]) == 1
+
+    def test_bundle_from_another_geometry_rejected(self, tmp_path):
+        cfg = write_config(tmp_path)
+        shifted = tmp_path / "shifted"
+        shifted.mkdir()
+        shifted_cfg = write_config(shifted)
+        assert main(["geometry", "--kind", "composite", "--center", "0.1,0,0",
+                     "--out", str(shifted / "geom.json")]) == 0
+        assert main(["simulate", str(shifted_cfg)]) == 0
+        bundle = str(shifted / "out" / "observation")
+        for command in ("estimate", "render", "evaluate"):
+            assert main([command, str(cfg), "--observations", bundle]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("band", [[200.0, 800.0, 200.0], [300.0, 1100.0, 200.0]],
+                             ids=["shorter", "shifted"])
+    def test_scene_grid_must_match_bundle(self, tmp_path, band):
+        cfg = write_config(tmp_path)
+        assert main(["simulate", str(cfg)]) == 0
+        (tmp_path / "scene.json").write_text(json.dumps({**SCENE, "band": band}))
+        for command in ("estimate", "render", "evaluate"):
+            assert main([command, str(cfg)]) == 1
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "manifest_simulate.json", "observation.bin", "observation.json"]
+
+    def test_missing_observations_is_user_error(self, tmp_path):
+        cfg = write_config(tmp_path)
+        for command in ("estimate", "render", "evaluate"):
+            assert main([command, str(cfg), "--observations", str(tmp_path / "nope")]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["render", "filters", "evaluate"])
+    def test_rigid_sphere_array_not_rendered(self, tmp_path, command):
+        # the distributed estimator models free-field mics only
+        cfg = write_config(tmp_path)
+        assert main(["geometry", "--kind", "rigid-sphere",
+                     "--out", str(tmp_path / "geom.json")]) == 0
+        assert main(["simulate", str(cfg)]) == 0
+        assert main([command, str(cfg)]) == 1
+
+    def test_band_outside_hrtf_grid_is_user_error(self, tmp_path):
+        from binrender.bundleio import save_hrtf_bundle
+        from binrender.hrtf import SyntheticHead, fibonacci_grid, synth_rigid_sphere_hrtf
+
+        hs = synth_rigid_sphere_hrtf(SyntheticHead(), fibonacci_grid(144), [200.0, 400.0], 1.5)
+        save_hrtf_bundle(tmp_path / "hrtf", hs)
+        cfg = write_config(tmp_path, hrtf="hrtf",
+                           render={"band": [100.0, 1600.0], "nfft": 1024})
+        assert main(["filters", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_worker_count_is_user_error(self, tmp_path, monkeypatch, value):
+        cfg = write_config(tmp_path)
+        monkeypatch.setenv("BINRENDER_WORKERS", value)
+        assert main(["filters", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestHrtfImport:
     def test_csv_to_bundle(self, tmp_path):
         csv = tmp_path / "set.csv"

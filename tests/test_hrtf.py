@@ -240,6 +240,48 @@ class TestSyntheticHead:
             hrtf.rigid_sphere_pressure(0.0875, 1.0, 1.5, 8000.0, cap_order=10)
 
 
+class TestShSpectrum:
+    @staticmethod
+    def per_frequency_spectrum(head, freqs, measure_radius, order, sound_speed=C):
+        """The closed-form spectrum with one pair of radial calls per frequency."""
+        from binrender.special import sh_matrix, sph_hankel2, sph_hankel2_deriv
+        from binrender.utils import cart2sph
+
+        freqs = np.asarray(freqs, dtype=float)
+        n_all, _ = orders_degrees(order)
+        ears = np.stack([head.ear_direction(0), head.ear_direction(1)])
+        _, theta, phi = cart2sph(ears)
+        y_ear = sh_matrix(order, theta, phi)
+        coeffs = np.empty((2, freqs.size, num_coeffs(order)), dtype=complex)
+        for fi, f in enumerate(freqs):
+            k = 2.0 * math.pi * f / sound_speed
+            radial = sph_hankel2(np.arange(order + 1), k * measure_radius)
+            gain = -radial[n_all] / (k * head.radius**2 * sph_hankel2_deriv(n_all, k * head.radius))
+            coeffs[:, fi, :] = gain[None, :] * y_ear
+        return coeffs
+
+    @pytest.mark.parametrize("order, freqs", [
+        (18, np.arange(9, 137) * 48000.0 / 4096),  # the narrow-band filter-bank grid
+        (35, np.linspace(100.0, 12000.0, 9)),
+        (0, [440.0]),
+    ])
+    def test_rigid_sphere_spectrum_equals_per_frequency_loop(self, order, freqs):
+        head = hrtf.SyntheticHead(radius=0.0875, ear_azimuths=(1.4, -1.7))
+        spec = hrtf.rigid_sphere_hrtf_spectrum(head, freqs, 1.5, order)
+        assert np.array_equal(spec.coeffs, self.per_frequency_spectrum(head, freqs, 1.5, order))
+
+    @pytest.mark.parametrize("freqs", [[300.0], [200.0, 400.0, 800.0]])
+    def test_interpolated_exact_on_grid_and_rejects_outside(self, rng, freqs):
+        shape = (2, len(freqs), num_coeffs(2))
+        spec = hrtf.HrtfShSpectrum(order=2, radius=1.5, freqs=freqs, sample_rate=48000.0,
+                                   coeffs=rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        for fi, f in enumerate(freqs):
+            assert np.array_equal(spec.interpolated(f), spec.coeffs[:, fi, :])
+        for f in (np.nextafter(freqs[0], 0.0), np.nextafter(freqs[-1], np.inf)):
+            with pytest.raises(ValueError, match="outside the HRTF grid"):
+                spec.interpolated(f)
+
+
 class TestCsvImport:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "tiny.csv"
