@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .special import sh_matrix
+from .special import SQRT_4PI, sh_matrix
 from .utils import (
     cart2sph,
     format_significant,
@@ -24,7 +24,6 @@ from .utils import (
     unit,
 )
 
-SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 GEOMETRY_FORMAT_VERSION = 1
 

@@ -103,7 +103,18 @@ def _load_json(path):
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _known_keys(doc, keys, where):
+    """``doc`` itself, after checking it is an object holding only ``keys``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    return doc
+
+
 def parse_scene(doc) -> Scene:
+    _known_keys(doc, ("freqs", "band", "sources", "sound_speed"), "scene")
     if "freqs" in doc:
         freqs = np.asarray(doc["freqs"], dtype=float)
     elif "band" in doc:
@@ -113,6 +124,7 @@ def parse_scene(doc) -> Scene:
         raise ConfigError("scene needs 'freqs' or 'band'")
     sources = []
     for s in doc.get("sources", []):
+        _known_keys(s, ("pos", "spectrum"), "scene source")
         spectrum = s.get("spectrum", "flat")
         if spectrum == "flat":
             spec = None
@@ -132,6 +144,8 @@ class RunConfig:
     """Validated run configuration; all paths checked before any compute."""
 
     def __init__(self, doc, base_dir):
+        _known_keys(doc, ("version", "scene", "geometry", "hrtf", "estimator", "render",
+                          "listener", "output_dir", "seed"), "config")
         if doc.get("version") != 1:
             raise ConfigError("config must carry \"version\": 1")
         self.doc = doc
@@ -151,14 +165,16 @@ class RunConfig:
             raise ConfigError(f"geometry file not found: {geom_path}")
         self.geometry = load_geometry(geom_path)
 
-        est = doc.get("estimator", {})
+        est = _known_keys(doc.get("estimator", {}), ("lambda", "eta", "order"), "estimator")
         self.lam = est.get("lambda", "auto")
         self.eta = est.get("eta", "auto")
         self.order = est.get("order", "auto")
         if self.lam != "auto" and float(self.lam) < 0:
             raise ConfigError("estimator lambda must be non-negative")
 
-        rnd = doc.get("render", {})
+        rnd = _known_keys(doc.get("render", {}),
+                          ("mode", "nfft", "window", "band", "sample_rate", "order_cap",
+                           "shoulder_radius", "wav_duration", "wav_gain"), "render")
         self.mode = rnd.get("mode", "sph")
         if self.mode not in ("sph", "pln"):
             raise ConfigError(f"render mode must be sph or pln, got {self.mode!r}")
@@ -171,7 +187,7 @@ class RunConfig:
         self.wav_duration = float(rnd.get("wav_duration", 0.25))
         self.wav_gain = float(rnd.get("wav_gain", 1.0))
 
-        listener = doc.get("listener", {})
+        listener = _known_keys(doc.get("listener", {}), ("position", "euler_deg"), "listener")
         self.listener_position = np.asarray(listener.get("position", [0.0, 0.0, 0.0]), dtype=float)
         deg = listener.get("euler_deg", [0.0, 0.0, 0.0])
         self.angles = EulerAngles(*(math.radians(a) for a in deg))
@@ -180,7 +196,9 @@ class RunConfig:
         self.hrtf_set = None
         self.synthetic_head = None
         if isinstance(hrtf_ref, dict) and "synthetic" in hrtf_ref:
-            syn = hrtf_ref["synthetic"]
+            _known_keys(hrtf_ref, ("synthetic",), "hrtf")
+            syn = _known_keys(hrtf_ref["synthetic"],
+                              ("head_radius", "ear_azimuths_deg", "measure_radius"), "hrtf.synthetic")
             az = syn.get("ear_azimuths_deg", [90.0, -90.0])
             self.synthetic_head = SyntheticHead(
                 radius=float(syn.get("head_radius", 0.0875)),
@@ -208,9 +226,18 @@ class RunConfig:
             raise ConfigError("rigid-baffle arrays are not rendered; use 'estimate'")
 
     def spectrum_at(self, freqs):
-        """HRTF SH spectrum on the given frequency grid."""
+        """HRTF SH spectrum on the given frequency grid.
+
+        A measured bundle must cover the grid; that is checked before the fit.
+        """
         from .hrtf import fit_sh
 
+        if self.hrtf_set is not None:
+            lo, hi = self.hrtf_set.freqs[0], self.hrtf_set.freqs[-1]
+            if np.min(freqs) < lo or np.max(freqs) > hi:
+                raise ConfigError(
+                    f"rendered frequencies {np.min(freqs):g}-{np.max(freqs):g} Hz are not "
+                    f"covered by the HRTF grid [{lo:g}, {hi:g}] Hz")
         k_max = 2.0 * math.pi * np.max(freqs) / self.scene.sound_speed
         order = truncation_order(k_max, self.shoulder_radius, self.order_cap)
         if self.synthetic_head is not None:
@@ -266,7 +293,10 @@ def cli():
 def geometry(kind, center, yaw_deg, radius, beta, out_path, validate_path):
     """Emit or validate array geometry files."""
     if validate_path is not None:
-        doc = Path(validate_path).read_text()
+        try:
+            doc = Path(validate_path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read geometry file {validate_path}: {exc.strerror}") from exc
         geom = geometry_from_json(doc)
         if geometry_to_json(geom) != doc:
             raise ConfigError("geometry file is not in canonical form (round trip differs)")
@@ -471,6 +501,9 @@ def evaluate(config_path, lam, observations):
     """Compare rendered binaural responses against the analytic ground truth."""
     cfg = _load_config(config_path, lam)
     cfg.require_rendering()
+    if cfg.hrtf_set is not None and not np.array_equal(cfg.scene.freqs, cfg.hrtf_set.freqs):
+        raise ConfigError("evaluate against a measured HRTF bundle needs the scene grid "
+                          "to equal the bundle's frequency grid")
     obs = _observations(cfg, observations)
     freqs = cfg.scene.freqs
     responses = _render_responses(cfg, obs)

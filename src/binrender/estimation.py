@@ -12,17 +12,13 @@ Two estimators:
   rotation; retargeting only swaps the synthesis matrix Xi(r).
 """
 
-import math
-
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .arrays import ArrayGeometry
-from .special import num_coeffs, orders_degrees, sh_matrix, sph_hankel2_deriv
+from .special import SQRT_4PI, num_coeffs, orders_degrees, sh_matrix, sph_hankel2_deriv
 from .utils import cart2sph
 from .wavefield import ShCoeffVec, translate_multi
-
-SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,10 @@ from scipy.signal.windows import tukey
 from .estimation import Estimator
 from .hrtf import HrtfShSpectrum
 from .metrics import truncation_order
-from .special import EulerAngles, ipow, num_coeffs, orders_degrees, sph_hankel2
+from .special import SQRT_4PI, EulerAngles, ipow, num_coeffs, orders_degrees, sph_hankel2
 from .special import wigner_d_block  # noqa: F401 -- kept for perfbench/tracing.py to rebind
 from .utils import ordered_map
 from .wavefield import ShCoeffVec, rotate_blocks, rotate_coeffs
-
-SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 
 def render_weights(mode, order, k=None, measure_radius=None):

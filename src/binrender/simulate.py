@@ -14,9 +14,9 @@ import numpy as np
 from .arrays import ArrayGeometry
 from .estimation import _stacked_directivities, rigid_sphere_matrix
 from .hrtf import HrtfSet, SyntheticHead, ear_pressure, fit_sh
-from .special import orders_degrees, sh_matrix, sph_hankel2
+from .special import SQRT_4PI, orders_degrees, sh_matrix, sph_hankel2
 from .utils import cart2sph
-from .wavefield import SQRT_4PI, point_source_coeffs
+from .wavefield import point_source_coeffs
 
 DEFAULT_SOUND_SPEED = 346.2
 

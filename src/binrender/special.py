@@ -19,10 +19,13 @@ formula below is pinned to the set above.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
+
+SQRT_4PI = math.sqrt(4.0 * math.pi)  # sqrt(4 pi) Y_0^0 = 1
 
 _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])  # 1j**n for integer n
 
@@ -148,112 +151,49 @@ def sh_matrix(order, theta, phi):
 
 
 # ---------------------------------------------------------------------------
-# Wigner 3j and Gaunt coefficients (log-factorial arithmetic)
+# Wigner 3j (exact rational Racah sum) and Gaunt coefficients (Gauss-Legendre)
 # ---------------------------------------------------------------------------
 
 def _triangle_ok(j1, j2, j3):
     return abs(j1 - j2) <= j3 <= j1 + j2
 
 
-# extended-precision log factorials for the cancellation-prone Racah sums
-_LGF_LD_SIZE = 512
-_LGF_LD = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, _LGF_LD_SIZE, dtype=np.longdouble)))])
-
-
-def _lgf_ld(n):
-    global _LGF_LD, _LGF_LD_SIZE
-    nmax = int(np.max(n))
-    if nmax >= _LGF_LD_SIZE:
-        _LGF_LD_SIZE = 2 * nmax + 2
-        _LGF_LD = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, _LGF_LD_SIZE, dtype=np.longdouble)))])
-    return _LGF_LD[n]
-
-
-def wigner_3j_000(j1, j2, j3):
-    """Wigner 3j symbol with all zero degrees (closed form)."""
-    if not _triangle_ok(j1, j2, j3):
-        return 0.0
-    J = j1 + j2 + j3
-    if J % 2:
-        return 0.0
-    # canonical argument order so permuted calls give bitwise-equal results
-    j1, j2, j3 = sorted((j1, j2, j3))
-    g = J // 2
-    log_delta = _lgf_ld(J - 2 * j1) + _lgf_ld(J - 2 * j2) + _lgf_ld(J - 2 * j3) - _lgf_ld(J + 1)
-    log_val = 0.5 * log_delta + _lgf_ld(g) - _lgf_ld(g - j1) - _lgf_ld(g - j2) - _lgf_ld(g - j3)
-    return float((-1.0) ** g * np.exp(log_val))
-
-
-def _wigner_3j_grid(j1, j2, j3):
-    """3j(j1,j2,j3; m1,m2,-m1-m2) over the full (m1, m2) grid.
-
-    Returns a real array of shape (2*j1+1, 2*j2+1); entries with
-    |m1+m2| > j3 are exactly zero. Racah sum evaluated in extended-precision
-    log space with sign tracking, vectorized over the degree grid. The
-    first two arguments are canonicalized (j1 >= j2) so that the column-swap
-    symmetry holds bitwise.
-    """
-    if not _triangle_ok(j1, j2, j3):
-        return np.zeros((2 * j1 + 1, 2 * j2 + 1))
-    if j1 < j2:
-        swapped = _wigner_3j_grid(j2, j1, j3)
-        if (j1 + j2 + j3) % 2:
-            return -swapped.T
-        return swapped.T
-
-    m1 = np.arange(-j1, j1 + 1)[:, None]
-    m2 = np.arange(-j2, j2 + 1)[None, :]
-    m3 = -(m1 + m2)
-    valid = np.abs(m3) <= j3
-
-    log_delta = _lgf_ld(j1 + j2 - j3) + _lgf_ld(j1 - j2 + j3) + _lgf_ld(-j1 + j2 + j3) - _lgf_ld(j1 + j2 + j3 + 1)
-    log_num = 0.5 * (
-        log_delta
-        + _lgf_ld(j1 + m1) + _lgf_ld(j1 - m1)
-        + _lgf_ld(j2 + m2) + _lgf_ld(j2 - m2)
-        + _lgf_ld(np.where(valid, j3 + m3, 0)) + _lgf_ld(np.where(valid, j3 - m3, 0))
-    )
-
-    t_lo = np.maximum(0, np.maximum(j2 - j3 - m1, j1 - j3 + m2))
-    t_hi = np.minimum(j1 + j2 - j3, np.minimum(j1 - m1, j2 + m2))
-    t_max = j1 + j2 - j3
-
-    shape = np.broadcast_shapes(m1.shape, m2.shape)
-    total = np.zeros(shape, dtype=np.longdouble)
-    peak = np.full(shape, -np.inf, dtype=np.longdouble)
-    terms = []
-    for t in range(t_max + 1):
-        ok = valid & (t >= t_lo) & (t <= t_hi)
-        if not np.any(ok):
-            continue
-        log_den = (
-            _lgf_ld(t)
-            + _lgf_ld(j1 + j2 - j3 - t)
-            + _lgf_ld(np.where(ok, j1 - m1 - t, 0))
-            + _lgf_ld(np.where(ok, j2 + m2 - t, 0))
-            + _lgf_ld(np.where(ok, j3 - j2 + m1 + t, 0))
-            + _lgf_ld(np.where(ok, j3 - j1 - m2 + t, 0))
-        )
-        term_log = np.where(ok, log_num - log_den, -np.inf)
-        terms.append(((-1.0) ** t, term_log, ok))
-        peak = np.maximum(peak, term_log)
-
-    peak_safe = np.where(np.isfinite(peak), peak, 0.0)
-    for sign, term_log, ok in terms:
-        total += np.where(ok, sign * np.exp(term_log - peak_safe), 0.0)
-    result = np.where(np.isfinite(peak), total * np.exp(peak_safe), 0.0)
-    phase = np.where((j1 - j2 - m3) % 2 == 0, 1.0, -1.0)
-    return np.asarray(np.where(valid, phase * result, 0.0), dtype=float)
-
-
 def wigner_3j(j1, j2, j3, m1, m2, m3):
-    """Scalar Wigner 3j symbol (integer arguments)."""
+    """Scalar Wigner 3j symbol (integer arguments).
+
+    The Racah sum in exact rational arithmetic, rounded once: the square
+    root is truncated to >= 55 bits with a sticky last bit, so the one
+    float conversion rounds it correctly.
+    """
     if m1 + m2 + m3 != 0 or not _triangle_ok(j1, j2, j3):
         return 0.0
     if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
         return 0.0
-    grid = _wigner_3j_grid(j1, j2, j3)
-    return float(grid[m1 + j1, m2 + j2])
+    f = math.factorial
+    total = sum(
+        Fraction((-1) ** t, f(t) * f(j3 - j2 + t + m1) * f(j3 - j1 + t - m2)
+                 * f(j1 + j2 - j3 - t) * f(j1 - t - m1) * f(j2 - t + m2))
+        for t in range(max(0, j2 - j3 - m1, j1 - j3 + m2), min(j1 + j2 - j3, j1 - m1, j2 + m2) + 1)
+    )
+    square = total * total * Fraction(
+        f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(j2 + j3 - j1)
+        * f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3),
+        f(j1 + j2 + j3 + 1))
+    shift = (square.denominator.bit_length() - square.numerator.bit_length()) // 2 + 56  # |3j| <= 1
+    scaled = square.numerator << 2 * shift
+    root = math.isqrt(scaled // square.denominator)
+    root |= root * root * square.denominator != scaled
+    return math.ldexp(-root if (j1 - j2 - m3) % 2 != (total < 0) else root, -shift)
+
+
+@lru_cache(maxsize=64)
+def _gauss_legendre_sh(q):
+    """q-node Gauss-Legendre rule on cos(theta), weights times 2 pi, and the
+    real table ``y[n, m, i] = Y_n^m(arccos x_i, 0)`` for n, |m| < q (degree
+    axis wrapped, so negative m index it directly)."""
+    x, w = np.polynomial.legendre.leggauss(q)
+    y = np.ascontiguousarray(_sp.sph_harm_y_all(q - 1, q - 1, np.arccos(x), 0.0).real)
+    return 2.0 * math.pi * w, y
 
 
 @lru_cache(maxsize=20000)
@@ -261,19 +201,25 @@ def gaunt_grid(n1, n2, l):
     """Gaunt coefficients G(n1,m1; n2,m2; l) over the full (m1, m2) grid.
 
     G(n1,m1; n2,m2; l) = integral of Y_n1^m1 Y_n2^m2 conj(Y_l^(m1+m2))
-    over the sphere. Real array of shape (2*n1+1, 2*n2+1); selection-rule
-    zeros (triangle, parity, |m1+m2| > l) are exact. The returned array is
-    read-only and cached.
+    over the sphere. The azimuthal integral is 2 pi; the zenith integrand is
+    a polynomial of degree n1+n2+l in cos(theta), which the
+    (n1+n2+l)/2 + 1 node Gauss-Legendre rule integrates exactly. Real
+    array of shape (2*n1+1, 2*n2+1); selection-rule zeros (triangle,
+    parity, |m1+m2| > l) are exact, and G(n2, n1, l) is the bitwise
+    transpose. The returned array is read-only and cached.
     """
-    if not _triangle_ok(n1, n2, l) or (n1 + n2 + l) % 2:
-        out = np.zeros((2 * n1 + 1, 2 * n2 + 1))
-        out.flags.writeable = False
-        return out
-    m1 = np.arange(-n1, n1 + 1)[:, None]
-    m2 = np.arange(-n2, n2 + 1)[None, :]
-    sign = np.where((m1 + m2) % 2 == 0, 1.0, -1.0)
-    scale = math.sqrt((2 * n1 + 1) * (2 * n2 + 1) * (2 * l + 1) / (4.0 * math.pi))
-    out = sign * scale * wigner_3j_000(n1, n2, l) * _wigner_3j_grid(n1, n2, l)
+    out = np.zeros((2 * n1 + 1, 2 * n2 + 1))
+    if _triangle_ok(n1, n2, l) and (n1 + n2 + l) % 2 == 0:
+        w, y = _gauss_legendre_sh((n1 + n2 + l) // 2 + 1)
+        m1 = np.arange(-n1, n1 + 1)
+        m2 = np.arange(-n2, n2 + 1)
+        m3 = m1[:, None] + m2[None, :]
+        valid = np.abs(m3) <= l
+        # (y1 y2) y3w with the Y_n1 Y_n2 product commutative, so the
+        # exchanged call rounds identically
+        y3w = y[l, np.where(valid, m3, 0)] * w
+        terms = (y[n1, m1][:, None, :] * y[n2, m2][None, :, :]) * y3w
+        out[valid] = terms[valid].sum(axis=-1)
     out.flags.writeable = False
     return out
 

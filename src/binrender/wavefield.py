@@ -21,6 +21,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .special import (
+    SQRT_4PI,
     EulerAngles,
     gaunt_grid,
     ipow,
@@ -31,8 +32,6 @@ from .special import (
     wigner_d_block,
 )
 from .utils import cart2sph
-
-SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """CLI pipeline: validation, determinism, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from binrender import bundleio
 from binrender.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SCENE = {
     "sources": [{"pos": [1.5, 0.0, 0.0]}],
@@ -54,6 +57,9 @@ class TestGeometryCommand:
 
     def test_missing_args_is_user_error(self):
         assert main(["geometry"]) == 1
+
+    def test_validate_missing_path_is_user_error(self, tmp_path):
+        assert main(["geometry", "--validate", str(tmp_path / "nope" / "g.json")]) == 1
 
     def test_bad_center_is_user_error(self, tmp_path):
         rc = main(["geometry", "--kind", "small", "--center", "zap",
@@ -201,6 +207,69 @@ class TestInputChecks:
                            render={"band": [100.0, 1600.0], "nfft": 1024})
         assert main(["filters", str(cfg)]) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.fixture
+    def measured_hrtf(self, tmp_path, monkeypatch):
+        """A 200/400 Hz HRTF bundle in tmp_path; fitting it fails the test."""
+        from binrender import hrtf
+        from binrender.bundleio import save_hrtf_bundle
+
+        hs = hrtf.synth_rigid_sphere_hrtf(hrtf.SyntheticHead(), hrtf.fibonacci_grid(144),
+                                          [200.0, 400.0], 1.5)
+        save_hrtf_bundle(tmp_path / "hrtf", hs)
+
+        def no_fit(*args, **kwargs):
+            raise RuntimeError("fit_sh ran before the input checks")
+
+        monkeypatch.setattr(hrtf, "fit_sh", no_fit)
+        return "hrtf"
+
+    @pytest.mark.parametrize("command", ["filters", "render", "evaluate"])
+    def test_hrtf_coverage_checked_before_fit(self, tmp_path, measured_hrtf, command):
+        # scene 200-1000 Hz and band 100-1600 Hz against a 200-400 Hz grid
+        cfg = write_config(tmp_path, hrtf=measured_hrtf,
+                           render={"band": [100.0, 1600.0], "nfft": 1024})
+        assert main(["simulate", str(cfg)]) == 0
+        assert main([command, str(cfg)]) == 1
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "manifest_simulate.json", "observation.bin", "observation.json"]
+
+    def test_evaluate_needs_scene_grid_of_measured_bundle(self, tmp_path, measured_hrtf):
+        # 300 Hz lies inside the HRTF grid but is not on it: no ground truth
+        cfg = write_config(tmp_path, hrtf=measured_hrtf)
+        (tmp_path / "scene.json").write_text(json.dumps(
+            {"sources": [{"pos": [1.5, 0.0, 0.0]}], "freqs": [200.0, 300.0, 400.0]}))
+        assert main(["simulate", str(cfg)]) == 0
+        assert main(["evaluate", str(cfg)]) == 1
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("level,key", [
+        ("config", "outptu_dir"), ("estimator", "lamda"), ("render", "ordr_cap"),
+        ("listener", "postion"), ("synthetic", "head_radus"), ("scene", "sound_sped"),
+        ("source", "spectrm"),
+    ])
+    def test_unknown_config_key_is_user_error(self, tmp_path, level, key):
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        scene = dict(SCENE, sources=[dict(SCENE["sources"][0])])
+        target = {"config": doc, "estimator": doc.setdefault("estimator", {}),
+                  "render": doc["render"], "listener": doc["listener"],
+                  "synthetic": doc["hrtf"]["synthetic"], "scene": scene,
+                  "source": scene["sources"][0]}[level]
+        target[key] = 1
+        cfg.write_text(json.dumps(doc))
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
+        assert main(["filters", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_config_keys_accepted(self, tmp_path):
+        blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+        config, scene = (json.loads(b) for b in blocks)
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
+        assert main(["geometry", "--kind", "composite",
+                     "--out", str(tmp_path / "geom.json")]) == 0
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        assert main(["simulate", str(tmp_path / "run.json")]) == 0
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_worker_count_is_user_error(self, tmp_path, monkeypatch, value):

@@ -1,11 +1,14 @@
-"""Declared dependency floors must admit only versions the code runs on."""
+"""Declared dependencies: floors the code runs on, and every module the tests import."""
 
+import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def _floor(package):
@@ -19,3 +22,32 @@ def _floor(package):
 def test_scipy_floor_has_sph_harm_y_all():
     # scipy.special.sph_harm_y and sph_harm_y_all first shipped in SciPy 1.15.0
     assert _floor("scipy") >= (1, 15)
+
+
+def _declared():
+    """Distribution names in ``dependencies`` and the ``test`` extra."""
+    text = PYPROJECT.read_text()
+    names = set()
+    for key in ("dependencies", "test"):
+        block = re.search(rf"^{key} = \[(.*?)\]", text, re.S | re.M).group(1)
+        names |= {re.match(r"[\w.-]+", req).group(0).lower()
+                  for req in re.findall(r'"([^"]+)"', block)}
+    return names
+
+
+def _imported_top_level(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_test_imports_are_declared():
+    # every third-party import name here is also its distribution name
+    local = {"binrender", "conftest"}
+    imported = {name for path in (ROOT / "tests").glob("*.py")
+                for name in _imported_top_level(path)}
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert third_party, "no third-party imports found"
+    assert sorted(third_party - _declared()) == []

@@ -179,6 +179,14 @@ class TestGaunt:
         m2 = data.draw(st.integers(-n2, n2))
         assert sp.gaunt(n1, m1, n2, m2, l) == sp.gaunt(n2, m2, n1, m1, l)
 
+    def test_grid_exchange_symmetry_exhaustive(self):
+        # bitwise, n1 == n2 included: G(10,-1; 10,-3; 10) once differed
+        # from G(10,-3; 10,-1; 10) in the last bit
+        for n1 in range(13):
+            for n2 in range(n1 + 1):
+                for l in range(n1 - n2, n1 + n2 + 1, 2):
+                    assert np.array_equal(sp.gaunt_grid(n1, n2, l), sp.gaunt_grid(n2, n1, l).T)
+
     def test_against_sympy(self):
         from sympy.physics.wigner import wigner_3j
 
@@ -194,6 +202,29 @@ class TestGaunt:
             ref = float(wigner_3j(int(j1), int(j2), int(j3), int(m1), int(m2), int(m3)))
             got = sp.wigner_3j(int(j1), int(j2), int(j3), int(m1), int(m2), int(m3))
             assert got == pytest.approx(ref, abs=1e-13)
+
+
+    @pytest.mark.parametrize("n1,n2,l,stride", [
+        (40, 40, 40, 7), (39, 36, 41, 7), (30, 40, 50, 7),
+        (0, 35, 35, 1), (1, 35, 34, 1), (1, 35, 36, 1), (1, 20, 21, 1),
+    ])
+    def test_grid_against_sympy_gaunt(self, n1, n2, l, stride):
+        # high-order grids on a strided (m1, m2) sub-grid, and triples of the
+        # kind the estimator uses (directivity order <= 1, rendering order <= 35)
+        from sympy.physics.wigner import gaunt
+
+        grid = sp.gaunt_grid(n1, n2, l)
+        scale = np.max(np.abs(grid))
+        worst = 0.0
+        for m1 in range(-n1, n1 + 1, stride):
+            for m2 in range(-n2, n2 + 1, stride):
+                if abs(m1 + m2) > l:
+                    assert grid[m1 + n1, m2 + n2] == 0.0
+                    continue
+                # sympy's gaunt integrates three unconjugated harmonics
+                ref = (-1) ** (m1 + m2) * float(gaunt(n1, n2, l, m1, m2, -m1 - m2))
+                worst = max(worst, abs(grid[m1 + n1, m2 + n2] - ref))
+        assert worst <= 1e-12 * scale
 
 
 class TestWignerD:
