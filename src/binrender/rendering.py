@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.io import wavfile
 from scipy.signal.windows import tukey
 
@@ -236,10 +237,14 @@ def apply_filter_bank(bank: BinauralFilterBank, mic_signals):
     if mic_signals.ndim != 2 or mic_signals.shape[0] != bank.n_mics:
         raise ValueError("mic_signals must have shape (n_mics, n_samples)")
     n_out = mic_signals.shape[1] + bank.nfft - 1
-    out = np.zeros((2, n_out))
+    # any length >= n_out gives the linear convolution; n_out itself may have
+    # large prime factors (1 s at 48 kHz through 128 taps: 48127 = 17 * 19 * 149)
+    n_fft = next_fast_len(n_out, real=True)
+    mic_spec = np.fft.rfft(mic_signals, n=n_fft, axis=1)
+    out = np.empty((2, n_out))
     for ear in (0, 1):
-        spec = np.fft.rfft(bank.taps[ear], n=n_out, axis=1) * np.fft.rfft(mic_signals, n=n_out, axis=1)
-        out[ear] = np.fft.irfft(np.sum(spec, axis=0), n=n_out)
+        spec = np.einsum("mf,mf->f", np.fft.rfft(bank.taps[ear], n=n_fft, axis=1), mic_spec)
+        out[ear] = np.fft.irfft(spec, n=n_fft)[:n_out]
     return out
 
 

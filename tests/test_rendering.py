@@ -264,6 +264,21 @@ class TestFirSynthesis:
         out = rendering.apply_filter_bank(bank, np.zeros((8, 256)))
         assert np.max(np.abs(out)) == 0.0
 
+    @pytest.mark.parametrize("n_samples", [1, 300, 48000])
+    def test_equals_direct_convolution(self, n_samples):
+        # sum over mics of the full linear convolutions, at output lengths
+        # with large prime factors (48127 = 17 * 19 * 149) and none
+        rng = np.random.default_rng(n_samples)
+        bank = rendering.BinauralFilterBank(
+            taps=rng.standard_normal((2, 3, 128)), sample_rate=48000.0,
+            delay_samples=64, band=(100.0, 1000.0))
+        signals = rng.standard_normal((3, n_samples))
+        want = np.stack([sum(np.convolve(bank.taps[ear, m], signals[m]) for m in range(3))
+                         for ear in (0, 1)])
+        out = rendering.apply_filter_bank(bank, signals)
+        assert out.shape == (2, n_samples + 127)
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
     def test_tone_reproduces_render_full_magnitude(self, bank_setup):
         # steady-state 984.375 Hz tone (an exact FFT bin) through the filter
         # bank matches the per-bin rendering magnitude within 0.2 dB
