@@ -44,7 +44,7 @@ from .metrics import (
     truncation_order,
     write_metric_report,
 )
-from .rendering import bin_rows, save_filter_bank, synth_fir_filters
+from .rendering import grid_rows, save_filter_bank, synth_fir_filters
 from .simulate import PointSource, Scene, band_freqs, simulate_observation, true_binaural
 from .special import EulerAngles
 from .utils import ordered_map
@@ -169,8 +169,6 @@ class RunConfig:
         self.lam = est.get("lambda", "auto")
         self.eta = est.get("eta", "auto")
         self.order = est.get("order", "auto")
-        if self.lam != "auto" and float(self.lam) < 0:
-            raise ConfigError("estimator lambda must be non-negative")
 
         rnd = _known_keys(doc.get("render", {}),
                           ("mode", "nfft", "window", "band", "sample_rate", "order_cap",
@@ -179,11 +177,24 @@ class RunConfig:
         if self.mode not in ("sph", "pln"):
             raise ConfigError(f"render mode must be sph or pln, got {self.mode!r}")
         self.nfft = int(rnd.get("nfft", 4096))
+        if self.nfft < 2 or self.nfft & (self.nfft - 1):
+            raise ConfigError(f"render nfft must be a power of two >= 2, got {self.nfft}")
         self.window = rnd.get("window", "tukey")
+        if self.window not in ("tukey", "boxcar"):
+            raise ConfigError(f"render window must be tukey or boxcar, got {self.window!r}")
         self.band = tuple(rnd.get("band", (100.0, 1600.0)))
         self.sample_rate = float(rnd.get("sample_rate", 48000.0))
+        if not 0 < self.sample_rate < math.inf:
+            raise ConfigError(f"render sample_rate must be positive, got {self.sample_rate}")
+        if len(self.band) != 2 or not 0 < self.band[0] < self.band[1] <= self.sample_rate / 2:
+            raise ConfigError(f"render band {list(self.band)} must be [lo, hi] with "
+                              f"0 < lo < hi <= {self.sample_rate / 2:g} Hz")
         self.order_cap = int(rnd.get("order_cap", 35))
+        if self.order_cap < 0:
+            raise ConfigError(f"render order_cap must be >= 0, got {self.order_cap}")
         self.shoulder_radius = float(rnd.get("shoulder_radius", 0.45))
+        if not 0 < self.shoulder_radius < math.inf:
+            raise ConfigError(f"render shoulder_radius must be positive, got {self.shoulder_radius}")
         self.wav_duration = float(rnd.get("wav_duration", 0.25))
         self.wav_gain = float(rnd.get("wav_gain", 1.0))
 
@@ -251,15 +262,11 @@ class RunConfig:
 def _render_responses(cfg: RunConfig, observations):
     """Per-frequency binaural responses (F, 2) through the estimator chain."""
     freqs = cfg.scene.freqs
-    spectrum = cfg.spectrum_at(freqs)
-
-    def one(fi):
-        rows = bin_rows(cfg.geometry, freqs[fi], cfg.listener_position, cfg.angles, spectrum,
-                        cfg.mode, cfg.lam, cfg.order_cap, cfg.shoulder_radius,
-                        cfg.scene.sound_speed)
-        return rows @ observations[fi]
-
-    return np.array(ordered_map(one, range(freqs.size), cfg.workers))
+    rows = grid_rows(cfg.geometry, freqs, cfg.listener_position, cfg.angles,
+                     cfg.spectrum_at(freqs), cfg.mode, cfg.lam, cfg.order_cap,
+                     cfg.shoulder_radius, cfg.scene.sound_speed, cfg.workers)
+    # one stacked matmul: bitwise the per-bin rows @ s (an einsum sums differently)
+    return (rows @ observations[:, :, None])[:, :, 0]
 
 
 def _multitone_wav(freqs, responses, sample_rate, duration, gain):
@@ -376,6 +383,8 @@ def _load_config(config_path, lam=None, eta=None, order=None):
     cfg = RunConfig(doc, Path(config_path).resolve().parent)
     if lam is not None:
         cfg.lam = _parse_reg(lam, "lam")
+    if cfg.lam != "auto" and not (type(cfg.lam) in (int, float) and 0 <= cfg.lam < math.inf):
+        raise ConfigError(f"lambda must be \"auto\" or a finite number >= 0, got {cfg.lam!r}")
     if eta is not None:
         cfg.eta = _parse_reg(eta, "eta")
     if order is not None:
@@ -479,7 +488,10 @@ def filters(config_path, lam):
     cfg = _load_config(config_path, lam)
     cfg.require_rendering()
     nyq_freqs = np.arange(1, cfg.nfft // 2 + 1) * cfg.sample_rate / cfg.nfft
-    spectrum = cfg.spectrum_at(nyq_freqs[(nyq_freqs >= cfg.band[0]) & (nyq_freqs <= cfg.band[1])])
+    in_band = nyq_freqs[(nyq_freqs >= cfg.band[0]) & (nyq_freqs <= cfg.band[1])]
+    if in_band.size == 0:
+        raise ConfigError(f"render band {list(cfg.band)} holds no bin of the {cfg.nfft}-point FFT")
+    spectrum = cfg.spectrum_at(in_band)
     bank = synth_fir_filters(
         cfg.geometry, cfg.listener_position, cfg.angles, spectrum,
         cfg.band, cfg.nfft, cfg.sample_rate, mode=cfg.mode, lam=cfg.lam,

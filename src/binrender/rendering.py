@@ -11,14 +11,15 @@ Two rendering modes share one code path:
   exp(-j k R_s) / R_s) as R_s grows.
 
 ``render_full`` evaluates the whole chain observation -> binaural response
-as one linear form; ``bin_rows`` folds that form for one frequency bin into
-rows applied directly to the observations, and ``synth_fir_filters``
-samples it on an FFT grid and realizes it as a MIMO FIR filter bank.
+as one linear form; ``grid_rows`` folds it per frequency into rows applied to
+the observations, with the head rotation turning the HRTF (h blockdiag(D_n^H))
+once per call rather than every bin's Xi, and ``synth_fir_filters`` samples
+it on an FFT grid and realizes it as a MIMO FIR filter bank.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -74,6 +75,11 @@ def render_coeffs(alpha: ShCoeffVec, h_pair, mode, measure_radius=None, order=No
     return y[0], y[1]
 
 
+def _rotate_hrtf(h, angles: EulerAngles):
+    """HRTF rows (K, (N+1)^2) times blockdiag(D_n^H): the head rotation, HRTF side."""
+    return rotate_blocks(h.conj().T, angles.inverse()).conj().T
+
+
 def binaural_rows(estimator: Estimator, target, angles: EulerAngles, h_pair,
                   mode, measure_radius=None, order=None):
     """Row vectors r with binaural pair y = r @ (Psi + lambda I)^{-1} s.
@@ -84,26 +90,33 @@ def binaural_rows(estimator: Estimator, target, angles: EulerAngles, h_pair,
     """
     h_order = _hrtf_order(h_pair)
     order = h_order if order is None else min(order, h_order)
-    xi_rot = rotate_blocks(estimator.xi(target, order), angles)
-    return _weighted_hrtf(h_pair, mode, estimator.k, measure_radius, order) @ xi_rot
+    weighted = _weighted_hrtf(h_pair, mode, estimator.k, measure_radius, order)
+    return _rotate_hrtf(weighted, angles) @ estimator.xi(target, order)
 
 
-def bin_rows(geometry, freq, target, angles: EulerAngles, spectrum: HrtfShSpectrum,
-             mode="sph", lam="auto", order_cap=35, shoulder_radius=0.45, sound_speed=346.2):
-    """Rows r of one frequency bin with binaural pair y = r @ s, shape (2, n_mics).
+def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpectrum,
+              mode="sph", lam="auto", order_cap=35, shoulder_radius=0.45, sound_speed=346.2,
+              workers=1):
+    """Rows r with binaural pair y = r @ s per frequency, shape (F, 2, n_mics).
 
-    Builds the bin's estimator, renders at the truncation order
-    ``truncation_order(k, shoulder_radius, order_cap)`` against ``spectrum``
-    interpolated at ``freq`` (exact on its grid), and folds
-    (Psi + lambda I)^{-1} into the rows.
+    ``spectrum`` is turned by ``angles`` once; then per frequency, on ``workers``
+    threads, a fresh estimator renders at ``truncation_order(k, shoulder_radius,
+    order_cap)`` against the interpolated spectrum and folds in (Psi + lambda I)^{-1}.
     """
-    k = 2.0 * math.pi * freq / sound_speed
-    order = truncation_order(k, shoulder_radius, order_cap)
-    est = Estimator(geometry, k, lam)
-    rows = binaural_rows(est, target, angles, spectrum.interpolated(freq), mode,
-                         measure_radius=spectrum.radius, order=order)
-    # Psi + lambda I is Hermitian: r (Psi + lambda I)^{-1} = ((Psi + lambda I)^{-1} r^H)^H
-    return est.solve(rows.conj().T).conj().T
+    shape = spectrum.coeffs.shape
+    turned = replace(spectrum, coeffs=_rotate_hrtf(
+        spectrum.coeffs.reshape(-1, shape[2]), angles).reshape(shape))
+
+    def one(freq):
+        k = 2.0 * math.pi * freq / sound_speed
+        est = Estimator(geometry, k, lam)
+        rows = binaural_rows(est, target, EulerAngles(), turned.interpolated(freq), mode,
+                             measure_radius=spectrum.radius,
+                             order=truncation_order(k, shoulder_radius, order_cap))
+        # Psi + lambda I is Hermitian: r (Psi + lambda I)^{-1} = ((Psi + lambda I)^{-1} r^H)^H
+        return est.solve(rows.conj().T).conj().T
+
+    return np.array(ordered_map(one, freqs, workers))
 
 
 def render_full(s, estimator: Estimator, target, angles: EulerAngles, h_pair,
@@ -173,8 +186,8 @@ def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpe
                       sound_speed=346.2, workers=1):
     """Sample the end-to-end linear form on an FFT grid and window it to taps.
 
-    Per in-band bin ``bin_rows`` gives the (2, n_mics) complex response,
-    on ``workers`` threads; above the band edge the band-edge
+    ``grid_rows`` gives the in-band (2, n_mics) complex responses, on
+    ``workers`` threads; above the band edge the band-edge
     response is rolled off linearly in magnitude to zero over one octave;
     DC and Nyquist take the real part of the nearest assembled response.
     The impulse responses are circularly shifted by nfft/2 (the modeled
@@ -195,12 +208,9 @@ def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpe
     if not in_band:
         raise ValueError("band contains no FFT bins")
 
-    results = ordered_map(
-        lambda b: bin_rows(geometry, freqs[b], target, angles, spectrum, mode, lam,
-                           order_cap, shoulder_radius, sound_speed),
-        in_band, workers)
-    for b, rows in zip(in_band, results):
-        responses[:, :, b] = rows
+    responses[:, :, in_band] = grid_rows(
+        geometry, freqs[in_band], target, angles, spectrum, mode, lam, order_cap,
+        shoulder_radius, sound_speed, workers).transpose(1, 2, 0)
 
     # linear magnitude roll-off of the band-edge response over one octave
     edge = in_band[-1]

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ArrayGeometry
-from .estimation import _stacked_directivities, rigid_sphere_matrix
-from .hrtf import HrtfSet, SyntheticHead, ear_pressure, fit_sh
+from .estimation import _stacked_directivities
+from .hrtf import HrtfSet, SyntheticHead, ear_pressure, fit_sh, rigid_sphere_pressure
 from .special import SQRT_4PI, orders_degrees, sh_matrix, sph_hankel2
 from .utils import cart2sph
-from .wavefield import point_source_coeffs
 
 DEFAULT_SOUND_SPEED = 346.2
 
@@ -70,12 +69,6 @@ def band_freqs(lo=100.0, hi=15000.0, step=100.0):
     return lo + step * np.arange(n + 1)
 
 
-def rigid_baffle_series_order(k, radius, margin=12):
-    # margin +8 leaves ~5e-8 relative series residual at kR ~ 4, violating
-    # the 1e-8 convergence guard; +12 keeps the guard with room to spare
-    return math.ceil(math.e * k * radius / 2.0) + margin
-
-
 def _directional_observation(src_pos, positions, dir_coeffs, order, k):
     """conj(c_i) . alpha_i for every mic i, alpha_i the source's local expansion.
 
@@ -96,24 +89,20 @@ def simulate_observation(scene: Scene, geom: ArrayGeometry):
 
     Directional mics observe conj(c_i) . alpha(mic position) with alpha the
     local expansion of each source; rigid-baffle arrays observe the total
-    surface pressure ``rigid_sphere_matrix @ alpha`` with alpha about the
-    baffle center, truncated at ``rigid_baffle_series_order`` (the
-    convergence guard doubles this in the tests).
+    surface pressure, the scattering series ``rigid_sphere_pressure`` summed
+    to convergence.
     """
     ks = scene.wavenumbers()
     out = np.zeros((scene.freqs.size, geom.n_mics), dtype=complex)
     if geom.baffle is not None:
-        center = geom.baffle.center
-        radius = geom.baffle.radius
+        center, radius = geom.baffle.center, geom.baffle.radius
+        mic_dirs = geom.positions() - center
+        mic_dirs /= np.linalg.norm(mic_dirs, axis=1, keepdims=True)
         for src in scene.sources:
-            if np.linalg.norm(src.position - center) <= radius:
-                raise ValueError("source lies inside the rigid baffle")
-        for fi, k in enumerate(ks):
-            order = rigid_baffle_series_order(k, radius)
-            pi = rigid_sphere_matrix(geom, k, order)
-            for src in scene.sources:
-                alpha = point_source_coeffs(src.position, center, k, order)
-                out[fi] += src.amplitude(fi) * (pi @ alpha.coeffs)
+            d = np.linalg.norm(src.position - center)
+            cos_g = mic_dirs @ ((src.position - center) / d)
+            for fi, k in enumerate(ks):  # raises for a source inside the baffle
+                out[fi] += src.amplitude(fi) * rigid_sphere_pressure(radius, cos_g, d, k)
     else:
         positions = geom.positions()
         dir_coeffs, order = _stacked_directivities(geom)

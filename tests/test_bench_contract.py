@@ -55,3 +55,26 @@ def test_tracer_instruments_traced_names():
             "special.wigner_d"} <= names
     layers = tracing.layer_metrics(tracer.spans, 0.0)
     assert layers["rendering.rows_calls"] == 1
+
+
+def test_bank_meters_count_bins_and_rotation_blocks():
+    # one filter bank at a turned head: one rows span per in-band bin, and the
+    # rotation builds each Wigner-D block of the HRTF spectrum once per call
+    tracing = _load_tracing()
+    modules = {"cli": cli, "bundleio": bundleio, "hrtf": hrtf, "estimation": estimation,
+               "wavefield": wavefield, "rendering": rendering, "simulate": simulate,
+               "scipy_special": scipy.special}
+    fs, nfft, band = 48000.0, 256, (400.0, 2000.0)
+    freqs = np.arange(1, nfft // 2 + 1) * fs / nfft
+    in_band = freqs[(freqs >= band[0]) & (freqs <= band[1])]
+    spec = hrtf.rigid_sphere_hrtf_spectrum(hrtf.SyntheticHead(), in_band, 1.5, 8)
+    tracer = tracing.Tracer()
+    restore = tracing.instrument(tracer, modules)
+    try:
+        rendering.synth_fir_filters(arrays.build_small_array(), np.zeros(3),
+                                    EulerAngles(0.6, -0.4, 0.9), spec, band, nfft, fs)
+    finally:
+        restore()
+    layers = tracing.layer_metrics(tracer.spans, 0.0)
+    assert layers["rendering.rows_calls"] == in_band.size
+    assert 0 < layers["special.wigner_d_calls"] <= spec.order + 1

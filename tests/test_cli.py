@@ -243,6 +243,37 @@ class TestInputChecks:
         assert main(["evaluate", str(cfg)]) == 1
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
+    @pytest.fixture
+    def no_compute(self, monkeypatch):
+        """Computing the HRTF spectrum, every command's first step, fails the test."""
+        from binrender import cli
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("computed before the input checks")
+
+        monkeypatch.setattr(cli, "rigid_sphere_hrtf_spectrum", fail)
+
+    @pytest.mark.parametrize("key,value", [
+        ("window", "hann"), ("nfft", 100), ("order_cap", -1), ("shoulder_radius", 0.0),
+        ("sample_rate", 0.0), ("band", [100.0, 30000.0]), ("band", [10.0, 11.0]),
+    ])
+    def test_bad_render_value_is_user_error(self, tmp_path, no_compute, key, value):
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["render"][key] = value
+        cfg.write_text(json.dumps(doc))
+        assert main(["filters", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag,config", [
+        ("-1", "auto"), ("nan", "auto"), ("inf", "auto"), (None, float("nan")), (None, -1.0),
+    ])
+    def test_bad_lambda_is_user_error(self, tmp_path, no_compute, flag, config):
+        cfg = write_config(tmp_path, estimator={"lambda": config})
+        argv = ["filters", str(cfg)] + (["--lam", flag] if flag is not None else [])
+        assert main(argv) == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("level,key", [
         ("config", "outptu_dir"), ("estimator", "lamda"), ("render", "ordr_cap"),
         ("listener", "postion"), ("synthetic", "head_radus"), ("scene", "sound_sped"),

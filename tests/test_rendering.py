@@ -202,9 +202,9 @@ class TestRenderFull:
             assert abs(y1[0] - y2[0]) < 1e-12 * scale
             assert abs(y1[1] - y2[1]) < 1e-12 * scale
 
-    def test_bin_rows_equal_render_full(self, head, composite):
-        # the folded per-bin rows applied to the observations reproduce the
-        # factored path up to reassociation rounding
+    def test_grid_rows_equal_render_full(self, head, composite):
+        # the folded rows, with the head rotation on the HRTF side, applied to
+        # the observations reproduce the factored path up to reassociation rounding
         f = 700.0
         k = k_of(f)
         spec = rigid_sphere_hrtf_spectrum(head, [f], 1.5, truncation_order(k))
@@ -215,8 +215,9 @@ class TestRenderFull:
         target = np.array([0.02, -0.03, 0.01])
         angles = EulerAngles(0.6, -0.4, 0.9)
         for mode in ("sph", "pln"):
-            rows = rendering.bin_rows(composite, f, target, angles, spec, mode)
-            assert rows.shape == (2, composite.n_mics)
+            rows = rendering.grid_rows(composite, np.array([f]), target, angles, spec, mode)
+            assert rows.shape == (1, 2, composite.n_mics)
+            rows = rows[0]
             want = rendering.render_full(s, estimation.Estimator(composite, k), target, angles,
                                          spec.at_index(0), mode, 1.5, truncation_order(k))
             assert np.max(np.abs(rows @ s - np.array(want))) < 1e-12 * np.max(np.abs(want))
@@ -319,7 +320,7 @@ class TestFirSynthesis:
         resp = np.fft.rfft(bank.taps, axis=2)
         shift = np.exp(-1j * np.pi * np.arange(nfft // 2 + 1))  # nfft/2 delay
         b = int(round(in_band[3] / (fs / nfft)))
-        rows = rendering.bin_rows(geom, bin_freqs[b - 1], np.zeros(3), EulerAngles(), spec)
+        rows = rendering.grid_rows(geom, bin_freqs[b - 1 : b], np.zeros(3), EulerAngles(), spec)[0]
         got = resp[:, :, b] / shift[b]
         assert np.max(np.abs(got - rows)) < 1e-10 * np.max(np.abs(rows))
 

@@ -142,7 +142,7 @@ class TestRigidBaffleObservation:
         geom = arrays.build_rigid_sphere_array()
         k = 2 * math.pi * 1200.0 / C
         eta = np.array([0.3, -0.5, math.sqrt(1 - 0.34)])
-        order = simulate.rigid_baffle_series_order(k, geom.baffle.radius)
+        order = math.ceil(math.e * k * geom.baffle.radius / 2.0) + 12
         alpha = wf.plane_wave_coeffs(eta, k, order, center=geom.baffle.center)
         got = estimation.rigid_sphere_matrix(geom, k, order) @ alpha.coeffs
 
@@ -160,16 +160,18 @@ class TestRigidBaffleObservation:
         assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))
 
     def test_adaptive_truncation_converged(self):
-        # doubling the series order changes the observation by < 1e-8 relative
+        # the adaptive scattering series matches the forward matrix applied to
+        # the source expansion at twice the e k R / 2 + 12 order, to < 1e-8 relative
         geom = arrays.build_rigid_sphere_array()
-        k = 2 * math.pi * 1500.0 / C
+        f = 1500.0
+        k = 2 * math.pi * f / C
         src = np.array([1.5, 0.3, -0.2])
-        order = simulate.rigid_baffle_series_order(k, geom.baffle.radius)
-        a1 = wf.point_source_coeffs(src, geom.baffle.center, k, order)
-        a2 = wf.point_source_coeffs(src, geom.baffle.center, k, 2 * order)
-        o1 = estimation.rigid_sphere_matrix(geom, k, order) @ a1.coeffs
-        o2 = estimation.rigid_sphere_matrix(geom, k, 2 * order) @ a2.coeffs
-        assert np.max(np.abs(o1 - o2)) < 1e-8 * np.max(np.abs(o2))
+        order = 2 * (math.ceil(math.e * k * geom.baffle.radius / 2.0) + 12)
+        scene = simulate.Scene(sources=(simulate.PointSource(src),), freqs=np.array([f]))
+        got = simulate.simulate_observation(scene, geom)[0]
+        alpha = wf.point_source_coeffs(src, geom.baffle.center, k, order)
+        want = estimation.rigid_sphere_matrix(geom, k, order) @ alpha.coeffs
+        assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
 
     def test_source_inside_baffle_rejected(self):
         geom = arrays.build_rigid_sphere_array()
