@@ -196,7 +196,11 @@ class RunConfig:
         if not 0 < self.shoulder_radius < math.inf:
             raise ConfigError(f"render shoulder_radius must be positive, got {self.shoulder_radius}")
         self.wav_duration = float(rnd.get("wav_duration", 0.25))
+        if not 0 < self.wav_duration < math.inf:
+            raise ConfigError(f"render wav_duration must be positive, got {self.wav_duration}")
         self.wav_gain = float(rnd.get("wav_gain", 1.0))
+        if not math.isfinite(self.wav_gain):
+            raise ConfigError(f"render wav_gain must be finite, got {self.wav_gain}")
 
         listener = _known_keys(doc.get("listener", {}), ("position", "euler_deg"), "listener")
         self.listener_position = np.asarray(listener.get("position", [0.0, 0.0, 0.0]), dtype=float)
@@ -378,17 +382,27 @@ def _observations(cfg: RunConfig, path):
     return obs
 
 
+def _check_ridge(value, name):
+    if value != "auto" and not (type(value) in (int, float) and 0 <= value < math.inf):
+        raise ConfigError(f"{name} must be \"auto\" or a finite number >= 0, got {value!r}")
+
+
 def _load_config(config_path, lam=None, eta=None, order=None):
     doc = _load_json(config_path)
     cfg = RunConfig(doc, Path(config_path).resolve().parent)
     if lam is not None:
         cfg.lam = _parse_reg(lam, "lam")
-    if cfg.lam != "auto" and not (type(cfg.lam) in (int, float) and 0 <= cfg.lam < math.inf):
-        raise ConfigError(f"lambda must be \"auto\" or a finite number >= 0, got {cfg.lam!r}")
+    _check_ridge(cfg.lam, "lambda")
     if eta is not None:
         cfg.eta = _parse_reg(eta, "eta")
+    _check_ridge(cfg.eta, "eta")
     if order is not None:
-        cfg.order = order if order == "auto" else int(order)
+        try:
+            cfg.order = order if order == "auto" else int(order)
+        except ValueError as exc:
+            raise ConfigError(f"--order must be an integer or 'auto', got {order!r}") from exc
+    if cfg.order != "auto" and not (type(cfg.order) is int and cfg.order >= 0):
+        raise ConfigError(f"order must be \"auto\" or an integer >= 0, got {cfg.order!r}")
     return cfg
 
 
@@ -423,7 +437,7 @@ def estimate(config_path, lam, eta, order, observations):
     def one(fi):
         k = 2.0 * math.pi * freqs[fi] / cfg.scene.sound_speed
         order = (truncation_order(k, cfg.shoulder_radius, cfg.order_cap)
-                 if cfg.order == "auto" else int(cfg.order))
+                 if cfg.order == "auto" else cfg.order)
         if cfg.geometry.baffle is not None:
             # truncated estimator needs I >= (order+1)^2
             if cfg.order == "auto":

@@ -18,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .arrays import ArrayGeometry
 from .special import SQRT_4PI, num_coeffs, orders_degrees, sh_matrix, sph_hankel2_deriv
 from .utils import cart2sph
-from .wavefield import ShCoeffVec, translate_multi
+from .wavefield import ShCoeffVec, TranslationPlan, translate_multi
 
 
 # ---------------------------------------------------------------------------
@@ -77,20 +77,45 @@ def _stacked_directivities(geom: ArrayGeometry):
     return c, order
 
 
-def build_psi(geom: ArrayGeometry, k):
+class AngularPlan:
+    """The k-independent part of Psi and of Xi(target) up to ``order`` for one geometry.
+
+    ``build_psi``/``build_xi`` given the plan contract it with one radial
+    table per wavenumber. Xi's part holds (2p + 1) (order + 1)^2 n_mics
+    complex entries for directivity order p: 4.0 MB at order 35, 64 cardioids.
+    """
+
+    def __init__(self, geom: ArrayGeometry, target, order):
+        c, p = _stacked_directivities(geom)
+        pos = geom.positions()
+        iu, ju = np.triu_indices(geom.n_mics)
+        self.target = np.asarray(target, dtype=float)
+        self.order = int(order)
+        self.dir_order, self.conj_upper = p, np.conj(c[iu])
+        self.psi_pairs = TranslationPlan.build(pos[iu] - pos[ju], p, c[ju])
+        self.xi_cols = TranslationPlan.build(self.target[None, :] - pos, self.order, c)
+
+    def covers(self, target, order):
+        return order <= self.order and np.array_equal(np.asarray(target, dtype=float), self.target)
+
+
+def build_psi(geom: ArrayGeometry, k, plan: AngularPlan = None):
     """Observation Gram matrix, (Psi)_{i,i'} = conj(c_i) . T(r_i - r_i') c_i'.
 
     Every element is an exact element of the infinite-order operator (the
     directivities have finite order, so no truncation enters). Assembled on
     the upper triangle and mirrored, hence Hermitian by construction; the
-    diagonal is real positive.
+    diagonal is real positive. With ``plan`` (an ``AngularPlan`` of
+    ``geom``) the pair translations are its radial contraction at k.
     """
-    c, p = _stacked_directivities(geom)
-    pos = geom.positions()
     iu, ju = np.triu_indices(geom.n_mics)
-    disp = pos[iu] - pos[ju]
-    tc = translate_multi(disp, k, p, c[ju])
-    vals = np.einsum("pq,pq->p", np.conj(c[iu]), tc)
+    if plan is None:
+        c, p = _stacked_directivities(geom)
+        pos = geom.positions()
+        tc = translate_multi(pos[iu] - pos[ju], k, p, c[ju])
+        vals = np.einsum("pq,pq->p", np.conj(c[iu]), tc)
+    else:
+        vals = np.einsum("pq,qp->p", plan.conj_upper, plan.psi_pairs.apply(k, plan.dir_order))
     psi = np.zeros((geom.n_mics, geom.n_mics), dtype=complex)
     psi[iu, ju] = vals
     psi_full = psi + psi.conj().T
@@ -98,13 +123,17 @@ def build_psi(geom: ArrayGeometry, k):
     return psi_full
 
 
-def build_xi(geom: ArrayGeometry, target, k, order):
+def build_xi(geom: ArrayGeometry, target, k, order, plan: AngularPlan = None):
     """Synthesis matrix Xi(r): column i is T(r - r_i) c_i, truncated rows.
 
     The rows of Xi are independent, so the returned block for any order is
     identical to the corresponding block of a higher-order build; buffering
-    matters only when the estimated vector is subsequently translated.
+    matters only when the estimated vector is subsequently translated. A
+    ``plan`` of ``geom`` that covers (target, order) gives the columns as its
+    radial contraction at k.
     """
+    if plan is not None and plan.covers(target, order):
+        return plan.xi_cols.apply(k, order)
     c, _ = _stacked_directivities(geom)
     target = np.asarray(target, dtype=float)
     disp = target[None, :] - geom.positions()
@@ -117,15 +146,17 @@ class Estimator:
     Holds Psi and a Hermitian factorization of (Psi + lambda I) shared
     across target positions, rotations, and observations, plus the most
     recently requested synthesis matrix Xi(r), which head rotations at a
-    fixed position reuse.
+    fixed position reuse. With an ``AngularPlan`` of ``geom``, Psi and the Xi
+    it covers come from the plan.
     """
 
-    def __init__(self, geom: ArrayGeometry, k, lam="auto"):
+    def __init__(self, geom: ArrayGeometry, k, lam="auto", plan: AngularPlan = None):
         if not k > 0:
             raise ValueError("wavenumber must be positive")
         self.geom = geom
         self.k = float(k)
-        self.psi = build_psi(geom, k)
+        self._plan = plan
+        self.psi = build_psi(geom, k, plan)
         if lam == "auto":
             lam = 1e-3 * np.real(np.trace(self.psi)) / geom.n_mics
         if lam < 0:
@@ -155,7 +186,7 @@ class Estimator:
         """
         key = (tuple(np.asarray(target, dtype=float)), int(order))
         if key != self._xi_key:
-            xi = build_xi(self.geom, target, self.k, order)
+            xi = build_xi(self.geom, target, self.k, order, self._plan)
             xi.flags.writeable = False
             self._xi_key, self._xi = key, xi
         return self._xi

@@ -26,7 +26,7 @@ from scipy.fft import next_fast_len
 from scipy.io import wavfile
 from scipy.signal.windows import tukey
 
-from .estimation import Estimator
+from .estimation import AngularPlan, Estimator
 from .hrtf import HrtfShSpectrum
 from .metrics import truncation_order
 from .special import SQRT_4PI, EulerAngles, ipow, num_coeffs, orders_degrees, sph_hankel2
@@ -99,20 +99,27 @@ def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpec
               workers=1):
     """Rows r with binaural pair y = r @ s per frequency, shape (F, 2, n_mics).
 
-    ``spectrum`` is turned by ``angles`` once; then per frequency, on ``workers``
-    threads, a fresh estimator renders at ``truncation_order(k, shoulder_radius,
-    order_cap)`` against the interpolated spectrum and folds in (Psi + lambda I)^{-1}.
+    Once per call, ``spectrum`` is turned by ``angles`` and the angular plan of
+    Psi and Xi(target) is built at the highest order rendered. Then per
+    frequency, on ``workers`` threads, an estimator on that plan renders at
+    ``truncation_order(k, shoulder_radius, order_cap)`` against the
+    interpolated spectrum and folds in (Psi + lambda I)^{-1}.
     """
     shape = spectrum.coeffs.shape
     turned = replace(spectrum, coeffs=_rotate_hrtf(
         spectrum.coeffs.reshape(-1, shape[2]), angles).reshape(shape))
 
-    def one(freq):
+    def order_at(freq):
         k = 2.0 * math.pi * freq / sound_speed
-        est = Estimator(geometry, k, lam)
+        return k, min(truncation_order(k, shoulder_radius, order_cap), spectrum.order)
+
+    plan = AngularPlan(geometry, target, max((order_at(f)[1] for f in freqs), default=0))
+
+    def one(freq):
+        k, order = order_at(freq)
+        est = Estimator(geometry, k, lam, plan)
         rows = binaural_rows(est, target, EulerAngles(), turned.interpolated(freq), mode,
-                             measure_radius=spectrum.radius,
-                             order=truncation_order(k, shoulder_radius, order_cap))
+                             measure_radius=spectrum.radius, order=order)
         # Psi + lambda I is Hermitian: r (Psi + lambda I)^{-1} = ((Psi + lambda I)^{-1} r^H)^H
         return est.solve(rows.conj().T).conj().T
 

@@ -173,26 +173,33 @@ def translation_matrix(displacement, k, order_out, order_in=None) -> Translation
 
     entries = np.zeros((n_rows, n_cols), dtype=complex)
     ones = np.ones((1, n_cols))
-    for n, n_out, terms in _translation_terms(d[None, :], k, order_out, ones):
+    radial = _radial_table(np.atleast_1d(r), k, order_out + order_in)
+    for n, n_out, terms in _translation_terms(d[None, :], radial, order_out, ones):
         entries[n_out * n_out : (n_out + 1) ** 2, n * n : (n + 1) ** 2] = terms[..., 0].sum(axis=0)
     return TranslationMatrix(entries, d, k, order_out, order_in)
 
 
-def _translation_terms(displacements, k, order_out, coeff_rows):
+def _radial_table(radii, k, lmax):
+    """j_l(k r_p) for l = 0 .. lmax, shape (lmax + 1, P)."""
+    return _sp.spherical_jn(np.arange(lmax + 1)[:, None], k * radii[None, :])
+
+
+def _translation_terms(displacements, radial, order_out, coeff_rows):
     """The one translation kernel: yield ``(n, n_out, terms)`` per order pair.
 
     ``terms[i, m', m, p]`` is the l = ls[i] summand of element
     ((n_out, m'), (n, m)) of T(d_p, k) (formula in ``translation_matrix``),
     scaled by ``coeff_rows[p, (n, m)]``; ls runs over |n - n_out| .. n + n_out
-    in steps of 2. Summing over i gives the block of the operator, summing
-    over i and m its product with the rows. Displacements must be nonzero.
-    One SH table over all displacements serves every block, and each block
-    is one product over the stacked Gaunt slices.
+    in steps of 2. ``radial[l, p]`` stands for j_l(k |d_p|): the caller's
+    table (``_radial_table``), or ones for the k-independent part
+    (``TranslationPlan``). Summing over i gives the block of the operator,
+    summing over i and m its product with the rows. One SH table over all
+    displacements serves every block, and each block is one product over
+    the stacked Gaunt slices.
     """
-    r, theta, phi = cart2sph(displacements)
+    _, theta, phi = cart2sph(displacements)
     order_in = math.isqrt(coeff_rows.shape[1]) - 1
     lmax = order_out + order_in
-    jl = _sp.spherical_jn(np.arange(lmax + 1)[:, None], k * r[None, :])
     # y_conj[l, mu + lmax, p] = conj(Y_l^mu(d_p)); the table is zero for
     # |mu| > l, matching the Gaunt selection-rule zeros it multiplies
     mu = np.arange(-lmax, lmax + 1)
@@ -205,7 +212,7 @@ def _translation_terms(displacements, k, order_out, coeff_rows):
             ls = np.arange(abs(n - n_out), n + n_out + 1, 2)
             # G(n, m; n_out, -m'; l) laid out as [l, m', m]
             g = np.stack([gaunt_grid(n, n_out, l)[:, ::-1].T for l in ls])
-            w = (ipow(ls) * (4.0 * math.pi * ipow(n_out - n)))[:, None] * jl[ls]
+            w = (ipow(ls) * (4.0 * math.pi * ipow(n_out - n)))[:, None] * radial[ls]
             mu_idx = np.arange(-n_out, n_out + 1)[:, None] - m[None, :] + lmax
             y = y_conj[ls[:, None, None], mu_idx[None, :, :]]
             scaled = (sign_m * w[:, None, :]) * c[None, :, :]
@@ -234,7 +241,8 @@ def translate_multi(displacements, k, order_out, coeff_rows):
         return out
 
     out_nz = np.zeros((out.shape[1], np.count_nonzero(nonzero)), dtype=complex)
-    for n, n_out, terms in _translation_terms(d[nonzero], k, order_out, c[nonzero]):
+    radial = _radial_table(cart2sph(d[nonzero])[0], k, order_out + math.isqrt(c.shape[1]) - 1)
+    for n, n_out, terms in _translation_terms(d[nonzero], radial, order_out, c[nonzero]):
         rows = out_nz[n_out * n_out : (n_out + 1) ** 2]
         # one term at a time in (l, m) order: test_equals_per_degree_loop
         # pins these bits, and with them Psi, Xi and the filter banks
@@ -242,6 +250,54 @@ def translate_multi(displacements, k, order_out, coeff_rows):
             rows += term
     out[nonzero] = out_nz.T
     return out
+
+
+@dataclass(frozen=True)
+class TranslationPlan:
+    """The k-independent part of ``translate_multi`` for fixed displacements and rows.
+
+    Only the radial factor j_l(k |d_p|) of a kernel term depends on k; a term
+    of output degree n has l = n + o - n_in for an offset o in 0 .. 2 n_in.
+    ``angular[o, q, p]`` sums the terms at unit radial factor per offset, so
+
+        translate_multi(d, k, order, c)[p, q] = sum_o j_l(k |d_p|) angular[o, q, p]
+
+    up to reassociation rounding, for any order up to the plan's. Zero
+    displacements need no special case: j_l(0) keeps only l = 0, the identity.
+    The radial table is evaluated once per distinct |d_p| (``radii``;
+    ``radius_index[p]`` picks p's): the 2080 pair distances of the composite
+    array take 245 values.
+    """
+
+    angular: np.ndarray
+    radii: np.ndarray
+    radius_index: np.ndarray
+
+    @classmethod
+    def build(cls, displacements, order_out, coeff_rows):
+        d = np.asarray(displacements, dtype=float)
+        c = np.asarray(coeff_rows, dtype=complex)
+        order_in = math.isqrt(c.shape[1]) - 1
+        angular = np.zeros((2 * order_in + 1, num_coeffs(order_out), d.shape[0]), dtype=complex)
+        ones = np.ones((order_out + order_in + 1, d.shape[0]))
+        for n, n_out, terms in _translation_terms(d, ones, order_out, c):
+            offsets = np.arange(abs(n - n_out), n + n_out + 1, 2) - n_out + order_in
+            angular[offsets, n_out * n_out : (n_out + 1) ** 2] += terms.sum(axis=2)
+        return cls(angular, *np.unique(cart2sph(d)[0], return_inverse=True))
+
+    def apply(self, k, order):
+        """Translated rows at wavenumber k and ``order``, shape ((order+1)^2, P).
+
+        The transpose of ``translate_multi(d, k, order, c)``.
+        """
+        order_in = (self.angular.shape[0] - 1) // 2
+        n_q, _ = orders_degrees(order)
+        if n_q.size > self.angular.shape[1]:
+            raise ValueError(f"order {order} exceeds the plan's")
+        radial = _radial_table(self.radii, k, order + order_in)[:, self.radius_index]
+        # l < 0 only where the angular sums are zero
+        ls = np.maximum(n_q[None, :] + np.arange(2 * order_in + 1)[:, None] - order_in, 0)
+        return (radial[ls] * self.angular[:, : n_q.size]).sum(axis=0)
 
 
 def translate_coeffs(alpha: ShCoeffVec, new_center, out_order=None) -> ShCoeffVec:

@@ -78,3 +78,29 @@ def test_bank_meters_count_bins_and_rotation_blocks():
     layers = tracing.layer_metrics(tracer.spans, 0.0)
     assert layers["rendering.rows_calls"] == in_band.size
     assert 0 < layers["special.wigner_d_calls"] <= spec.order + 1
+
+
+def test_bank_translations_do_not_grow_with_bins():
+    # the angular plan is built once per call: doubling the in-band bins
+    # doubles the rows spans and leaves the translate_multi count alone
+    tracing = _load_tracing()
+    modules = {"cli": cli, "bundleio": bundleio, "hrtf": hrtf, "estimation": estimation,
+               "wavefield": wavefield, "rendering": rendering, "simulate": simulate,
+               "scipy_special": scipy.special}
+    fs, band = 48000.0, (400.0, 2000.0)
+    geom = arrays.build_small_array()
+    translations = []
+    for nfft in (256, 512):
+        freqs = np.arange(1, nfft // 2 + 1) * fs / nfft
+        in_band = freqs[(freqs >= band[0]) & (freqs <= band[1])]
+        spec = hrtf.rigid_sphere_hrtf_spectrum(hrtf.SyntheticHead(), in_band, 1.5, 8)
+        tracer = tracing.Tracer()
+        restore = tracing.instrument(tracer, modules)
+        try:
+            rendering.synth_fir_filters(geom, np.zeros(3), EulerAngles(), spec, band, nfft, fs)
+        finally:
+            restore()
+        layers = tracing.layer_metrics(tracer.spans, 0.0)
+        assert layers["rendering.rows_calls"] == in_band.size
+        translations.append(layers["wavefield.translate_calls"])
+    assert translations[0] == translations[1]

@@ -274,6 +274,51 @@ class TestInputChecks:
         assert main(argv) == 1
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def simulated_with(tmp_path, section, key, value):
+        """Config path after a simulate run, then with ``section.key`` set to ``value``."""
+        cfg = write_config(tmp_path)
+        assert main(["simulate", str(cfg)]) == 0
+        doc = json.loads(cfg.read_text())
+        doc.setdefault(section, {})[key] = value
+        cfg.write_text(json.dumps(doc))
+        return cfg
+
+    @pytest.mark.parametrize("flag,config", [
+        ("-1", "auto"), ("nan", "auto"), ("inf", "auto"), (None, float("nan")), (None, -1.0),
+        (None, "x"),
+    ])
+    def test_bad_eta_is_user_error(self, tmp_path, flag, config):
+        cfg = self.simulated_with(tmp_path, "estimator", "eta", config)
+        argv = ["estimate", str(cfg)] + (["--eta", flag] if flag is not None else [])
+        assert main(argv) == 1
+        assert not (tmp_path / "out" / "coefficients.json").exists()
+
+    @pytest.mark.parametrize("flag,config", [
+        ("-1", "auto"), ("abc", "auto"), ("2.5", "auto"), (None, -1), (None, 2.5), (None, "x"),
+        (None, True),
+    ])
+    def test_bad_order_is_user_error(self, tmp_path, flag, config):
+        cfg = self.simulated_with(tmp_path, "estimator", "order", config)
+        argv = ["estimate", str(cfg)] + (["--order", flag] if flag is not None else [])
+        assert main(argv) == 1
+        assert not (tmp_path / "out" / "coefficients.json").exists()
+
+    def test_order_zero_accepted(self, tmp_path):
+        cfg = self.simulated_with(tmp_path, "estimator", "order", 0)
+        assert main(["estimate", str(cfg)]) == 0
+        doc, flat = bundleio.read_bundle(tmp_path / "out" / "coefficients")
+        assert doc["orders"] == [0] * 5 and flat.size == 5
+
+    @pytest.mark.parametrize("key,value", [
+        ("wav_duration", -1.0), ("wav_duration", 0.0), ("wav_duration", float("inf")),
+        ("wav_duration", float("nan")), ("wav_gain", float("nan")), ("wav_gain", float("inf")),
+    ])
+    def test_bad_wav_value_is_user_error(self, tmp_path, no_compute, key, value):
+        cfg = self.simulated_with(tmp_path, "render", key, value)
+        assert main(["render", str(cfg)]) == 1
+        assert not (tmp_path / "out" / "binaural.wav").exists()
+
     @pytest.mark.parametrize("level,key", [
         ("config", "outptu_dir"), ("estimator", "lamda"), ("render", "ordr_cap"),
         ("listener", "postion"), ("synthetic", "head_radus"), ("scene", "sound_sped"),

@@ -128,6 +128,43 @@ class TestBuildPsi:
             assert dev < 1e-6
 
 
+class TestAngularPlan:
+    """Psi and Xi from the k-independent plan equal the direct builds."""
+
+    @staticmethod
+    def rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", ["composite", "small"])
+    @pytest.mark.parametrize("on_mic", [False, True], ids=["between_mics", "on_a_mic"])
+    def test_equals_direct_builds(self, kind, on_mic, rng):
+        geom = arrays.build_composite_array() if kind == "composite" else arrays.build_small_array()
+        # on a microphone, that column's displacement is zero (as are Psi's diagonal pairs)
+        target = geom.positions()[5] if on_mic else rng.uniform(-0.05, 0.05, 3)
+        plan = estimation.AngularPlan(geom, target, 35)
+        for k in rng.uniform(1.0, 220.0, 3):
+            psi = estimation.build_psi(geom, k, plan)
+            assert self.rel(psi, estimation.build_psi(geom, k)) < 1e-12
+            assert np.array_equal(psi, psi.conj().T)
+            for order in (0, 1, 18, 35):
+                xi = estimation.build_xi(geom, target, k, order, plan)
+                assert xi.shape == ((order + 1) ** 2, geom.n_mics)
+                assert self.rel(xi, estimation.build_xi(geom, target, k, order)) < 1e-12
+
+    def test_estimator_uses_plan_only_where_it_covers(self, composite):
+        k = k_of(900.0)
+        target = np.array([0.01, 0.02, -0.01])
+        plan = estimation.AngularPlan(composite, target, 4)
+        est = estimation.Estimator(composite, k, plan=plan)
+        direct = estimation.Estimator(composite, k)
+        assert self.rel(est.psi, direct.psi) < 1e-12
+        assert self.rel(est.xi(target, 4), direct.xi(target, 4)) < 1e-12
+        # another target, or an order above the plan's, takes the direct build
+        other = target + 0.01
+        assert np.array_equal(est.xi(other, 4), direct.xi(other, 4))
+        assert np.array_equal(est.xi(target, 6), direct.xi(target, 6))
+
+
 class TestEstimator:
     def test_linearity(self, composite, rng):
         k = k_of(700.0)

@@ -304,6 +304,23 @@ class TestTranslateMulti:
             got = wf.translate_multi(ds, 21.0, order_out, cs)
             assert np.array_equal(got, self.per_degree_loop(ds, 21.0, order_out, cs))
 
+    @pytest.mark.parametrize("order_in", [0, 1, 2])
+    def test_plan_equals_translate_multi(self, rng, order_in):
+        # the angular sums per radial offset, contracted at any k and any
+        # order up to the plan's, give translate_multi's rows transposed
+        ds = rng.normal(scale=0.15, size=(7, 3))
+        ds[4] = 0.0
+        cs = rng.normal(size=(7, (order_in + 1) ** 2)) + 1j * rng.normal(size=(7, (order_in + 1) ** 2))
+        plan = wf.TranslationPlan.build(ds, 12, cs)
+        assert plan.angular.shape == (2 * order_in + 1, 169, 7)
+        for k in (3.0, 21.0, 90.0):
+            for order in (0, 1, 12):
+                want = wf.translate_multi(ds, k, order, cs)
+                got = plan.apply(k, order)
+                assert np.max(np.abs(got.T - want)) < 1e-12 * np.max(np.abs(want))
+        with pytest.raises(ValueError):
+            plan.apply(21.0, 13)
+
     def test_matches_dense_matrix(self, rng):
         k = 14.0
         ds = rng.normal(scale=0.15, size=(6, 3))
