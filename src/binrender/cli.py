@@ -5,7 +5,9 @@ Every command checks its inputs (the config; an observation bundle against
 the geometry and frequency grid) before computing, writes deterministic
 outputs (no wall-clock anywhere), and drops a manifest JSON holding the
 config hash, library version, and content hashes of the files it produced.
-Exit codes: 0 ok, 1 configuration/user error, 2 internal error.
+Exit codes: 0 ok, 1 configuration/user error, 2 internal error: every
+check on user input raises ConfigError, so a ValueError escaping the library
+is an internal error.
 BINRENDER_WORKERS (an integer >= 1, default 1) sets the frequency-bin
 threads; results are reduced in a fixed order so outputs are byte-identical
 for any worker count.
@@ -99,7 +101,7 @@ def _load_json(path):
         return json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not text
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -115,29 +117,29 @@ def _known_keys(doc, keys, where):
 
 def parse_scene(doc) -> Scene:
     _known_keys(doc, ("freqs", "band", "sources", "sound_speed"), "scene")
-    if "freqs" in doc:
-        freqs = np.asarray(doc["freqs"], dtype=float)
-    elif "band" in doc:
-        lo, hi, step = doc["band"]
-        freqs = band_freqs(lo, hi, step)
-    else:
-        raise ConfigError("scene needs 'freqs' or 'band'")
-    sources = []
-    for s in doc.get("sources", []):
-        _known_keys(s, ("pos", "spectrum"), "scene source")
-        spectrum = s.get("spectrum", "flat")
-        if spectrum == "flat":
-            spec = None
-        else:
-            spec = np.array([complex(re, im) for re, im in spectrum])
-            if spec.size != freqs.size:
-                raise ConfigError("source spectrum length must match the frequency grid")
-        sources.append(PointSource(np.asarray(s["pos"], dtype=float), spec))
     try:
+        if "freqs" in doc:
+            freqs = np.asarray(doc["freqs"], dtype=float)
+        elif "band" in doc:
+            lo, hi, step = doc["band"]
+            freqs = band_freqs(lo, hi, step)
+        else:
+            raise ConfigError("scene needs 'freqs' or 'band'")
+        sources = []
+        for s in doc.get("sources", []):
+            _known_keys(s, ("pos", "spectrum"), "scene source")
+            spectrum = s.get("spectrum", "flat")
+            if spectrum == "flat":
+                spec = None
+            else:
+                spec = np.array([complex(re, im) for re, im in spectrum])
+                if spec.size != freqs.size:
+                    raise ConfigError("source spectrum length must match the frequency grid")
+            sources.append(PointSource(np.asarray(s["pos"], dtype=float), spec))
         return Scene(sources=tuple(sources), freqs=freqs,
                      sound_speed=float(doc.get("sound_speed", 346.2)))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"scene: {exc}") from exc
 
 
 class RunConfig:
@@ -163,7 +165,10 @@ class RunConfig:
         geom_path = base / geom_ref
         if not geom_path.exists():
             raise ConfigError(f"geometry file not found: {geom_path}")
-        self.geometry = load_geometry(geom_path)
+        try:
+            self.geometry = load_geometry(geom_path)
+        except ValueError as exc:
+            raise ConfigError(f"geometry file {geom_path}: {exc}") from exc
 
         est = _known_keys(doc.get("estimator", {}), ("lambda", "eta", "order"), "estimator")
         self.lam = est.get("lambda", "auto")
@@ -204,7 +209,10 @@ class RunConfig:
 
         listener = _known_keys(doc.get("listener", {}), ("position", "euler_deg"), "listener")
         self.listener_position = np.asarray(listener.get("position", [0.0, 0.0, 0.0]), dtype=float)
-        deg = listener.get("euler_deg", [0.0, 0.0, 0.0])
+        deg = np.asarray(listener.get("euler_deg", [0.0, 0.0, 0.0]), dtype=float)
+        for name, value in (("position", self.listener_position), ("euler_deg", deg)):
+            if value.shape != (3,) or not np.all(np.isfinite(value)):
+                raise ConfigError(f"listener {name} must be three finite numbers")
         self.angles = EulerAngles(*(math.radians(a) for a in deg))
 
         hrtf_ref = doc.get("hrtf")
@@ -220,11 +228,16 @@ class RunConfig:
                 ear_azimuths=(math.radians(az[0]), math.radians(az[1])),
             )
             self.measure_radius = float(syn.get("measure_radius", 1.5))
+            if not 0 < self.synthetic_head.radius < self.measure_radius < math.inf:
+                raise ConfigError("hrtf.synthetic needs 0 < head_radius < measure_radius, got "
+                                  f"{self.synthetic_head.radius} and {self.measure_radius}")
         elif isinstance(hrtf_ref, str):
             try:
                 self.hrtf_set = bundleio.load_hrtf_bundle(base / hrtf_ref)
             except FileNotFoundError as exc:
                 raise ConfigError(f"HRTF bundle not found: {base / hrtf_ref}") from exc
+            except ValueError as exc:
+                raise ConfigError(f"HRTF bundle {base / hrtf_ref}: {exc}") from exc
             self.measure_radius = self.hrtf_set.radius
         elif hrtf_ref is not None:
             raise ConfigError("hrtf must be a bundle path or {\"synthetic\": {...}}")
@@ -308,7 +321,10 @@ def geometry(kind, center, yaw_deg, radius, beta, out_path, validate_path):
             doc = Path(validate_path).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read geometry file {validate_path}: {exc.strerror}") from exc
-        geom = geometry_from_json(doc)
+        try:
+            geom = geometry_from_json(doc)
+        except ValueError as exc:
+            raise ConfigError(f"geometry file {validate_path}: {exc}") from exc
         if geometry_to_json(geom) != doc:
             raise ConfigError("geometry file is not in canonical form (round trip differs)")
         click.echo(f"ok: {geom.n_mics} microphones"
@@ -320,12 +336,15 @@ def geometry(kind, center, yaw_deg, radius, beta, out_path, validate_path):
         ctr = tuple(float(x) for x in center.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad --center {center!r}") from exc
-    if kind == "small":
-        geom = build_small_array(ctr, math.radians(yaw_deg), radius or 0.015, beta)
-    elif kind == "composite":
-        geom = build_composite_array(ctr, beta)
-    else:
-        geom = build_rigid_sphere_array(ctr, radius or 0.145)
+    try:
+        if kind == "small":
+            geom = build_small_array(ctr, math.radians(yaw_deg), radius or 0.015, beta)
+        elif kind == "composite":
+            geom = build_composite_array(ctr, beta)
+        else:
+            geom = build_rigid_sphere_array(ctr, radius or 0.145)
+    except ValueError as exc:  # a center that is not x,y,z, a bad radius or beta
+        raise ConfigError(str(exc)) from exc
     Path(out_path).write_text(geometry_to_json(geom))
     click.echo(f"wrote {out_path} ({geom.n_mics} microphones)")
 
@@ -343,6 +362,8 @@ def hrtf_import(csv_path, radius, sample_rate, out_base):
         hrtf_set = read_hrtf_csv(csv_path, radius=radius, sample_rate=sample_rate)
     except FileNotFoundError as exc:
         raise ConfigError(f"CSV not found: {csv_path}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"HRTF CSV {csv_path}: {exc}") from exc
     base = bundleio.save_hrtf_bundle(out_base, hrtf_set)
     click.echo(f"wrote {base}.json/.bin ({hrtf_set.n_directions} directions, "
                f"{hrtf_set.freqs.size} frequencies)")
@@ -389,7 +410,10 @@ def _check_ridge(value, name):
 
 def _load_config(config_path, lam=None, eta=None, order=None):
     doc = _load_json(config_path)
-    cfg = RunConfig(doc, Path(config_path).resolve().parent)
+    try:
+        cfg = RunConfig(doc, Path(config_path).resolve().parent)
+    except ValueError as exc:  # a config value that does not convert
+        raise ConfigError(f"{config_path}: {exc}") from exc
     if lam is not None:
         cfg.lam = _parse_reg(lam, "lam")
     _check_ridge(cfg.lam, "lambda")
@@ -406,11 +430,38 @@ def _load_config(config_path, lam=None, eta=None, order=None):
     return cfg
 
 
+def _check_sources_off_array(scene: Scene, geom):
+    """Sources where the simulated field is finite: off every mic, outside a baffle."""
+    for src in scene.sources:
+        if geom.baffle is not None:
+            if np.linalg.norm(src.position - geom.baffle.center) <= geom.baffle.radius:
+                raise ConfigError(f"scene source at {src.position.tolist()} lies inside the "
+                                  "rigid baffle")
+        elif np.any(np.linalg.norm(geom.positions() - src.position, axis=1) == 0):
+            raise ConfigError(f"scene source at {src.position.tolist()} coincides with a "
+                              "microphone")
+
+
+def _check_truth(cfg: RunConfig):
+    """Sources where evaluate's ground truth exists, checked before rendering."""
+    if not cfg.scene.sources:
+        raise ConfigError("evaluate needs at least one scene source")
+    dists = [np.linalg.norm(src.position - cfg.listener_position) for src in cfg.scene.sources]
+    if cfg.hrtf_set is not None:
+        radius = cfg.hrtf_set.radius
+        if any(abs(d - radius) > 1e-6 * radius for d in dists):
+            raise ConfigError("evaluate against a measured HRTF bundle needs every source on "
+                              f"its measurement sphere, {radius:g} m from the listener")
+    elif min(dists) <= cfg.synthetic_head.radius:
+        raise ConfigError("a scene source lies inside the synthetic head")
+
+
 @cli.command()
 @_config_arg
 def simulate(config_path):
     """Simulate microphone observations for the configured scene."""
     cfg = _load_config(config_path)
+    _check_sources_off_array(cfg.scene, cfg.geometry)
     freqs = cfg.scene.freqs
     obs = simulate_observation(cfg.scene, cfg.geometry)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -431,6 +482,10 @@ def simulate(config_path):
 def estimate(config_path, lam, eta, order, observations):
     """Estimate expansion coefficients at the listener position per frequency."""
     cfg = _load_config(config_path, lam, eta, order)
+    if (cfg.geometry.baffle is not None and cfg.order != "auto"
+            and (cfg.order + 1) ** 2 > cfg.geometry.n_mics):
+        raise ConfigError(f"order {cfg.order} on the rigid baffle needs at least "
+                          f"{(cfg.order + 1) ** 2} microphones, got {cfg.geometry.n_mics}")
     obs = _observations(cfg, observations)
     freqs = cfg.scene.freqs
 
@@ -530,6 +585,7 @@ def evaluate(config_path, lam, observations):
     if cfg.hrtf_set is not None and not np.array_equal(cfg.scene.freqs, cfg.hrtf_set.freqs):
         raise ConfigError("evaluate against a measured HRTF bundle needs the scene grid "
                           "to equal the bundle's frequency grid")
+    _check_truth(cfg)
     obs = _observations(cfg, observations)
     freqs = cfg.scene.freqs
     responses = _render_responses(cfg, obs)
@@ -558,10 +614,14 @@ def evaluate(config_path, lam, observations):
     ref_wav = _multitone_wav(freqs, reference, cfg.sample_rate, cfg.wav_duration, 1.0)
     for name, sig in (("estimated", est_wav), ("true", ref_wav)):
         pair = BinauralPair(sig.T.astype(float), cfg.sample_rate)
+        try:
+            itd_s, ild_db = itd(pair), ild(pair)
+        except ValueError as exc:  # no energy below the ITD/ILD low-pass
+            raise ConfigError(f"{name} binaural signal: {exc}") from exc
         rows.append({"position": pos, "azimuth_deg": "", "frequency_or_band": "time",
-                     "metric": f"itd_{name}_s", "value": f"{itd(pair):.9f}", "excluded_bins": 0})
+                     "metric": f"itd_{name}_s", "value": f"{itd_s:.9f}", "excluded_bins": 0})
         rows.append({"position": pos, "azimuth_deg": "", "frequency_or_band": "time",
-                     "metric": f"ild_{name}_db", "value": f"{ild(pair):.6f}", "excluded_bins": 0})
+                     "metric": f"ild_{name}_db", "value": f"{ild_db:.6f}", "excluded_bins": 0})
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     report = cfg.out_dir / "metrics.csv"
@@ -574,7 +634,7 @@ def main(argv=None):
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
-    except (ConfigError, click.UsageError, click.ClickException, ValueError) as exc:
+    except (ConfigError, click.ClickException) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     except Exception as exc:  # pragma: no cover - internal failures

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import zherk
+from scipy.special import sph_harm_y_all
 
 from .special import num_coeffs, orders_degrees, sh_matrix, sph_hankel2, sph_hankel2_deriv
 from .utils import cart2sph, sph2cart
@@ -36,10 +37,12 @@ class HrtfSet:
         directions = np.asarray(self.directions, dtype=float)
         freqs = np.asarray(self.freqs, dtype=float)
         responses = np.asarray(self.responses, dtype=complex)
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         if directions.ndim != 2 or directions.shape[1] != 2:
             raise ValueError("directions must be (J, 2) zenith/azimuth pairs")
+        if not all(np.all(np.isfinite(a)) for a in (directions, freqs, responses)):
+            raise ValueError("HRTF directions, frequencies and responses must be finite")
         if np.any(np.diff(freqs) <= 0):
             raise ValueError("frequencies must be strictly increasing")
         if responses.shape != (2, freqs.size, directions.shape[0]):
@@ -104,7 +107,11 @@ def fit_sh(hrtf_set: HrtfSet, order, gamma="auto") -> HrtfShSpectrum:
     Solves psi = (Y^H Y + gamma Q)^{-1} Y^H h per frequency and ear, where
     Y holds conjugated spherical harmonics at the grid directions and Q is
     diagonal with entries 1 + n(n + 1) for order n. The normal matrix is
-    frequency-independent and factorized once.
+    frequency-independent. On a ring grid, where every zenith ring holds
+    more than 2N uniformly spaced azimuths, it is block-diagonal in the
+    degree m: after one azimuth FFT per ring, each of its 2N + 1 real blocks
+    (size N + 1 - |m|) is factorized once. On any other grid the dense
+    matrix is factorized once.
 
     gamma = "auto" uses 1e-6 * trace(Y^H Y) / (N+1)^2, which keeps behavior
     invariant under grid-size changes. gamma = 0 requests a plain
@@ -116,24 +123,11 @@ def fit_sh(hrtf_set: HrtfSet, order, gamma="auto") -> HrtfShSpectrum:
             f"need at least {ncoef} directions to fit order {order}, "
             f"got {hrtf_set.n_directions}"
         )
-    theta = hrtf_set.directions[:, 0]
-    phi = hrtf_set.directions[:, 1]
-    sh = sh_matrix(order, theta, phi)  # Y = conj(sh)
-    # Y^H Y = conj(sh^H sh), upper triangle only: the one cho_factor reads
-    normal = np.conj(zherk(1.0, sh, trans=2))
-    if gamma == "auto":
-        gamma = 1e-6 * np.real(np.trace(normal)) / ncoef
-    n_all, _ = orders_degrees(order)
-    a = normal + gamma * np.diag(1.0 + n_all * (n_all + 1.0))
-    try:
-        factor = cho_factor(a)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "singular normal matrix in SH fit; the grid does not support "
-            f"order {order} at gamma={gamma}"
-        ) from exc
-    rhs = hrtf_set.responses @ sh  # Y^H h per ear and frequency
-    coeffs = cho_solve(factor, rhs.reshape(-1, ncoef).T).T.reshape(rhs.shape)
+    rings = _rings(hrtf_set.directions, order)
+    if rings is None:
+        coeffs = _fit_dense(hrtf_set, order, gamma)
+    else:
+        coeffs = _fit_rings(hrtf_set.responses, *rings, order, gamma)
     return HrtfShSpectrum(
         order=order,
         radius=hrtf_set.radius,
@@ -141,6 +135,109 @@ def fit_sh(hrtf_set: HrtfSet, order, gamma="auto") -> HrtfShSpectrum:
         coeffs=coeffs,
         sample_rate=hrtf_set.sample_rate,
     )
+
+
+def _auto_gamma(gamma, trace, order):
+    return 1e-6 * trace / num_coeffs(order) if gamma == "auto" else gamma
+
+
+def _singular(order, gamma):
+    return np.linalg.LinAlgError(
+        "singular normal matrix in SH fit; the grid does not support "
+        f"order {order} at gamma={gamma}"
+    )
+
+
+def _cho_factor(a, order, gamma):
+    try:
+        return cho_factor(a)
+    except np.linalg.LinAlgError as exc:
+        raise _singular(order, gamma) from exc
+
+
+def _fit_dense(hrtf_set, order, gamma):
+    """(2, F, (N+1)^2) fit through the full normal matrix, for any grid."""
+    theta = hrtf_set.directions[:, 0]
+    phi = hrtf_set.directions[:, 1]
+    sh = sh_matrix(order, theta, phi)  # Y = conj(sh)
+    # Y^H Y = conj(sh^H sh), upper triangle only: the one cho_factor reads
+    normal = np.conj(zherk(1.0, sh, trans=2))
+    gamma = _auto_gamma(gamma, np.real(np.trace(normal)), order)
+    n_all, _ = orders_degrees(order)
+    factor = _cho_factor(normal + gamma * np.diag(1.0 + n_all * (n_all + 1.0)), order, gamma)
+    rhs = hrtf_set.responses @ sh  # Y^H h per ear and frequency
+    return cho_solve(factor, rhs.reshape(-1, num_coeffs(order)).T).T.reshape(rhs.shape)
+
+
+# Largest departure of a ring azimuth from its uniform position, in radians:
+# a few ulps of 2 pi, the rounding of a degree grid converted to radians.
+# Larger departures couple the degree blocks, and the dense fit takes over.
+_AZIMUTH_TOL = 1e-14
+
+
+def _rings(directions, order):
+    """(zeniths, rings, offsets) of a ring grid that separates order N, else None.
+
+    Directions group into rings by exact zenith. Each ring must hold
+    M > 2N (and M > 1) azimuths phi_0 + 2 pi k / M, k = 0..M-1 in any order: then
+    sum_k e^{j (m - m') phi_k} = M [m = m'] for |m|, |m'| <= N. rings[r]
+    indexes the r-th ring's directions in k order; offsets[r] is its phi_0.
+    """
+    zeniths, ring_of, sizes = np.unique(
+        directions[:, 0], return_inverse=True, return_counts=True)
+    if sizes.min() <= max(2 * order, 1):  # a lone point has no azimuth step
+        return None
+    rings, offsets = [], []
+    members = np.split(np.argsort(ring_of, kind="stable"), np.cumsum(sizes)[:-1])
+    for idx, size in zip(members, sizes):
+        turn = directions[idx, 1] - directions[idx[0], 1]
+        k = np.rint(turn * (size / (2.0 * math.pi)))
+        if np.max(np.abs(turn - k * (2.0 * math.pi / size))) > _AZIMUTH_TOL:
+            return None
+        k = k.astype(int) % size
+        position = np.argsort(k)
+        if not np.array_equal(k[position], np.arange(size)):
+            return None
+        rings.append(idx[position])
+        offsets.append(directions[idx[0], 1])
+    return zeniths, rings, np.array(offsets)
+
+
+def _fit_rings(responses, zeniths, rings, offsets, order, gamma):
+    """(2, F, (N+1)^2) fit of a ring grid, one real system per degree m.
+
+    On ring r (zenith theta_r, M_r points) Y^H h at (n, m) is
+    sum_r P_n^m(theta_r) H_r(m), where P is the real normalized Legendre
+    factor of Y_n^m and H_r(m) = sum_k h_{r,k} e^{j m phi_{r,k}} is one
+    unscaled inverse FFT, turned by e^{j m phi_0}. The block of degree m is
+    sum_r M_r P^m(theta_r) P^m(theta_r)^T + gamma Q over n = |m|..N.
+    """
+    degrees = np.arange(-order, order + 1)
+    h = responses.reshape(-1, responses.shape[2])
+    spectra = np.empty((degrees.size, len(rings), h.shape[0]), dtype=complex)
+    for r, idx in enumerate(rings):
+        ring = np.fft.ifft(h[:, idx], norm="forward")[:, degrees % idx.size]
+        spectra[:, r, :] = (ring * np.exp(1j * degrees * offsets[r])).T
+    # (2N+1, N+1, R) over m = -N..N; zero where n < |m|
+    legendre = sph_harm_y_all(order, order, zeniths, 0.0).real[:, degrees, :].transpose(1, 0, 2)
+    sizes = np.array([idx.size for idx in rings], dtype=float)
+    normal = (legendre * sizes) @ legendre.transpose(0, 2, 1)
+    gamma = _auto_gamma(gamma, np.einsum("mnn->", normal), order)
+    if gamma == 0 and zeniths.size <= order:
+        # the m = 0 block has size N + 1 and rank <= R; Cholesky may not notice
+        raise _singular(order, gamma)
+    rhs = legendre @ spectra  # (2N+1, N+1, 2F)
+    n = np.arange(order + 1)
+    q_diag = 1.0 + n * (n + 1.0)
+    coeffs = np.empty((h.shape[0], num_coeffs(order)), dtype=complex)
+    for m in degrees:
+        lo = abs(m)
+        block = normal[m + order, lo:, lo:] + gamma * np.diag(q_diag[lo:])
+        factor = _cho_factor(block, order, gamma)
+        # real block, complex right-hand side: solve on the interleaved real view
+        x = cho_solve(factor, rhs[m + order, lo:].view(float))
+        coeffs[:, n[lo:] * (n[lo:] + 1) + m] = np.ascontiguousarray(x).view(complex).T
+    return coeffs.reshape(responses.shape[:2] + (num_coeffs(order),))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ head-tracking update through the traced chain, and restores the originals.
 """
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -104,3 +105,30 @@ def test_bank_translations_do_not_grow_with_bins():
         assert layers["rendering.rows_calls"] == in_band.size
         translations.append(layers["wavefield.translate_calls"])
     assert translations[0] == translations[1]
+
+
+def test_traced_bank_meters_the_ring_fit(tmp_path):
+    # filters from a measured bundle on zenith rings: the traced meter sees
+    # the one fit_sh call of the call, which takes the ring path
+    tracing = _load_tracing()
+    modules = {"cli": cli, "bundleio": bundleio, "hrtf": hrtf, "estimation": estimation,
+               "wavefield": wavefield, "rendering": rendering, "simulate": simulate,
+               "scipy_special": scipy.special}
+    grid = hrtf.equiangular_grid(zenith_step_deg=20.0, azimuth_step_deg=10.0)  # 8 rings of 36
+    assert hrtf._rings(grid, math.isqrt(grid.shape[0]) - 1) is not None
+    bundleio.save_hrtf_bundle(tmp_path / "hrtf", hrtf.synth_rigid_sphere_hrtf(
+        hrtf.SyntheticHead(), grid, [400.0, 1200.0, 2000.0], 1.5))
+    (tmp_path / "geom.json").write_text(arrays.geometry_to_json(arrays.build_small_array()))
+    (tmp_path / "scene.json").write_text(json.dumps({"sources": [], "freqs": [500.0]}))
+    (tmp_path / "run.json").write_text(json.dumps({
+        "version": 1, "scene": "scene.json", "geometry": "geom.json", "hrtf": "hrtf",
+        "render": {"band": [400.0, 2000.0], "nfft": 256}, "output_dir": "out"}))
+    tracer = tracing.Tracer()
+    restore = tracing.instrument(tracer, modules)
+    try:
+        assert cli.main(["filters", str(tmp_path / "run.json")]) == 0
+    finally:
+        restore()
+    layers = tracing.layer_metrics(tracer.spans, 0.0)
+    assert layers["hrtf.fit_sh_calls"] == 1
+    assert layers["hrtf.fit_sh_s"] > 0

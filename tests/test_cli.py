@@ -355,6 +355,125 @@ class TestInputChecks:
         assert not (tmp_path / "out").exists()
 
 
+class TestExitCodes:
+    """User errors exit 1 through ConfigError; a ValueError from the library exits 2."""
+
+    def test_library_value_error_is_internal(self, tmp_path, monkeypatch):
+        from binrender import rendering
+
+        def fault(*args, **kwargs):
+            raise ValueError("fault inside the library")
+
+        monkeypatch.setattr(rendering, "render_weights", fault)
+        cfg = write_config(tmp_path)
+        assert main(["filters", str(cfg)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", ["responses", "directions", "freqs"])
+    def test_non_finite_hrtf_bundle_is_user_error(self, tmp_path, field):
+        from binrender import hrtf
+        from binrender.bundleio import save_hrtf_bundle
+
+        hs = hrtf.synth_rigid_sphere_hrtf(hrtf.SyntheticHead(), hrtf.fibonacci_grid(144),
+                                          [200.0, 400.0, 600.0], 1.5)
+        base = save_hrtf_bundle(tmp_path / "hrtf", hs)
+        if field == "responses":
+            blob = np.fromfile(base.with_suffix(".bin"), dtype="<c8")
+            blob[7] = np.nan
+            blob.tofile(base.with_suffix(".bin"))
+        else:
+            doc = json.loads(base.with_suffix(".json").read_text())
+            if field == "directions":
+                doc["directions"][3][0] = float("nan")
+            else:
+                doc["freqs"][2] = float("inf")
+            base.with_suffix(".json").write_text(json.dumps(doc))
+        cfg = write_config(tmp_path, hrtf="hrtf", render={"band": [200.0, 400.0], "nfft": 1024})
+        calls = []
+        real_fit = hrtf.fit_sh
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hrtf, "fit_sh", lambda *a, **k: calls.append(1) or real_fit(*a, **k))
+            assert main(["filters", str(cfg)]) == 1
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_csv_is_user_error(self, tmp_path):
+        csv = tmp_path / "set.csv"
+        csv.write_text("theta,phi,L_mag_100,L_phase_100,R_mag_100,R_phase_100\n"
+                       "1.0,0.5,nan,0.0,0.5,0.1\n")
+        assert main(["hrtf-import", str(csv), "--radius", "1.5",
+                     "--out", str(tmp_path / "bundle")]) == 1
+        assert not (tmp_path / "bundle.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "small", "--radius", "-1"], ["--kind", "small", "--center", "1,2"],
+        ["--kind", "composite", "--beta", "2"],
+    ])
+    def test_bad_geometry_args_are_user_errors(self, tmp_path, argv):
+        assert main(["geometry", *argv, "--out", str(tmp_path / "g.json")]) == 1
+        assert not (tmp_path / "g.json").exists()
+
+    def test_validate_non_geometry_is_user_error(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"format": "something-else"}))
+        assert main(["geometry", "--validate", str(path)]) == 1
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("render", "nfft", "abc"), ("listener", "position", [0.0, 0.0]),
+        ("listener", "euler_deg", [0.0, float("nan"), 0.0]),
+        ("hrtf", "synthetic", {"head_radius": 0.0875, "measure_radius": 0.05}),
+        ("scene", "band", [200.0, 1000.0]),
+    ])
+    def test_config_value_errors_are_user_errors(self, tmp_path, section, key, value):
+        cfg = write_config(tmp_path)
+        if section == "scene":
+            (tmp_path / "scene.json").write_text(json.dumps({**SCENE, key: value}))
+        else:
+            doc = json.loads(cfg.read_text())
+            doc.setdefault(section, {})[key] = value
+            cfg.write_text(json.dumps(doc))
+        assert main(["filters", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_observation_bundle_as_hrtf_is_user_error(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["simulate", str(cfg)]) == 0
+        doc = json.loads(cfg.read_text())
+        doc["hrtf"] = "out/observation"
+        cfg.write_text(json.dumps(doc))
+        assert main(["filters", str(cfg)]) == 1
+        assert not (tmp_path / "out" / "filterbank.wav").exists()
+
+    def test_source_on_a_microphone_is_user_error(self, tmp_path):
+        from binrender.arrays import load_geometry
+
+        cfg = write_config(tmp_path)
+        mic = load_geometry(tmp_path / "geom.json").positions()[5].tolist()
+        (tmp_path / "scene.json").write_text(json.dumps({**SCENE, "sources": [{"pos": mic}]}))
+        assert main(["simulate", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_rigid_order_beyond_mic_count_is_user_error(self, tmp_path):
+        (tmp_path / "scene.json").write_text(json.dumps(SCENE))
+        assert main(["geometry", "--kind", "rigid-sphere",
+                     "--out", str(tmp_path / "geom.json")]) == 0
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"version": 1, "scene": "scene.json",
+                                   "geometry": "geom.json", "output_dir": "out"}))
+        assert main(["simulate", str(cfg)]) == 0
+        assert main(["estimate", str(cfg), "--order", "8"]) == 1
+        assert not (tmp_path / "out" / "coefficients.json").exists()
+
+    @pytest.mark.parametrize("sources", [[], [{"pos": [0.05, 0.0, 0.0]}]],
+                             ids=["no-source", "inside-head"])
+    def test_scene_without_ground_truth_is_user_error(self, tmp_path, sources):
+        cfg = write_config(tmp_path)
+        (tmp_path / "scene.json").write_text(json.dumps({**SCENE, "sources": sources}))
+        assert main(["simulate", str(cfg)]) == 0
+        assert main(["evaluate", str(cfg)]) == 1
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 class TestHrtfImport:
     def test_csv_to_bundle(self, tmp_path):
         csv = tmp_path / "set.csv"

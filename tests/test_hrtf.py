@@ -134,6 +134,107 @@ class TestFitSh:
             assert right[q] == pytest.approx((-1.0) ** m * left[q_neg], abs=1e-8)
 
 
+def _offset_ring_grid():
+    """31 zenith rings of 72-74 azimuths, each turned by its own offset, shuffled."""
+    rows = []
+    for i, theta in enumerate(np.deg2rad(np.arange(10.0, 161.0, 5.0))):
+        size = 72 + i % 3
+        phi = (0.37 * i + 2.0 * np.pi * np.arange(size) / size) % (2.0 * np.pi)
+        rows.append(np.column_stack([np.full(size, theta), phi]))
+    grid = np.concatenate(rows)
+    return grid[np.random.default_rng(7).permutation(grid.shape[0])]
+
+
+@pytest.fixture(scope="module")
+def ring_sets():
+    head = hrtf.SyntheticHead()
+    freqs = [300.0, 3000.0, 11900.0]
+    return {name: hrtf.synth_rigid_sphere_hrtf(head, grid, freqs, 1.5)
+            for name, grid in (("equiangular", hrtf.equiangular_grid()),
+                               ("offset", _offset_ring_grid()))}
+
+
+def _qr_fit(hs, order):
+    """(2, F, (N+1)^2) least squares of [Y; sqrt(gamma Q)] by QR: no normal matrix."""
+    from scipy.linalg import solve_triangular
+
+    from binrender.special import sh_matrix
+
+    y = np.conj(sh_matrix(order, hs.directions[:, 0], hs.directions[:, 1]))
+    gamma = 1e-6 * np.sum(np.abs(y) ** 2) / num_coeffs(order)
+    n_all, _ = orders_degrees(order)
+    aug = np.vstack([y, np.diag(np.sqrt(gamma * (1.0 + n_all * (n_all + 1.0))))])
+    q, r = np.linalg.qr(aug)
+    h = hs.responses.reshape(-1, hs.n_directions).T
+    x = solve_triangular(r, q[: hs.n_directions].conj().T @ h)
+    return x.T.reshape(hs.responses.shape[:2] + (num_coeffs(order),))
+
+
+class TestRingFit:
+    """On zenith rings of > 2N uniform azimuths the fit splits by degree m."""
+
+    @pytest.mark.parametrize("grid", ["equiangular", "offset"])
+    @pytest.mark.parametrize("order", [0, 1, 18, 35])
+    def test_matches_dense_fit(self, ring_sets, grid, order):
+        hs = ring_sets[grid]
+        assert hrtf._rings(hs.directions, order) is not None
+        got = hrtf.fit_sh(hs, order).coeffs
+        want = hrtf._fit_dense(hs, order, "auto")
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("grid, order", [("equiangular", 18), ("offset", 18),
+                                             ("equiangular", 35), ("offset", 35)])
+    def test_matches_qr_least_squares(self, ring_sets, grid, order):
+        hs = ring_sets[grid]
+        got = hrtf.fit_sh(hs, order).coeffs
+        want = _qr_fit(hs, order)
+        for fi in range(hs.freqs.size):
+            scale = np.max(np.abs(want[:, fi]))
+            assert np.max(np.abs(got[:, fi] - want[:, fi])) <= 2e-12 * scale
+
+    def test_off_ring_layouts_take_dense_path(self):
+        coarse = hrtf.equiangular_grid(azimuth_step_deg=10.0)  # rings of 36 azimuths
+        assert hrtf._rings(coarse, 17) is not None
+        assert hrtf._rings(coarse, 18) is None  # M <= 2N
+        for order in (0, 5):  # one point per zenith
+            assert hrtf._rings(hrtf.fibonacci_grid(400), order) is None
+        nudged = coarse.copy()
+        nudged[40, 1] += 1e-9  # one azimuth off its ring's uniform step
+        assert hrtf._rings(nudged, 5) is None
+        doubled = coarse.copy()
+        doubled[40, 1] = doubled[41, 1]  # uniform step, one position twice
+        assert hrtf._rings(doubled, 5) is None
+        responses = np.ones((2, 1, coarse.shape[0]), dtype=complex)
+        hs = _flat_set(nudged, [500.0], responses)
+        assert np.array_equal(hrtf.fit_sh(hs, 5).coeffs, hrtf._fit_dense(hs, 5, "auto"))
+
+    def test_too_few_rings_singular_at_gamma_zero(self):
+        # 5 rings leave the order-5 m = 0 block (size 6) rank 5
+        grid = np.array([(theta, 2.0 * np.pi * k / 40)
+                         for theta in np.linspace(0.3, 2.8, 5) for k in range(40)])
+        hs = _flat_set(grid, [500.0], np.ones((2, 1, 200), dtype=complex))
+        assert hrtf._rings(grid, 5) is not None
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="singular normal matrix in SH fit; the grid does not "
+                                 "support order 5 at gamma=0"):
+            hrtf.fit_sh(hs, 5, gamma=0.0)
+
+
+class TestHrtfSet:
+    @pytest.mark.parametrize("field, index, value", [
+        ("directions", (3, 0), np.nan), ("directions", (5, 1), np.inf),
+        ("freqs", 1, np.nan), ("responses", (1, 0, 2), np.inf),
+        ("responses", (0, 1, 4), complex(0.0, np.nan)),
+    ])
+    def test_non_finite_input_rejected(self, field, index, value):
+        args = {"directions": hrtf.fibonacci_grid(6), "freqs": np.array([200.0, 400.0]),
+                "responses": np.ones((2, 2, 6), dtype=complex)}
+        args[field] = args[field].astype(complex if field == "responses" else float)
+        args[field][index] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            hrtf.HrtfSet(radius=1.5, sample_rate=48000.0, **args)
+
+
 class TestSyntheticHead:
     def test_bright_point_maximum(self):
         # source facing an ear maximizes that ear's magnitude at >= 1 kHz
