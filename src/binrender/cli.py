@@ -128,6 +128,8 @@ def parse_scene(doc) -> Scene:
         sources = []
         for s in doc.get("sources", []):
             _known_keys(s, ("pos", "spectrum"), "scene source")
+            if "pos" not in s:
+                raise ConfigError("every scene source needs a 'pos'")
             spectrum = s.get("spectrum", "flat")
             if spectrum == "flat":
                 spec = None
@@ -138,7 +140,7 @@ def parse_scene(doc) -> Scene:
             sources.append(PointSource(np.asarray(s["pos"], dtype=float), spec))
         return Scene(sources=tuple(sources), freqs=freqs,
                      sound_speed=float(doc.get("sound_speed", 346.2)))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # a wrong JSON type, or a value that does not convert
         raise ConfigError(f"scene: {exc}") from exc
 
 
@@ -412,7 +414,7 @@ def _load_config(config_path, lam=None, eta=None, order=None):
     doc = _load_json(config_path)
     try:
         cfg = RunConfig(doc, Path(config_path).resolve().parent)
-    except ValueError as exc:  # a config value that does not convert
+    except (TypeError, ValueError) as exc:  # a wrong JSON type, or a value that does not convert
         raise ConfigError(f"{config_path}: {exc}") from exc
     if lam is not None:
         cfg.lam = _parse_reg(lam, "lam")

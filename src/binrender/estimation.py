@@ -78,25 +78,57 @@ def _stacked_directivities(geom: ArrayGeometry):
 
 
 class AngularPlan:
-    """The k-independent part of Psi and of Xi(target) up to ``order`` for one geometry.
+    """Psi and Xi(target) up to ``order`` for one geometry, split into a
+    k-independent angular part and radial tables over the wavenumbers ``ks``.
 
-    ``build_psi``/``build_xi`` given the plan contract it with one radial
-    table per wavenumber. Xi's part holds (2p + 1) (order + 1)^2 n_mics
-    complex entries for directivity order p: 4.0 MB at order 35, 64 cardioids.
+    The angular part is built once: Xi's columns as a ``TranslationPlan``
+    ((2p + 1) (order + 1)^2 n_mics complex entries for directivity order p:
+    4.0 MB at order 35, 64 cardioids), and Psi's pairs folded with conj(c_i)
+    into per-degree pair weights (2p + 1 per pair). The radial tables are
+    one ``spherical_jn`` call each over all of ``ks``: j_l(k d) for l <= 2p
+    at the distinct pair distances, contracted at once into Psi's
+    upper-triangle values (len(ks), pairs), and for l <= order + p at the
+    distinct target-mic distances. ``psi_upper``/``xi`` slice the row of a
+    tabulated k; any other k gets a one-row table from the same functions.
     """
 
-    def __init__(self, geom: ArrayGeometry, target, order):
+    def __init__(self, geom: ArrayGeometry, target, order, ks=()):
         c, p = _stacked_directivities(geom)
         pos = geom.positions()
-        iu, ju = np.triu_indices(geom.n_mics)
+        self.upper = iu, ju = np.triu_indices(geom.n_mics)
         self.target = np.asarray(target, dtype=float)
-        self.order = int(order)
-        self.dir_order, self.conj_upper = p, np.conj(c[iu])
+        self.order, self.dir_order = int(order), p
         self.psi_pairs = TranslationPlan.build(pos[iu] - pos[ju], p, c[ju])
+        self.psi_weights = self.psi_pairs.fold(np.conj(c[iu]))
         self.xi_cols = TranslationPlan.build(self.target[None, :] - pos, self.order, c)
+        ks = np.asarray(ks, dtype=float)
+        self._rows = {k: b for b, k in enumerate(ks.tolist())}
+        self._psi_table, self._xi_table = self.psi_table(ks), self.xi_table(ks)
 
     def covers(self, target, order):
         return order <= self.order and np.array_equal(np.asarray(target, dtype=float), self.target)
+
+    def psi_table(self, ks):
+        """Psi's upper-triangle values (in ``upper`` order) at every k, shape (len(ks), pairs)."""
+        radial = self.psi_pairs.radial(ks, self.dir_order)
+        index = self.psi_pairs.radius_index
+        return sum(radial[:, l, index] * w for l, w in enumerate(self.psi_weights))
+
+    def xi_table(self, ks):
+        """Xi's radial table at every k, shape (len(ks), order + p + 1, distinct distances)."""
+        return self.xi_cols.radial(ks, self.order)
+
+    def _row(self, table, build, k):
+        b = self._rows.get(float(k))
+        return build([k])[0] if b is None else table[b]
+
+    def psi_upper(self, k):
+        """Psi's upper-triangle values at k."""
+        return self._row(self._psi_table, self.psi_table, k)
+
+    def xi(self, k, order):
+        """Xi(target) truncated at ``order`` <= the plan's, at k."""
+        return self.xi_cols.apply(self._row(self._xi_table, self.xi_table, k), order)
 
 
 def build_psi(geom: ArrayGeometry, k, plan: AngularPlan = None):
@@ -106,16 +138,17 @@ def build_psi(geom: ArrayGeometry, k, plan: AngularPlan = None):
     directivities have finite order, so no truncation enters). Assembled on
     the upper triangle and mirrored, hence Hermitian by construction; the
     diagonal is real positive. With ``plan`` (an ``AngularPlan`` of
-    ``geom``) the pair translations are its radial contraction at k.
+    ``geom``) the upper triangle is the plan's radial contraction at k.
     """
-    iu, ju = np.triu_indices(geom.n_mics)
     if plan is None:
+        iu, ju = np.triu_indices(geom.n_mics)
         c, p = _stacked_directivities(geom)
         pos = geom.positions()
         tc = translate_multi(pos[iu] - pos[ju], k, p, c[ju])
         vals = np.einsum("pq,pq->p", np.conj(c[iu]), tc)
     else:
-        vals = np.einsum("pq,qp->p", plan.conj_upper, plan.psi_pairs.apply(k, plan.dir_order))
+        iu, ju = plan.upper
+        vals = plan.psi_upper(k)
     psi = np.zeros((geom.n_mics, geom.n_mics), dtype=complex)
     psi[iu, ju] = vals
     psi_full = psi + psi.conj().T
@@ -133,7 +166,7 @@ def build_xi(geom: ArrayGeometry, target, k, order, plan: AngularPlan = None):
     radial contraction at k.
     """
     if plan is not None and plan.covers(target, order):
-        return plan.xi_cols.apply(k, order)
+        return plan.xi(k, order)
     c, _ = _stacked_directivities(geom)
     target = np.asarray(target, dtype=float)
     disp = target[None, :] - geom.positions()

@@ -421,9 +421,12 @@ def read_hrtf_csv(path, radius, sample_rate=48000.0) -> HrtfSet:
     """
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
-    header, data = rows[0], rows[1:]
-    if header[:2] != ["theta", "phi"]:
+    if not rows or rows[0][:2] != ["theta", "phi"]:
         raise ValueError("HRTF CSV must start with theta,phi columns")
+    header, data = rows[0], rows[1:]
+    for line, r in enumerate(data, start=2):
+        if len(r) != len(header):
+            raise ValueError(f"line {line} has {len(r)} cells, the header {len(header)}")
     freqs = []
     for name in header[2::4]:
         if not name.startswith("L_mag_"):

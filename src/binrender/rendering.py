@@ -36,29 +36,33 @@ from .wavefield import ShCoeffVec, rotate_blocks, rotate_coeffs
 
 
 def render_weights(mode, order, k=None, measure_radius=None):
-    """Per-coefficient diagonal rendering weights (depend only on order n)."""
+    """Per-coefficient diagonal rendering weights (depend only on order n).
+
+    Shape ((order+1)^2,) for a scalar ``k``; for an array of wavenumbers,
+    one row per k from one Hankel table, each row bitwise its scalar call's.
+    """
     n = np.arange(order + 1)
     if mode == "pln":
-        w = SQRT_4PI * ipow(-n)
+        w = np.broadcast_to(SQRT_4PI * ipow(-n), np.shape(k) + n.shape)
     elif mode == "sph":
         if measure_radius is None or k is None:
             raise ValueError("sph mode needs k and measure_radius")
         if not measure_radius > 0:
             raise ValueError("measure_radius must be positive")
+        k = np.asarray(k)[..., None]
         w = SQRT_4PI * 1j / (k * sph_hankel2(n, k * measure_radius))
     else:
         raise ValueError(f"unknown rendering mode {mode!r}")
-    return w[orders_degrees(order)[0]]
+    return w[..., orders_degrees(order)[0]]
 
 
 def _hrtf_order(h_pair):
     return math.isqrt(np.asarray(h_pair).shape[1]) - 1
 
 
-def _weighted_hrtf(h_pair, mode, k, measure_radius, order):
-    """(2, (order+1)^2) HRTF coefficients times the rendering weights."""
-    weights = render_weights(mode, order, k=k, measure_radius=measure_radius)
-    return np.asarray(h_pair)[:, : num_coeffs(order)] * weights[None, :]
+def _weighted_hrtf(h_pair, weights, order):
+    """(2, (order+1)^2) HRTF coefficients times the leading rendering weights."""
+    return np.asarray(h_pair)[:, : num_coeffs(order)] * weights[None, : num_coeffs(order)]
 
 
 def render_coeffs(alpha: ShCoeffVec, h_pair, mode, measure_radius=None, order=None):
@@ -70,7 +74,8 @@ def render_coeffs(alpha: ShCoeffVec, h_pair, mode, measure_radius=None, order=No
     """
     avail = min(alpha.order, _hrtf_order(h_pair))
     order = avail if order is None else min(order, avail)
-    weighted = _weighted_hrtf(h_pair, mode, alpha.k, measure_radius, order)
+    weights = render_weights(mode, order, k=alpha.k, measure_radius=measure_radius)
+    weighted = _weighted_hrtf(h_pair, weights, order)
     y = weighted @ alpha.coeffs[: num_coeffs(order)]
     return y[0], y[1]
 
@@ -81,16 +86,19 @@ def _rotate_hrtf(h, angles: EulerAngles):
 
 
 def binaural_rows(estimator: Estimator, target, angles: EulerAngles, h_pair,
-                  mode, measure_radius=None, order=None):
+                  mode, measure_radius=None, order=None, weights=None):
     """Row vectors r with binaural pair y = r @ (Psi + lambda I)^{-1} s.
 
     Shape (2, n_mics); the whole estimation + rotation + rendering chain
     collapsed onto the observation functionals. ``h_pair`` as in
-    ``render_coeffs``.
+    ``render_coeffs``. ``weights``, if given, is the estimator's row of a
+    ``render_weights`` table of this mode at this or a higher order.
     """
     h_order = _hrtf_order(h_pair)
     order = h_order if order is None else min(order, h_order)
-    weighted = _weighted_hrtf(h_pair, mode, estimator.k, measure_radius, order)
+    if weights is None:
+        weights = render_weights(mode, order, k=estimator.k, measure_radius=measure_radius)
+    weighted = _weighted_hrtf(h_pair, weights, order)
     return _rotate_hrtf(weighted, angles) @ estimator.xi(target, order)
 
 
@@ -99,31 +107,32 @@ def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpec
               workers=1):
     """Rows r with binaural pair y = r @ s per frequency, shape (F, 2, n_mics).
 
-    Once per call, ``spectrum`` is turned by ``angles`` and the angular plan of
-    Psi and Xi(target) is built at the highest order rendered. Then per
-    frequency, on ``workers`` threads, an estimator on that plan renders at
+    Once per call, ``spectrum`` is turned by ``angles``, and every table that
+    depends on k is taken over all of ``freqs`` at the highest order
+    rendered: the ``AngularPlan`` of Psi and Xi(target) with its radial
+    tables, and the rendering weights. Then per frequency, on ``workers``
+    threads, an estimator on that plan renders at
     ``truncation_order(k, shoulder_radius, order_cap)`` against the
-    interpolated spectrum and folds in (Psi + lambda I)^{-1}.
+    interpolated spectrum and folds in (Psi + lambda I)^{-1}; it slices the
+    tables and calls no special function of its own.
     """
     shape = spectrum.coeffs.shape
     turned = replace(spectrum, coeffs=_rotate_hrtf(
         spectrum.coeffs.reshape(-1, shape[2]), angles).reshape(shape))
+    ks = 2.0 * math.pi * np.asarray(freqs, dtype=float) / sound_speed
+    orders = [min(truncation_order(k, shoulder_radius, order_cap), spectrum.order) for k in ks]
+    top = max(orders, default=0)
+    plan = AngularPlan(geometry, target, top, ks)
+    weights = render_weights(mode, top, k=ks, measure_radius=spectrum.radius)
 
-    def order_at(freq):
-        k = 2.0 * math.pi * freq / sound_speed
-        return k, min(truncation_order(k, shoulder_radius, order_cap), spectrum.order)
-
-    plan = AngularPlan(geometry, target, max((order_at(f)[1] for f in freqs), default=0))
-
-    def one(freq):
-        k, order = order_at(freq)
-        est = Estimator(geometry, k, lam, plan)
-        rows = binaural_rows(est, target, EulerAngles(), turned.interpolated(freq), mode,
-                             measure_radius=spectrum.radius, order=order)
+    def one(b):
+        est = Estimator(geometry, ks[b], lam, plan)
+        rows = binaural_rows(est, target, EulerAngles(), turned.interpolated(freqs[b]), mode,
+                             order=orders[b], weights=weights[b])
         # Psi + lambda I is Hermitian: r (Psi + lambda I)^{-1} = ((Psi + lambda I)^{-1} r^H)^H
         return est.solve(rows.conj().T).conj().T
 
-    return np.array(ordered_map(one, freqs, workers))
+    return np.array(ordered_map(one, range(len(ks)), workers))
 
 
 def render_full(s, estimator: Estimator, target, angles: EulerAngles, h_pair,

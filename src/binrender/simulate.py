@@ -65,6 +65,8 @@ class Scene:
 
 def band_freqs(lo=100.0, hi=15000.0, step=100.0):
     """Frequency grid from ``lo`` to ``hi`` inclusive in steps of ``step``."""
+    if not step > 0:
+        raise ValueError(f"band step must be positive, got {step}")
     n = int(round((hi - lo) / step))
     return lo + step * np.arange(n + 1)
 

@@ -180,8 +180,12 @@ def translation_matrix(displacement, k, order_out, order_in=None) -> Translation
 
 
 def _radial_table(radii, k, lmax):
-    """j_l(k r_p) for l = 0 .. lmax, shape (lmax + 1, P)."""
-    return _sp.spherical_jn(np.arange(lmax + 1)[:, None], k * radii[None, :])
+    """j_l(k r_p) for l = 0 .. lmax, shape k.shape + (lmax + 1, P).
+
+    One ``spherical_jn`` call for every wavenumber in ``k``; the function is
+    elementwise, so each k's slice is bitwise its own single-k table.
+    """
+    return _sp.spherical_jn(np.arange(lmax + 1)[:, None], np.multiply.outer(k, radii)[..., None, :])
 
 
 def _translation_terms(displacements, radial, order_out, coeff_rows):
@@ -264,9 +268,10 @@ class TranslationPlan:
 
     up to reassociation rounding, for any order up to the plan's. Zero
     displacements need no special case: j_l(0) keeps only l = 0, the identity.
-    The radial table is evaluated once per distinct |d_p| (``radii``;
-    ``radius_index[p]`` picks p's): the 2080 pair distances of the composite
-    array take 245 values.
+    The radial factors come from ``radial``, one table over the distinct
+    |d_p| (``radii``; ``radius_index[p]`` picks p's) for any number of
+    wavenumbers: the 2080 pair distances of the composite array take 245
+    values.
     """
 
     angular: np.ndarray
@@ -285,19 +290,46 @@ class TranslationPlan:
             angular[offsets, n_out * n_out : (n_out + 1) ** 2] += terms.sum(axis=2)
         return cls(angular, *np.unique(cart2sph(d)[0], return_inverse=True))
 
-    def apply(self, k, order):
-        """Translated rows at wavenumber k and ``order``, shape ((order+1)^2, P).
+    @property
+    def order_in(self):
+        return (self.angular.shape[0] - 1) // 2
 
-        The transpose of ``translate_multi(d, k, order, c)``.
-        """
-        order_in = (self.angular.shape[0] - 1) // 2
+    def radial(self, ks, order):
+        """j_l(k r) at the distinct radii for l <= order + order_in, shape
+        ks.shape + (order + order_in + 1, len(radii)): one table for all ``ks``."""
+        return _radial_table(self.radii, ks, order + self.order_in)
+
+    def _degrees(self, order):
+        """l of the terms ``angular[o, q]`` for q < (order+1)^2, shape (2 n_in + 1, (order+1)^2)."""
         n_q, _ = orders_degrees(order)
         if n_q.size > self.angular.shape[1]:
             raise ValueError(f"order {order} exceeds the plan's")
-        radial = _radial_table(self.radii, k, order + order_in)[:, self.radius_index]
         # l < 0 only where the angular sums are zero
-        ls = np.maximum(n_q[None, :] + np.arange(2 * order_in + 1)[:, None] - order_in, 0)
-        return (radial[ls] * self.angular[:, : n_q.size]).sum(axis=0)
+        offsets = np.arange(2 * self.order_in + 1)[:, None] - self.order_in
+        return np.maximum(n_q[None, :] + offsets, 0)
+
+    def apply(self, radial, order):
+        """Translated rows at ``order`` from one k's ``radial`` table, shape ((order+1)^2, P).
+
+        ``radial`` is a slice ``self.radial(ks, order_top)[b]`` for any
+        order_top >= order, or ``self.radial(k, order)``; the result is the
+        transpose of ``translate_multi(d, k, order, c)``.
+        """
+        ls = self._degrees(order)
+        return (radial[:, self.radius_index][ls] * self.angular[:, : ls.shape[1]]).sum(axis=0)
+
+    def fold(self, rows):
+        """The plan's terms contracted with ``rows`` (P, (order+1)^2) per degree l.
+
+        Returns w of shape (order + order_in + 1, P), order the plan's, with
+        ``sum_q rows[p, q] apply(radial, order)[q, p] = sum_l radial[l, radius_index[p]] w[l, p]``
+        up to reassociation rounding: inner products of translated rows take
+        one radial factor per degree instead of one per (offset, coefficient).
+        """
+        ls = self._degrees(math.isqrt(self.angular.shape[1]) - 1)
+        w = np.zeros((ls.max() + 1, self.angular.shape[2]), dtype=complex)
+        np.add.at(w, ls, self.angular * np.asarray(rows).T[None])
+        return w
 
 
 def translate_coeffs(alpha: ShCoeffVec, new_center, out_order=None) -> ShCoeffVec:

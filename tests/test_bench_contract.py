@@ -107,6 +107,35 @@ def test_bank_translations_do_not_grow_with_bins():
     assert translations[0] == translations[1]
 
 
+def test_bank_radial_calls_do_not_grow_with_bins():
+    # the radial tables (Psi, Xi and the SPH weights) are taken once per call
+    # over every in-band wavenumber: doubling the bins leaves the
+    # spherical_jn/spherical_yn count alone. instrument() itself fails on any
+    # name the benchmark rebinds that no longer exists.
+    tracing = _load_tracing()
+    modules = {"cli": cli, "bundleio": bundleio, "hrtf": hrtf, "estimation": estimation,
+               "wavefield": wavefield, "rendering": rendering, "simulate": simulate,
+               "scipy_special": scipy.special}
+    fs, band = 48000.0, (400.0, 2000.0)
+    geom = arrays.build_small_array()
+    radial_calls = []
+    for nfft in (256, 512):
+        freqs = np.arange(1, nfft // 2 + 1) * fs / nfft
+        in_band = freqs[(freqs >= band[0]) & (freqs <= band[1])]
+        spec = hrtf.rigid_sphere_hrtf_spectrum(hrtf.SyntheticHead(), in_band, 1.5, 8)
+        tracer = tracing.Tracer()
+        restore = tracing.instrument(tracer, modules)
+        try:
+            rendering.synth_fir_filters(geom, np.zeros(3), EulerAngles(0.3, 0.2, 0.1), spec,
+                                        band, nfft, fs)
+        finally:
+            restore()
+        layers = tracing.layer_metrics(tracer.spans, 0.0)
+        assert layers["rendering.rows_calls"] == in_band.size
+        radial_calls.append(layers["special.radial_calls"])
+    assert 0 < radial_calls[0] == radial_calls[1]
+
+
 def test_traced_bank_meters_the_ring_fit(tmp_path):
     # filters from a measured bundle on zenith rings: the traced meter sees
     # the one fit_sh call of the call, which takes the ring path

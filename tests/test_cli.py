@@ -435,6 +435,46 @@ class TestExitCodes:
         assert main(["filters", str(cfg)]) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("render", "nfft", None), ("render", "band", 5), ("render", "sample_rate", [1.0]),
+        ("seed", None, None), ("hrtf", "synthetic", {"ear_azimuths_deg": 90.0}),
+        ("scene", "sources", [{"spectrum": "flat"}]), ("scene", "sources", 5),
+        ("scene", "band", [200.0, 1000.0, 0.0]), ("scene", "band", None),
+        ("scene", "sound_speed", None),
+    ], ids=["nfft-null", "band-number", "rate-list", "seed-null", "ear-azimuths-number",
+            "source-without-pos", "sources-number", "band-step-zero", "band-null",
+            "sound-speed-null"])
+    def test_config_type_errors_are_user_errors(self, tmp_path, section, key, value):
+        # values of the wrong JSON type are user errors, reported before any output
+        cfg = write_config(tmp_path)
+        if section == "scene":
+            (tmp_path / "scene.json").write_text(json.dumps({**SCENE, key: value}))
+        else:
+            doc = json.loads(cfg.read_text())
+            if key is None:
+                doc[section] = value
+            else:
+                doc.setdefault(section, {})[key] = value
+            cfg.write_text(json.dumps(doc))
+        assert main(["simulate", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("row", ["1.0", "", "1.0,0.5,1.0,0.0,0.5"],
+                             ids=["one-cell", "empty-row", "short-row"])
+    def test_short_csv_row_is_user_error(self, tmp_path, row):
+        csv = tmp_path / "set.csv"
+        csv.write_text("theta,phi,L_mag_100,L_phase_100,R_mag_100,R_phase_100\n"
+                       f"1.0,0.5,1.0,0.0,0.5,0.1\n{row}\n")
+        assert main(["hrtf-import", str(csv), "--radius", "1.5",
+                     "--out", str(tmp_path / "bundle")]) == 1
+        assert not (tmp_path / "bundle.json").exists()
+
+    def test_empty_csv_is_user_error(self, tmp_path):
+        csv = tmp_path / "set.csv"
+        csv.write_text("")
+        assert main(["hrtf-import", str(csv), "--radius", "1.5",
+                     "--out", str(tmp_path / "bundle")]) == 1
+
     def test_observation_bundle_as_hrtf_is_user_error(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["simulate", str(cfg)]) == 0

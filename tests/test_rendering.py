@@ -137,6 +137,19 @@ class TestRenderWeights:
                 assert np.array_equal(
                     got, self.per_order_weights(mode, order, k=k, measure_radius=1.5))
 
+    @pytest.mark.parametrize("mode", ["pln", "sph"])
+    def test_rows_over_wavenumbers_equal_single_calls(self, mode):
+        # one table for all bins of a call; a bin rendered below the top
+        # order reads the leading coefficients of its row
+        ks = np.array([k_of(100.0), k_of(3000.0), k_of(12000.0)])
+        table = rendering.render_weights(mode, 35, k=ks, measure_radius=1.5)
+        assert table.shape == (3, 36 ** 2)
+        for b, k in enumerate(ks):
+            for order in (0, 7, 35):
+                got = table[b, : (order + 1) ** 2]
+                want = rendering.render_weights(mode, order, k=k, measure_radius=1.5)
+                assert np.array_equal(got, want)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             rendering.render_weights("sph", 3, k=None, measure_radius=1.5)
@@ -221,6 +234,23 @@ class TestRenderFull:
             want = rendering.render_full(s, estimation.Estimator(composite, k), target, angles,
                                          spec.at_index(0), mode, 1.5, truncation_order(k))
             assert np.max(np.abs(rows @ s - np.array(want))) < 1e-12 * np.max(np.abs(want))
+
+    def test_grid_rows_over_bins_equal_render_full(self, head, composite):
+        # one call over bins of different orders: every bin's rows, from the
+        # call's tables at the top order, match a standalone estimator's
+        freqs = np.array([300.0, 700.0, 1500.0])
+        spec = rigid_sphere_hrtf_spectrum(head, freqs, 1.5, truncation_order(k_of(freqs[-1])))
+        scene = simulate.Scene(
+            sources=(simulate.PointSource(np.array([1.2, 0.6, -0.3])),), freqs=freqs)
+        obs = simulate.simulate_observation(scene, composite)
+        target = np.array([0.02, -0.03, 0.01])
+        angles = EulerAngles(0.6, -0.4, 0.9)
+        rows = rendering.grid_rows(composite, freqs, target, angles, spec, "sph")
+        for b, f in enumerate(freqs):
+            k = k_of(f)
+            want = rendering.render_full(obs[b], estimation.Estimator(composite, k), target, angles,
+                                         spec.interpolated(f), "sph", 1.5, truncation_order(k))
+            assert np.max(np.abs(rows[b] @ obs[b] - np.array(want))) < 1e-12 * np.max(np.abs(want))
 
     def test_half_turn_swaps_ears_for_symmetric_head(self, head, composite):
         # frontal source, mirror-symmetric head: yawing the listener 180 deg

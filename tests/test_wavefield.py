@@ -313,13 +313,36 @@ class TestTranslateMulti:
         cs = rng.normal(size=(7, (order_in + 1) ** 2)) + 1j * rng.normal(size=(7, (order_in + 1) ** 2))
         plan = wf.TranslationPlan.build(ds, 12, cs)
         assert plan.angular.shape == (2 * order_in + 1, 169, 7)
-        for k in (3.0, 21.0, 90.0):
+        ks = np.array([3.0, 21.0, 90.0])
+        table = plan.radial(ks, 12)  # one table for every k, sliced per k
+        assert table.shape == (3, 13 + order_in, plan.radii.size)
+        for b, k in enumerate(ks):
+            assert np.array_equal(table[b], plan.radial(k, 12))
             for order in (0, 1, 12):
                 want = wf.translate_multi(ds, k, order, cs)
-                got = plan.apply(k, order)
+                got = plan.apply(table[b], order)
                 assert np.max(np.abs(got.T - want)) < 1e-12 * np.max(np.abs(want))
+                assert np.array_equal(got, plan.apply(plan.radial(k, order), order))
         with pytest.raises(ValueError):
-            plan.apply(21.0, 13)
+            plan.apply(plan.radial(21.0, 13), 13)
+
+    @pytest.mark.parametrize("order_in", [0, 1, 2])
+    def test_fold_equals_row_products(self, rng, order_in):
+        # per-degree weights against rows give the inner products of the rows
+        # with the translated vectors at any k
+        ds = rng.normal(scale=0.15, size=(7, 3))
+        ds[4] = 0.0
+        width = (order_in + 1) ** 2
+        cs = rng.normal(size=(7, width)) + 1j * rng.normal(size=(7, width))
+        rows = rng.normal(size=(7, 9)) + 1j * rng.normal(size=(7, 9))
+        plan = wf.TranslationPlan.build(ds, 2, cs)
+        w = plan.fold(rows)
+        assert w.shape == (3 + order_in, 7)
+        for k in (3.0, 21.0, 90.0):
+            radial = plan.radial(k, 2)
+            want = np.einsum("pq,qp->p", rows, plan.apply(radial, 2))
+            got = np.einsum("lp,lp->p", radial[:, plan.radius_index], w)
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_matches_dense_matrix(self, rng):
         k = 14.0
