@@ -105,6 +105,17 @@ def _load_json(path):
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _number(doc, name, default, kind):
+    """The value at dotted ``name``'s last key in ``doc`` (or ``default``) as ``kind``,
+    int or float; a value that does not convert is a user error naming the key."""
+    value = doc.get(name.rpartition(".")[2], default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {expected}, got {json.dumps(value)}") from exc
+
+
 def _known_keys(doc, keys, where):
     """``doc`` itself, after checking it is an object holding only ``keys``."""
     if not isinstance(doc, dict):
@@ -139,7 +150,7 @@ def parse_scene(doc) -> Scene:
                     raise ConfigError("source spectrum length must match the frequency grid")
             sources.append(PointSource(np.asarray(s["pos"], dtype=float), spec))
         return Scene(sources=tuple(sources), freqs=freqs,
-                     sound_speed=float(doc.get("sound_speed", 346.2)))
+                     sound_speed=_number(doc, "scene.sound_speed", 346.2, float))
     except (TypeError, ValueError) as exc:  # a wrong JSON type, or a value that does not convert
         raise ConfigError(f"scene: {exc}") from exc
 
@@ -183,29 +194,29 @@ class RunConfig:
         self.mode = rnd.get("mode", "sph")
         if self.mode not in ("sph", "pln"):
             raise ConfigError(f"render mode must be sph or pln, got {self.mode!r}")
-        self.nfft = int(rnd.get("nfft", 4096))
+        self.nfft = _number(rnd, "render.nfft", 4096, int)
         if self.nfft < 2 or self.nfft & (self.nfft - 1):
             raise ConfigError(f"render nfft must be a power of two >= 2, got {self.nfft}")
         self.window = rnd.get("window", "tukey")
         if self.window not in ("tukey", "boxcar"):
             raise ConfigError(f"render window must be tukey or boxcar, got {self.window!r}")
         self.band = tuple(rnd.get("band", (100.0, 1600.0)))
-        self.sample_rate = float(rnd.get("sample_rate", 48000.0))
+        self.sample_rate = _number(rnd, "render.sample_rate", 48000.0, float)
         if not 0 < self.sample_rate < math.inf:
             raise ConfigError(f"render sample_rate must be positive, got {self.sample_rate}")
         if len(self.band) != 2 or not 0 < self.band[0] < self.band[1] <= self.sample_rate / 2:
             raise ConfigError(f"render band {list(self.band)} must be [lo, hi] with "
                               f"0 < lo < hi <= {self.sample_rate / 2:g} Hz")
-        self.order_cap = int(rnd.get("order_cap", 35))
+        self.order_cap = _number(rnd, "render.order_cap", 35, int)
         if self.order_cap < 0:
             raise ConfigError(f"render order_cap must be >= 0, got {self.order_cap}")
-        self.shoulder_radius = float(rnd.get("shoulder_radius", 0.45))
+        self.shoulder_radius = _number(rnd, "render.shoulder_radius", 0.45, float)
         if not 0 < self.shoulder_radius < math.inf:
             raise ConfigError(f"render shoulder_radius must be positive, got {self.shoulder_radius}")
-        self.wav_duration = float(rnd.get("wav_duration", 0.25))
+        self.wav_duration = _number(rnd, "render.wav_duration", 0.25, float)
         if not 0 < self.wav_duration < math.inf:
             raise ConfigError(f"render wav_duration must be positive, got {self.wav_duration}")
-        self.wav_gain = float(rnd.get("wav_gain", 1.0))
+        self.wav_gain = _number(rnd, "render.wav_gain", 1.0, float)
         if not math.isfinite(self.wav_gain):
             raise ConfigError(f"render wav_gain must be finite, got {self.wav_gain}")
 
@@ -226,10 +237,10 @@ class RunConfig:
                               ("head_radius", "ear_azimuths_deg", "measure_radius"), "hrtf.synthetic")
             az = syn.get("ear_azimuths_deg", [90.0, -90.0])
             self.synthetic_head = SyntheticHead(
-                radius=float(syn.get("head_radius", 0.0875)),
+                radius=_number(syn, "hrtf.synthetic.head_radius", 0.0875, float),
                 ear_azimuths=(math.radians(az[0]), math.radians(az[1])),
             )
-            self.measure_radius = float(syn.get("measure_radius", 1.5))
+            self.measure_radius = _number(syn, "hrtf.synthetic.measure_radius", 1.5, float)
             if not 0 < self.synthetic_head.radius < self.measure_radius < math.inf:
                 raise ConfigError("hrtf.synthetic needs 0 < head_radius < measure_radius, got "
                                   f"{self.synthetic_head.radius} and {self.measure_radius}")
@@ -245,7 +256,7 @@ class RunConfig:
             raise ConfigError("hrtf must be a bundle path or {\"synthetic\": {...}}")
 
         self.out_dir = Path(base / doc.get("output_dir", "out"))
-        self.seed = int(doc.get("seed", 0))
+        self.seed = _number(doc, "seed", 0, int)
         self.workers = _workers()
 
     def require_rendering(self):

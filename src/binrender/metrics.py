@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import correlate
+from scipy.fft import next_fast_len
 
 EPS_TRUE = 1e-30
 NMSE_FLOOR_DB = -300.0
@@ -154,9 +154,9 @@ def itd(pair: BinauralPair, lowpass_hz=1600.0, upsample=4, max_lag_s=0.002):
     yl = _brickwall_lowpass(pair.samples[0], pair.sample_rate, lowpass_hz, upsample)
     yr = _brickwall_lowpass(pair.samples[1], pair.sample_rate, lowpass_hz, upsample)
     n = yl.size
-    # correlate(yr, yl)[k] = sum_t yl[t] yr[t + k - (n-1)]  ->  lag = k - (n-1)
-    num = correlate(yr, yl, mode="full", method="fft")
-    den_sq = correlate(yr**2, yl**2, mode="full", method="fft")
+    # _xcorr(yr, yl)[k] = sum_t yl[t] yr[t + k - (n-1)]  ->  lag = k - (n-1)
+    num = _xcorr(yr, yl)
+    den_sq = _xcorr(yr**2, yl**2)
     lags = np.arange(-(n - 1), n)
     max_lag = int(round(max_lag_s * fs))
     window = np.abs(lags) <= max_lag
@@ -169,6 +169,17 @@ def itd(pair: BinauralPair, lowpass_hz=1600.0, upsample=4, max_lag_s=0.002):
     score = np.full(num.shape, -np.inf)
     score[ok] = num[ok] / den[ok]
     return float(lags[np.argmax(score)] / fs)
+
+
+def _xcorr(a, b):
+    """Full cross-correlation of real 1-D arrays: entry k is
+    sum_t b[t] a[t + k - (b.size - 1)], for k = 0 ... a.size + b.size - 2.
+
+    The linear convolution of a with b reversed, on a fast FFT length.
+    """
+    n_full = a.size + b.size - 1
+    n_fft = next_fast_len(n_full, real=True)
+    return np.fft.irfft(np.fft.rfft(a, n_fft) * np.fft.rfft(b[::-1], n_fft), n_fft)[:n_full]
 
 
 def ild(pair: BinauralPair, lowpass_hz=1600.0):
@@ -192,7 +203,7 @@ def align_by_crosscorr(est, true):
     """
     est = np.asarray(est, dtype=float)
     true = np.asarray(true, dtype=float)
-    c = correlate(true, est, mode="full", method="fft")
+    c = _xcorr(true, est)
     lag = int(np.argmax(c) - (est.size - 1))
     out = np.zeros_like(true)
     if lag >= 0:

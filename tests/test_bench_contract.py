@@ -161,3 +161,27 @@ def test_traced_bank_meters_the_ring_fit(tmp_path):
     layers = tracing.layer_metrics(tracer.spans, 0.0)
     assert layers["hrtf.fit_sh_calls"] == 1
     assert layers["hrtf.fit_sh_s"] > 0
+
+
+def test_convolution_fft_length_does_not_grow_with_the_signal(monkeypatch):
+    # apply_filter_bank is timed on 1 s of audio through 128 taps; its FFTs
+    # are block-sized, so ten times the signal takes no longer FFT
+    lengths = []
+    rfft = np.fft.rfft
+
+    def recording_rfft(a, n=None, *args, **kwargs):
+        lengths.append(n if n is not None else np.shape(a)[kwargs.get("axis", -1)])
+        return rfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    rng = np.random.default_rng(0)
+    bank = rendering.BinauralFilterBank(
+        taps=rng.standard_normal((2, 2, 128)), sample_rate=48000.0, delay_samples=64,
+        band=(100.0, 1000.0))
+    longest = []
+    for n_samples in (48000, 480000):
+        lengths.clear()
+        rendering.apply_filter_bank(bank, rng.standard_normal((2, n_samples)))
+        assert lengths
+        longest.append(max(lengths))
+    assert longest[0] == longest[1] < 48000

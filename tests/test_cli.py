@@ -459,6 +459,36 @@ class TestExitCodes:
         assert main(["simulate", str(cfg)]) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("render", "nfft", None, "render.nfft must be an integer, got null"),
+        ("render", "sample_rate", [1.0], "render.sample_rate must be a number, got [1.0]"),
+        ("render", "order_cap", "many", 'render.order_cap must be an integer, got "many"'),
+        ("render", "shoulder_radius", None, "render.shoulder_radius must be a number, got null"),
+        ("render", "wav_duration", {}, "render.wav_duration must be a number, got {}"),
+        ("render", "wav_gain", None, "render.wav_gain must be a number, got null"),
+        ("hrtf", "synthetic", {"head_radius": None},
+         "hrtf.synthetic.head_radius must be a number, got null"),
+        ("hrtf", "synthetic", {"measure_radius": "far"},
+         'hrtf.synthetic.measure_radius must be a number, got "far"'),
+        ("seed", None, None, "seed must be an integer, got null"),
+        ("scene", "sound_speed", None, "scene.sound_speed must be a number, got null"),
+    ], ids=["nfft", "sample-rate", "order-cap", "shoulder-radius", "wav-duration", "wav-gain",
+            "head-radius", "measure-radius", "seed", "sound-speed"])
+    def test_config_type_errors_name_the_key(self, tmp_path, capsys, section, key, value, message):
+        cfg = write_config(tmp_path)
+        if section == "scene":
+            (tmp_path / "scene.json").write_text(json.dumps({**SCENE, key: value}))
+        else:
+            doc = json.loads(cfg.read_text())
+            if key is None:
+                doc[section] = value
+            else:
+                doc.setdefault(section, {})[key] = value
+            cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["simulate", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("row", ["1.0", "", "1.0,0.5,1.0,0.0,0.5"],
                              ids=["one-cell", "empty-row", "short-row"])
     def test_short_csv_row_is_user_error(self, tmp_path, row):

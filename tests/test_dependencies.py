@@ -1,7 +1,9 @@
 """Declared dependencies: floors the code runs on, and every module the tests import."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +53,12 @@ def test_test_imports_are_declared():
     third_party = imported - set(sys.stdlib_module_names) - local
     assert third_party, "no third-party imports found"
     assert sorted(third_party - _declared()) == []
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal is a third of the CLI's start-up time; the package uses none of it
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, binrender.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

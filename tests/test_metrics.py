@@ -145,6 +145,12 @@ class TestAlign:
         assert lag == -25
         assert np.allclose(aligned[100:-100], x[100:-100], atol=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 7, 300, 1001])
+    def test_lag_equals_direct_correlation(self, rng, n):
+        est, true = rng.standard_normal(n), rng.standard_normal(n)
+        _, lag = metrics.align_by_crosscorr(est, true)
+        assert lag == np.argmax(np.correlate(true, est, "full")) - (n - 1)
+
 
 class TestTruncationOrder:
     def test_paper_rule_at_1khz(self):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from binrender import arrays, estimation, rendering, simulate
 from binrender import wavefield as wf
@@ -271,6 +272,21 @@ class TestRenderFull:
         assert abs(y180[1] - y0[0]) / abs(y0[0]) < 0.02
 
 
+def _hop(nfft):
+    """Input samples per block of apply_filter_bank's overlap-add rule."""
+    return (1 << (max(4 * nfft, 1024) - 1).bit_length()) - nfft + 1
+
+
+def _direct_convolution(taps, signals):
+    """(2, T + nfft - 1): per ear, the sum over mics of np.convolve."""
+    n_mics, nfft = taps.shape[1:]
+    out = np.zeros((2, signals.shape[1] + nfft - 1))
+    if signals.shape[1]:
+        for ear in (0, 1):
+            out[ear] = sum(np.convolve(taps[ear, m], signals[m]) for m in range(n_mics))
+    return out
+
+
 @pytest.fixture(scope="module")
 def bank_setup():
     head = SyntheticHead()
@@ -295,19 +311,42 @@ class TestFirSynthesis:
         out = rendering.apply_filter_bank(bank, np.zeros((8, 256)))
         assert np.max(np.abs(out)) == 0.0
 
-    @pytest.mark.parametrize("n_samples", [1, 300, 48000])
-    def test_equals_direct_convolution(self, n_samples):
-        # sum over mics of the full linear convolutions, at output lengths
-        # with large prime factors (48127 = 17 * 19 * 149) and none
+    @pytest.mark.parametrize("nfft, n_samples, dtype", [
+        pytest.param(128, 1, float, id="1"), pytest.param(128, 300, float, id="300"),
+        pytest.param(128, 48000, float, id="48000"),
+        pytest.param(128, 4000, np.float32, id="float32"),
+        *(pytest.param(nfft, n, float, id=f"nfft{nfft}-{name}")
+          for nfft in (2, 128, 4096)
+          for name, n in (("0", 0), ("1", 1), ("hop-1", _hop(nfft) - 1), ("hop", _hop(nfft)),
+                          ("hop+1", _hop(nfft) + 1), ("blocks", 3 * _hop(nfft) + 5))),
+    ])
+    def test_equals_direct_convolution(self, nfft, n_samples, dtype):
+        # sum over mics of the full linear convolutions: at output lengths with
+        # large prime factors (48127 = 17 * 19 * 149) and none, inside one
+        # block, at the block edges and over several blocks; no samples give
+        # nfft - 1 zeros, and float32 signals convolve in double precision
         rng = np.random.default_rng(n_samples)
         bank = rendering.BinauralFilterBank(
-            taps=rng.standard_normal((2, 3, 128)), sample_rate=48000.0,
-            delay_samples=64, band=(100.0, 1000.0))
-        signals = rng.standard_normal((3, n_samples))
-        want = np.stack([sum(np.convolve(bank.taps[ear, m], signals[m]) for m in range(3))
-                         for ear in (0, 1)])
+            taps=rng.standard_normal((2, 3, nfft)), sample_rate=48000.0,
+            delay_samples=nfft // 2, band=(100.0, 1000.0))
+        signals = rng.standard_normal((3, n_samples)).astype(dtype)
+        want = _direct_convolution(bank.taps, signals.astype(float))
         out = rendering.apply_filter_bank(bank, signals)
-        assert out.shape == (2, n_samples + 127)
+        assert out.shape == (2, n_samples + nfft - 1)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_64_mics_one_second_equals_fftconvolve(self):
+        # the benchmark's shape: 1 s of 64-channel 48 kHz float32 noise through 128 taps
+        rng = np.random.default_rng(64)
+        bank = rendering.BinauralFilterBank(
+            taps=rng.standard_normal((2, 64, 128)), sample_rate=48000.0,
+            delay_samples=64, band=(100.0, 1000.0))
+        signals = rng.standard_normal((64, 48000)).astype(np.float32)
+        want = sum(fftconvolve(bank.taps[:, m, :], signals[m][None, :].astype(float), axes=1)
+                   for m in range(64))
+        out = rendering.apply_filter_bank(bank, signals)
+        assert out.shape == want.shape
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     def test_tone_reproduces_render_full_magnitude(self, bank_setup):
