@@ -111,7 +111,7 @@ def _number(doc, name, default, kind):
     value = doc.get(name.rpartition(".")[2], default)
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         expected = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {expected}, got {json.dumps(value)}") from exc
 

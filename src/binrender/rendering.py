@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import next_fast_len
 from scipy.io import wavfile
 
 from .estimation import AngularPlan, Estimator
@@ -286,8 +285,7 @@ def apply_filter_bank(bank: BinauralFilterBank, mic_signals):
     16384, against 45 ms at 8192 and 53 ms at 32768), while shorter filters
     gain nothing below 1024 (nfft 128: 22 ms at 1024, 24 ms at 512).
 
-    When the whole output fits in one block (T + nfft - 1 <= B), one FFT of
-    length ``next_fast_len(T + nfft - 1)`` convolves the signals at once.
+    Signals of up to hop samples, empty ones included, make one block.
     """
     # no double-precision copy of the input before the blocks: float32 signals
     # convert as they are copied into the zero-padded segments (peak memory)
@@ -298,27 +296,17 @@ def apply_filter_bank(bank: BinauralFilterBank, mic_signals):
     nfft = bank.nfft
     n_out = n_samples + nfft - 1
     block = 1 << (max(4 * nfft, 1024) - 1).bit_length()
-    if n_out <= block:
-        n_fft = next_fast_len(n_out, real=True)
-        segments = mic_signals.astype(float)[:, None, :]
-        return _mic_sum_convolve(bank.taps, segments, n_fft)[:, 0, :n_out]
     hop = block - nfft + 1
-    n_blocks = -(-n_samples // hop)
+    n_blocks = max(1, -(-n_samples // hop))
     segments = np.zeros((n_mics, n_blocks * hop))
     segments[:, :n_samples] = mic_signals
-    blocks = _mic_sum_convolve(bank.taps, segments.reshape(n_mics, n_blocks, hop), block)
+    spec = np.einsum("emf,mbf->ebf", np.fft.rfft(bank.taps, n=block, axis=2),
+                     np.fft.rfft(segments.reshape(n_mics, n_blocks, hop), n=block, axis=2))
+    blocks = np.fft.irfft(spec, n=block, axis=2)
     out = np.zeros((2, n_blocks + 1, hop))
     out[:, :-1] = blocks[:, :, :hop]
     out[:, 1:, : nfft - 1] += blocks[:, :, hop:]
     return out.reshape(2, -1)[:, :n_out]
-
-
-def _mic_sum_convolve(taps, segments, n_fft):
-    """Circular convolution on n_fft points of every segment (n_mics, blocks, L)
-    with the taps (2, n_mics, nfft), summed over mics: (2, blocks, n_fft)."""
-    spec = np.einsum("emf,mbf->ebf", np.fft.rfft(taps, n=n_fft, axis=2),
-                     np.fft.rfft(segments, n=n_fft, axis=2))
-    return np.fft.irfft(spec, n=n_fft, axis=2)
 
 
 def save_filter_bank(bank: BinauralFilterBank, base_path):

@@ -472,8 +472,12 @@ class TestExitCodes:
          'hrtf.synthetic.measure_radius must be a number, got "far"'),
         ("seed", None, None, "seed must be an integer, got null"),
         ("scene", "sound_speed", None, "scene.sound_speed must be a number, got null"),
+        # JSON's Infinity (and 1e999) parse to inf, which int() cannot take
+        ("render", "nfft", float("inf"), "render.nfft must be an integer, got Infinity"),
+        ("seed", None, float("inf"), "seed must be an integer, got Infinity"),
     ], ids=["nfft", "sample-rate", "order-cap", "shoulder-radius", "wav-duration", "wav-gain",
-            "head-radius", "measure-radius", "seed", "sound-speed"])
+            "head-radius", "measure-radius", "seed", "sound-speed", "nfft-infinity",
+            "seed-infinity"])
     def test_config_type_errors_name_the_key(self, tmp_path, capsys, section, key, value, message):
         cfg = write_config(tmp_path)
         if section == "scene":
