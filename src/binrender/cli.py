@@ -8,15 +8,11 @@ config hash, library version, and content hashes of the files it produced.
 Exit codes: 0 ok, 1 configuration/user error, 2 internal error: every
 check on user input raises ConfigError, so a ValueError escaping the library
 is an internal error.
-BINRENDER_WORKERS (an integer >= 1, default 1) sets the frequency-bin
-threads; results are reduced in a fixed order so outputs are byte-identical
-for any worker count.
 """
 
 import hashlib
 import json
 import math
-import os
 import sys
 from importlib import metadata
 from pathlib import Path
@@ -34,7 +30,7 @@ from .arrays import (
     geometry_to_json,
     load_geometry,
 )
-from .estimation import Estimator, rigid_sphere_estimate
+from .estimation import AngularPlan, Estimator, rigid_sphere_estimate
 from .hrtf import SyntheticHead, rigid_sphere_hrtf_spectrum
 from .metrics import (
     BinauralPair,
@@ -49,19 +45,10 @@ from .metrics import (
 from .rendering import grid_rows, save_filter_bank, synth_fir_filters
 from .simulate import PointSource, Scene, band_freqs, simulate_observation, true_binaural
 from .special import EulerAngles
-from .utils import ordered_map
 
 
 class ConfigError(Exception):
     """User-facing configuration problem (exit code 1)."""
-
-
-def _workers():
-    """Bin thread count: BINRENDER_WORKERS, an integer >= 1 (default 1)."""
-    value = os.environ.get("BINRENDER_WORKERS", "1")
-    if not value.strip().isdecimal() or int(value) < 1:
-        raise ConfigError(f"BINRENDER_WORKERS must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 def _library_version():
@@ -107,13 +94,27 @@ def _load_json(path):
 
 def _number(doc, name, default, kind):
     """The value at dotted ``name``'s last key in ``doc`` (or ``default``) as ``kind``,
-    int or float; a value that does not convert is a user error naming the key."""
+    int or float; a value that does not convert, or a float that is not whole
+    where an int is asked for, is a user error naming the key."""
     value = doc.get(name.rpartition(".")[2], default)
     try:
-        return kind(value)
+        number = kind(value)
+        if kind is int and isinstance(value, float) and number != value:
+            raise ValueError
+        return number
     except (TypeError, ValueError, OverflowError) as exc:
         expected = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {expected}, got {json.dumps(value)}") from exc
+
+
+def _pair(doc, name, default):
+    """The value at dotted ``name``'s last key in ``doc`` (or ``default``), which
+    must be a list of two finite numbers; anything else is a user error naming the key."""
+    value = doc.get(name.rpartition(".")[2], default)
+    if not (isinstance(value, list) and len(value) == 2
+            and all(type(v) in (int, float) and math.isfinite(v) for v in value)):
+        raise ConfigError(f"{name} must be a list of two finite numbers, got {json.dumps(value)}")
+    return tuple(value)
 
 
 def _known_keys(doc, keys, where):
@@ -200,11 +201,11 @@ class RunConfig:
         self.window = rnd.get("window", "tukey")
         if self.window not in ("tukey", "boxcar"):
             raise ConfigError(f"render window must be tukey or boxcar, got {self.window!r}")
-        self.band = tuple(rnd.get("band", (100.0, 1600.0)))
+        self.band = _pair(rnd, "render.band", [100.0, 1600.0])
         self.sample_rate = _number(rnd, "render.sample_rate", 48000.0, float)
         if not 0 < self.sample_rate < math.inf:
             raise ConfigError(f"render sample_rate must be positive, got {self.sample_rate}")
-        if len(self.band) != 2 or not 0 < self.band[0] < self.band[1] <= self.sample_rate / 2:
+        if not 0 < self.band[0] < self.band[1] <= self.sample_rate / 2:
             raise ConfigError(f"render band {list(self.band)} must be [lo, hi] with "
                               f"0 < lo < hi <= {self.sample_rate / 2:g} Hz")
         self.order_cap = _number(rnd, "render.order_cap", 35, int)
@@ -235,7 +236,7 @@ class RunConfig:
             _known_keys(hrtf_ref, ("synthetic",), "hrtf")
             syn = _known_keys(hrtf_ref["synthetic"],
                               ("head_radius", "ear_azimuths_deg", "measure_radius"), "hrtf.synthetic")
-            az = syn.get("ear_azimuths_deg", [90.0, -90.0])
+            az = _pair(syn, "hrtf.synthetic.ear_azimuths_deg", [90.0, -90.0])
             self.synthetic_head = SyntheticHead(
                 radius=_number(syn, "hrtf.synthetic.head_radius", 0.0875, float),
                 ear_azimuths=(math.radians(az[0]), math.radians(az[1])),
@@ -257,7 +258,6 @@ class RunConfig:
 
         self.out_dir = Path(base / doc.get("output_dir", "out"))
         self.seed = _number(doc, "seed", 0, int)
-        self.workers = _workers()
 
     def require_rendering(self):
         """An HRTF, and free-field mics: the only kind the distributed estimator models."""
@@ -294,7 +294,7 @@ def _render_responses(cfg: RunConfig, observations):
     freqs = cfg.scene.freqs
     rows = grid_rows(cfg.geometry, freqs, cfg.listener_position, cfg.angles,
                      cfg.spectrum_at(freqs), cfg.mode, cfg.lam, cfg.order_cap,
-                     cfg.shoulder_radius, cfg.scene.sound_speed, cfg.workers)
+                     cfg.shoulder_radius, cfg.scene.sound_speed)
     # one stacked matmul: bitwise the per-bin rows @ s (an einsum sums differently)
     return (rows @ observations[:, :, None])[:, :, 0]
 
@@ -500,29 +500,24 @@ def estimate(config_path, lam, eta, order, observations):
         raise ConfigError(f"order {cfg.order} on the rigid baffle needs at least "
                           f"{(cfg.order + 1) ** 2} microphones, got {cfg.geometry.n_mics}")
     obs = _observations(cfg, observations)
-    freqs = cfg.scene.freqs
-
-    def one(fi):
-        k = 2.0 * math.pi * freqs[fi] / cfg.scene.sound_speed
-        order = (truncation_order(k, cfg.shoulder_radius, cfg.order_cap)
-                 if cfg.order == "auto" else cfg.order)
-        if cfg.geometry.baffle is not None:
-            # truncated estimator needs I >= (order+1)^2
-            if cfg.order == "auto":
-                order = min(order, math.isqrt(cfg.geometry.n_mics) - 1)
-            alpha = rigid_sphere_estimate(obs[fi], cfg.geometry, k, order, cfg.eta)
-        else:
-            alpha = Estimator(cfg.geometry, k, cfg.lam).coeffs(
-                obs[fi], cfg.listener_position, order)
-        return order, alpha.coeffs
-
-    results = ordered_map(one, range(freqs.size), cfg.workers)
-    orders = [r[0] for r in results]
-    flat = np.concatenate([r[1] for r in results])
+    ks = cfg.scene.wavenumbers()
+    orders = [truncation_order(k, cfg.shoulder_radius, cfg.order_cap)
+              if cfg.order == "auto" else cfg.order for k in ks]
+    if cfg.geometry.baffle is not None:
+        if cfg.order == "auto":  # truncated estimator needs I >= (order+1)^2
+            orders = [min(order, math.isqrt(cfg.geometry.n_mics) - 1) for order in orders]
+        alphas = [rigid_sphere_estimate(s, cfg.geometry, k, order, cfg.eta)
+                  for s, k, order in zip(obs, ks, orders)]
+    else:
+        # one angular plan at the top order: every bin slices its tables
+        plan = AngularPlan(cfg.geometry, cfg.listener_position, max(orders, default=0), ks)
+        alphas = [Estimator(cfg.geometry, k, cfg.lam, plan).coeffs(s, cfg.listener_position, order)
+                  for s, k, order in zip(obs, ks, orders)]
+    flat = np.concatenate([alpha.coeffs for alpha in alphas])
     header = {
         "kind": "coefficients",
         "layout": "concatenated per-frequency (order+1)^2 blocks",
-        "freqs": [float(f) for f in freqs],
+        "freqs": [float(f) for f in cfg.scene.freqs],
         "orders": orders,
         "center": [float(x) for x in cfg.listener_position],
     }
@@ -578,8 +573,7 @@ def filters(config_path, lam):
         cfg.geometry, cfg.listener_position, cfg.angles, spectrum,
         cfg.band, cfg.nfft, cfg.sample_rate, mode=cfg.mode, lam=cfg.lam,
         window=cfg.window, order_cap=cfg.order_cap,
-        shoulder_radius=cfg.shoulder_radius, sound_speed=cfg.scene.sound_speed,
-        workers=cfg.workers)
+        shoulder_radius=cfg.shoulder_radius, sound_speed=cfg.scene.sound_speed)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     base = save_filter_bank(bank, cfg.out_dir / "filterbank")
     outputs = [base.with_suffix(".wav"), base.with_suffix(".json")]

@@ -78,8 +78,8 @@ def _stacked_directivities(geom: ArrayGeometry):
 
 
 class AngularPlan:
-    """Psi and Xi(target) up to ``order`` for one geometry, split into a
-    k-independent angular part and radial tables over the wavenumbers ``ks``.
+    """Psi and Xi(target) up to ``order`` for one geometry at the wavenumbers
+    ``ks``, split into a k-independent angular part and radial tables.
 
     The angular part is built once: Xi's columns as a ``TranslationPlan``
     ((2p + 1) (order + 1)^2 n_mics complex entries for directivity order p:
@@ -89,10 +89,10 @@ class AngularPlan:
     at the distinct pair distances, contracted at once into Psi's
     upper-triangle values (len(ks), pairs), and for l <= order + p at the
     distinct target-mic distances. ``psi_upper``/``xi`` slice the row of a
-    tabulated k; any other k gets a one-row table from the same functions.
+    k in ``ks``; any other k raises ValueError.
     """
 
-    def __init__(self, geom: ArrayGeometry, target, order, ks=()):
+    def __init__(self, geom: ArrayGeometry, target, order, ks):
         c, p = _stacked_directivities(geom)
         pos = geom.positions()
         self.upper = iu, ju = np.triu_indices(geom.n_mics)
@@ -103,32 +103,27 @@ class AngularPlan:
         self.xi_cols = TranslationPlan.build(self.target[None, :] - pos, self.order, c)
         ks = np.asarray(ks, dtype=float)
         self._rows = {k: b for b, k in enumerate(ks.tolist())}
-        self._psi_table, self._xi_table = self.psi_table(ks), self.xi_table(ks)
+        radial = self.psi_pairs.radial(ks, p)
+        index = self.psi_pairs.radius_index
+        self._psi_table = sum(radial[:, l, index] * w for l, w in enumerate(self.psi_weights))
+        self._xi_table = self.xi_cols.radial(ks, self.order)
 
     def covers(self, target, order):
         return order <= self.order and np.array_equal(np.asarray(target, dtype=float), self.target)
 
-    def psi_table(self, ks):
-        """Psi's upper-triangle values (in ``upper`` order) at every k, shape (len(ks), pairs)."""
-        radial = self.psi_pairs.radial(ks, self.dir_order)
-        index = self.psi_pairs.radius_index
-        return sum(radial[:, l, index] * w for l, w in enumerate(self.psi_weights))
-
-    def xi_table(self, ks):
-        """Xi's radial table at every k, shape (len(ks), order + p + 1, distinct distances)."""
-        return self.xi_cols.radial(ks, self.order)
-
-    def _row(self, table, build, k):
+    def _row(self, k):
         b = self._rows.get(float(k))
-        return build([k])[0] if b is None else table[b]
+        if b is None:
+            raise ValueError(f"wavenumber {k} is not tabulated in this plan")
+        return b
 
     def psi_upper(self, k):
-        """Psi's upper-triangle values at k."""
-        return self._row(self._psi_table, self.psi_table, k)
+        """Psi's upper-triangle values (in ``upper`` order) at k."""
+        return self._psi_table[self._row(k)]
 
     def xi(self, k, order):
         """Xi(target) truncated at ``order`` <= the plan's, at k."""
-        return self.xi_cols.apply(self._row(self._xi_table, self.xi_table, k), order)
+        return self.xi_cols.apply(self._xi_table[self._row(k)], order)
 
 
 def build_psi(geom: ArrayGeometry, k, plan: AngularPlan = None):

@@ -29,7 +29,6 @@ from .hrtf import HrtfShSpectrum
 from .metrics import truncation_order
 from .special import SQRT_4PI, EulerAngles, ipow, num_coeffs, orders_degrees, sph_hankel2
 from .special import wigner_d_block  # noqa: F401 -- kept for perfbench/tracing.py to rebind
-from .utils import ordered_map
 from .wavefield import ShCoeffVec, rotate_blocks, rotate_coeffs
 
 
@@ -101,15 +100,14 @@ def binaural_rows(estimator: Estimator, target, angles: EulerAngles, h_pair,
 
 
 def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpectrum,
-              mode="sph", lam="auto", order_cap=35, shoulder_radius=0.45, sound_speed=346.2,
-              workers=1):
+              mode="sph", lam="auto", order_cap=35, shoulder_radius=0.45, sound_speed=346.2):
     """Rows r with binaural pair y = r @ s per frequency, shape (F, 2, n_mics).
 
     Once per call, ``spectrum`` is turned by ``angles``, and every table that
     depends on k is taken over all of ``freqs`` at the highest order
     rendered: the ``AngularPlan`` of Psi and Xi(target) with its radial
-    tables, and the rendering weights. Then per frequency, on ``workers``
-    threads, an estimator on that plan renders at
+    tables, and the rendering weights. Then, one frequency after another, an
+    estimator on that plan renders at
     ``truncation_order(k, shoulder_radius, order_cap)`` against the
     interpolated spectrum and folds in (Psi + lambda I)^{-1}; it slices the
     tables and calls no special function of its own.
@@ -123,14 +121,14 @@ def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpec
     plan = AngularPlan(geometry, target, top, ks)
     weights = render_weights(mode, top, k=ks, measure_radius=spectrum.radius)
 
-    def one(b):
-        est = Estimator(geometry, ks[b], lam, plan)
+    out = []
+    for b, k in enumerate(ks):
+        est = Estimator(geometry, k, lam, plan)
         rows = binaural_rows(est, target, EulerAngles(), turned.interpolated(freqs[b]), mode,
                              order=orders[b], weights=weights[b])
         # Psi + lambda I is Hermitian: r (Psi + lambda I)^{-1} = ((Psi + lambda I)^{-1} r^H)^H
-        return est.solve(rows.conj().T).conj().T
-
-    return np.array(ordered_map(one, range(len(ks)), workers))
+        out.append(est.solve(rows.conj().T).conj().T)
+    return np.array(out)
 
 
 def render_full(s, estimator: Estimator, target, angles: EulerAngles, h_pair,
@@ -197,15 +195,14 @@ class BinauralFilterBank:
 def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpectrum,
                       band, nfft, sample_rate, mode="sph", lam="auto",
                       window="tukey", order_cap=35, shoulder_radius=0.45,
-                      sound_speed=346.2, workers=1):
+                      sound_speed=346.2):
     """Sample the end-to-end linear form on an FFT grid and window it to taps.
 
-    ``grid_rows`` gives the in-band (2, n_mics) complex responses, on
-    ``workers`` threads; above the band edge the band-edge
-    response is rolled off linearly in magnitude to zero over one octave;
-    DC and Nyquist take the real part of the nearest assembled response.
-    The impulse responses are circularly shifted by nfft/2 (the modeled
-    delay) and windowed (Tukey r = 0.25 by default).
+    ``grid_rows`` gives the in-band (2, n_mics) complex responses; above the
+    band edge the band-edge response is rolled off linearly in magnitude to
+    zero over one octave; DC and Nyquist take the real part of the nearest
+    assembled response. The impulse responses are circularly shifted by
+    nfft/2 (the modeled delay) and windowed (Tukey r = 0.25 by default).
     """
     f_lo, f_hi = band
     nyquist = sample_rate / 2.0
@@ -224,7 +221,7 @@ def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpe
 
     responses[:, :, in_band] = grid_rows(
         geometry, freqs[in_band], target, angles, spectrum, mode, lam, order_cap,
-        shoulder_radius, sound_speed, workers).transpose(1, 2, 0)
+        shoulder_radius, sound_speed).transpose(1, 2, 0)
 
     # linear magnitude roll-off of the band-edge response over one octave
     edge = in_band[-1]

@@ -1,7 +1,5 @@
 """Coordinate conversions and small shared helpers."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 
@@ -73,14 +71,3 @@ def format_significant(x, digits=12):
     """Decimal-string form used in geometry files (12 significant digits)."""
     return f"{float(x):.{digits - 1}e}"
 
-
-def ordered_map(fn, items, workers=1):
-    """``[fn(x) for x in items]``, spread over ``workers`` threads when > 1.
-
-    Results come back in input order, so callers reduce them identically
-    for any worker count.
-    """
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -136,6 +136,37 @@ def test_bank_radial_calls_do_not_grow_with_bins():
     assert 0 < radial_calls[0] == radial_calls[1]
 
 
+def test_estimate_translations_do_not_grow_with_bins(tmp_path):
+    # estimate takes its free-field bins from one angular plan: doubling the
+    # scene's frequencies leaves the translate_multi and radial counts alone
+    tracing = _load_tracing()
+    modules = {"cli": cli, "bundleio": bundleio, "hrtf": hrtf, "estimation": estimation,
+               "wavefield": wavefield, "rendering": rendering, "simulate": simulate,
+               "scipy_special": scipy.special}
+    (tmp_path / "geom.json").write_text(arrays.geometry_to_json(arrays.build_small_array()))
+    counts = []
+    for n in (8, 16):
+        run = tmp_path / f"bins{n}"
+        run.mkdir()
+        freqs = np.linspace(100.0, 1600.0, n).tolist()
+        (run / "scene.json").write_text(json.dumps(
+            {"sources": [{"pos": [1.5, 0.0, 0.0]}], "freqs": freqs}))
+        (run / "run.json").write_text(json.dumps({
+            "version": 1, "scene": "scene.json", "geometry": "../geom.json",
+            "listener": {"position": [0.01, 0.0, 0.0]}, "output_dir": "out"}))
+        assert cli.main(["simulate", str(run / "run.json")]) == 0
+        tracer = tracing.Tracer()
+        restore = tracing.instrument(tracer, modules)
+        try:
+            assert cli.main(["estimate", str(run / "run.json")]) == 0
+        finally:
+            restore()
+        layers = tracing.layer_metrics(tracer.spans, 0.0)
+        assert layers["estimation.estimator_calls"] == n
+        counts.append((layers["wavefield.translate_calls"], layers["special.radial_calls"]))
+    assert 0 < counts[0][1] and counts[0] == counts[1]
+
+
 def test_traced_bank_meters_the_ring_fit(tmp_path):
     # filters from a measured bundle on zenith rings: the traced meter sees
     # the one fit_sh call of the call, which takes the ring path

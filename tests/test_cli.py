@@ -85,6 +85,39 @@ class TestPipeline:
         text = (out / "metrics.csv").read_text()
         assert "nmse_L_avg_db" in text and "itd_estimated_s" in text
 
+    def test_estimate_equals_per_bin_estimators(self, tmp_path, monkeypatch):
+        # estimate takes every free-field bin from one angular plan; its
+        # coefficients equal a direct Estimator per bin to reassociation rounding
+        from binrender.arrays import load_geometry
+        from binrender.estimation import Estimator
+        from binrender.metrics import truncation_order
+
+        cfg = write_config(tmp_path, listener={"position": [0.02, -0.01, 0.03]})
+        (tmp_path / "scene.json").write_text(json.dumps({**SCENE, "band": [100.0, 1600.0, 100.0]}))
+        assert main(["simulate", str(cfg)]) == 0
+        written = {}
+        write_bundle = bundleio.write_bundle
+
+        def capture(base, header, data):  # the bundle stores complex64: compare before that
+            written.update(header=header, data=data)
+            return write_bundle(base, header, data)
+
+        monkeypatch.setattr(bundleio, "write_bundle", capture)
+        assert main(["estimate", str(cfg)]) == 0
+        header, flat = written["header"], written["data"]
+        freqs, obs = bundleio.load_observation_bundle(tmp_path / "out" / "observation")
+        geom = load_geometry(tmp_path / "geom.json")
+        target = np.array([0.02, -0.01, 0.03])
+        start = 0
+        for f, s, order in zip(freqs, obs, header["orders"]):
+            k = 2.0 * np.pi * f / SCENE["sound_speed"]
+            assert order == truncation_order(k, 0.45, 35)
+            want = Estimator(geom, k).coeffs(s, target, order).coeffs
+            got = flat[start : start + want.size]
+            start += want.size
+            assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
+        assert start == flat.size
+
     def test_rigid_sphere_estimate_order_capped(self, tmp_path):
         (tmp_path / "scene.json").write_text(json.dumps(SCENE))
         assert main(["geometry", "--kind", "rigid-sphere",
@@ -348,11 +381,22 @@ class TestInputChecks:
         assert main(["simulate", str(tmp_path / "run.json")]) == 0
 
     @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_worker_count_is_user_error(self, tmp_path, monkeypatch, value):
-        cfg = write_config(tmp_path)
-        monkeypatch.setenv("BINRENDER_WORKERS", value)
-        assert main(["filters", str(cfg)]) == 1
-        assert not (tmp_path / "out").exists()
+    def test_worker_variable_is_ignored(self, tmp_path, monkeypatch, value):
+        # bins run in one serial loop: BINRENDER_WORKERS is read nowhere, so
+        # any value of it leaves the outputs as an unset run writes them
+        monkeypatch.delenv("BINRENDER_WORKERS", raising=False)
+        blobs = []
+        for run, env in (("unset", None), ("set", value)):
+            if env is not None:
+                monkeypatch.setenv("BINRENDER_WORKERS", env)
+            (tmp_path / run).mkdir()
+            cfg = write_config(tmp_path / run)
+            for cmd in ("simulate", "render", "filters"):
+                assert main([cmd, str(cfg)]) == 0
+            blobs.append([(tmp_path / run / "out" / name).read_bytes()
+                          for name in ("binaural_response.csv", "binaural.wav",
+                                       "filterbank.wav", "filterbank.json")])
+        assert blobs[0] == blobs[1]
 
 
 class TestExitCodes:
@@ -475,9 +519,17 @@ class TestExitCodes:
         # JSON's Infinity (and 1e999) parse to inf, which int() cannot take
         ("render", "nfft", float("inf"), "render.nfft must be an integer, got Infinity"),
         ("seed", None, float("inf"), "seed must be an integer, got Infinity"),
+        # a float that is not whole is not truncated to an integer
+        ("render", "nfft", 1024.7, "render.nfft must be an integer, got 1024.7"),
+        ("render", "order_cap", 2.5, "render.order_cap must be an integer, got 2.5"),
+        ("seed", None, 0.5, "seed must be an integer, got 0.5"),
+        ("render", "band", 5, "render.band must be a list of two finite numbers, got 5"),
+        ("hrtf", "synthetic", {"ear_azimuths_deg": 90.0},
+         "hrtf.synthetic.ear_azimuths_deg must be a list of two finite numbers, got 90.0"),
     ], ids=["nfft", "sample-rate", "order-cap", "shoulder-radius", "wav-duration", "wav-gain",
             "head-radius", "measure-radius", "seed", "sound-speed", "nfft-infinity",
-            "seed-infinity"])
+            "seed-infinity", "nfft-fraction", "order-cap-fraction", "seed-fraction",
+            "band-number", "ear-azimuths-number"])
     def test_config_type_errors_name_the_key(self, tmp_path, capsys, section, key, value, message):
         cfg = write_config(tmp_path)
         if section == "scene":
@@ -492,6 +544,15 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["simulate", str(cfg)]) == 1
         assert message in capsys.readouterr().err
+
+    def test_whole_float_integers_accepted(self, tmp_path):
+        # JSON 1024.0 is the integer 1024; only a fraction is refused
+        cfg = write_config(tmp_path, seed=3.0)
+        doc = json.loads(cfg.read_text())
+        doc["render"].update(nfft=1024.0, order_cap=35.0)
+        cfg.write_text(json.dumps(doc))
+        assert main(["filters", str(cfg)]) == 0
+        assert json.loads((tmp_path / "out" / "filterbank.json").read_text())["nfft"] == 1024
 
     @pytest.mark.parametrize("row", ["1.0", "", "1.0,0.5,1.0,0.0,0.5"],
                              ids=["one-cell", "empty-row", "short-row"])
@@ -605,12 +666,11 @@ class TestDeterminism:
         assert set(manifest) == {"command", "config_hash", "library_version", "seed", "outputs"}
         assert "observation.bin" in manifest["outputs"]
 
-    def test_repeat_runs_byte_identical(self, tmp_path, monkeypatch):
+    def test_repeat_runs_byte_identical(self, tmp_path):
         import hashlib
 
         digests = []
-        for run, workers in ((0, "1"), (1, "4"), (2, "1")):
-            monkeypatch.setenv("BINRENDER_WORKERS", workers)
+        for run in range(3):
             base = tmp_path / f"run{run}"
             base.mkdir()
             cfg = write_config(base)
