@@ -107,13 +107,14 @@ def _number(doc, name, default, kind):
         raise ConfigError(f"{name} must be {expected}, got {json.dumps(value)}") from exc
 
 
-def _pair(doc, name, default):
+def _numbers(doc, name, default, count):
     """The value at dotted ``name``'s last key in ``doc`` (or ``default``), which
-    must be a list of two finite numbers; anything else is a user error naming the key."""
+    must be a list of ``count`` finite numbers; anything else is a user error naming the key."""
     value = doc.get(name.rpartition(".")[2], default)
-    if not (isinstance(value, list) and len(value) == 2
+    if not (isinstance(value, list) and len(value) == count
             and all(type(v) in (int, float) and math.isfinite(v) for v in value)):
-        raise ConfigError(f"{name} must be a list of two finite numbers, got {json.dumps(value)}")
+        raise ConfigError(f"{name} must be a list of {('two', 'three')[count - 2]} finite numbers, "
+                          f"got {json.dumps(value)}")
     return tuple(value)
 
 
@@ -131,12 +132,16 @@ def parse_scene(doc) -> Scene:
     _known_keys(doc, ("freqs", "band", "sources", "sound_speed"), "scene")
     try:
         if "freqs" in doc:
+            grid = "freqs"
             freqs = np.asarray(doc["freqs"], dtype=float)
         elif "band" in doc:
-            lo, hi, step = doc["band"]
-            freqs = band_freqs(lo, hi, step)
+            grid = "band"
+            freqs = band_freqs(*_numbers(doc, "scene.band", None, 3))
         else:
             raise ConfigError("scene needs 'freqs' or 'band'")
+        if freqs.ndim != 1 or freqs.size == 0 or not np.all(np.isfinite(freqs)):
+            raise ConfigError(f"scene.{grid} must give a non-empty list of finite frequencies, "
+                              f"got {json.dumps(doc[grid])}")
         sources = []
         for s in doc.get("sources", []):
             _known_keys(s, ("pos", "spectrum"), "scene source")
@@ -201,7 +206,7 @@ class RunConfig:
         self.window = rnd.get("window", "tukey")
         if self.window not in ("tukey", "boxcar"):
             raise ConfigError(f"render window must be tukey or boxcar, got {self.window!r}")
-        self.band = _pair(rnd, "render.band", [100.0, 1600.0])
+        self.band = _numbers(rnd, "render.band", [100.0, 1600.0], 2)
         self.sample_rate = _number(rnd, "render.sample_rate", 48000.0, float)
         if not 0 < self.sample_rate < math.inf:
             raise ConfigError(f"render sample_rate must be positive, got {self.sample_rate}")
@@ -236,7 +241,7 @@ class RunConfig:
             _known_keys(hrtf_ref, ("synthetic",), "hrtf")
             syn = _known_keys(hrtf_ref["synthetic"],
                               ("head_radius", "ear_azimuths_deg", "measure_radius"), "hrtf.synthetic")
-            az = _pair(syn, "hrtf.synthetic.ear_azimuths_deg", [90.0, -90.0])
+            az = _numbers(syn, "hrtf.synthetic.ear_azimuths_deg", [90.0, -90.0], 2)
             self.synthetic_head = SyntheticHead(
                 radius=_number(syn, "hrtf.synthetic.head_radius", 0.0875, float),
                 ear_azimuths=(math.radians(az[0]), math.radians(az[1])),

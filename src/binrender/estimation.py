@@ -85,11 +85,12 @@ class AngularPlan:
     ((2p + 1) (order + 1)^2 n_mics complex entries for directivity order p:
     4.0 MB at order 35, 64 cardioids), and Psi's pairs folded with conj(c_i)
     into per-degree pair weights (2p + 1 per pair). The radial tables are
-    one ``spherical_jn`` call each over all of ``ks``: j_l(k d) for l <= 2p
-    at the distinct pair distances, contracted at once into Psi's
-    upper-triangle values (len(ks), pairs), and for l <= order + p at the
-    distinct target-mic distances. ``psi_upper``/``xi`` slice the row of a
-    k in ``ks``; any other k raises ValueError.
+    one ``special.sph_jn_table`` each over all of ``ks`` (its j_0/j_1 anchors
+    are one ``spherical_jn`` call, the other degrees one recurrence pass):
+    j_l(k d) for l <= 2p at the distinct pair distances, contracted at once
+    into Psi's upper-triangle values (len(ks), pairs), and for
+    l <= order + p at the distinct target-mic distances. ``psi_upper``/``xi``
+    slice the row of a k in ``ks``; any other k raises ValueError.
     """
 
     def __init__(self, geom: ArrayGeometry, target, order, ks):

@@ -97,6 +97,82 @@ def sph_bessel_j(n, x):
     return _sp.spherical_jn(n, x)
 
 
+# Miller's recurrence starts where |j_l(z)| <= z^l / (2l+1)!! is below this
+_MILLER_BOUND = 1e-22
+
+
+@lru_cache(maxsize=8)
+def _miller_thresholds(n):
+    """z_l for l = 1 .. n, increasing: z^l / (2l+1)!! < _MILLER_BOUND exactly when z < z_l."""
+    l = np.arange(1.0, n + 1.0)
+    log_double_factorial = _sp.gammaln(2.0 * l + 2.0) - l * math.log(2.0) - _sp.gammaln(l + 1.0)
+    out = np.exp((math.log(_MILLER_BOUND) + log_double_factorial) / l)
+    out.flags.writeable = False
+    return out
+
+
+def sph_jn_table(lmax, z):
+    """j_l(z) for every l = 0 .. lmax over an array of z >= 0, shape (lmax + 1,) + z.shape.
+
+    j_0 and j_1 come from one ``scipy.special.spherical_jn`` call. Where
+    l < z, degree l follows scipy's own upward recurrence from them, so
+    those entries are bitwise scipy's. Where l >= max(2, z), Miller's
+    downward recurrence (Gautschi, SIAM Review 9(1), 1967) runs from
+    f_S = 1, f_{S+1} = 0 and is scaled to the larger in magnitude of j_0
+    and j_1. Its start S(z) is the first l > z with z^l / (2l+1)!! < 1e-22,
+    a bound on |j_l(z)|; degrees above S(z) are 0. S depends on z alone, so
+    every entry is a function of (l, z) only: bitwise the same for any
+    ``lmax`` and whatever other z share the call. j_l(0) is 1 for l = 0 and
+    0 otherwise.
+    """
+    z = np.asarray(z, dtype=float)
+    flat = z.reshape(-1)
+    out = np.empty((lmax + 1, flat.size))
+    low = min(lmax, 1) + 1
+    out[:low] = _sp.spherical_jn(np.arange(low)[:, None], flat)
+    if lmax < 2:
+        return out.reshape((lmax + 1,) + z.shape)
+    # Miller's columns by descending z, hence descending start: the columns
+    # still below their start form a prefix, and each degree's l >= z a suffix
+    near = np.flatnonzero(flat <= lmax)
+    near = near[np.argsort(-flat[near], kind="stable")]
+    x = flat[near]
+    thresholds = _miller_thresholds(max(64, 1 << (2 * lmax + 64).bit_length()))
+    start = np.maximum(np.searchsorted(thresholds, x, side="right"), x.astype(np.intp)) + 1
+    top = int(start.max(initial=0))
+    running = np.searchsorted(-start, -np.arange(top + 1), side="right").tolist()
+    f = np.zeros((max(top, lmax) + 2, x.size))
+    f[start, np.arange(x.size)] = 1.0
+    rows = list(f)
+    # upward values that blow up at l >= z are replaced below; z = 0 starts
+    # Miller at degree 1, overflows to inf at degree 0 and scales to 0
+    with np.errstate(all="ignore"):
+        for l in range(2, min(lmax + 1, math.ceil(flat.max(initial=0.0)))):
+            out[l] = (2 * l - 1) * out[l - 1] / flat - out[l - 2]
+        # (2l + 1) / x as one table when x is short, where the steps' cost is
+        # per call, and step by step when long; the quotients are the same
+        ratio = np.divide.outer(np.arange(1.0, 2 * top + 2, 2), x) if x.size <= 1024 else None
+        for l in range(top, 0, -1):
+            a = running[l]
+            step = rows[l - 1][:a]
+            if ratio is None:
+                np.divide(2 * l + 1, x[:a], out=step)
+                step *= rows[l][:a]
+            else:
+                np.multiply(ratio[l, :a], rows[l][:a], out=step)
+            step -= rows[l + 1][:a]
+        j0, j1 = out[0, near], out[1, near]
+        larger1 = np.abs(j1) > np.abs(j0)
+        miller = f[2 : lmax + 1] * np.where(larger1, j1 / f[1], j0 / f[0])
+    first = np.searchsorted(-x, -np.arange(2, lmax + 1), side="left").tolist()
+    whole = first.count(0)  # degrees at or above every z of the call
+    for l, b in enumerate(first[: len(first) - whole], start=2):
+        out[l, near[b:]] = miller[l - 2, b:]
+    if whole:
+        out[lmax + 1 - whole :, near] = miller[len(first) - whole :]
+    return out.reshape((lmax + 1,) + z.shape)
+
+
 def sph_hankel2(n, x):
     """Spherical Hankel function of the second kind h_n(x) = j_n(x) - j*y_n(x).
 

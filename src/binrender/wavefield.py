@@ -29,6 +29,7 @@ from .special import (
     orders_degrees,
     sh_matrix,
     sph_hankel2,
+    sph_jn_table,
     wigner_d_block,
 )
 from .utils import cart2sph
@@ -182,10 +183,10 @@ def translation_matrix(displacement, k, order_out, order_in=None) -> Translation
 def _radial_table(radii, k, lmax):
     """j_l(k r_p) for l = 0 .. lmax, shape k.shape + (lmax + 1, P).
 
-    One ``spherical_jn`` call for every wavenumber in ``k``; the function is
-    elementwise, so each k's slice is bitwise its own single-k table.
+    One ``sph_jn_table`` over every k r_p: its entries depend on (l, k r_p)
+    alone, so each k's slice is bitwise its own single-k table.
     """
-    return _sp.spherical_jn(np.arange(lmax + 1)[:, None], np.multiply.outer(k, radii)[..., None, :])
+    return np.moveaxis(sph_jn_table(lmax, np.multiply.outer(k, radii)), 0, -2)
 
 
 def _translation_terms(displacements, radial, order_out, coeff_rows):
@@ -296,7 +297,8 @@ class TranslationPlan:
 
     def radial(self, ks, order):
         """j_l(k r) at the distinct radii for l <= order + order_in, shape
-        ks.shape + (order + order_in + 1, len(radii)): one table for all ``ks``."""
+        ks.shape + (order + order_in + 1, len(radii)): one ``sph_jn_table``
+        (every degree in one recurrence pass) for all ``ks``."""
         return _radial_table(self.radii, ks, order + self.order_in)
 
     def _degrees(self, order):

@@ -545,6 +545,24 @@ class TestExitCodes:
         assert main(["simulate", str(cfg)]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, key", [
+        ({"freqs": []}, "scene.freqs"),
+        ({"band": [1000.0, 100.0, 100.0]}, "scene.band"),
+        ({"freqs": [100.0, float("nan")]}, "scene.freqs"),
+        ({"freqs": [100.0, float("inf")]}, "scene.freqs"),
+        ({"freqs": [[100.0, 200.0]]}, "scene.freqs"),
+        ({"band": [100.0, float("inf"), 100.0]}, "scene.band"),
+    ], ids=["empty", "band-descending", "nan", "infinity", "two-dimensional", "band-infinity"])
+    def test_malformed_frequency_grid_is_user_error(self, tmp_path, capsys, grid, key):
+        cfg = write_config(tmp_path)
+        scene = {name: value for name, value in SCENE.items() if name != "band"}
+        (tmp_path / "scene.json").write_text(json.dumps({**scene, **grid}))
+        for command in ("simulate", "estimate", "render"):
+            capsys.readouterr()
+            assert main([command, str(cfg)]) == 1
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_whole_float_integers_accepted(self, tmp_path):
         # JSON 1024.0 is the integer 1024; only a fraction is refused
         cfg = write_config(tmp_path, seed=3.0)

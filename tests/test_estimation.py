@@ -154,9 +154,12 @@ class TestAngularPlan:
                 assert self.rel(xi, estimation.build_xi(geom, target, k, order)) < 1e-12
 
     def test_radial_tables_are_per_bin_calls(self, composite, rng):
-        # spherical_jn is elementwise: each row of a per-call table is bitwise
-        # the single-k call at that wavenumber
+        # sph_jn_table's entries depend on (l, kr) alone: each row of a
+        # per-call table is bitwise the kernel's single-k call at that
+        # wavenumber, and scipy's wherever l < kr or l <= 1
         from scipy.special import spherical_jn
+
+        from binrender.special import sph_jn_table
 
         ks = rng.uniform(1.0, 220.0, 5)
         plan = estimation.AngularPlan(composite, rng.uniform(-0.05, 0.05, 3), 12, ks)
@@ -165,8 +168,11 @@ class TestAngularPlan:
             lmax = top + part.order_in
             assert table.shape == (ks.size, lmax + 1, part.radii.size)
             for b, k in enumerate(ks):
-                want = spherical_jn(np.arange(lmax + 1)[:, None], k * part.radii[None, :])
-                assert np.array_equal(table[b], want)
+                kr = k * part.radii
+                assert np.array_equal(table[b], sph_jn_table(lmax, kr))
+                scipy_rows = spherical_jn(np.arange(lmax + 1)[:, None], kr[None, :])
+                upward = (np.arange(lmax + 1)[:, None] < kr) | (np.arange(lmax + 1)[:, None] <= 1)
+                assert np.array_equal(table[b][upward], scipy_rows[upward])
 
     def test_tabulated_bins_call_no_special_function(self, composite, monkeypatch):
         import scipy.special

@@ -52,6 +52,59 @@ class TestBessel:
         assert np.isfinite(val)
 
 
+class TestSphJnTable:
+    """The radial kernel: every degree of j_l(z) in one pass."""
+
+    # 0, tiny, around the integers the recurrences switch at, and up to 300
+    Z = np.concatenate([[0.0, 1e-6], np.geomspace(1e-3, 300.0, 29),
+                        [0.5, 1.0, 2.0, 2.5, 6.8, 19.0, 19.5, 36.0, 90.0]])
+
+    def test_against_mpmath(self):
+        import mpmath
+        from scipy.special import spherical_jn
+
+        lmax, z = 90, self.Z[self.Z > 0]
+        with mpmath.workdps(40):
+            want = np.array([[float(mpmath.besselj(l + mpmath.mpf(1) / 2, zi)
+                                    * mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(zi))))
+                              for zi in z] for l in range(lmax + 1)])
+        err = np.abs(sp.sph_jn_table(lmax, z) - want)
+        scipy_err = np.abs(spherical_jn(np.arange(lmax + 1)[:, None], z) - want)
+        floor = 1e-15 * np.max(np.abs(want), axis=0)
+        assert np.all(err <= np.maximum(2.0 * scipy_err, floor))
+
+    def test_values_independent_of_lmax_and_batch(self, rng):
+        # a long batch against single values: both ways of taking (2l + 1) / z
+        z = np.concatenate([self.Z, rng.uniform(0.0, 40.0, 1500)])
+        table = sp.sph_jn_table(40, z)
+        for lmax in (2, 3, 12, 39):
+            assert np.array_equal(sp.sph_jn_table(lmax, z), table[: lmax + 1])
+        for i in range(z.size):
+            assert np.array_equal(sp.sph_jn_table(40, z[i]), table[:, i])
+        subset = rng.permutation(z.size)[:50]
+        assert np.array_equal(sp.sph_jn_table(40, z[subset]), table[:, subset])
+        # array shape is kept: (lmax + 1,) + z.shape
+        assert np.array_equal(sp.sph_jn_table(40, z[:20].reshape(4, 5)),
+                              table[:, :20].reshape(41, 4, 5))
+
+    @pytest.mark.parametrize("lmax", [0, 1, 2, 5, 40])
+    def test_bitwise_scipy_below_z_and_at_degrees_0_1(self, lmax, rng):
+        from scipy.special import spherical_jn
+
+        z = np.concatenate([self.Z, rng.uniform(0.0, 60.0, 300)])
+        l = np.arange(lmax + 1)[:, None]
+        upward = (l < z) | (l <= 1)
+        got = sp.sph_jn_table(lmax, z)
+        assert np.array_equal(got[upward], spherical_jn(l, z)[upward])
+
+    def test_origin_and_tiny_argument(self):
+        table = sp.sph_jn_table(30, np.array([0.0, 1e-6]))
+        assert np.array_equal(table[:, 0], np.eye(31)[0])
+        assert np.all(np.isfinite(table[:, 1]))
+        series = np.array([series_bessel_j(n, 1e-6, terms=3) for n in range(31)])
+        assert np.max(np.abs(table[:, 1] - series)) <= 1e-16
+
+
 class TestHankel2:
     def test_h0_closed_form(self):
         # h_0(x) = j exp(-j x) / x under the exp(+j w t) convention

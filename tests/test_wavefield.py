@@ -266,7 +266,7 @@ class TestTranslateMulti:
     @staticmethod
     def per_degree_loop(d, k, order_out, c):
         """translate_multi as explicit n/n_out/l/m loops, one SH call per l."""
-        from scipy.special import spherical_jn, sph_harm_y
+        from scipy.special import sph_harm_y
 
         from binrender.special import gaunt_grid, ipow
 
@@ -274,7 +274,7 @@ class TestTranslateMulti:
         r = np.linalg.norm(d, axis=1)
         theta, phi = np.arccos(d[:, 2] / r), np.arctan2(d[:, 1], d[:, 0])
         lmax = order_out + order_in
-        jl = spherical_jn(np.arange(lmax + 1)[None, :], k * r[:, None])
+        jl = wf._radial_table(r, k, lmax).T
         y_conj = np.zeros((d.shape[0], lmax + 1, 2 * lmax + 1), dtype=complex)
         for l in range(lmax + 1):
             mu = np.arange(-l, l + 1)
