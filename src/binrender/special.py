@@ -132,8 +132,8 @@ def sph_jn_table(lmax, z):
     out[:low] = _sp.spherical_jn(np.arange(low)[:, None], flat)
     if lmax < 2:
         return out.reshape((lmax + 1,) + z.shape)
-    # Miller's columns by descending z, hence descending start: the columns
-    # still below their start form a prefix, and each degree's l >= z a suffix
+    # Miller's columns by descending z, hence descending start: at each degree
+    # the columns already running (start >= l) form a prefix, and l >= z a suffix
     near = np.flatnonzero(flat <= lmax)
     near = near[np.argsort(-flat[near], kind="stable")]
     x = flat[near]
@@ -148,19 +148,24 @@ def sph_jn_table(lmax, z):
     # Miller at degree 1, overflows to inf at degree 0 and scales to 0
     with np.errstate(all="ignore"):
         for l in range(2, min(lmax + 1, math.ceil(flat.max(initial=0.0)))):
-            out[l] = (2 * l - 1) * out[l - 1] / flat - out[l - 2]
+            np.multiply(out[l - 1], 2 * l - 1, out=out[l])  # (2l - 1) j_{l-1} / z - j_{l-2}
+            out[l] /= flat
+            out[l] -= out[l - 2]
         # (2l + 1) / x as one table when x is short, where the steps' cost is
         # per call, and step by step when long; the quotients are the same
         ratio = np.divide.outer(np.arange(1.0, 2 * top + 2, 2), x) if x.size <= 1024 else None
         for l in range(top, 0, -1):
             a = running[l]
-            step = rows[l - 1][:a]
+            if a < x.size:
+                step, here, above = rows[l - 1][:a], rows[l][:a], rows[l + 1][:a]
+            else:  # every column running: whole rows, no slicing
+                step, here, above = rows[l - 1], rows[l], rows[l + 1]
             if ratio is None:
                 np.divide(2 * l + 1, x[:a], out=step)
-                step *= rows[l][:a]
+                step *= here
             else:
-                np.multiply(ratio[l, :a], rows[l][:a], out=step)
-            step -= rows[l + 1][:a]
+                np.multiply(ratio[l, :a], here, out=step)
+            step -= above
         j0, j1 = out[0, near], out[1, near]
         larger1 = np.abs(j1) > np.abs(j0)
         miller = f[2 : lmax + 1] * np.where(larger1, j1 / f[1], j0 / f[0])

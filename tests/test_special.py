@@ -55,9 +55,11 @@ class TestBessel:
 class TestSphJnTable:
     """The radial kernel: every degree of j_l(z) in one pass."""
 
-    # 0, tiny, around the integers the recurrences switch at, and up to 300
+    # 0, tiny, around the integers the recurrences switch at, at zeros of
+    # j_0 (where Miller scales to j_1), and up to 300
     Z = np.concatenate([[0.0, 1e-6], np.geomspace(1e-3, 300.0, 29),
-                        [0.5, 1.0, 2.0, 2.5, 6.8, 19.0, 19.5, 36.0, 90.0]])
+                        [0.5, 1.0, 2.0, 2.5, 6.8, 19.0, 19.5, 36.0, 90.0],
+                        np.pi * np.arange(1, 6)])
 
     def test_against_mpmath(self):
         import mpmath
