@@ -11,6 +11,7 @@ files round-trip bit-identically.
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -104,6 +105,17 @@ class ArrayGeometry:
 
     def positions(self):
         return np.array([m.position for m in self.mics])
+
+    @cached_property
+    def directivities(self):
+        """Every mic's directivity coefficients zero-padded to the highest
+        directivity order p: (read-only (n_mics, (p+1)^2) array, p), built once."""
+        order = max(m.directivity_order for m in self.mics)
+        c = np.zeros((self.n_mics, (order + 1) ** 2), dtype=complex)
+        for i, mic in enumerate(self.mics):
+            c[i, : mic.dir_coeffs.size] = mic.dir_coeffs
+        c.flags.writeable = False
+        return c, order
 
     def content_hash(self):
         import hashlib

@@ -69,14 +69,6 @@ def rigid_sphere_estimate(s, geom: ArrayGeometry, k, order, eta="auto") -> ShCoe
 # Distributed-array (infinite-order) estimator
 # ---------------------------------------------------------------------------
 
-def _stacked_directivities(geom: ArrayGeometry):
-    order = max(m.directivity_order for m in geom.mics)
-    c = np.zeros((geom.n_mics, num_coeffs(order)), dtype=complex)
-    for i, mic in enumerate(geom.mics):
-        c[i, : mic.dir_coeffs.size] = mic.dir_coeffs
-    return c, order
-
-
 class AngularPlan:
     """Psi and Xi(target) up to ``order`` for one geometry at the wavenumbers
     ``ks``, split into a k-independent angular part and radial tables.
@@ -94,7 +86,7 @@ class AngularPlan:
     """
 
     def __init__(self, geom: ArrayGeometry, target, order, ks):
-        c, p = _stacked_directivities(geom)
+        c, p = geom.directivities
         pos = geom.positions()
         self.upper = iu, ju = np.triu_indices(geom.n_mics)
         self.target = np.asarray(target, dtype=float)
@@ -138,7 +130,7 @@ def build_psi(geom: ArrayGeometry, k, plan: AngularPlan = None):
     """
     if plan is None:
         iu, ju = np.triu_indices(geom.n_mics)
-        c, p = _stacked_directivities(geom)
+        c, p = geom.directivities
         pos = geom.positions()
         tc = translate_multi(pos[iu] - pos[ju], k, p, c[ju])
         vals = np.einsum("pq,pq->p", np.conj(c[iu]), tc)
@@ -163,7 +155,7 @@ def build_xi(geom: ArrayGeometry, target, k, order, plan: AngularPlan = None):
     """
     if plan is not None and plan.covers(target, order):
         return plan.xi(k, order)
-    c, _ = _stacked_directivities(geom)
+    c, _ = geom.directivities
     target = np.asarray(target, dtype=float)
     disp = target[None, :] - geom.positions()
     return translate_multi(disp, k, order, c).T

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import zherk
-from scipy.special import sph_harm_y_all
+from scipy.special import sph_legendre_p_all
 
 from .special import num_coeffs, orders_degrees, sh_matrix, sph_hankel2, sph_hankel2_deriv
 from .utils import cart2sph, sph2cart
@@ -219,7 +219,7 @@ def _fit_rings(responses, zeniths, rings, offsets, order, gamma):
         ring = np.fft.ifft(h[:, idx], norm="forward")[:, degrees % idx.size]
         spectra[:, r, :] = (ring * np.exp(1j * degrees * offsets[r])).T
     # (2N+1, N+1, R) over m = -N..N; zero where n < |m|
-    legendre = sph_harm_y_all(order, order, zeniths, 0.0).real[:, degrees, :].transpose(1, 0, 2)
+    legendre = sph_legendre_p_all(order, order, zeniths)[0][:, degrees, :].transpose(1, 0, 2)
     sizes = np.array([idx.size for idx in rings], dtype=float)
     normal = (legendre * sizes) @ legendre.transpose(0, 2, 1)
     gamma = _auto_gamma(gamma, np.einsum("mnn->", normal), order)

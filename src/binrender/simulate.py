@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ArrayGeometry
-from .estimation import _stacked_directivities
 from .hrtf import HrtfSet, SyntheticHead, ear_pressure, fit_sh, rigid_sphere_pressure
 from .special import SQRT_4PI, orders_degrees, sh_matrix, sph_hankel2
 from .utils import cart2sph
@@ -107,7 +106,7 @@ def simulate_observation(scene: Scene, geom: ArrayGeometry):
                 out[fi] += src.amplitude(fi) * rigid_sphere_pressure(radius, cos_g, d, k)
     else:
         positions = geom.positions()
-        dir_coeffs, order = _stacked_directivities(geom)
+        dir_coeffs, order = geom.directivities
         for fi, k in enumerate(ks):
             for src in scene.sources:
                 out[fi] += src.amplitude(fi) * _directional_observation(

@@ -16,6 +16,7 @@ exp(-j k r) / (4 pi r).
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
@@ -28,6 +29,7 @@ from .special import (
     num_coeffs,
     orders_degrees,
     sh_matrix,
+    sh_table,
     sph_hankel2,
     sph_jn_table,
     wigner_d_block,
@@ -189,6 +191,24 @@ def _radial_table(radii, k, lmax):
     return np.moveaxis(sph_jn_table(lmax, np.multiply.outer(k, radii)), 0, -2)
 
 
+@lru_cache(maxsize=4096)  # a 35 <- 45 translation matrix takes 1656 order pairs
+def _term_constants(n, n_out):
+    """Constants of the kernel terms of one order pair, independent of lmax and k.
+
+    ``ls`` runs over |n - n_out| .. n + n_out in steps of 2; ``phase[i]`` is
+    4 pi j^ls[i] j^(n_out - n); ``sign_m[m]`` is (-1)^m; ``mu_idx[m', m]`` is
+    m' - m, which indexes the wrapped degree axis of an ``sh_table`` directly.
+    """
+    ls = np.arange(abs(n - n_out), n + n_out + 1, 2)
+    m = np.arange(-n, n + 1)
+    phase = (ipow(ls) * (4.0 * math.pi * ipow(n_out - n)))[:, None]
+    sign_m = np.where(m % 2 == 0, 1.0, -1.0)[None, :, None]
+    mu_idx = np.arange(-n_out, n_out + 1)[:, None] - m[None, :]
+    for a in (ls, phase, sign_m, mu_idx):
+        a.flags.writeable = False
+    return ls, phase, sign_m, mu_idx
+
+
 def _translation_terms(displacements, radial, order_out, coeff_rows):
     """The one translation kernel: yield ``(n, n_out, terms)`` per order pair.
 
@@ -204,24 +224,17 @@ def _translation_terms(displacements, radial, order_out, coeff_rows):
     """
     _, theta, phi = cart2sph(displacements)
     order_in = math.isqrt(coeff_rows.shape[1]) - 1
-    lmax = order_out + order_in
-    # y_conj[l, mu + lmax, p] = conj(Y_l^mu(d_p)); the table is zero for
-    # |mu| > l, matching the Gaunt selection-rule zeros it multiplies
-    mu = np.arange(-lmax, lmax + 1)
-    y_conj = np.conj(_sp.sph_harm_y_all(lmax, lmax, theta, phi)[:, mu])
+    # zero for |mu| > l, matching the Gaunt selection-rule zeros it multiplies
+    y_conj = np.conj(sh_table(order_out + order_in, theta, phi))
     for n in range(order_in + 1):
-        m = np.arange(-n, n + 1)
-        sign_m = np.where(m % 2 == 0, 1.0, -1.0)[None, :, None]
         c = coeff_rows[:, n * n : (n + 1) ** 2].T
         for n_out in range(order_out + 1):
-            ls = np.arange(abs(n - n_out), n + n_out + 1, 2)
+            ls, phase, sign_m, mu_idx = _term_constants(n, n_out)
             # G(n, m; n_out, -m'; l) laid out as [l, m', m]
             g = np.stack([gaunt_grid(n, n_out, l)[:, ::-1].T for l in ls])
-            w = (ipow(ls) * (4.0 * math.pi * ipow(n_out - n)))[:, None] * radial[ls]
-            mu_idx = np.arange(-n_out, n_out + 1)[:, None] - m[None, :] + lmax
-            y = y_conj[ls[:, None, None], mu_idx[None, :, :]]
+            w = phase * radial[ls]
             scaled = (sign_m * w[:, None, :]) * c[None, :, :]
-            yield n, n_out, (scaled[:, None, :, :] * y) * g[..., None]
+            yield n, n_out, (scaled[:, None, :, :] * y_conj[ls[:, None, None], mu_idx]) * g[..., None]
 
 
 def translate_multi(displacements, k, order_out, coeff_rows):

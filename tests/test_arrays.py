@@ -112,6 +112,20 @@ class TestCompositeArray:
         assert mirrored == original
 
 
+class TestDirectivities:
+    def test_stacked_once_per_geometry(self):
+        # mixed directivity orders: lower orders are zero-padded to the top one
+        mics = arrays.build_small_array().mics[:2] + (
+            arrays.Microphone(np.array([0.1, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]), np.ones(1)),)
+        geom = arrays.ArrayGeometry(mics)
+        c, order = geom.directivities
+        assert order == 1 and c.shape == (3, 4)
+        for row, mic in zip(c, mics):
+            assert np.array_equal(row, np.pad(mic.dir_coeffs, (0, 4 - mic.dir_coeffs.size)))
+        assert geom.directivities[0] is c
+        assert not c.flags.writeable
+
+
 class TestRigidSphereArray:
     def test_tdesign_defining_property(self):
         nodes = arrays.tdesign_nodes()

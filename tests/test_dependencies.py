@@ -21,8 +21,9 @@ def _floor(package):
     return tuple(int(part) for part in match.group(1).split("."))
 
 
-def test_scipy_floor_has_sph_harm_y_all():
-    # scipy.special.sph_harm_y and sph_harm_y_all first shipped in SciPy 1.15.0
+def test_scipy_floor_has_sph_legendre_p_all():
+    # scipy.special.sph_legendre_p_all (every SH table) and sph_harm_y
+    # (sph_harmonic) first shipped in SciPy 1.15.0
     assert _floor("scipy") >= (1, 15)
 
 

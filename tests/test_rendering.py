@@ -253,6 +253,26 @@ class TestRenderFull:
                                          spec.interpolated(f), "sph", 1.5, truncation_order(k))
             assert np.max(np.abs(rows[b] @ obs[b] - np.array(want))) < 1e-12 * np.max(np.abs(want))
 
+    def test_update_builds_each_wigner_block_once(self, rng):
+        # one head-tracking update over per-bin estimators at fresh angles:
+        # the bins share each order's block, and so do the composed checks
+        from binrender.special import wigner_d_block
+
+        geom = arrays.build_small_array()
+        ks = [k_of(f) for f in np.arange(100.0, 1700.0, 100.0)]
+        orders = [truncation_order(k) for k in ks]
+        ests = [estimation.Estimator(geom, k) for k in ks]
+        hs = [rng.normal(size=(2, (n + 1) ** 2)) + 1j * rng.normal(size=(2, (n + 1) ** 2))
+              for n in orders]
+        s = rng.normal(size=geom.n_mics) + 1j * rng.normal(size=geom.n_mics)
+        target = np.array([0.01, 0.02, -0.01])
+        angles = EulerAngles(*rng.uniform(-2.0, 2.0, 3))
+        for render in (rendering.render_full, rendering.render_composed):
+            before = wigner_d_block.cache_info().misses
+            for est, h, n in zip(ests, hs, orders):
+                render(s, est, target, angles, h, "sph", 1.5, n)
+            assert wigner_d_block.cache_info().misses - before <= max(orders) + 1
+
     def test_half_turn_swaps_ears_for_symmetric_head(self, head, composite):
         # frontal source, mirror-symmetric head: yawing the listener 180 deg
         # swaps left/right up to estimation/fit error

@@ -188,6 +188,39 @@ class TestSphericalHarmonics:
         assert got.shape == (theta.size, sp.num_coeffs(order))
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("lmax", [0, 1, 2, 19, 36, 45])
+    def test_sh_table_is_bitwise_sph_harm_y_all(self, lmax, rng):
+        # signed zeros and subnormals included: at theta = pi the Legendre
+        # factors underflow, and the zeros' signs follow phi's
+        from scipy.special import sph_harm_y_all
+
+        poles = np.array([0.0, math.pi, 1e-9])
+        edges = np.array([math.pi, -math.pi, 0.0, -0.0])
+        theta = np.concatenate([np.repeat(poles, edges.size), rng.uniform(0.0, math.pi, 200)])
+        phi = np.concatenate([np.tile(edges, poles.size), rng.uniform(-math.pi, math.pi, 200)])
+        got = sp.sh_table(lmax, theta, phi)
+        want = sph_harm_y_all(lmax, lmax, theta, phi)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # scalar angles and a 2-D grid broadcast like scipy's
+        for th, ph in ((0.4, -1.2), (theta[:12].reshape(3, 4), 0.25)):
+            assert sp.sh_table(lmax, th, ph).tobytes() == sph_harm_y_all(lmax, lmax, th, ph).tobytes()
+
+    @pytest.mark.parametrize("lmax", [2, 19, 45])
+    def test_legendre_table_is_real_part_at_zero_azimuth(self, lmax, rng):
+        # the real tables of the Gaunt quadrature and the ring fit: the phase
+        # is 1 + 0j, so bitwise away from the poles; at a pole the factors of
+        # m < 0 are zeros whose sign may differ, equal in value
+        from scipy.special import sph_harm_y_all, sph_legendre_p_all
+
+        nodes = np.arccos(np.polynomial.legendre.leggauss(lmax + 1)[0])
+        theta = np.concatenate([nodes, rng.uniform(1e-3, math.pi - 1e-3, 50)])
+        got = sph_legendre_p_all(lmax, lmax, theta)[0]
+        assert got.tobytes() == np.ascontiguousarray(sph_harm_y_all(lmax, lmax, theta, 0.0).real).tobytes()
+        poles = np.array([0.0, math.pi])
+        assert np.array_equal(sph_legendre_p_all(lmax, lmax, poles)[0],
+                              sph_harm_y_all(lmax, lmax, poles, 0.0).real)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 12), st.data())
     def test_conjugation_symmetry(self, n, data):
@@ -304,6 +337,24 @@ class TestWignerD:
             d12 = sp.wigner_d_block(n, a1) @ sp.wigner_d_block(n, a2)
             dc = sp.wigner_d_block(n, comp)
             assert np.max(np.abs(d12 - dc)) < 1e-9
+
+    def test_blocks_are_cached_and_read_only(self, rng):
+        ang = sp.EulerAngles(*rng.uniform(-2.0, 2.0, 3))
+        d = sp.wigner_d_block(4, ang)
+        assert sp.wigner_d_block(4, sp.EulerAngles(ang.alpha, ang.beta, ang.gamma)) is d
+        assert not d.flags.writeable
+        with pytest.raises(ValueError):
+            d[0, 0] = 1.0
+
+    def test_cache_key_equality_keeps_bits(self):
+        # the cache keys on ==, under which -0.0 == 0.0: such angles give the same bits
+        for angles in (sp.EulerAngles(-0.0, 0.7, -0.0), sp.EulerAngles(1.1, -0.0, 0.0),
+                       sp.EulerAngles(0.0, -0.0, -2.3)):
+            flipped = sp.EulerAngles(*(-a if a == 0 else a for a in
+                                       (angles.alpha, angles.beta, angles.gamma)))
+            for n in (1, 3, 8):
+                assert (sp.wigner_d_block.__wrapped__(n, angles).tobytes()
+                        == sp.wigner_d_block.__wrapped__(n, flipped).tobytes())
 
     def test_rotation_identity_vs_direct_evaluation(self, rng):
         # sum_m' D[m', m] Y_n^m'(x) == Y_n^m(R^{-1} x)
