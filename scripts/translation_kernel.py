@@ -91,7 +91,7 @@ def main(argv):
     def rotate(i, shared):
         for h in rows:
             if not shared:
-                special._wigner_d_block.cache_clear()
+                special.wigner_d_block.cache_clear()
             rendering._rotate_hrtf(h, angles[2 * i + shared])
 
     rotation = median_ms({"shared": lambda i: rotate(i, True),
