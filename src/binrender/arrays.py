@@ -118,6 +118,11 @@ class ArrayGeometry:
         return c, order
 
     def content_hash(self):
+        """SHA-256 (hex) of the geometry's JSON form, computed once per geometry."""
+        return self._content_hash
+
+    @cached_property
+    def _content_hash(self):
         import hashlib
 
         return hashlib.sha256(geometry_to_json(self).encode()).hexdigest()

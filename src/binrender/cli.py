@@ -30,7 +30,7 @@ from .arrays import (
     geometry_to_json,
     load_geometry,
 )
-from .estimation import AngularPlan, Estimator, rigid_sphere_estimate
+from .estimation import GridEstimator, rigid_sphere_estimate
 from .hrtf import SyntheticHead, rigid_sphere_hrtf_spectrum
 from .metrics import (
     BinauralPair,
@@ -515,9 +515,8 @@ def estimate(config_path, lam, eta, order, observations):
                   for s, k, order in zip(obs, ks, orders)]
     else:
         # one angular plan at the top order: every bin slices its tables
-        plan = AngularPlan(cfg.geometry, cfg.listener_position, max(orders, default=0), ks)
-        alphas = [Estimator(cfg.geometry, k, cfg.lam, plan).coeffs(s, cfg.listener_position, order)
-                  for s, k, order in zip(obs, ks, orders)]
+        grid = GridEstimator(cfg.geometry, ks, cfg.lam, cfg.listener_position, max(orders, default=0))
+        alphas = grid.coeffs(obs, orders)
     flat = np.concatenate([alpha.coeffs for alpha in alphas])
     header = {
         "kind": "coefficients",

@@ -228,6 +228,84 @@ class Estimator:
         return xi.conj().T @ alpha.coeffs
 
 
+class GridEstimator:
+    """The distributed-array estimator over a grid of wavenumbers ``ks``.
+
+    Holds one ``AngularPlan`` of Psi and Xi(target) up to ``top_order`` over
+    all of ``ks``, and per bin b the ``Estimator(geom, ks[b], lam, plan)``,
+    built when a call needs it and not kept: a 128-bin grid of 64 mics would
+    hold 17 MB of Psi and factors. ``ks`` need not be sorted or distinct.
+    """
+
+    def __init__(self, geom: ArrayGeometry, ks, lam, target, top_order):
+        self.geom = geom
+        self.ks = np.asarray(ks, dtype=float)
+        self.lam = lam
+        self.target = np.asarray(target, dtype=float)
+        self.plan = plan = AngularPlan(geom, self.target, top_order, self.ks)
+        # j_l(k_b |target - r_p|) per bin, degree l and mic
+        self._radial = plan._xi_table[:, :, plan.xi_cols.radius_index]
+
+    def _estimator(self, b) -> Estimator:
+        return Estimator(self.geom, self.ks[b], self.lam, self.plan)
+
+    def _orders(self, orders):
+        orders = np.asarray(orders, dtype=int)
+        if orders.shape != self.ks.shape:
+            raise ValueError(f"need one order per bin: {self.ks.size}, got {orders.size}")
+        if orders.size and not 0 <= orders.min() <= orders.max() <= self.plan.order:
+            raise ValueError(f"orders must lie in 0 .. {self.plan.order}")
+        return orders
+
+    def xi_rows(self, hw, orders):
+        """Rows r with r[b] = hw[b] Xi_b(target) at orders[b], shape (B, K, n_mics).
+
+        ``hw`` (B, K, (top_order + 1)^2) holds K row vectors on the
+        coefficients per bin; bin b reads only its first (orders[b] + 1)^2.
+        Xi is never formed: per degree n, one product takes hw's degree-n
+        block of every bin of order >= n onto the plan's angular part, and
+        the radial factors j_{n + o - n_in} of each bin contract the offsets o.
+        """
+        orders = self._orders(orders)
+        hw = np.asarray(hw, dtype=complex)
+        top, n_in, angular = self.plan.order, self.plan.dir_order, self.plan.xi_cols.angular
+        if hw.ndim != 3 or hw.shape[::2] != (self.ks.size, num_coeffs(top)):
+            raise ValueError(f"hw must have shape ({self.ks.size}, K, {num_coeffs(top)})")
+        # bins by falling order, so the bins of order >= n are a leading slice
+        by_order = np.argsort(-orders, kind="stable")
+        hw, radial = hw[by_order], self._radial[by_order]
+        count = np.searchsorted(-orders[by_order], -np.arange(top + 1), side="right")
+        rows = np.zeros(hw.shape[:2] + (self.geom.n_mics,), dtype=complex)
+        for n, m in enumerate(count):
+            if m == 0:
+                break
+            block = slice(n * n, (n + 1) ** 2)
+            # (bins x K, 2n + 1) @ (2n + 1, offsets x mics)
+            a_n = np.moveaxis(angular[:, block], 1, 0).reshape(2 * n + 1, -1)
+            s_n = (hw[:m, :, block].reshape(-1, 2 * n + 1) @ a_n).reshape(m, hw.shape[1], 2 * n_in + 1, -1)
+            # l < 0 only where the angular sums are zero
+            ls = np.maximum(n + np.arange(2 * n_in + 1) - n_in, 0)
+            rows[:m] += np.einsum("beop,bop->bep", s_n, radial[:m, ls])
+        out = np.empty_like(rows)
+        out[by_order] = rows
+        return out
+
+    def rows(self, hw, orders):
+        """``xi_rows`` times (Psi + lambda I)^{-1} per bin: g[b] @ s = hw[b] @ alpha_b(target)
+        for the observations s of bin b."""
+        out = self.xi_rows(hw, orders)
+        for b, r in enumerate(out):
+            # Psi + lambda I is Hermitian: r (Psi + lambda I)^{-1} = ((Psi + lambda I)^{-1} r^H)^H
+            out[b] = self._estimator(b).solve(r.conj().T).conj().T
+        return out
+
+    def coeffs(self, obs, orders):
+        """Per bin, ``Estimator.coeffs`` of observations ``obs[b]`` at ``orders[b]``."""
+        orders = self._orders(orders)
+        return [self._estimator(b).coeffs(s, self.target, int(order))
+                for b, (s, order) in enumerate(zip(obs, orders))]
+
+
 def estimate_coeffs(s, geom: ArrayGeometry, target, k, lam="auto", order=None) -> ShCoeffVec:
     """One-shot convenience wrapper around :class:`Estimator`."""
     if order is None:

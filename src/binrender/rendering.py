@@ -11,10 +11,13 @@ Two rendering modes share one code path:
   exp(-j k R_s) / R_s) as R_s grows.
 
 ``render_full`` evaluates the whole chain observation -> binaural response
-as one linear form; ``grid_rows`` folds it per frequency into rows applied to
-the observations, with the head rotation turning the HRTF (h blockdiag(D_n^H))
-once per call rather than every bin's Xi, and ``synth_fir_filters`` samples
-it on an FFT grid and realizes it as a MIMO FIR filter bank.
+as one linear form; ``grid_rows`` takes that form over a frequency grid as
+rows applied to the observations: the head rotation turns the HRTF
+(h blockdiag(D_n^H)) once per call rather than every bin's Xi, and
+``estimation.GridEstimator`` contracts the weighted HRTF rows of all
+frequencies with Xi one degree at a time, so no bin's Xi is formed.
+``synth_fir_filters`` samples the rows on an FFT grid and realizes them as a
+MIMO FIR filter bank.
 """
 
 import json
@@ -24,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.io import wavfile
 
-from .estimation import AngularPlan, Estimator
+from .estimation import Estimator, GridEstimator
 from .hrtf import HrtfShSpectrum
 from .metrics import truncation_order
 from .special import SQRT_4PI, EulerAngles, ipow, num_coeffs, orders_degrees, sph_hankel2
@@ -105,12 +108,13 @@ def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpec
 
     Once per call, ``spectrum`` is turned by ``angles``, and every table that
     depends on k is taken over all of ``freqs`` at the highest order
-    rendered: the ``AngularPlan`` of Psi and Xi(target) with its radial
-    tables, and the rendering weights. Then, one frequency after another, an
-    estimator on that plan renders at
-    ``truncation_order(k, shoulder_radius, order_cap)`` against the
-    interpolated spectrum and folds in (Psi + lambda I)^{-1}; it slices the
-    tables and calls no special function of its own.
+    rendered: a ``GridEstimator`` (the ``AngularPlan`` of Psi and Xi(target)
+    with its radial tables) and the rendering weights. Each frequency renders
+    at ``truncation_order(k, shoulder_radius, order_cap)`` against the
+    interpolated spectrum; the weighted HRTF rows of all frequencies go
+    through ``GridEstimator.rows`` together, which folds in Xi degree by
+    degree and then (Psi + lambda I)^{-1} per frequency. ``freqs`` need not
+    be sorted.
     """
     shape = spectrum.coeffs.shape
     turned = replace(spectrum, coeffs=_rotate_hrtf(
@@ -118,17 +122,13 @@ def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpec
     ks = 2.0 * math.pi * np.asarray(freqs, dtype=float) / sound_speed
     orders = [min(truncation_order(k, shoulder_radius, order_cap), spectrum.order) for k in ks]
     top = max(orders, default=0)
-    plan = AngularPlan(geometry, target, top, ks)
+    grid = GridEstimator(geometry, ks, lam, target, top)
     weights = render_weights(mode, top, k=ks, measure_radius=spectrum.radius)
 
-    out = []
-    for b, k in enumerate(ks):
-        est = Estimator(geometry, k, lam, plan)
-        rows = binaural_rows(est, target, EulerAngles(), turned.interpolated(freqs[b]), mode,
-                             order=orders[b], weights=weights[b])
-        # Psi + lambda I is Hermitian: r (Psi + lambda I)^{-1} = ((Psi + lambda I)^{-1} r^H)^H
-        out.append(est.solve(rows.conj().T).conj().T)
-    return np.array(out)
+    hw = np.zeros((ks.size, 2, num_coeffs(top)), dtype=complex)
+    for b, order in enumerate(orders):
+        hw[b, :, : num_coeffs(order)] = _weighted_hrtf(turned.interpolated(freqs[b]), weights[b], order)
+    return grid.rows(hw, orders)
 
 
 def render_full(s, estimator: Estimator, target, angles: EulerAngles, h_pair,

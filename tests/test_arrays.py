@@ -1,5 +1,6 @@
 """Array geometry: directivities, builders, t-design, JSON round trips."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -124,6 +125,27 @@ class TestDirectivities:
             assert np.array_equal(row, np.pad(mic.dir_coeffs, (0, 4 - mic.dir_coeffs.size)))
         assert geom.directivities[0] is c
         assert not c.flags.writeable
+
+
+class TestContentHash:
+    def test_is_sha256_of_the_json_form(self):
+        geom = arrays.build_composite_array()
+        expected = hashlib.sha256(arrays.geometry_to_json(geom).encode()).hexdigest()
+        assert geom.content_hash() == expected
+
+    def test_serialised_once_per_geometry(self, monkeypatch):
+        calls = []
+        original = arrays.geometry_to_json
+
+        def counted(geom):
+            calls.append(geom)
+            return original(geom)
+
+        monkeypatch.setattr(arrays, "geometry_to_json", counted)
+        geom = arrays.build_small_array()
+        first = geom.content_hash()
+        assert geom.content_hash() == first
+        assert len(calls) == 1
 
 
 class TestRigidSphereArray:

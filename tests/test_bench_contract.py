@@ -59,7 +59,7 @@ def test_tracer_instruments_traced_names():
 
 
 def test_bank_meters_count_bins_and_rotation_blocks():
-    # one filter bank at a turned head: one rows span per in-band bin, and the
+    # one filter bank at a turned head: one estimator per in-band bin, and the
     # rotation builds each Wigner-D block of the HRTF spectrum once per call
     tracing = _load_tracing()
     modules = {"cli": cli, "bundleio": bundleio, "hrtf": hrtf, "estimation": estimation,
@@ -77,13 +77,13 @@ def test_bank_meters_count_bins_and_rotation_blocks():
     finally:
         restore()
     layers = tracing.layer_metrics(tracer.spans, 0.0)
-    assert layers["rendering.rows_calls"] == in_band.size
+    assert layers["estimation.estimator_calls"] == in_band.size
     assert 0 < layers["special.wigner_d_calls"] <= spec.order + 1
 
 
 def test_bank_translations_do_not_grow_with_bins():
     # the angular plan is built once per call: doubling the in-band bins
-    # doubles the rows spans and leaves the translate_multi count alone
+    # doubles the estimators and leaves the translate_multi count alone
     tracing = _load_tracing()
     modules = {"cli": cli, "bundleio": bundleio, "hrtf": hrtf, "estimation": estimation,
                "wavefield": wavefield, "rendering": rendering, "simulate": simulate,
@@ -102,7 +102,7 @@ def test_bank_translations_do_not_grow_with_bins():
         finally:
             restore()
         layers = tracing.layer_metrics(tracer.spans, 0.0)
-        assert layers["rendering.rows_calls"] == in_band.size
+        assert layers["estimation.estimator_calls"] == in_band.size
         translations.append(layers["wavefield.translate_calls"])
     assert translations[0] == translations[1]
 
@@ -131,7 +131,7 @@ def test_bank_radial_calls_do_not_grow_with_bins():
         finally:
             restore()
         layers = tracing.layer_metrics(tracer.spans, 0.0)
-        assert layers["rendering.rows_calls"] == in_band.size
+        assert layers["estimation.estimator_calls"] == in_band.size
         radial_calls.append(layers["special.radial_calls"])
     assert 0 < radial_calls[0] == radial_calls[1]
 

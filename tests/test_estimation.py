@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from binrender import arrays, estimation, simulate
+from binrender import arrays, estimation, metrics, simulate
 from binrender import wavefield as wf
 
 C = 346.2
@@ -207,6 +207,64 @@ class TestAngularPlan:
         other = target + 0.01
         assert np.array_equal(est.xi(other, 4), direct.xi(other, 4))
         assert np.array_equal(est.xi(target, 6), direct.xi(target, 6))
+
+
+class TestGridEstimator:
+    """Rows and coefficients over a grid equal standalone per-bin estimators."""
+
+    TARGET = np.array([0.02, -0.03, 0.01])
+
+    @staticmethod
+    def orders_of(freqs):
+        return [metrics.truncation_order(k_of(f)) for f in freqs]
+
+    @pytest.mark.parametrize("freqs", [[300.0, 700.0, 1500.0], [1500.0, 300.0, 700.0, 300.0], [700.0]],
+                             ids=["mixed_orders", "unsorted_repeated", "single_bin"])
+    def test_rows_solve_the_per_bin_systems(self, composite, freqs, rng):
+        # g (Psi + lambda I) = hw Xi for standalone per-bin estimators; g
+        # itself moves with the reassociated sums by rounding times
+        # cond(Psi + lambda I)
+        ks = [k_of(f) for f in freqs]
+        orders = self.orders_of(freqs)
+        top = max(orders)
+        grid = estimation.GridEstimator(composite, ks, "auto", self.TARGET, top)
+        # entries above a bin's order are not read
+        shape = (len(ks), 2, (top + 1) ** 2)
+        hw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        pre, rows = grid.xi_rows(hw, orders), grid.rows(hw, orders)
+        assert pre.shape == rows.shape == (len(ks), 2, composite.n_mics)
+        for b, (k, order) in enumerate(zip(ks, orders)):
+            est = estimation.Estimator(composite, k)
+            want = hw[b, :, : (order + 1) ** 2] @ est.xi(self.TARGET, order)
+            assert np.max(np.abs(pre[b] - want)) < 1e-12 * np.max(np.abs(want))
+            got = rows[b] @ (est.psi + est.lam * np.eye(composite.n_mics))
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_coeffs_are_bitwise_per_bin_estimators(self, composite, rng):
+        freqs = [1500.0, 300.0, 700.0, 300.0]
+        ks = [k_of(f) for f in freqs]
+        orders = self.orders_of(freqs)
+        obs = rng.normal(size=(len(ks), composite.n_mics)) + 1j * rng.normal(size=(len(ks), composite.n_mics))
+        grid = estimation.GridEstimator(composite, ks, 1e-4, self.TARGET, max(orders))
+        plan = estimation.AngularPlan(composite, self.TARGET, max(orders), ks)
+        for alpha, s, k, order in zip(grid.coeffs(obs, orders), obs, ks, orders):
+            want = estimation.Estimator(composite, k, 1e-4, plan).coeffs(s, self.TARGET, order)
+            assert alpha.order == order and alpha.k == want.k
+            assert np.array_equal(alpha.coeffs, want.coeffs)
+            assert np.array_equal(alpha.center, want.center)
+
+    def test_rejects_untabulated_k_and_orders_above_the_top(self, composite):
+        ks = [k_of(300.0), k_of(700.0)]
+        grid = estimation.GridEstimator(composite, ks, "auto", self.TARGET, 4)
+        k = k_of(500.0)
+        with pytest.raises(ValueError, match=f"wavenumber {k} is not tabulated"):
+            estimation.Estimator(composite, k, plan=grid.plan)
+        hw = np.ones((2, 2, 25), dtype=complex)
+        obs = np.ones((2, composite.n_mics), dtype=complex)
+        for call in (lambda: grid.rows(hw, [4, 5]), lambda: grid.coeffs(obs, [5, 2]),
+                     lambda: grid.rows(hw, [4]), lambda: grid.rows(hw[:, :, :16], [3, 3])):
+            with pytest.raises(ValueError):
+                call()
 
 
 class TestEstimator:

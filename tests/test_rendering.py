@@ -253,6 +253,34 @@ class TestRenderFull:
                                          spec.interpolated(f), "sph", 1.5, truncation_order(k))
             assert np.max(np.abs(rows[b] @ obs[b] - np.array(want))) < 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("mode", ["sph", "pln"])
+    @pytest.mark.parametrize("freqs", [[300.0, 700.0, 1500.0], [1500.0, 300.0, 700.0, 300.0], [700.0]],
+                             ids=["mixed_orders", "unsorted_repeated", "single_bin"])
+    @pytest.mark.parametrize("angles", [EulerAngles(), EulerAngles(0.6, -0.4, 0.9)],
+                             ids=["ahead", "turned"])
+    def test_grid_rows_equal_per_bin_rows(self, head, composite, mode, freqs, angles):
+        # the degree-blocked rows of all bins against per-bin binaural_rows
+        # and the solve of a standalone estimator. The rows themselves are
+        # compared times (Psi + lambda I): a reassociation of the sums moves
+        # them by rounding times cond(Psi + lambda I), up to ~1e-11 at 300 Hz.
+        hrtf_freqs = np.array([300.0, 700.0, 1500.0])
+        spec = rigid_sphere_hrtf_spectrum(head, hrtf_freqs, 1.5, truncation_order(k_of(1500.0)))
+        scene = simulate.Scene(
+            sources=(simulate.PointSource(np.array([1.2, 0.6, -0.3])),), freqs=np.array(freqs))
+        obs = simulate.simulate_observation(scene, composite)
+        target = np.array([0.02, -0.03, 0.01])
+        rows = rendering.grid_rows(composite, np.array(freqs), target, angles, spec, mode)
+        assert rows.shape == (len(freqs), 2, composite.n_mics)
+        for b, f in enumerate(freqs):
+            k = k_of(f)
+            est = estimation.Estimator(composite, k)
+            want = rendering.binaural_rows(est, target, angles, spec.interpolated(f), mode, 1.5,
+                                           truncation_order(k))
+            got = rows[b] @ (est.psi + est.lam * np.eye(composite.n_mics))
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+            y = want @ est.solve(obs[b])
+            assert np.max(np.abs(rows[b] @ obs[b] - y)) < 1e-12 * np.max(np.abs(y))
+
     def test_update_builds_each_wigner_block_once(self, rng):
         # one head-tracking update over per-bin estimators at fresh angles:
         # the bins share each order's block, and so do the composed checks
