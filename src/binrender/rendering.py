@@ -86,18 +86,16 @@ def _rotate_hrtf(h, angles: EulerAngles):
 
 
 def binaural_rows(estimator: Estimator, target, angles: EulerAngles, h_pair,
-                  mode, measure_radius=None, order=None, weights=None):
+                  mode, measure_radius=None, order=None):
     """Row vectors r with binaural pair y = r @ (Psi + lambda I)^{-1} s.
 
     Shape (2, n_mics); the whole estimation + rotation + rendering chain
     collapsed onto the observation functionals. ``h_pair`` as in
-    ``render_coeffs``. ``weights``, if given, is the estimator's row of a
-    ``render_weights`` table of this mode at this or a higher order.
+    ``render_coeffs``.
     """
     h_order = _hrtf_order(h_pair)
     order = h_order if order is None else min(order, h_order)
-    if weights is None:
-        weights = render_weights(mode, order, k=estimator.k, measure_radius=measure_radius)
+    weights = render_weights(mode, order, k=estimator.k, measure_radius=measure_radius)
     weighted = _weighted_hrtf(h_pair, weights, order)
     return _rotate_hrtf(weighted, angles) @ estimator.xi(target, order)
 
