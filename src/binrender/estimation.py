@@ -13,11 +13,10 @@ Two estimators:
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .arrays import ArrayGeometry
 from .special import SQRT_4PI, num_coeffs, orders_degrees, sh_matrix, sph_hankel2_deriv
-from .utils import cart2sph
+from .utils import cart2sph, cho_factor, cho_solve
 from .wavefield import ShCoeffVec, TranslationPlan, translate_multi
 
 
@@ -98,7 +97,7 @@ class AngularPlan:
         self._rows = {k: b for b, k in enumerate(ks.tolist())}
         radial = self.psi_pairs.radial(ks, p)
         index = self.psi_pairs.radius_index
-        self._psi_table = sum(radial[:, l, index] * w for l, w in enumerate(self.psi_weights))
+        self._psi_table = np.einsum("blp,lp->bp", radial[:, :, index], self.psi_weights)
         self._xi_table = self.xi_cols.radial(ks, self.order)
 
     def covers(self, target, order):
@@ -124,9 +123,10 @@ def build_psi(geom: ArrayGeometry, k, plan: AngularPlan = None):
 
     Every element is an exact element of the infinite-order operator (the
     directivities have finite order, so no truncation enters). Assembled on
-    the upper triangle and mirrored, hence Hermitian by construction; the
-    diagonal is real positive. With ``plan`` (an ``AngularPlan`` of
-    ``geom``) the upper triangle is the plan's radial contraction at k.
+    the upper triangle, whose conjugates fill the lower one, hence Hermitian
+    by construction; the diagonal is real positive. With ``plan`` (an
+    ``AngularPlan`` of ``geom``) the upper triangle is the plan's radial
+    contraction at k.
     """
     if plan is None:
         iu, ju = np.triu_indices(geom.n_mics)
@@ -137,11 +137,11 @@ def build_psi(geom: ArrayGeometry, k, plan: AngularPlan = None):
     else:
         iu, ju = plan.upper
         vals = plan.psi_upper(k)
-    psi = np.zeros((geom.n_mics, geom.n_mics), dtype=complex)
+    psi = np.empty((geom.n_mics, geom.n_mics), dtype=complex)
+    psi[ju, iu] = np.conj(vals)
     psi[iu, ju] = vals
-    psi_full = psi + psi.conj().T
-    psi_full[np.diag_indices_from(psi_full)] = np.real(np.diag(psi))
-    return psi_full
+    np.fill_diagonal(psi, psi.diagonal().real)
+    return psi
 
 
 def build_xi(geom: ArrayGeometry, target, k, order, plan: AngularPlan = None):
@@ -183,12 +183,8 @@ class Estimator:
         if lam < 0:
             raise ValueError("lambda must be non-negative")
         self.lam = float(lam)
-        try:
-            self._factor = cho_factor(self.psi + self.lam * np.eye(geom.n_mics))
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                "Psi + lambda I is singular; increase lambda"
-            ) from exc
+        self._factor = cho_factor(self.psi + self.lam * np.eye(geom.n_mics),
+                                  "Psi + lambda I is singular; increase lambda")
         self._xi_key = None
         self._xi = None
 

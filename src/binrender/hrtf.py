@@ -11,12 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import zherk
 from scipy.special import sph_legendre_p_all
 
 from .special import num_coeffs, orders_degrees, sh_matrix, sph_hankel2, sph_hankel2_deriv
-from .utils import cart2sph, sph2cart
+from .utils import cart2sph, cho_factor, cho_solve, sph2cart
 
 
 @dataclass(frozen=True)
@@ -142,17 +141,8 @@ def _auto_gamma(gamma, trace, order):
 
 
 def _singular(order, gamma):
-    return np.linalg.LinAlgError(
-        "singular normal matrix in SH fit; the grid does not support "
-        f"order {order} at gamma={gamma}"
-    )
-
-
-def _cho_factor(a, order, gamma):
-    try:
-        return cho_factor(a)
-    except np.linalg.LinAlgError as exc:
-        raise _singular(order, gamma) from exc
+    return ("singular normal matrix in SH fit; the grid does not support "
+            f"order {order} at gamma={gamma}")
 
 
 def _fit_dense(hrtf_set, order, gamma):
@@ -164,7 +154,7 @@ def _fit_dense(hrtf_set, order, gamma):
     normal = np.conj(zherk(1.0, sh, trans=2))
     gamma = _auto_gamma(gamma, np.real(np.trace(normal)), order)
     n_all, _ = orders_degrees(order)
-    factor = _cho_factor(normal + gamma * np.diag(1.0 + n_all * (n_all + 1.0)), order, gamma)
+    factor = cho_factor(normal + gamma * np.diag(1.0 + n_all * (n_all + 1.0)), _singular(order, gamma))
     rhs = hrtf_set.responses @ sh  # Y^H h per ear and frequency
     return cho_solve(factor, rhs.reshape(-1, num_coeffs(order)).T).T.reshape(rhs.shape)
 
@@ -225,7 +215,7 @@ def _fit_rings(responses, zeniths, rings, offsets, order, gamma):
     gamma = _auto_gamma(gamma, np.einsum("mnn->", normal), order)
     if gamma == 0 and zeniths.size <= order:
         # the m = 0 block has size N + 1 and rank <= R; Cholesky may not notice
-        raise _singular(order, gamma)
+        raise np.linalg.LinAlgError(_singular(order, gamma))
     rhs = legendre @ spectra  # (2N+1, N+1, 2F)
     n = np.arange(order + 1)
     q_diag = 1.0 + n * (n + 1.0)
@@ -233,7 +223,7 @@ def _fit_rings(responses, zeniths, rings, offsets, order, gamma):
     for m in degrees:
         lo = abs(m)
         block = normal[m + order, lo:, lo:] + gamma * np.diag(q_diag[lo:])
-        factor = _cho_factor(block, order, gamma)
+        factor = cho_factor(block, _singular(order, gamma))
         # real block, complex right-hand side: solve on the interleaved real view
         x = cho_solve(factor, rhs[m + order, lo:].view(float))
         coeffs[:, n[lo:] * (n[lo:] + 1) + m] = np.ascontiguousarray(x).view(complex).T

@@ -20,6 +20,7 @@ frequencies with Xi one degree at a time, so no bin's Xi is formed.
 MIMO FIR filter bank.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -35,24 +36,38 @@ from .special import wigner_d_block  # noqa: F401 -- kept for perfbench/tracing.
 from .wavefield import ShCoeffVec, rotate_blocks, rotate_coeffs
 
 
+@functools.lru_cache(maxsize=512)
+def _degree_weights(mode, order, k, measure_radius):
+    """Read-only rendering weight per degree n <= order, cached at scalar k: head
+    tracking renders a bin at the same (k, order) on every update. At most 512
+    entries of order + 1 complex values, 16 x 512 (order + 1) bytes (295 KB at
+    order 35). ``__wrapped__`` takes an array ``k``, one row per k."""
+    n = np.arange(order + 1)
+    if mode == "pln":
+        return np.broadcast_to(SQRT_4PI * ipow(-n), np.shape(k) + n.shape)
+    if mode != "sph":
+        raise ValueError(f"unknown rendering mode {mode!r}")
+    if measure_radius is None or k is None:
+        raise ValueError("sph mode needs k and measure_radius")
+    if not measure_radius > 0:
+        raise ValueError("measure_radius must be positive")
+    k = np.asarray(k)[..., None]
+    w = SQRT_4PI * 1j / (k * sph_hankel2(n, k * measure_radius))
+    w.flags.writeable = False
+    return w
+
+
 def render_weights(mode, order, k=None, measure_radius=None):
     """Per-coefficient diagonal rendering weights (depend only on order n).
 
-    Shape ((order+1)^2,) for a scalar ``k``; for an array of wavenumbers,
-    one row per k from one Hankel table, each row bitwise its scalar call's.
+    Shape ((order+1)^2,) for a scalar ``k``, from the cached per-degree
+    weights; for an array of wavenumbers, one row per k from one Hankel
+    table, each row bitwise its scalar call's. Always a fresh array.
     """
-    n = np.arange(order + 1)
-    if mode == "pln":
-        w = np.broadcast_to(SQRT_4PI * ipow(-n), np.shape(k) + n.shape)
-    elif mode == "sph":
-        if measure_radius is None or k is None:
-            raise ValueError("sph mode needs k and measure_radius")
-        if not measure_radius > 0:
-            raise ValueError("measure_radius must be positive")
-        k = np.asarray(k)[..., None]
-        w = SQRT_4PI * 1j / (k * sph_hankel2(n, k * measure_radius))
+    if np.ndim(k) == 0:
+        w = _degree_weights(mode, order, None if k is None else float(k), measure_radius)
     else:
-        raise ValueError(f"unknown rendering mode {mode!r}")
+        w = _degree_weights.__wrapped__(mode, order, k, measure_radius)
     return w[..., orders_degrees(order)[0]]
 
 

@@ -1,6 +1,7 @@
 """Coordinate conversions and small shared helpers."""
 
 import numpy as np
+from scipy.linalg import lapack
 
 
 def cart2sph(xyz):
@@ -41,6 +42,28 @@ def unit(v):
     if n == 0:
         raise ValueError("cannot normalize a zero vector")
     return v / n
+
+
+def cho_factor(a, singular):
+    """Upper Cholesky factor of the Hermitian positive definite ``a`` from LAPACK
+    ``?potrf``: bitwise ``scipy.linalg.cho_factor(a)[0]``, without its wrapper's
+    overhead; the strict lower triangle keeps ``a``'s values. ValueError if ``a``
+    is not finite, LinAlgError(``singular``) if it is not positive definite."""
+    a = np.asarray_chkfinite(a)
+    potrf = lapack.zpotrf if a.dtype.kind == "c" else lapack.dpotrf
+    factor, info = potrf(a, lower=False, clean=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(singular)
+    return factor
+
+
+def cho_solve(factor, b):
+    """A^{-1} b, b of shape (n,) or (n, K), from the ``cho_factor`` of A through LAPACK
+    ``?potrs``: bitwise ``scipy.linalg.cho_solve((factor, False), b)``, b untouched.
+    ValueError if b is not finite."""
+    b = np.asarray_chkfinite(b)
+    potrs = lapack.zpotrs if "c" in (factor.dtype.kind, b.dtype.kind) else lapack.dpotrs
+    return potrs(factor, b, lower=False)[0]
 
 
 def rotation_matrix_z(angle):

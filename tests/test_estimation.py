@@ -116,6 +116,18 @@ class TestBuildPsi:
         assert np.all(np.diag(psi).real > 0)
         assert np.max(np.abs(np.diag(psi).imag)) == 0.0
 
+    def test_equals_mirrored_upper_triangle(self, composite):
+        # the upper values and their conjugates written straight into Psi equal
+        # the mirror psi + psi^H of the upper triangle with its real diagonal
+        k = k_of(900.0)
+        plan = estimation.AngularPlan(composite, np.zeros(3), 2, [k])
+        iu, ju = plan.upper
+        upper = np.zeros((composite.n_mics, composite.n_mics), dtype=complex)
+        upper[iu, ju] = plan.psi_upper(k)
+        want = upper + upper.conj().T
+        want[np.diag_indices_from(want)] = np.real(np.diag(upper))
+        assert np.array_equal(estimation.build_psi(composite, k, plan), want)
+
     def test_position_independence_vs_xi_gram(self, composite, rng):
         # Psi == Xi(r)^H Xi(r) for arbitrary r once the row order has converged
         k = k_of(500.0)
@@ -194,6 +206,17 @@ class TestAngularPlan:
                        lambda: estimation.Estimator(composite, k, plan=plan)):
             with pytest.raises(ValueError, match=f"wavenumber {k} is not tabulated"):
                 lookup()
+
+    def test_psi_table_bytes_equal_the_per_degree_sum(self, composite):
+        # one contraction over the degrees gives the bytes of the per-degree
+        # sum it replaced, on the 128 bins of a 100-1600 Hz, nfft-4096 grid
+        freqs = np.arange(1, 2049) * 48000.0 / 4096
+        ks = k_of(freqs[(freqs >= 100.0) & (freqs <= 1600.0)])
+        plan = estimation.AngularPlan(composite, np.zeros(3), 1, ks)
+        radial = plan.psi_pairs.radial(ks, plan.dir_order)[:, :, plan.psi_pairs.radius_index]
+        want = sum(radial[:, l] * w for l, w in enumerate(plan.psi_weights))
+        assert ks.size == 128
+        assert plan._psi_table.tobytes() == want.tobytes()
 
     def test_estimator_uses_plan_only_where_it_covers(self, composite):
         k = k_of(900.0)
@@ -376,6 +399,43 @@ class TestEstimator:
     def test_invalid_lambda(self, composite):
         with pytest.raises(ValueError):
             estimation.Estimator(composite, k_of(500.0), lam=-1.0)
+        # NaN passes the sign test but not the finiteness check of Psi + lambda I
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            estimation.Estimator(composite, k_of(500.0), lam=float("nan"))
+
+    def test_non_finite_observations_raise(self, composite):
+        est = estimation.Estimator(composite, k_of(700.0))
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            for shape in ((64,), (64, 3)):
+                s = np.ones(shape, dtype=complex)
+                s[7] = bad
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    est.solve(s)
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    est.coeffs(s, np.zeros(3), 2)
+
+    def test_duplicated_microphone_is_singular_at_lambda_zero(self, composite):
+        k = k_of(1000.0)
+        mics = composite.mics[:4]
+        estimation.Estimator(arrays.ArrayGeometry(mics=mics), k, lam=0.0)
+        duplicated = arrays.ArrayGeometry(mics=mics + (mics[1],))
+        with pytest.raises(np.linalg.LinAlgError, match=r"^Psi \+ lambda I is singular; increase lambda$"):
+            estimation.Estimator(duplicated, k, lam=0.0)
+        assert estimation.Estimator(duplicated, k).lam > 0
+
+    def test_solve_bitwise_scipy_cholesky(self, composite, rng):
+        # the LAPACK factor and solves give scipy.linalg's wrapped results bit for bit
+        from scipy.linalg import cho_factor, cho_solve
+
+        for f, lam in ((300.0, "auto"), (1500.0, 1e-4)):
+            est = estimation.Estimator(composite, k_of(f), lam)
+            factor = cho_factor(est.psi + est.lam * np.eye(composite.n_mics))
+            for shape in ((64,), (64, 5)):
+                s = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                kept = s.copy()
+                got = est.solve(s)
+                assert got.tobytes() == cho_solve(factor, s).tobytes()
+                assert np.array_equal(s, kept)
 
     def test_estimate_coeffs_wrapper(self, composite):
         k = k_of(500.0)

@@ -152,12 +152,40 @@ class TestRenderWeights:
                 assert np.array_equal(got, want)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            rendering.render_weights("sph", 3, k=None, measure_radius=1.5)
-        with pytest.raises(ValueError):
-            rendering.render_weights("sph", 3, k=2.0, measure_radius=0.0)
-        with pytest.raises(ValueError):
-            rendering.render_weights("foo", 3)
+        # errors are not cached: every repeated call raises again
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                rendering.render_weights("sph", 3, k=None, measure_radius=1.5)
+            with pytest.raises(ValueError):
+                rendering.render_weights("sph", 3, k=2.0, measure_radius=0.0)
+            with pytest.raises(ValueError):
+                rendering.render_weights("foo", 3)
+            with pytest.raises(ValueError):
+                rendering.render_weights("foo", 3, k=2.0, measure_radius=1.5)
+
+    @pytest.mark.parametrize("mode", ["pln", "sph"])
+    def test_returned_rows_are_fresh(self, mode):
+        k = k_of(700.0)
+        want = self.per_order_weights(mode, 6, k=k, measure_radius=1.5)
+        got = rendering.render_weights(mode, 6, k=k, measure_radius=1.5)
+        assert got.flags.writeable
+        got[:] = 0.0
+        again = rendering.render_weights(mode, 6, k=k, measure_radius=1.5)
+        assert again is not got and np.array_equal(again, want)
+
+    def test_weight_cache_is_bounded(self):
+        # the docstring's bound: maxsize entries of (order + 1) complex values,
+        # 16 x 512 x 36 bytes = 295 KB at order 35
+        cache = rendering._degree_weights
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and 16 * maxsize * 36 <= 295_000
+        try:
+            for k in np.linspace(1.0, 200.0, maxsize + 10):
+                assert rendering.render_weights("sph", 35, k=k, measure_radius=1.5).size == 36 ** 2
+                assert cache("sph", 35, float(k), 1.5).nbytes == 16 * 36
+            assert cache.cache_info().currsize == maxsize
+        finally:
+            cache.cache_clear()
 
 
 class TestWeightRatio:
