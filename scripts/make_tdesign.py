@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import least_squares
 
-from binrender.special import sh_matrix, sph_harmonic
+from binrender.special import sh_matrix
 from binrender.utils import cart2sph, sph2cart
 
 N_POINTS = 64
@@ -31,12 +31,11 @@ MAX_ORDER = 7
 
 
 def residuals(params):
-    theta = params[:N_POINTS]
-    phi = params[N_POINTS:]
+    sums = np.sum(sh_matrix(MAX_ORDER, params[:N_POINTS], params[N_POINTS:]), axis=0)
     out = []
     for n in range(1, MAX_ORDER + 1):
         for m in range(n + 1):
-            s = np.sum(sph_harmonic(n, m, theta, phi))
+            s = sums[n * n + n + m]
             out.append(s.real)
             if m > 0:
                 out.append(s.imag)
@@ -54,12 +53,8 @@ def fibonacci_init(seed):
 
 
 def design_residual(nodes):
-    r, theta, phi = cart2sph(nodes)
-    worst = 0.0
-    for n in range(1, MAX_ORDER + 1):
-        for m in range(-n, n + 1):
-            worst = max(worst, abs(np.sum(sph_harmonic(n, m, theta, phi))))
-    return worst
+    _, theta, phi = cart2sph(nodes)
+    return float(np.max(np.abs(np.sum(sh_matrix(MAX_ORDER, theta, phi)[:, 1:], axis=0))))
 
 
 def sh_condition(nodes):

@@ -23,7 +23,7 @@ from .arrays import (
     save_geometry,
     tdesign_nodes,
 )
-from .estimation import Estimator, build_psi, build_xi, estimate_coeffs, rigid_sphere_estimate
+from .estimation import Estimator, build_psi, build_xi, rigid_sphere_estimate
 from .hrtf import (
     HrtfSet,
     HrtfShSpectrum,
@@ -50,7 +50,7 @@ from .rendering import (
     synth_fir_filters,
 )
 from .simulate import PointSource, Scene, band_freqs, simulate_observation, true_binaural
-from .special import EulerAngles, ShIndex, gaunt, sph_harmonic, wigner_3j, wigner_d_block
+from .special import EulerAngles, wigner_d_block
 from .wavefield import (
     ShCoeffVec,
     TranslationMatrix,

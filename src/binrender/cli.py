@@ -94,10 +94,13 @@ def _load_json(path):
 
 def _number(doc, name, default, kind):
     """The value at dotted ``name``'s last key in ``doc`` (or ``default``) as ``kind``,
-    int or float; a value that does not convert, or a float that is not whole
-    where an int is asked for, is a user error naming the key."""
+    int or float; a value that is not a JSON number (a boolean or a numeric
+    string included), or a float that is not whole where an int is asked
+    for, is a user error naming the key."""
     value = doc.get(name.rpartition(".")[2], default)
     try:
+        if type(value) not in (int, float):
+            raise TypeError
         number = kind(value)
         if kind is int and isinstance(value, float) and number != value:
             raise ValueError
@@ -139,22 +142,24 @@ def parse_scene(doc) -> Scene:
             freqs = band_freqs(*_numbers(doc, "scene.band", None, 3))
         else:
             raise ConfigError("scene needs 'freqs' or 'band'")
-        if freqs.ndim != 1 or freqs.size == 0 or not np.all(np.isfinite(freqs)):
+        if (freqs.ndim != 1 or freqs.size == 0 or not np.all(np.isfinite(freqs))
+                or any(type(f) not in (int, float) for f in doc.get("freqs", ()))):
             raise ConfigError(f"scene.{grid} must give a non-empty list of finite frequencies, "
                               f"got {json.dumps(doc[grid])}")
         sources = []
         for s in doc.get("sources", []):
             _known_keys(s, ("pos", "spectrum"), "scene source")
-            if "pos" not in s:
-                raise ConfigError("every scene source needs a 'pos'")
+            pos = np.asarray(_numbers(s, "scene.sources.pos", None, 3), dtype=float)
             spectrum = s.get("spectrum", "flat")
             if spectrum == "flat":
                 spec = None
             else:
+                if any(type(v) not in (int, float) for pair in spectrum for v in pair):
+                    raise ConfigError('scene.sources.spectrum must be "flat" or [re, im] pairs')
                 spec = np.array([complex(re, im) for re, im in spectrum])
                 if spec.size != freqs.size:
                     raise ConfigError("source spectrum length must match the frequency grid")
-            sources.append(PointSource(np.asarray(s["pos"], dtype=float), spec))
+            sources.append(PointSource(pos, spec))
         return Scene(sources=tuple(sources), freqs=freqs,
                      sound_speed=_number(doc, "scene.sound_speed", 346.2, float))
     except (TypeError, ValueError) as exc:  # a wrong JSON type, or a value that does not convert
@@ -227,11 +232,9 @@ class RunConfig:
             raise ConfigError(f"render wav_gain must be finite, got {self.wav_gain}")
 
         listener = _known_keys(doc.get("listener", {}), ("position", "euler_deg"), "listener")
-        self.listener_position = np.asarray(listener.get("position", [0.0, 0.0, 0.0]), dtype=float)
-        deg = np.asarray(listener.get("euler_deg", [0.0, 0.0, 0.0]), dtype=float)
-        for name, value in (("position", self.listener_position), ("euler_deg", deg)):
-            if value.shape != (3,) or not np.all(np.isfinite(value)):
-                raise ConfigError(f"listener {name} must be three finite numbers")
+        self.listener_position = np.asarray(
+            _numbers(listener, "listener.position", [0.0, 0.0, 0.0], 3), dtype=float)
+        deg = _numbers(listener, "listener.euler_deg", [0.0, 0.0, 0.0], 3)
         self.angles = EulerAngles(*(math.radians(a) for a in deg))
 
         hrtf_ref = doc.get("hrtf")

@@ -10,6 +10,9 @@ Two estimators:
   pairs and is independent of the evaluation position, so one Hermitian
   factorization of (Psi + lambda I) serves every target position and head
   rotation; retargeting only swaps the synthesis matrix Xi(r).
+  ``GridEstimator`` runs it over a grid of wavenumbers from one
+  ``AngularPlan`` of Psi and Xi(target); filter banks and ``estimate`` go
+  through it.
 """
 
 import numpy as np
@@ -300,10 +303,3 @@ class GridEstimator:
         orders = self._orders(orders)
         return [self._estimator(b).coeffs(s, self.target, int(order))
                 for b, (s, order) in enumerate(zip(obs, orders))]
-
-
-def estimate_coeffs(s, geom: ArrayGeometry, target, k, lam="auto", order=None) -> ShCoeffVec:
-    """One-shot convenience wrapper around :class:`Estimator`."""
-    if order is None:
-        raise ValueError("order must be given")
-    return Estimator(geom, k, lam).coeffs(s, target, order)

@@ -195,24 +195,6 @@ def ild(pair: BinauralPair, lowpass_hz=1600.0):
     return 10.0 * math.log10(el / er)
 
 
-def align_by_crosscorr(est, true):
-    """Integer-lag alignment of ``est`` to ``true`` by full cross-correlation.
-
-    Returns (aligned_est, lag_samples); the shifted signal is zero-padded,
-    not wrapped. Phase pre-correction used before time-domain comparisons.
-    """
-    est = np.asarray(est, dtype=float)
-    true = np.asarray(true, dtype=float)
-    c = _xcorr(true, est)
-    lag = int(np.argmax(c) - (est.size - 1))
-    out = np.zeros_like(true)
-    if lag >= 0:
-        out[lag:] = est[: est.size - lag]
-    else:
-        out[: est.size + lag] = est[-lag:]
-    return out, lag
-
-
 # ---------------------------------------------------------------------------
 # Truncation rule
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ formula below is pinned to the set above.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -38,29 +37,6 @@ def ipow(n):
 # ---------------------------------------------------------------------------
 # (order, degree) indexing
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShIndex:
-    """Order/degree pair with the linear index q = n^2 + n + m."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 0 or abs(self.m) > self.n:
-            raise ValueError(f"invalid spherical harmonic index ({self.n}, {self.m})")
-
-    @property
-    def q(self):
-        return self.n * self.n + self.n + self.m
-
-    @classmethod
-    def from_linear(cls, q):
-        if q < 0:
-            raise ValueError("linear index must be non-negative")
-        n = int(math.isqrt(q))
-        return cls(n, q - n * n - n)
-
 
 @dataclass(frozen=True)
 class EulerAngles:
@@ -91,11 +67,6 @@ def orders_degrees(order):
 # ---------------------------------------------------------------------------
 # Spherical Bessel / Hankel functions
 # ---------------------------------------------------------------------------
-
-def sph_bessel_j(n, x):
-    """Spherical Bessel function j_n(x), n >= 0, x >= 0."""
-    return _sp.spherical_jn(n, x)
-
 
 # Miller's recurrence starts where |j_l(z)| <= z^l / (2l+1)!! is below this
 _MILLER_BOUND = 1e-22
@@ -188,11 +159,6 @@ def sph_hankel2(n, x):
     return _sp.spherical_jn(n, x) - 1j * _sp.spherical_yn(n, x)
 
 
-def sph_bessel_j_deriv(n, x):
-    """d/dx j_n(x)."""
-    return _sp.spherical_jn(n, x, derivative=True)
-
-
 def sph_hankel2_deriv(n, x):
     """d/dx h_n(x), x > 0 (raises ValueError at x = 0)."""
     _check_positive(x, "sph_hankel2_deriv")
@@ -207,16 +173,6 @@ def _check_positive(x, name):
 # ---------------------------------------------------------------------------
 # Spherical harmonics
 # ---------------------------------------------------------------------------
-
-def sph_harmonic(n, m, theta, phi):
-    """Orthonormal complex spherical harmonic Y_n^m(theta, phi).
-
-    ``theta`` is the zenith angle in [0, pi], ``phi`` the azimuth. The
-    Condon-Shortley phase is included, so the conjugation symmetry is
-    ``Y_n^{-m} = (-1)^m conj(Y_n^m)``. Broadcasts over all arguments.
-    """
-    return _sp.sph_harm_y(n, m, theta, phi)
-
 
 def sh_table(lmax, theta, phi):
     """Y_n^m(theta, phi) for every n, |m| <= lmax, shape (lmax + 1, 2 lmax + 1) + shape.
@@ -252,39 +208,11 @@ def sh_matrix(order, theta, phi):
 
 
 # ---------------------------------------------------------------------------
-# Wigner 3j (exact rational Racah sum) and Gaunt coefficients (Gauss-Legendre)
+# Gaunt coefficients (Gauss-Legendre)
 # ---------------------------------------------------------------------------
 
 def _triangle_ok(j1, j2, j3):
     return abs(j1 - j2) <= j3 <= j1 + j2
-
-
-def wigner_3j(j1, j2, j3, m1, m2, m3):
-    """Scalar Wigner 3j symbol (integer arguments).
-
-    The Racah sum in exact rational arithmetic, rounded once: the square
-    root is truncated to >= 55 bits with a sticky last bit, so the one
-    float conversion rounds it correctly.
-    """
-    if m1 + m2 + m3 != 0 or not _triangle_ok(j1, j2, j3):
-        return 0.0
-    if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
-        return 0.0
-    f = math.factorial
-    total = sum(
-        Fraction((-1) ** t, f(t) * f(j3 - j2 + t + m1) * f(j3 - j1 + t - m2)
-                 * f(j1 + j2 - j3 - t) * f(j1 - t - m1) * f(j2 - t + m2))
-        for t in range(max(0, j2 - j3 - m1, j1 - j3 + m2), min(j1 + j2 - j3, j1 - m1, j2 + m2) + 1)
-    )
-    square = total * total * Fraction(
-        f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(j2 + j3 - j1)
-        * f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3),
-        f(j1 + j2 + j3 + 1))
-    shift = (square.denominator.bit_length() - square.numerator.bit_length()) // 2 + 56  # |3j| <= 1
-    scaled = square.numerator << 2 * shift
-    root = math.isqrt(scaled // square.denominator)
-    root |= root * root * square.denominator != scaled
-    return math.ldexp(-root if (j1 - j2 - m3) % 2 != (total < 0) else root, -shift)
 
 
 @lru_cache(maxsize=64)
@@ -324,19 +252,6 @@ def gaunt_grid(n1, n2, l):
         out[valid] = terms[valid].sum(axis=-1)
     out.flags.writeable = False
     return out
-
-
-def gaunt(n1, m1, n2, m2, l):
-    """Scalar Gaunt coefficient G(n1,m1; n2,m2; l).
-
-    Zero (exactly) outside the selection rules: triangle inequality
-    |n1-n2| <= l <= n1+n2, even parity of n1+n2+l, and |m1+m2| <= l.
-    """
-    if abs(m1) > n1 or abs(m2) > n2:
-        raise ValueError("degree exceeds order")
-    if not _triangle_ok(n1, n2, l) or (n1 + n2 + l) % 2 or abs(m1 + m2) > l:
-        return 0.0
-    return float(gaunt_grid(n1, n2, l)[m1 + n1, m2 + n2])
 
 
 # ---------------------------------------------------------------------------

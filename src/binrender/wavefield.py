@@ -117,18 +117,6 @@ def translation_buffer(kd):
     return max(10, math.ceil(math.e * kd / 2.0))
 
 
-def spherical_wavefunction(n, m, r_rel, k):
-    """Regular spherical wavefunction sqrt(4 pi) j_n(k r) Y_n^m(theta, phi).
-
-    ``r_rel`` is the cartesian position relative to the expansion center.
-    At the origin only (n, m) = (0, 0) is nonzero and equals 1.
-    """
-    r, theta, phi = cart2sph(r_rel)
-    if np.ndim(r) == 0 and r == 0:
-        return 1.0 + 0.0j if n == 0 else 0.0 + 0.0j
-    return SQRT_4PI * _sp.spherical_jn(n, k * np.asarray(r)) * _sp.sph_harm_y(n, m, theta, phi)
-
-
 def evaluate_field(alpha: ShCoeffVec, points):
     """Evaluate the truncated expansion at one point or an array of points.
 
@@ -262,8 +250,8 @@ def translate_multi(displacements, k, order_out, coeff_rows):
     radial = _radial_table(cart2sph(d[nonzero])[0], k, order_out + math.isqrt(c.shape[1]) - 1)
     for n, n_out, terms in _translation_terms(d[nonzero], radial, order_out, c[nonzero]):
         rows = out_nz[n_out * n_out : (n_out + 1) ** 2]
-        # one term at a time in (l, m) order: test_equals_per_degree_loop
-        # pins these bits, and with them Psi, Xi and the filter banks
+        # one term at a time in (l, m) order: test_equals_per_degree_loop pins these
+        # bits, and with them the single-bin Estimator (head tracking, library)
         for term in terms.transpose(0, 2, 1, 3).reshape(-1, *rows.shape):
             rows += term
     out[nonzero] = out_nz.T

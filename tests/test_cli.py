@@ -526,10 +526,31 @@ class TestExitCodes:
         ("render", "band", 5, "render.band must be a list of two finite numbers, got 5"),
         ("hrtf", "synthetic", {"ear_azimuths_deg": 90.0},
          "hrtf.synthetic.ear_azimuths_deg must be a list of two finite numbers, got 90.0"),
+        # JSON booleans and numeric strings are not numbers
+        ("render", "order_cap", True, "render.order_cap must be an integer, got true"),
+        ("render", "nfft", "4096", 'render.nfft must be an integer, got "4096"'),
+        ("seed", None, "7", 'seed must be an integer, got "7"'),
+        ("hrtf", "synthetic", {"head_radius": True},
+         "hrtf.synthetic.head_radius must be a number, got true"),
+        ("listener", "position", ["1", "2", "3"],
+         'listener.position must be a list of three finite numbers, got ["1", "2", "3"]'),
+        ("listener", "euler_deg", [True, False, True],
+         "listener.euler_deg must be a list of three finite numbers, got [true, false, true]"),
+        ("scene", "sources", [{"pos": ["1", "2", "3"]}],
+         'scene.sources.pos must be a list of three finite numbers, got ["1", "2", "3"]'),
+        ("scene", "sources", [{"pos": [True, False, True]}],
+         "scene.sources.pos must be a list of three finite numbers, got [true, false, true]"),
+        ("scene", "freqs", ["200", "400"],
+         'scene.freqs must give a non-empty list of finite frequencies, got ["200", "400"]'),
+        ("scene", "sources", [{"pos": [1.5, 0.0, 0.0], "spectrum": [[True, False]] * 5}],
+         'scene.sources.spectrum must be "flat" or [re, im] pairs'),
     ], ids=["nfft", "sample-rate", "order-cap", "shoulder-radius", "wav-duration", "wav-gain",
             "head-radius", "measure-radius", "seed", "sound-speed", "nfft-infinity",
             "seed-infinity", "nfft-fraction", "order-cap-fraction", "seed-fraction",
-            "band-number", "ear-azimuths-number"])
+            "band-number", "ear-azimuths-number", "order-cap-boolean", "nfft-string",
+            "seed-string", "head-radius-boolean", "listener-position-strings",
+            "listener-euler-booleans", "source-pos-strings", "source-pos-booleans",
+            "freqs-strings", "spectrum-booleans"])
     def test_config_type_errors_name_the_key(self, tmp_path, capsys, section, key, value, message):
         cfg = write_config(tmp_path)
         if section == "scene":

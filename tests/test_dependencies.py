@@ -23,7 +23,7 @@ def _floor(package):
 
 def test_scipy_floor_has_sph_legendre_p_all():
     # scipy.special.sph_legendre_p_all (every SH table) and sph_harm_y
-    # (sph_harmonic) first shipped in SciPy 1.15.0
+    # first shipped in SciPy 1.15.0
     assert _floor("scipy") >= (1, 15)
 
 

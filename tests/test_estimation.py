@@ -436,13 +436,3 @@ class TestEstimator:
                 got = est.solve(s)
                 assert got.tobytes() == cho_solve(factor, s).tobytes()
                 assert np.array_equal(s, kept)
-
-    def test_estimate_coeffs_wrapper(self, composite):
-        k = k_of(500.0)
-        scene = simulate.Scene(
-            sources=(simulate.PointSource(np.array([1.5, 0.0, 0.0])),),
-            freqs=np.array([500.0]))
-        s = simulate.simulate_observation(scene, composite)[0]
-        a = estimation.estimate_coeffs(s, composite, np.zeros(3), k, order=3)
-        b = estimation.Estimator(composite, k).coeffs(s, np.zeros(3), 3)
-        assert np.array_equal(a.coeffs, b.coeffs)

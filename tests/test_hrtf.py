@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import sph_harm_y
 
 from binrender import hrtf
-from binrender.special import num_coeffs, orders_degrees, sph_harmonic
+from binrender.special import num_coeffs, orders_degrees
 
 C = 346.2
 
@@ -19,7 +20,7 @@ def _flat_set(directions, freqs, responses, radius=1.5):
 class TestFitSh:
     def test_exact_single_harmonic(self):
         grid = hrtf.fibonacci_grid(2000)
-        h = np.conj(sph_harmonic(3, -2, grid[:, 0], grid[:, 1]))
+        h = np.conj(sph_harm_y(3, -2, grid[:, 0], grid[:, 1]))
         responses = np.broadcast_to(h, (2, 1, 2000)).copy()
         spec = hrtf.fit_sh(_flat_set(grid, [1000.0], responses), 6, gamma=0.0)
         q = 3 * 3 + 3 - 2
@@ -54,7 +55,7 @@ class TestFitSh:
         n_all, m_all = orders_degrees(order)
         h = np.zeros(200, dtype=complex)
         for q in range(num_coeffs(order)):
-            h += coeffs[q] * np.conj(sph_harmonic(n_all[q], m_all[q], grid[:, 0], grid[:, 1]))
+            h += coeffs[q] * np.conj(sph_harm_y(n_all[q], m_all[q], grid[:, 0], grid[:, 1]))
         responses = np.broadcast_to(h, (2, 1, 200)).copy()
         spec = hrtf.fit_sh(_flat_set(grid, [700.0], responses), order, gamma=0.0)
         assert np.max(np.abs(spec.coeffs[0, 0] - coeffs)) < 1e-10

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import sph_harm_y
 
 from binrender import arrays, estimation, simulate
 from binrender import wavefield as wf
 from binrender.hrtf import SyntheticHead, synth_rigid_sphere_hrtf
-from binrender.special import orders_degrees, sph_harmonic, sph_hankel2_deriv
+from binrender.special import sph_hankel2_deriv
 from binrender.utils import cart2sph
 
 C = 346.2
@@ -155,7 +156,7 @@ class TestRigidBaffleObservation:
                 gain = -SQRT_4PI * 1j / (k**2 * radius**2 * sph_hankel2_deriv(n, k * radius))
                 for m in range(n, -n - 1, -1):
                     q = n * n + n + m
-                    total += gain * sph_harmonic(n, m, th, ph) * alpha.coeffs[q]
+                    total += gain * sph_harm_y(n, m, th, ph) * alpha.coeffs[q]
             ref[i] = total
         assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from binrender import wavefield as wf
-from binrender.special import EulerAngles, orders_degrees, sph_harmonic
+from binrender.special import EulerAngles, orders_degrees
 from binrender.utils import rotation_matrix_zyz
 
 C = 346.2
@@ -22,23 +22,30 @@ def green(points, src, k):
     return np.exp(-1j * k * d) / (4.0 * np.pi * d)
 
 
+def unit_wavefunction(n, m, point, k):
+    """sqrt(4 pi) j_n(k r) Y_n^m at ``point``: the field of the unit coefficient vector (n, m)."""
+    coeffs = np.zeros((n + 1) ** 2)
+    coeffs[n * n + n + m] = 1.0
+    return wf.evaluate_field(wf.ShCoeffVec(coeffs, np.zeros(3), k, n), point)
+
+
 class TestSphericalWavefunction:
     def test_origin_monopole(self):
-        assert wf.spherical_wavefunction(0, 0, np.zeros(3), 10.0) == pytest.approx(1.0)
-        assert wf.spherical_wavefunction(2, 1, np.zeros(3), 10.0) == 0.0
+        assert unit_wavefunction(0, 0, np.zeros(3), 10.0) == pytest.approx(1.0)
+        assert unit_wavefunction(2, 1, np.zeros(3), 10.0) == 0.0
 
     def test_composed_from_parts(self):
-        from scipy.special import spherical_jn
+        from scipy.special import spherical_jn, sph_harm_y
 
-        got = wf.spherical_wavefunction(1, 0, np.array([0.0, 0.0, 0.1]), 10.0)
-        want = math.sqrt(4 * math.pi) * spherical_jn(1, 1.0) * sph_harmonic(1, 0, 0.0, 0.0)
+        got = unit_wavefunction(1, 0, np.array([0.0, 0.0, 0.1]), 10.0)
+        want = math.sqrt(4 * math.pi) * spherical_jn(1, 1.0) * sph_harm_y(1, 0, 0.0, 0.0)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_large_argument_decay(self):
         k = 100.0
         r = np.array([0.0, 0.0, 5.0])  # kr = 500 >> n
         for n in (0, 3, 7):
-            assert abs(wf.spherical_wavefunction(n, 0, r, k)) < 4.0 / (k * 5.0)
+            assert abs(unit_wavefunction(n, 0, r, k)) < 4.0 / (k * 5.0)
 
 
 class TestEvaluateField:
@@ -166,11 +173,11 @@ class TestTranslationMatrix:
         assert errs[2] < 1e-3
 
     def test_equals_scalar_gaunt_sum(self):
-        # every element against the defining sum, built from scalar Gaunt
-        # coefficients, scalar harmonics and scalar Bessel values
+        # every element against the defining sum, term by term from entries
+        # of the Gaunt grids, scalar harmonics and scalar Bessel values
         from scipy.special import spherical_jn, sph_harm_y
 
-        from binrender.special import gaunt
+        from binrender.special import gaunt_grid
 
         k = k_of(1100.0)
         for d in (np.array([0.08, -0.13, 0.05]), np.array([0.0, 0.0, -0.2])):
@@ -186,7 +193,7 @@ class TestTranslationMatrix:
                             for l in range(abs(n - n_out), n + n_out + 1):
                                 acc += (1j**l * spherical_jn(l, k * r)
                                         * np.conj(sph_harm_y(l, mp - m, theta, phi))
-                                        * gaunt(n, m, n_out, -mp, l))
+                                        * gaunt_grid(n, n_out, l)[m + n, n_out - mp])
                             want[n_out**2 + n_out + mp, n * n + n + m] = (
                                 4.0 * math.pi * (-1.0) ** m * 1j ** (n_out - n) * acc)
             assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
@@ -296,7 +303,8 @@ class TestTranslateMulti:
 
     def test_equals_per_degree_loop(self, rng):
         # same products summed in the same (n, l, m) order: equal bit for bit,
-        # which keeps Psi, Xi and the filter banks built on them unchanged
+        # which keeps the single-bin Estimator's Psi and Xi (head tracking,
+        # library) unchanged
         ds = rng.normal(scale=0.15, size=(7, 3))
         ds[2] = [0.0, 0.0, 0.1]
         for order_in, order_out in ((0, 5), (1, 12), (2, 3)):
