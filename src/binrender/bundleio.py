@@ -41,15 +41,23 @@ def write_bundle(base, header: dict, data: np.ndarray):
     return base
 
 
+def _field(doc, key):
+    if key not in doc:
+        raise ValueError(f"bundle header has no {key!r}")
+    return doc[key]
+
+
 def read_bundle(base):
     base = _strip(base)
     doc = json.loads(base.with_suffix(".json").read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("bundle header is not a JSON object")
     if doc.get("format") != "binrender-bundle":
         raise ValueError("not a binrender bundle")
     if doc.get("version") != BUNDLE_FORMAT_VERSION:
         raise ValueError(f"unsupported bundle version {doc.get('version')}")
     blob = base.with_suffix(".bin").read_bytes()
-    data = np.frombuffer(blob, dtype="<c8").reshape(doc["shape"]).astype(complex)
+    data = np.frombuffer(blob, dtype="<c8").reshape(_field(doc, "shape")).astype(complex)
     return doc, data
 
 
@@ -70,11 +78,11 @@ def load_hrtf_bundle(base) -> HrtfSet:
     if doc.get("kind") != "hrtf":
         raise ValueError(f"bundle kind is {doc.get('kind')!r}, expected 'hrtf'")
     return HrtfSet(
-        radius=float(doc["radius"]),
-        directions=np.array(doc["directions"], dtype=float),
-        freqs=np.array(doc["freqs"], dtype=float),
+        radius=float(_field(doc, "radius")),
+        directions=np.array(_field(doc, "directions"), dtype=float),
+        freqs=np.array(_field(doc, "freqs"), dtype=float),
         responses=data,
-        sample_rate=float(doc["sample_rate"]),
+        sample_rate=float(_field(doc, "sample_rate")),
     )
 
 
@@ -98,4 +106,4 @@ def load_observation_bundle(base, geometry_hash=None):
     recorded = doc.get("geometry_hash")
     if geometry_hash is not None and recorded is not None and recorded != geometry_hash:
         raise ValueError("bundle was recorded with another array geometry")
-    return np.array(doc["freqs"], dtype=float), data
+    return np.array(_field(doc, "freqs"), dtype=float), data

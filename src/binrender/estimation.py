@@ -9,10 +9,11 @@ Two estimators:
   assembled exactly from translation-operator elements between microphone
   pairs and is independent of the evaluation position, so one Hermitian
   factorization of (Psi + lambda I) serves every target position and head
-  rotation; retargeting only swaps the synthesis matrix Xi(r).
+  rotation; retargeting only swaps the synthesis matrix Xi(r), which
+  ``build_xi`` translates from the directivities.
   ``GridEstimator`` runs it over a grid of wavenumbers from one
-  ``AngularPlan`` of Psi and Xi(target); filter banks and ``estimate`` go
-  through it.
+  ``AngularPlan``: the plan gives each bin's ``Estimator`` its Psi and the
+  grid its Xi(target); filter banks and ``estimate`` go through it.
 """
 
 import numpy as np
@@ -84,27 +85,24 @@ class AngularPlan:
     j_l(k d) for l <= 2p at the distinct pair distances, contracted at once
     into Psi's upper-triangle values (len(ks), pairs), and for
     l <= order + p at the distinct target-mic distances. ``psi_upper``/``xi``
-    slice the row of a k in ``ks``; any other k raises ValueError.
+    slice the row of a k in ``ks``; any other k raises ValueError. Psi goes
+    to an ``Estimator``, Xi(target) only to ``GridEstimator``.
     """
 
     def __init__(self, geom: ArrayGeometry, target, order, ks):
         c, p = geom.directivities
         pos = geom.positions()
         self.upper = iu, ju = np.triu_indices(geom.n_mics)
-        self.target = np.asarray(target, dtype=float)
         self.order, self.dir_order = int(order), p
         self.psi_pairs = TranslationPlan.build(pos[iu] - pos[ju], p, c[ju])
         self.psi_weights = self.psi_pairs.fold(np.conj(c[iu]))
-        self.xi_cols = TranslationPlan.build(self.target[None, :] - pos, self.order, c)
+        self.xi_cols = TranslationPlan.build(np.subtract(target, pos), self.order, c)
         ks = np.asarray(ks, dtype=float)
         self._rows = {k: b for b, k in enumerate(ks.tolist())}
         radial = self.psi_pairs.radial(ks, p)
         index = self.psi_pairs.radius_index
         self._psi_table = np.einsum("blp,lp->bp", radial[:, :, index], self.psi_weights)
         self._xi_table = self.xi_cols.radial(ks, self.order)
-
-    def covers(self, target, order):
-        return order <= self.order and np.array_equal(np.asarray(target, dtype=float), self.target)
 
     def _row(self, k):
         b = self._rows.get(float(k))
@@ -147,17 +145,15 @@ def build_psi(geom: ArrayGeometry, k, plan: AngularPlan = None):
     return psi
 
 
-def build_xi(geom: ArrayGeometry, target, k, order, plan: AngularPlan = None):
+def build_xi(geom: ArrayGeometry, target, k, order):
     """Synthesis matrix Xi(r): column i is T(r - r_i) c_i, truncated rows.
 
     The rows of Xi are independent, so the returned block for any order is
     identical to the corresponding block of a higher-order build; buffering
-    matters only when the estimated vector is subsequently translated. A
-    ``plan`` of ``geom`` that covers (target, order) gives the columns as its
-    radial contraction at k.
+    matters only when the estimated vector is subsequently translated. The
+    columns come from ``translate_multi`` at k; a grid of wavenumbers takes
+    them from ``AngularPlan.xi`` instead.
     """
-    if plan is not None and plan.covers(target, order):
-        return plan.xi(k, order)
     c, _ = geom.directivities
     target = np.asarray(target, dtype=float)
     disp = target[None, :] - geom.positions()
@@ -170,8 +166,8 @@ class Estimator:
     Holds Psi and a Hermitian factorization of (Psi + lambda I) shared
     across target positions, rotations, and observations, plus the most
     recently requested synthesis matrix Xi(r), which head rotations at a
-    fixed position reuse. With an ``AngularPlan`` of ``geom``, Psi and the Xi
-    it covers come from the plan.
+    fixed position reuse. With an ``AngularPlan`` of ``geom``, Psi comes from
+    the plan; Xi always comes from ``build_xi``.
     """
 
     def __init__(self, geom: ArrayGeometry, k, lam="auto", plan: AngularPlan = None):
@@ -179,7 +175,6 @@ class Estimator:
             raise ValueError("wavenumber must be positive")
         self.geom = geom
         self.k = float(k)
-        self._plan = plan
         self.psi = build_psi(geom, k, plan)
         if lam == "auto":
             lam = 1e-3 * np.real(np.trace(self.psi)) / geom.n_mics
@@ -206,7 +201,7 @@ class Estimator:
         """
         key = (tuple(np.asarray(target, dtype=float)), int(order))
         if key != self._xi_key:
-            xi = build_xi(self.geom, target, self.k, order, self._plan)
+            xi = build_xi(self.geom, target, self.k, order)
             xi.flags.writeable = False
             self._xi_key, self._xi = key, xi
         return self._xi
@@ -233,7 +228,8 @@ class GridEstimator:
     Holds one ``AngularPlan`` of Psi and Xi(target) up to ``top_order`` over
     all of ``ks``, and per bin b the ``Estimator(geom, ks[b], lam, plan)``,
     built when a call needs it and not kept: a 128-bin grid of 64 mics would
-    hold 17 MB of Psi and factors. ``ks`` need not be sorted or distinct.
+    hold 17 MB of Psi and factors. The estimators take only Psi from the
+    plan; Xi(target) is the grid's own. ``ks`` need not be sorted or distinct.
     """
 
     def __init__(self, geom: ArrayGeometry, ks, lam, target, top_order):
@@ -299,7 +295,9 @@ class GridEstimator:
         return out
 
     def coeffs(self, obs, orders):
-        """Per bin, ``Estimator.coeffs`` of observations ``obs[b]`` at ``orders[b]``."""
+        """Per bin, alpha_b(target) = Xi_b(target) (Psi_b + lambda I)^{-1} obs[b] at
+        ``orders[b]``, with Xi_b from the plan."""
         orders = self._orders(orders)
-        return [self._estimator(b).coeffs(s, self.target, int(order))
-                for b, (s, order) in enumerate(zip(obs, orders))]
+        ests = (self._estimator(b) for b in range(self.ks.size))
+        return [ShCoeffVec(self.plan.xi(est.k, order) @ est.solve(s), self.target, est.k, order)
+                for est, s, order in zip(ests, obs, orders.tolist())]

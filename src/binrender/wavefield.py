@@ -231,31 +231,19 @@ def translate_multi(displacements, k, order_out, coeff_rows):
     ``displacements`` is (P, 3) and ``coeff_rows`` (P, (order_in+1)^2) with a
     small input order (microphone directivities). Returns (P, (order_out+1)^2)
     with row p equal to ``translation_matrix(d_p, k, order_out, order_in)
-    @ coeff_rows[p]`` up to rounding (the same kernel terms, summed in
-    (n, l, m) order). Zero displacements map to identity.
+    @ coeff_rows[p]`` up to rounding, each (n, n_out) step one sum of its
+    kernel terms; j_l(0) keeps only l = 0, so zero displacements give the
+    identity. Every single-k Xi (``estimation.build_xi``) comes from here.
     """
     d = np.asarray(displacements, dtype=float)
     c = np.asarray(coeff_rows, dtype=complex)
     if math.isqrt(c.shape[1]) ** 2 != c.shape[1]:
         raise ValueError("coeff_rows must have a perfect-square width")
-    nonzero = cart2sph(d)[0] > 0
-
-    out = np.zeros((d.shape[0], num_coeffs(order_out)), dtype=complex)
-    ncopy = min(c.shape[1], out.shape[1])
-    out[~nonzero, :ncopy] = c[~nonzero, :ncopy]
-    if not np.any(nonzero):
-        return out
-
-    out_nz = np.zeros((out.shape[1], np.count_nonzero(nonzero)), dtype=complex)
-    radial = _radial_table(cart2sph(d[nonzero])[0], k, order_out + math.isqrt(c.shape[1]) - 1)
-    for n, n_out, terms in _translation_terms(d[nonzero], radial, order_out, c[nonzero]):
-        rows = out_nz[n_out * n_out : (n_out + 1) ** 2]
-        # one term at a time in (l, m) order: test_equals_per_degree_loop pins these
-        # bits, and with them the single-bin Estimator (head tracking, library)
-        for term in terms.transpose(0, 2, 1, 3).reshape(-1, *rows.shape):
-            rows += term
-    out[nonzero] = out_nz.T
-    return out
+    out = np.zeros((num_coeffs(order_out), d.shape[0]), dtype=complex)
+    radial = _radial_table(cart2sph(d)[0], k, order_out + math.isqrt(c.shape[1]) - 1)
+    for n, n_out, terms in _translation_terms(d, radial, order_out, c):
+        out[n_out * n_out : (n_out + 1) ** 2] += terms.sum(axis=(0, 2))
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -273,7 +261,9 @@ class TranslationPlan:
     The radial factors come from ``radial``, one table over the distinct
     |d_p| (``radii``; ``radius_index[p]`` picks p's) for any number of
     wavenumbers: the 2080 pair distances of the composite array take 245
-    values.
+    values. ``estimation.AngularPlan`` holds two, one giving Psi to an
+    ``Estimator`` and one giving Xi(target) only to ``GridEstimator``; a
+    single-k Xi is ``translate_multi``'s.
     """
 
     angular: np.ndarray

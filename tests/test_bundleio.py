@@ -1,5 +1,7 @@
 """Bundle format round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,16 @@ class TestBundle:
         (tmp_path / "y.bin").write_bytes(b"")
         with pytest.raises(ValueError):
             bundleio.read_bundle(tmp_path / "y")
+
+    @pytest.mark.parametrize("key", ["shape", "radius", "directions", "freqs", "sample_rate"])
+    def test_missing_hrtf_header_key_named(self, tmp_path, key):
+        hs = synth_rigid_sphere_hrtf(SyntheticHead(), fibonacci_grid(30), [500.0], 1.5)
+        header = bundleio.save_hrtf_bundle(tmp_path / "hrtf", hs).with_suffix(".json")
+        doc = json.loads(header.read_text())
+        del doc[key]
+        header.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"bundle header has no '{key}'"):
+            bundleio.load_hrtf_bundle(header)
 
     def test_blob_is_little_endian_interleaved(self, tmp_path):
         data = np.array([[1.0 + 2.0j, 3.0 - 4.0j]], dtype=np.complex64)

@@ -221,6 +221,35 @@ class TestInputChecks:
             assert main([command, str(cfg), "--observations", str(tmp_path / "nope")]) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("bundle, key, message", [
+        ("hrtf", "shape", "bundle header has no 'shape'"),
+        ("hrtf", None, "bundle header is not a JSON object"),  # the header wrapped in a list
+        ("observation", "freqs", "bundle header has no 'freqs'"),
+    ], ids=["hrtf_without_shape", "header_is_a_list", "observation_without_freqs"])
+    def test_malformed_bundle_header_is_user_error(self, tmp_path, capsys, bundle, key, message):
+        from binrender import hrtf
+
+        if bundle == "hrtf":
+            hs = hrtf.synth_rigid_sphere_hrtf(hrtf.SyntheticHead(), hrtf.fibonacci_grid(144),
+                                              [200.0, 400.0, 600.0], 1.5)
+            header = bundleio.save_hrtf_bundle(tmp_path / "hrtf", hs).with_suffix(".json")
+            cfg = write_config(tmp_path, hrtf="hrtf", render={"band": [200.0, 400.0], "nfft": 1024})
+            command = "filters"
+        else:
+            cfg = write_config(tmp_path)
+            assert main(["simulate", str(cfg)]) == 0
+            header = tmp_path / "out" / "observation.json"
+            command = "estimate"
+        doc = json.loads(header.read_text())
+        if key is None:
+            doc = [doc]
+        else:
+            del doc[key]
+        header.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command, str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["render", "filters", "evaluate"])
     def test_rigid_sphere_array_not_rendered(self, tmp_path, command):
         # the distributed estimator models free-field mics only

@@ -249,7 +249,8 @@ class TestGaunt:
         assert sp.gaunt_grid(2, 1, 2)[3, 1] == 0.0
 
     def test_m_rule_zero_exact(self):
-        assert sp.gaunt_grid(2, 2, 4)[4, 4] == 0.0 or abs(sp.gaunt_grid(2, 2, 4)[4, 4]) > 0
+        # G(2, 2; 2, 1; 2): |m1 + m2| = 3 > l, with the triangle and parity rules met
+        assert sp.gaunt_grid(2, 2, 2)[4, 3] == 0.0
         assert sp.gaunt_grid(1, 1, 0)[2, 2] == 0.0  # |m1+m2| = 2 > 0
 
     def test_quadrature_oracle(self, quad_grid):
