@@ -6,7 +6,7 @@ composite array:
 * bank-narrow: 100-1600 Hz, nfft 4096 (128 bins, orders 1-18);
 * bank-wide: 100-12000 Hz, nfft 128 (32 bins, top order 35).
 
-Per bin, the reference takes ``hw_b @ plan.xi(k_b, N_b)`` (Xi formed by
+Per bin, the reference takes ``hw_b @ grid.xi(b, N_b)`` (Xi formed by
 ``TranslationPlan.apply``); the blocked form takes the rows of every bin from
 one product per degree. ``hw`` is a fixed random (B, 2, (top + 1)^2) array,
 zero above each bin's order. The two calls alternate; each time is the median
@@ -63,8 +63,8 @@ def main(argv):
         hw = rng.standard_normal((ks.size, 2, (top + 1) ** 2, 2)) @ np.array([1.0, 1j])
         for b, order in enumerate(orders):
             hw[b, :, (order + 1) ** 2 :] = 0.0
-        calls = {"per_bin": lambda: np.array([hw[b, :, : (n + 1) ** 2] @ grid.plan.xi(k, n)
-                                              for b, (k, n) in enumerate(zip(ks, orders))]),
+        calls = {"per_bin": lambda: np.array([hw[b, :, : (n + 1) ** 2] @ grid.xi(b, n)
+                                              for b, n in enumerate(orders)]),
                  "blocked": lambda: grid.xi_rows(hw, orders)}
         times = {key: [] for key in calls}
         rows = {}

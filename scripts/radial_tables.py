@@ -27,8 +27,9 @@ import numpy as np
 import scipy
 from scipy.special import spherical_jn
 
-from binrender import arrays, estimation, metrics
+from binrender import arrays, metrics
 from binrender.special import sph_jn_table
+from binrender.wavefield import TranslationPlan
 
 SOUND_SPEED = 346.2
 SAMPLE_RATE = 48000.0
@@ -42,18 +43,23 @@ def bank_ks(band, nfft):
 
 
 def tables(geom):
-    """name -> (lmax, z) of the four tables."""
+    """name -> (lmax, z) of the four tables, over the distinct distances of
+    the translation plans that ``GridEstimator`` builds."""
     out = {}
+    c, p = geom.directivities
+    pos = geom.positions()
+    iu, ju = np.triu_indices(geom.n_mics)
+    pairs = TranslationPlan.build(pos[iu] - pos[ju], p, c[ju])
     for name, band, nfft in (("bank-narrow", (100.0, 1600.0), 4096),
                              ("bank-wide", (100.0, 12000.0), 128)):
         ks = bank_ks(band, nfft)
         top = max(metrics.truncation_order(k, 0.45, 35) for k in ks)
-        plan = estimation.AngularPlan(geom, TARGET, top, ks)
         if name == "bank-narrow":
-            out["bank-narrow-psi"] = (2 * plan.dir_order, np.multiply.outer(ks, plan.psi_pairs.radii))
-        out[f"{name}-xi"] = (top + plan.dir_order, np.multiply.outer(ks, plan.xi_cols.radii))
+            out["bank-narrow-psi"] = (2 * p, np.multiply.outer(ks, pairs.radii))
+        xi_cols = TranslationPlan.build(TARGET - pos, top, c)
+        out[f"{name}-xi"] = (top + p, np.multiply.outer(ks, xi_cols.radii))
     k = 2.0 * math.pi * 1600.0 / SOUND_SPEED
-    out["head-track-bin"] = (19, k * np.linalg.norm(TARGET - geom.positions(), axis=1))
+    out["head-track-bin"] = (19, k * np.linalg.norm(TARGET - pos, axis=1))
     return out
 
 

@@ -20,6 +20,7 @@ from .special import SQRT_4PI, sh_matrix
 from .utils import (
     cart2sph,
     format_significant,
+    json_field,
     quantize_significant,
     rotation_matrix_z,
     unit,
@@ -116,6 +117,14 @@ class ArrayGeometry:
             c[i, : mic.dir_coeffs.size] = mic.dir_coeffs
         c.flags.writeable = False
         return c, order
+
+    @cached_property
+    def upper_pairs(self):
+        """(iu, ju), the mic pairs of the upper triangle (diagonal included) in
+        ``np.triu_indices`` order: read-only, built once."""
+        iu, ju = np.triu_indices(self.n_mics)
+        iu.flags.writeable = ju.flags.writeable = False
+        return iu, ju
 
     def content_hash(self):
         """SHA-256 (hex) of the geometry's JSON form."""
@@ -262,36 +271,36 @@ def geometry_to_json(geom: ArrayGeometry) -> str:
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
+def _vector(value):
+    return np.array([float(x) for x in value])
+
+
 def geometry_from_json(text: str) -> ArrayGeometry:
     doc = json.loads(text)
-    if doc.get("format") != "binrender-geometry":
+    if not isinstance(doc, dict) or doc.get("format") != "binrender-geometry":
         raise ValueError("not a geometry document")
     if doc.get("version") != GEOMETRY_FORMAT_VERSION:
         raise ValueError(f"unsupported geometry format version {doc.get('version')}")
     mics = []
-    for entry in doc["mics"]:
+    for i, entry in enumerate(json_field(doc, "mics", "geometry document", list)):
+        where = f"mic {i}"
+        orient = json_field(entry, "orient", where, _vector)
         if "dir_coeffs" in entry:
-            coeffs = np.array([complex(re, im) for re, im in entry["dir_coeffs"]])
+            coeffs = json_field(entry, "dir_coeffs", where,
+                                lambda pairs: np.array([complex(re, im) for re, im in pairs]))
         elif "beta" in entry:
-            coeffs = cardioid_coeffs(float(entry["beta"]), [float(x) for x in entry["orient"]])
+            coeffs = cardioid_coeffs(json_field(entry, "beta", where, float), orient)
         else:
-            raise ValueError("microphone entry needs dir_coeffs or beta")
-        mics.append(
-            Microphone(
-                position=np.array([float(x) for x in entry["pos"]]),
-                orientation=np.array([float(x) for x in entry["orient"]]),
-                dir_coeffs=coeffs,
-            )
-        )
+            raise ValueError(f"{where} needs dir_coeffs or beta")
+        mics.append(Microphone(position=json_field(entry, "pos", where, _vector),
+                               orientation=orient, dir_coeffs=coeffs))
     baffle = None
     if "baffle" in doc:
         b = doc["baffle"]
+        center = json_field(b, "center", "baffle", _vector)
         if b.get("type") != "rigid_sphere":
             raise ValueError(f"unknown baffle type {b.get('type')}")
-        baffle = RigidBaffle(
-            center=np.array([float(x) for x in b["center"]]),
-            radius=float(b["radius"]),
-        )
+        baffle = RigidBaffle(center=center, radius=json_field(b, "radius", "baffle", float))
     return ArrayGeometry(mics=tuple(mics), baffle=baffle)
 
 

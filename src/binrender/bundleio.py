@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .hrtf import HrtfSet
+from .utils import json_field
 
 BUNDLE_FORMAT_VERSION = 1
 
@@ -41,24 +42,24 @@ def write_bundle(base, header: dict, data: np.ndarray):
     return base
 
 
-def _field(doc, key):
-    if key not in doc:
-        raise ValueError(f"bundle header has no {key!r}")
-    return doc[key]
+def _field(doc, key, convert=None):
+    return json_field(doc, key, "bundle header", convert)
+
+
+def _floats(value):
+    return np.array(list(value), dtype=float)
 
 
 def read_bundle(base):
     base = _strip(base)
     doc = json.loads(base.with_suffix(".json").read_text())
-    if not isinstance(doc, dict):
-        raise ValueError("bundle header is not a JSON object")
-    if doc.get("format") != "binrender-bundle":
+    if _field(doc, "format") != "binrender-bundle":
         raise ValueError("not a binrender bundle")
     if doc.get("version") != BUNDLE_FORMAT_VERSION:
         raise ValueError(f"unsupported bundle version {doc.get('version')}")
-    blob = base.with_suffix(".bin").read_bytes()
-    data = np.frombuffer(blob, dtype="<c8").reshape(_field(doc, "shape")).astype(complex)
-    return doc, data
+    flat = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<c8")
+    data = _field(doc, "shape", lambda shape: flat.reshape(tuple(shape)))
+    return doc, data.astype(complex)
 
 
 def save_hrtf_bundle(base, hrtf: HrtfSet):
@@ -78,11 +79,11 @@ def load_hrtf_bundle(base) -> HrtfSet:
     if doc.get("kind") != "hrtf":
         raise ValueError(f"bundle kind is {doc.get('kind')!r}, expected 'hrtf'")
     return HrtfSet(
-        radius=float(_field(doc, "radius")),
-        directions=np.array(_field(doc, "directions"), dtype=float),
-        freqs=np.array(_field(doc, "freqs"), dtype=float),
+        radius=_field(doc, "radius", float),
+        directions=_field(doc, "directions", _floats),
+        freqs=_field(doc, "freqs", _floats),
         responses=data,
-        sample_rate=float(_field(doc, "sample_rate")),
+        sample_rate=_field(doc, "sample_rate", float),
     )
 
 
@@ -106,4 +107,7 @@ def load_observation_bundle(base, geometry_hash=None):
     recorded = doc.get("geometry_hash")
     if geometry_hash is not None and recorded is not None and recorded != geometry_hash:
         raise ValueError("bundle was recorded with another array geometry")
-    return np.array(_field(doc, "freqs"), dtype=float), data
+    freqs = _field(doc, "freqs", _floats)
+    if data.ndim != 2 or data.shape[0] != freqs.size:
+        raise ValueError(f"bundle header 'shape' must be [{freqs.size}, mics], one row per frequency")
+    return freqs, data

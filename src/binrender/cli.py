@@ -166,6 +166,26 @@ def parse_scene(doc) -> Scene:
         raise ConfigError(f"scene: {exc}") from exc
 
 
+def _positive(x):
+    return 0 < x < math.inf
+
+
+# render key -> (default, kind, check, requirement the check states). kind is
+# str (taken as it is), int or float (a JSON number), or list (two finite
+# numbers); the band's check against the sample rate comes after the table.
+_RENDER = {
+    "mode": ("sph", str, lambda v: v in ("sph", "pln"), "sph or pln"),
+    "nfft": (4096, int, lambda n: n >= 2 and not n & (n - 1), "a power of two >= 2"),
+    "window": ("tukey", str, lambda v: v in ("tukey", "boxcar"), "tukey or boxcar"),
+    "band": ([100.0, 1600.0], list, lambda band: True, None),
+    "sample_rate": (48000.0, float, _positive, "positive"),
+    "order_cap": (35, int, lambda n: n >= 0, ">= 0"),
+    "shoulder_radius": (0.45, float, _positive, "positive"),
+    "wav_duration": (0.25, float, _positive, "positive"),
+    "wav_gain": (1.0, float, math.isfinite, "finite"),
+}
+
+
 class RunConfig:
     """Validated run configuration; all paths checked before any compute."""
 
@@ -199,37 +219,20 @@ class RunConfig:
         self.eta = est.get("eta", "auto")
         self.order = est.get("order", "auto")
 
-        rnd = _known_keys(doc.get("render", {}),
-                          ("mode", "nfft", "window", "band", "sample_rate", "order_cap",
-                           "shoulder_radius", "wav_duration", "wav_gain"), "render")
-        self.mode = rnd.get("mode", "sph")
-        if self.mode not in ("sph", "pln"):
-            raise ConfigError(f"render mode must be sph or pln, got {self.mode!r}")
-        self.nfft = _number(rnd, "render.nfft", 4096, int)
-        if self.nfft < 2 or self.nfft & (self.nfft - 1):
-            raise ConfigError(f"render nfft must be a power of two >= 2, got {self.nfft}")
-        self.window = rnd.get("window", "tukey")
-        if self.window not in ("tukey", "boxcar"):
-            raise ConfigError(f"render window must be tukey or boxcar, got {self.window!r}")
-        self.band = _numbers(rnd, "render.band", [100.0, 1600.0], 2)
-        self.sample_rate = _number(rnd, "render.sample_rate", 48000.0, float)
-        if not 0 < self.sample_rate < math.inf:
-            raise ConfigError(f"render sample_rate must be positive, got {self.sample_rate}")
+        rnd = _known_keys(doc.get("render", {}), _RENDER, "render")
+        for key, (default, kind, valid, requirement) in _RENDER.items():
+            if kind is str:
+                value = rnd.get(key, default)
+            elif kind is list:
+                value = _numbers(rnd, f"render.{key}", default, 2)
+            else:
+                value = _number(rnd, f"render.{key}", default, kind)
+            if not valid(value):
+                raise ConfigError(f"render {key} must be {requirement}, got {value!r}")
+            setattr(self, key, value)
         if not 0 < self.band[0] < self.band[1] <= self.sample_rate / 2:
             raise ConfigError(f"render band {list(self.band)} must be [lo, hi] with "
                               f"0 < lo < hi <= {self.sample_rate / 2:g} Hz")
-        self.order_cap = _number(rnd, "render.order_cap", 35, int)
-        if self.order_cap < 0:
-            raise ConfigError(f"render order_cap must be >= 0, got {self.order_cap}")
-        self.shoulder_radius = _number(rnd, "render.shoulder_radius", 0.45, float)
-        if not 0 < self.shoulder_radius < math.inf:
-            raise ConfigError(f"render shoulder_radius must be positive, got {self.shoulder_radius}")
-        self.wav_duration = _number(rnd, "render.wav_duration", 0.25, float)
-        if not 0 < self.wav_duration < math.inf:
-            raise ConfigError(f"render wav_duration must be positive, got {self.wav_duration}")
-        self.wav_gain = _number(rnd, "render.wav_gain", 1.0, float)
-        if not math.isfinite(self.wav_gain):
-            raise ConfigError(f"render wav_gain must be finite, got {self.wav_gain}")
 
         listener = _known_keys(doc.get("listener", {}), ("position", "euler_deg"), "listener")
         self.listener_position = np.asarray(
@@ -517,7 +520,7 @@ def estimate(config_path, lam, eta, order, observations):
         alphas = [rigid_sphere_estimate(s, cfg.geometry, k, order, cfg.eta)
                   for s, k, order in zip(obs, ks, orders)]
     else:
-        # one angular plan at the top order: every bin slices its tables
+        # one grid estimator at the top order: every bin slices its tables
         grid = GridEstimator(cfg.geometry, ks, cfg.lam, cfg.listener_position, max(orders, default=0))
         alphas = grid.coeffs(obs, orders)
     flat = np.concatenate([alpha.coeffs for alpha in alphas])

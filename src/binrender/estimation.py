@@ -11,9 +11,9 @@ Two estimators:
   factorization of (Psi + lambda I) serves every target position and head
   rotation; retargeting only swaps the synthesis matrix Xi(r), which
   ``build_xi`` translates from the directivities.
-  ``GridEstimator`` runs it over a grid of wavenumbers from one
-  ``AngularPlan``: the plan gives each bin's ``Estimator`` its Psi and the
-  grid its Xi(target); filter banks and ``estimate`` go through it.
+  ``GridEstimator`` runs it over a grid of wavenumbers, tabulating Psi's
+  upper triangle (for each bin's ``Estimator``) and Xi(target) over every
+  bin at once; filter banks and ``estimate`` go through it.
 """
 
 import numpy as np
@@ -72,75 +72,26 @@ def rigid_sphere_estimate(s, geom: ArrayGeometry, k, order, eta="auto") -> ShCoe
 # Distributed-array (infinite-order) estimator
 # ---------------------------------------------------------------------------
 
-class AngularPlan:
-    """Psi and Xi(target) up to ``order`` for one geometry at the wavenumbers
-    ``ks``, split into a k-independent angular part and radial tables.
-
-    The angular part is built once: Xi's columns as a ``TranslationPlan``
-    ((2p + 1) (order + 1)^2 n_mics complex entries for directivity order p:
-    4.0 MB at order 35, 64 cardioids), and Psi's pairs folded with conj(c_i)
-    into per-degree pair weights (2p + 1 per pair). The radial tables are
-    one ``special.sph_jn_table`` each over all of ``ks`` (its j_0/j_1 anchors
-    are one ``spherical_jn`` call, the other degrees one recurrence pass):
-    j_l(k d) for l <= 2p at the distinct pair distances, contracted at once
-    into Psi's upper-triangle values (len(ks), pairs), and for
-    l <= order + p at the distinct target-mic distances. ``psi_upper``/``xi``
-    slice the row of a k in ``ks``; any other k raises ValueError. Psi goes
-    to an ``Estimator``, Xi(target) only to ``GridEstimator``.
-    """
-
-    def __init__(self, geom: ArrayGeometry, target, order, ks):
-        c, p = geom.directivities
-        pos = geom.positions()
-        self.upper = iu, ju = np.triu_indices(geom.n_mics)
-        self.order, self.dir_order = int(order), p
-        self.psi_pairs = TranslationPlan.build(pos[iu] - pos[ju], p, c[ju])
-        self.psi_weights = self.psi_pairs.fold(np.conj(c[iu]))
-        self.xi_cols = TranslationPlan.build(np.subtract(target, pos), self.order, c)
-        ks = np.asarray(ks, dtype=float)
-        self._rows = {k: b for b, k in enumerate(ks.tolist())}
-        radial = self.psi_pairs.radial(ks, p)
-        index = self.psi_pairs.radius_index
-        self._psi_table = np.einsum("blp,lp->bp", radial[:, :, index], self.psi_weights)
-        self._xi_table = self.xi_cols.radial(ks, self.order)
-
-    def _row(self, k):
-        b = self._rows.get(float(k))
-        if b is None:
-            raise ValueError(f"wavenumber {k} is not tabulated in this plan")
-        return b
-
-    def psi_upper(self, k):
-        """Psi's upper-triangle values (in ``upper`` order) at k."""
-        return self._psi_table[self._row(k)]
-
-    def xi(self, k, order):
-        """Xi(target) truncated at ``order`` <= the plan's, at k."""
-        return self.xi_cols.apply(self._xi_table[self._row(k)], order)
-
-
-def build_psi(geom: ArrayGeometry, k, plan: AngularPlan = None):
+def build_psi(geom: ArrayGeometry, k, upper=None):
     """Observation Gram matrix, (Psi)_{i,i'} = conj(c_i) . T(r_i - r_i') c_i'.
 
     Every element is an exact element of the infinite-order operator (the
     directivities have finite order, so no truncation enters). Assembled on
     the upper triangle, whose conjugates fill the lower one, hence Hermitian
-    by construction; the diagonal is real positive. With ``plan`` (an
-    ``AngularPlan`` of ``geom``) the upper triangle is the plan's radial
-    contraction at k.
+    by construction; the diagonal is real positive. ``upper`` gives the
+    upper-triangle values at k in ``geom.upper_pairs`` order, as
+    ``GridEstimator`` tabulates them per bin; without it they come from
+    ``translate_multi``.
     """
-    if plan is None:
-        iu, ju = np.triu_indices(geom.n_mics)
+    iu, ju = geom.upper_pairs
+    if upper is None:
         c, p = geom.directivities
         pos = geom.positions()
         tc = translate_multi(pos[iu] - pos[ju], k, p, c[ju])
-        vals = np.einsum("pq,pq->p", np.conj(c[iu]), tc)
-    else:
-        iu, ju = plan.upper
-        vals = plan.psi_upper(k)
+        upper = np.einsum("pq,pq->p", np.conj(c[iu]), tc)
     psi = np.empty((geom.n_mics, geom.n_mics), dtype=complex)
-    psi[ju, iu] = np.conj(vals)
-    psi[iu, ju] = vals
+    psi[ju, iu] = np.conj(upper)
+    psi[iu, ju] = upper
     np.fill_diagonal(psi, psi.diagonal().real)
     return psi
 
@@ -152,7 +103,7 @@ def build_xi(geom: ArrayGeometry, target, k, order):
     identical to the corresponding block of a higher-order build; buffering
     matters only when the estimated vector is subsequently translated. The
     columns come from ``translate_multi`` at k; a grid of wavenumbers takes
-    them from ``AngularPlan.xi`` instead.
+    them from ``GridEstimator.xi`` instead.
     """
     c, _ = geom.directivities
     target = np.asarray(target, dtype=float)
@@ -166,16 +117,16 @@ class Estimator:
     Holds Psi and a Hermitian factorization of (Psi + lambda I) shared
     across target positions, rotations, and observations, plus the most
     recently requested synthesis matrix Xi(r), which head rotations at a
-    fixed position reuse. With an ``AngularPlan`` of ``geom``, Psi comes from
-    the plan; Xi always comes from ``build_xi``.
+    fixed position reuse. ``psi_upper`` is handed to ``build_psi``; Xi always
+    comes from ``build_xi``.
     """
 
-    def __init__(self, geom: ArrayGeometry, k, lam="auto", plan: AngularPlan = None):
+    def __init__(self, geom: ArrayGeometry, k, lam="auto", psi_upper=None):
         if not k > 0:
             raise ValueError("wavenumber must be positive")
         self.geom = geom
         self.k = float(k)
-        self.psi = build_psi(geom, k, plan)
+        self.psi = build_psi(geom, k, psi_upper)
         if lam == "auto":
             lam = 1e-3 * np.real(np.trace(self.psi)) / geom.n_mics
         if lam < 0:
@@ -225,11 +176,15 @@ class Estimator:
 class GridEstimator:
     """The distributed-array estimator over a grid of wavenumbers ``ks``.
 
-    Holds one ``AngularPlan`` of Psi and Xi(target) up to ``top_order`` over
-    all of ``ks``, and per bin b the ``Estimator(geom, ks[b], lam, plan)``,
-    built when a call needs it and not kept: a 128-bin grid of 64 mics would
-    hold 17 MB of Psi and factors. The estimators take only Psi from the
-    plan; Xi(target) is the grid's own. ``ks`` need not be sorted or distinct.
+    Built once over all of ``ks`` up to ``top_order``: the k-independent parts
+    of Psi and Xi(target) as two ``TranslationPlan``s, with one
+    ``special.sph_jn_table`` each. Psi's pair plan, folded with conj(c_i), is
+    contracted into ``psi_upper``, the upper-triangle values per bin, shape
+    (len(ks), pairs); Xi(target)'s plan keeps its angular part (4.0 MB at
+    order 35, 64 cardioids) and its table of j_l(k_b |target - r_p|). Bin b's
+    ``Estimator(geom, ks[b], lam, psi_upper[b])`` is built when a call needs
+    it and not kept: a 128-bin grid of 64 mics would hold 17 MB of Psi and
+    factors. ``ks`` need not be sorted or distinct.
     """
 
     def __init__(self, geom: ArrayGeometry, ks, lam, target, top_order):
@@ -237,19 +192,30 @@ class GridEstimator:
         self.ks = np.asarray(ks, dtype=float)
         self.lam = lam
         self.target = np.asarray(target, dtype=float)
-        self.plan = plan = AngularPlan(geom, self.target, top_order, self.ks)
-        # j_l(k_b |target - r_p|) per bin, degree l and mic
-        self._radial = plan._xi_table[:, :, plan.xi_cols.radius_index]
+        self.order = int(top_order)
+        c, p = geom.directivities
+        pos = geom.positions()
+        iu, ju = geom.upper_pairs
+        pairs = TranslationPlan.build(pos[iu] - pos[ju], p, c[ju])
+        weights = pairs.fold(np.conj(c[iu]))
+        self._xi_cols = TranslationPlan.build(self.target - pos, self.order, c)
+        radial = pairs.radial(self.ks, p)
+        self.psi_upper = np.einsum("blp,lp->bp", radial[:, :, pairs.radius_index], weights)
+        self._xi_table = self._xi_cols.radial(self.ks, self.order)
 
     def _estimator(self, b) -> Estimator:
-        return Estimator(self.geom, self.ks[b], self.lam, self.plan)
+        return Estimator(self.geom, self.ks[b], self.lam, self.psi_upper[b])
+
+    def xi(self, b, order):
+        """Xi(target) of bin b truncated at ``order`` <= ``top_order``."""
+        return self._xi_cols.apply(self._xi_table[b], order)
 
     def _orders(self, orders):
         orders = np.asarray(orders, dtype=int)
         if orders.shape != self.ks.shape:
             raise ValueError(f"need one order per bin: {self.ks.size}, got {orders.size}")
-        if orders.size and not 0 <= orders.min() <= orders.max() <= self.plan.order:
-            raise ValueError(f"orders must lie in 0 .. {self.plan.order}")
+        if orders.size and not 0 <= orders.min() <= orders.max() <= self.order:
+            raise ValueError(f"orders must lie in 0 .. {self.order}")
         return orders
 
     def xi_rows(self, hw, orders):
@@ -258,17 +224,19 @@ class GridEstimator:
         ``hw`` (B, K, (top_order + 1)^2) holds K row vectors on the
         coefficients per bin; bin b reads only its first (orders[b] + 1)^2.
         Xi is never formed: per degree n, one product takes hw's degree-n
-        block of every bin of order >= n onto the plan's angular part, and
+        block of every bin of order >= n onto the Xi plan's angular part, and
         the radial factors j_{n + o - n_in} of each bin contract the offsets o.
         """
         orders = self._orders(orders)
         hw = np.asarray(hw, dtype=complex)
-        top, n_in, angular = self.plan.order, self.plan.dir_order, self.plan.xi_cols.angular
+        top, n_in, angular = self.order, self._xi_cols.order_in, self._xi_cols.angular
         if hw.ndim != 3 or hw.shape[::2] != (self.ks.size, num_coeffs(top)):
             raise ValueError(f"hw must have shape ({self.ks.size}, K, {num_coeffs(top)})")
         # bins by falling order, so the bins of order >= n are a leading slice
         by_order = np.argsort(-orders, kind="stable")
-        hw, radial = hw[by_order], self._radial[by_order]
+        hw = hw[by_order]
+        # j_l(k_b |target - r_p|) per bin, degree l and mic
+        radial = self._xi_table[by_order][:, :, self._xi_cols.radius_index]
         count = np.searchsorted(-orders[by_order], -np.arange(top + 1), side="right")
         rows = np.zeros(hw.shape[:2] + (self.geom.n_mics,), dtype=complex)
         for n, m in enumerate(count):
@@ -296,8 +264,7 @@ class GridEstimator:
 
     def coeffs(self, obs, orders):
         """Per bin, alpha_b(target) = Xi_b(target) (Psi_b + lambda I)^{-1} obs[b] at
-        ``orders[b]``, with Xi_b from the plan."""
+        ``orders[b]``, with Xi_b from ``xi``."""
         orders = self._orders(orders)
-        ests = (self._estimator(b) for b in range(self.ks.size))
-        return [ShCoeffVec(self.plan.xi(est.k, order) @ est.solve(s), self.target, est.k, order)
-                for est, s, order in zip(ests, obs, orders.tolist())]
+        return [ShCoeffVec(self.xi(b, order) @ self._estimator(b).solve(s), self.target, float(k), order)
+                for b, (k, s, order) in enumerate(zip(self.ks, obs, orders.tolist(), strict=True))]

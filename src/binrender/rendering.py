@@ -121,9 +121,10 @@ def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpec
 
     Once per call, ``spectrum`` is turned by ``angles``, and every table that
     depends on k is taken over all of ``freqs`` at the highest order
-    rendered: a ``GridEstimator`` (the ``AngularPlan`` of Psi and Xi(target)
-    with its radial tables) and the rendering weights. Each frequency renders
-    at ``truncation_order(k, shoulder_radius, order_cap)`` against the
+    rendered: a ``GridEstimator`` (Psi's upper triangle and Xi(target) of
+    every frequency, from their translation plans and radial tables) and the
+    rendering weights. Each frequency renders at
+    ``truncation_order(k, shoulder_radius, order_cap)`` against the
     interpolated spectrum; the weighted HRTF rows of all frequencies go
     through ``GridEstimator.rows`` together, which folds in Xi degree by
     degree and then (Psi + lambda I)^{-1} per frequency. ``freqs`` need not

@@ -66,6 +66,21 @@ def cho_solve(factor, b):
     return potrs(factor, b, lower=False)[0]
 
 
+def json_field(doc, key, where, convert=None):
+    """``doc[key]``, passed through ``convert``, for a parsed JSON object called
+    ``where`` in messages. ValueError naming the key if ``doc`` is not an
+    object, has no ``key``, or holds a value there that ``convert`` refuses
+    with TypeError or ValueError (a value of the wrong JSON type)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    if key not in doc:
+        raise ValueError(f"{where} has no {key!r}")
+    try:
+        return doc[key] if convert is None else convert(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where} {key!r}: {exc}") from None
+
+
 def rotation_matrix_z(angle):
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])

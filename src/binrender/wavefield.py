@@ -261,8 +261,8 @@ class TranslationPlan:
     The radial factors come from ``radial``, one table over the distinct
     |d_p| (``radii``; ``radius_index[p]`` picks p's) for any number of
     wavenumbers: the 2080 pair distances of the composite array take 245
-    values. ``estimation.AngularPlan`` holds two, one giving Psi to an
-    ``Estimator`` and one giving Xi(target) only to ``GridEstimator``; a
+    values. ``estimation.GridEstimator`` builds two: one for Psi's pairs,
+    folded into its per-bin upper triangles, and one for Xi(target); a
     single-k Xi is ``translate_multi``'s.
     """
 

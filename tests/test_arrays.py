@@ -125,6 +125,10 @@ class TestDirectivities:
             assert np.array_equal(row, np.pad(mic.dir_coeffs, (0, 4 - mic.dir_coeffs.size)))
         assert geom.directivities[0] is c
         assert not c.flags.writeable
+        # so are the upper-triangle mic pairs that Psi is assembled on
+        iu, ju = geom.upper_pairs
+        assert all(np.array_equal(a, b) for a, b in zip((iu, ju), np.triu_indices(3)))
+        assert geom.upper_pairs[0] is iu and not iu.flags.writeable and not ju.flags.writeable
 
 
 class TestContentHash:

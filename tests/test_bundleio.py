@@ -62,14 +62,27 @@ class TestBundle:
         with pytest.raises(ValueError):
             bundleio.read_bundle(tmp_path / "y")
 
-    @pytest.mark.parametrize("key", ["shape", "radius", "directions", "freqs", "sample_rate"])
-    def test_missing_hrtf_header_key_named(self, tmp_path, key):
+    # a missing key (None), and values of another JSON type
+    @pytest.mark.parametrize("key, value", [
+        ("shape", None), ("radius", None), ("directions", None), ("freqs", None), ("sample_rate", None),
+        ("shape", "abc"), ("shape", [2, 1.5, 30]), ("shape", [2, 1, 31]), ("radius", "null"),
+        ("radius", [1.5]), ("sample_rate", "abc"), ("directions", [[0.1, 0.2], [0.3]]),
+        ("directions", "null"), ("freqs", ["abc"]), ("freqs", 500.0),
+    ], ids=["shape", "radius", "directions", "freqs", "sample_rate", "shape-string", "shape-fraction",
+            "shape-size", "radius-null", "radius-list", "sample_rate-string", "directions-ragged",
+            "directions-null", "freqs-strings", "freqs-number"])
+    def test_missing_hrtf_header_key_named(self, tmp_path, key, value):
         hs = synth_rigid_sphere_hrtf(SyntheticHead(), fibonacci_grid(30), [500.0], 1.5)
         header = bundleio.save_hrtf_bundle(tmp_path / "hrtf", hs).with_suffix(".json")
         doc = json.loads(header.read_text())
-        del doc[key]
+        if value is None:
+            del doc[key]
+            message = f"bundle header has no '{key}'"
+        else:
+            doc[key] = None if value == "null" else value
+            message = f"bundle header '{key}': "
         header.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"bundle header has no '{key}'"):
+        with pytest.raises(ValueError, match=message):
             bundleio.load_hrtf_bundle(header)
 
     def test_blob_is_little_endian_interleaved(self, tmp_path):

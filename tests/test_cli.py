@@ -1,13 +1,14 @@
 """CLI pipeline: validation, determinism, exit codes."""
 
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from binrender import bundleio
+from binrender import arrays, bundleio
 from binrender.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -86,7 +87,7 @@ class TestPipeline:
         assert "nmse_L_avg_db" in text and "itd_estimated_s" in text
 
     def test_estimate_equals_per_bin_estimators(self, tmp_path, monkeypatch):
-        # estimate takes every free-field bin from one angular plan; its
+        # estimate takes every free-field bin from one GridEstimator; its
         # coefficients equal a direct Estimator per bin to reassociation rounding
         from binrender.arrays import load_geometry
         from binrender.estimation import Estimator
@@ -221,12 +222,24 @@ class TestInputChecks:
             assert main([command, str(cfg), "--observations", str(tmp_path / "nope")]) == 1
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("bundle, key, message", [
-        ("hrtf", "shape", "bundle header has no 'shape'"),
-        ("hrtf", None, "bundle header is not a JSON object"),  # the header wrapped in a list
-        ("observation", "freqs", "bundle header has no 'freqs'"),
-    ], ids=["hrtf_without_shape", "header_is_a_list", "observation_without_freqs"])
-    def test_malformed_bundle_header_is_user_error(self, tmp_path, capsys, bundle, key, message):
+    @pytest.mark.parametrize("bundle, key, value, message", [
+        ("hrtf", "shape", None, "bundle header has no 'shape'"),
+        ("hrtf", None, None, "bundle header is not a JSON object"),  # the header wrapped in a list
+        ("observation", "freqs", None, "bundle header has no 'freqs'"),
+        ("observation", "shape", "abc", "bundle header 'shape': "),
+        ("observation", "shape", "null", "bundle header 'shape': "),
+        ("observation", "shape", [320], "bundle header 'shape' must be [5, mics]"),
+        ("observation", "shape", [4, 64], "bundle header 'shape' must be [5, mics]"),  # a row short
+        ("observation", "freqs", "null", "bundle header 'freqs': "),
+        ("hrtf", "radius", "null", "bundle header 'radius': "),
+        ("hrtf", "sample_rate", "abc", "bundle header 'sample_rate': "),
+        ("hrtf", "directions", [[0.1, 0.2], [0.3]], "bundle header 'directions': "),
+        ("hrtf", "freqs", {"lo": 200.0}, "bundle header 'freqs': "),
+    ], ids=["hrtf_without_shape", "header_is_a_list", "observation_without_freqs",
+            "observation_shape_string", "observation_shape_null", "observation_shape_flat", "observation_row_short",
+            "observation_freqs_null", "hrtf_radius_null", "hrtf_sample_rate_string",
+            "hrtf_directions_ragged", "hrtf_freqs_object"])
+    def test_malformed_bundle_header_is_user_error(self, tmp_path, capsys, bundle, key, value, message):
         from binrender import hrtf
 
         if bundle == "hrtf":
@@ -243,9 +256,14 @@ class TestInputChecks:
         doc = json.loads(header.read_text())
         if key is None:
             doc = [doc]
-        else:
+        elif value is None:
             del doc[key]
+        else:
+            doc[key] = None if value == "null" else value
         header.write_text(json.dumps(doc))
+        if key == "shape" and isinstance(value, list):  # the blob cut to the shape
+            blob = header.with_suffix(".bin")
+            blob.write_bytes(blob.read_bytes()[: 8 * math.prod(value)])
         capsys.readouterr()
         assert main([command, str(cfg)]) == 1
         assert message in capsys.readouterr().err
@@ -486,10 +504,35 @@ class TestExitCodes:
         assert main(["geometry", *argv, "--out", str(tmp_path / "g.json")]) == 1
         assert not (tmp_path / "g.json").exists()
 
-    def test_validate_non_geometry_is_user_error(self, tmp_path):
+    def test_validate_non_geometry_is_user_error(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"format": "something-else"}))
         assert main(["geometry", "--validate", str(path)]) == 1
+        # malformed geometry documents: the message names the key or the type
+        cfg = write_config(tmp_path)
+        geom = json.loads((tmp_path / "geom.json").read_text())
+        baffled = json.loads(arrays.geometry_to_json(arrays.build_rigid_sphere_array()))
+        mic = geom["mics"][0]
+        cases = [
+            ({k: v for k, v in geom.items() if k != "mics"}, "geometry document has no 'mics'"),
+            ({**geom, "mics": [{k: v for k, v in mic.items() if k != "pos"}]}, "mic 0 has no 'pos'"),
+            ([geom], "not a geometry document"),
+            ({**baffled, "baffle": {k: v for k, v in baffled["baffle"].items() if k != "radius"}},
+             "baffle has no 'radius'"),
+            ({**geom, "mics": 7}, "geometry document 'mics': "),
+            ({**geom, "mics": [mic, 7]}, "mic 1 is not a JSON object"),
+            ({**geom, "mics": [{**mic, "pos": None}]}, "mic 0 'pos': "),
+            ({**geom, "mics": [{**mic, "dir_coeffs": [[0.5]]}]}, "mic 0 'dir_coeffs': "),
+            ({**baffled, "baffle": {**baffled["baffle"], "radius": None}}, "baffle 'radius': "),
+        ]
+        for doc, message in cases:
+            path.write_text(json.dumps(doc))
+            (tmp_path / "geom.json").write_text(json.dumps(doc))
+            for argv in (["geometry", "--validate", str(path)], ["simulate", str(cfg)]):
+                capsys.readouterr()
+                assert main(argv) == 1
+                assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, key, value", [
         ("render", "nfft", "abc"), ("listener", "position", [0.0, 0.0]),

@@ -18,6 +18,21 @@ def k_of(f):
     return 2.0 * math.pi * f / C
 
 
+def pair_plan(geom):
+    """Psi's pair plan and its conj(c_i) fold, built as ``GridEstimator`` builds them."""
+    c, p = geom.directivities
+    pos = geom.positions()
+    iu, ju = np.triu_indices(geom.n_mics)
+    pairs = wf.TranslationPlan.build(pos[iu] - pos[ju], p, c[ju])
+    return pairs, pairs.fold(np.conj(c[iu]))
+
+
+def xi_plan(geom, target, order):
+    """Xi(target)'s column plan, built as ``GridEstimator`` builds it."""
+    c, _ = geom.directivities
+    return wf.TranslationPlan.build(np.subtract(target, geom.positions()), order, c)
+
+
 @pytest.fixture(scope="module")
 def composite():
     return arrays.build_composite_array()
@@ -120,13 +135,13 @@ class TestBuildPsi:
         # the upper values and their conjugates written straight into Psi equal
         # the mirror psi + psi^H of the upper triangle with its real diagonal
         k = k_of(900.0)
-        plan = estimation.AngularPlan(composite, np.zeros(3), 2, [k])
-        iu, ju = plan.upper
+        vals = estimation.GridEstimator(composite, [k], "auto", np.zeros(3), 2).psi_upper[0]
+        iu, ju = np.triu_indices(composite.n_mics)
         upper = np.zeros((composite.n_mics, composite.n_mics), dtype=complex)
-        upper[iu, ju] = plan.psi_upper(k)
+        upper[iu, ju] = vals
         want = upper + upper.conj().T
         want[np.diag_indices_from(want)] = np.real(np.diag(upper))
-        assert np.array_equal(estimation.build_psi(composite, k, plan), want)
+        assert np.array_equal(estimation.build_psi(composite, k, vals), want)
 
     def test_position_independence_vs_xi_gram(self, composite, rng):
         # Psi == Xi(r)^H Xi(r) for arbitrary r once the row order has converged
@@ -140,8 +155,14 @@ class TestBuildPsi:
             assert dev < 1e-6
 
 
-class TestAngularPlan:
-    """Psi and Xi from the k-independent plan equal the direct builds."""
+class TestGridEstimator:
+    """Psi, Xi, rows and coefficients over a grid equal standalone per-bin builds."""
+
+    TARGET = np.array([0.02, -0.03, 0.01])
+
+    @staticmethod
+    def orders_of(freqs):
+        return [metrics.truncation_order(k_of(f)) for f in freqs]
 
     @staticmethod
     def rel(got, want):
@@ -153,29 +174,29 @@ class TestAngularPlan:
         geom = arrays.build_composite_array() if kind == "composite" else arrays.build_small_array()
         # on a microphone, that column's displacement is zero (as are Psi's diagonal pairs)
         target = geom.positions()[5] if on_mic else rng.uniform(-0.05, 0.05, 3)
-        # radial tables over all ks, sliced per k (also at orders below the top)
+        # radial tables over all ks, sliced per bin (also at orders below the top)
         ks = rng.uniform(1.0, 220.0, 3)
-        plan = estimation.AngularPlan(geom, target, 35, ks)
-        for k in ks:
-            psi = estimation.build_psi(geom, k, plan)
+        grid = estimation.GridEstimator(geom, ks, "auto", target, 35)
+        for b, k in enumerate(ks):
+            psi = estimation.build_psi(geom, k, grid.psi_upper[b])
             assert self.rel(psi, estimation.build_psi(geom, k)) < 1e-12
             assert np.array_equal(psi, psi.conj().T)
             for order in (0, 1, 18, 35):
-                xi = plan.xi(k, order)
+                xi = grid.xi(b, order)
                 assert xi.shape == ((order + 1) ** 2, geom.n_mics)
                 assert self.rel(xi, estimation.build_xi(geom, target, k, order)) < 1e-12
 
     def test_radial_tables_are_per_bin_calls(self, composite, rng):
         # sph_jn_table's entries depend on (l, kr) alone: each row of a
-        # per-call table is bitwise the kernel's single-k call at that
+        # per-grid table is bitwise the kernel's single-k call at that
         # wavenumber, and scipy's wherever l < kr or l <= 1
         from scipy.special import spherical_jn
 
         from binrender.special import sph_jn_table
 
         ks = rng.uniform(1.0, 220.0, 5)
-        plan = estimation.AngularPlan(composite, rng.uniform(-0.05, 0.05, 3), 12, ks)
-        for part, top in ((plan.psi_pairs, plan.dir_order), (plan.xi_cols, plan.order)):
+        pairs, _ = pair_plan(composite)
+        for part, top in ((pairs, pairs.order_in), (xi_plan(composite, rng.uniform(-0.05, 0.05, 3), 12), 12)):
             table = part.radial(ks, top)
             lmax = top + part.order_in
             assert table.shape == (ks.size, lmax + 1, part.radii.size)
@@ -191,53 +212,40 @@ class TestAngularPlan:
 
         ks = np.array([k_of(300.0), k_of(900.0)])
         target = np.array([0.01, 0.02, -0.01])
-        plan = estimation.AngularPlan(composite, target, 6, ks)
+        grid = estimation.GridEstimator(composite, ks, "auto", target, 6)
         calls = []
         for name in ("spherical_jn", "spherical_yn"):
             real = getattr(scipy.special, name)
             monkeypatch.setattr(scipy.special, name,
                                 lambda *a, real=real, **kw: calls.append(1) or real(*a, **kw))
-        for k in ks:
-            estimation.Estimator(composite, k, plan=plan)
-            plan.xi(k, 6)
+        for b, k in enumerate(ks):
+            estimation.Estimator(composite, k, psi_upper=grid.psi_upper[b])
+            grid.xi(b, 6)
+        grid.rows(np.ones((2, 2, 49), dtype=complex), [6, 3])
+        grid.coeffs(np.ones((2, composite.n_mics), dtype=complex), [6, 3])
         assert calls == []
-        # an untabulated k has no row to slice
-        k = k_of(500.0)
-        for lookup in (lambda: plan.psi_upper(k), lambda: plan.xi(k, 6),
-                       lambda: estimation.Estimator(composite, k, plan=plan)):
-            with pytest.raises(ValueError, match=f"wavenumber {k} is not tabulated"):
-                lookup()
 
     def test_psi_table_bytes_equal_the_per_degree_sum(self, composite):
         # one contraction over the degrees gives the bytes of the per-degree
         # sum it replaced, on the 128 bins of a 100-1600 Hz, nfft-4096 grid
         freqs = np.arange(1, 2049) * 48000.0 / 4096
         ks = k_of(freqs[(freqs >= 100.0) & (freqs <= 1600.0)])
-        plan = estimation.AngularPlan(composite, np.zeros(3), 1, ks)
-        radial = plan.psi_pairs.radial(ks, plan.dir_order)[:, :, plan.psi_pairs.radius_index]
-        want = sum(radial[:, l] * w for l, w in enumerate(plan.psi_weights))
+        grid = estimation.GridEstimator(composite, ks, "auto", np.zeros(3), 1)
+        pairs, weights = pair_plan(composite)
+        radial = pairs.radial(ks, pairs.order_in)[:, :, pairs.radius_index]
+        want = sum(radial[:, l] * w for l, w in enumerate(weights))
         assert ks.size == 128
-        assert plan._psi_table.tobytes() == want.tobytes()
+        assert grid.psi_upper.tobytes() == want.tobytes()
 
     def test_estimator_xi_is_build_xi(self, composite):
-        # a plan gives an Estimator its Psi only: Xi is build_xi's, bit for
-        # bit, at the plan's own target too
+        # a grid gives an Estimator its Psi only: Xi is build_xi's, bit for
+        # bit, at the grid's own target too
         k = k_of(900.0)
         target = np.array([0.01, 0.02, -0.01])
-        plan = estimation.AngularPlan(composite, target, 4, [k])
-        est = estimation.Estimator(composite, k, plan=plan)
+        grid = estimation.GridEstimator(composite, [k], "auto", target, 4)
+        est = estimation.Estimator(composite, k, psi_upper=grid.psi_upper[0])
         for t, order in ((target, 4), (target + 0.01, 4), (target, 6)):
             assert np.array_equal(est.xi(t, order), estimation.build_xi(composite, t, k, order))
-
-
-class TestGridEstimator:
-    """Rows and coefficients over a grid equal standalone per-bin estimators."""
-
-    TARGET = np.array([0.02, -0.03, 0.01])
-
-    @staticmethod
-    def orders_of(freqs):
-        return [metrics.truncation_order(k_of(f)) for f in freqs]
 
     @pytest.mark.parametrize("freqs", [[300.0, 700.0, 1500.0], [1500.0, 300.0, 700.0, 300.0], [700.0]],
                              ids=["mixed_orders", "unsorted_repeated", "single_bin"])
@@ -266,21 +274,24 @@ class TestGridEstimator:
         ks = [k_of(f) for f in freqs]
         orders = self.orders_of(freqs)
         obs = rng.normal(size=(len(ks), composite.n_mics)) + 1j * rng.normal(size=(len(ks), composite.n_mics))
-        grid = estimation.GridEstimator(composite, ks, 1e-4, self.TARGET, max(orders))
-        plan = estimation.AngularPlan(composite, self.TARGET, max(orders), ks)
-        for alpha, s, k, order in zip(grid.coeffs(obs, orders), obs, ks, orders):
-            est = estimation.Estimator(composite, k, 1e-4, plan)
-            want = plan.xi(k, order) @ est.solve(s)
+        top = max(orders)
+        grid = estimation.GridEstimator(composite, ks, 1e-4, self.TARGET, top)
+        # the oracle tables, straight from the two translation plans
+        pairs, weights = pair_plan(composite)
+        radial = pairs.radial(np.asarray(ks), pairs.order_in)[:, :, pairs.radius_index]
+        psi_upper = np.einsum("blp,lp->bp", radial, weights)
+        xi_cols = xi_plan(composite, self.TARGET, top)
+        xi_table = xi_cols.radial(np.asarray(ks), top)
+        for b, (alpha, s, k, order) in enumerate(zip(grid.coeffs(obs, orders), obs, ks, orders)):
+            est = estimation.Estimator(composite, k, 1e-4, psi_upper[b])
+            want = xi_cols.apply(xi_table[b], order) @ est.solve(s)
             assert alpha.order == order and alpha.k == est.k
             assert np.array_equal(alpha.coeffs, want)
             assert np.array_equal(alpha.center, self.TARGET)
 
-    def test_rejects_untabulated_k_and_orders_above_the_top(self, composite):
+    def test_rejects_orders_above_the_top(self, composite):
         ks = [k_of(300.0), k_of(700.0)]
         grid = estimation.GridEstimator(composite, ks, "auto", self.TARGET, 4)
-        k = k_of(500.0)
-        with pytest.raises(ValueError, match=f"wavenumber {k} is not tabulated"):
-            estimation.Estimator(composite, k, plan=grid.plan)
         hw = np.ones((2, 2, 25), dtype=complex)
         obs = np.ones((2, composite.n_mics), dtype=complex)
         for call in (lambda: grid.rows(hw, [4, 5]), lambda: grid.coeffs(obs, [5, 2]),
