@@ -94,6 +94,8 @@ class ArrayGeometry:
 
     def __post_init__(self):
         object.__setattr__(self, "mics", tuple(self.mics))
+        if not self.mics:
+            raise ValueError("a geometry needs at least one microphone")
         if self.baffle is not None:
             for mic in self.mics:
                 r = np.linalg.norm(mic.position - self.baffle.center)

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 from scipy.io import wavfile
 
 from . import bundleio
@@ -58,23 +59,19 @@ def _library_version():
         return "unknown"
 
 
-def _sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _canonical(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _write_manifest(out_dir, command, config_doc, outputs, seed=0):
+def _write_manifest(cfg, command, outputs):
+    canonical = json.dumps(cfg.doc, sort_keys=True, separators=(",", ":"))
     manifest = {
         "command": command,
-        "config_hash": hashlib.sha256(_canonical(config_doc).encode()).hexdigest(),
+        "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
         "library_version": _library_version(),
-        "seed": seed,
-        "outputs": {Path(p).name: _sha256(p) for p in outputs},
+        "seed": cfg.seed,
+        "outputs": {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                    for p in outputs},
     }
-    path = Path(out_dir) / f"manifest_{command}.json"
+    if cfg.flags:  # estimator flags change outputs the config hash does not cover
+        manifest["flags"] = cfg.flags
+    path = cfg.out_dir / f"manifest_{command}.json"
     path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
     return path
 
@@ -92,54 +89,95 @@ def _load_json(path):
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _number(doc, name, default, kind):
-    """The value at dotted ``name``'s last key in ``doc`` (or ``default``) as ``kind``,
-    int or float; a value that is not a JSON number (a boolean or a numeric
-    string included), or a float that is not whole where an int is asked
-    for, is a user error naming the key."""
-    value = doc.get(name.rpartition(".")[2], default)
-    try:
-        if type(value) not in (int, float):
-            raise TypeError
-        number = kind(value)
-        if kind is int and isinstance(value, float) and number != value:
-            raise ValueError
-        return number
-    except (TypeError, ValueError, OverflowError) as exc:
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {expected}, got {json.dumps(value)}") from exc
+def _positive(x):
+    return 0 < x < math.inf
 
 
-def _numbers(doc, name, default, count):
-    """The value at dotted ``name``'s last key in ``doc`` (or ``default``), which
-    must be a list of ``count`` finite numbers; anything else is a user error naming the key."""
-    value = doc.get(name.rpartition(".")[2], default)
-    if not (isinstance(value, list) and len(value) == count
-            and all(type(v) in (int, float) and math.isfinite(v) for v in value)):
-        raise ConfigError(f"{name} must be a list of {('two', 'three')[count - 2]} finite numbers, "
-                          f"got {json.dumps(value)}")
-    return tuple(value)
+# section -> key -> (default, kind), or (default, kind, check, requirement the
+# check states). kind is str, int or float (a JSON value of that type; a whole
+# float is an int) or a count n (a list of n finite numbers). A default of
+# "auto" also admits "auto"; a default of None makes the key required. A row
+# of None is a key its section's own code reads: a nested object, a path or
+# object, or the scene's grid, sources or spectrum.
+_KEYS = {
+    "config": {"version": None, "scene": None, "geometry": (None, str), "hrtf": None,
+               "estimator": None, "render": None, "listener": None,
+               "output_dir": ("out", str), "seed": (0, int)},
+    "estimator": {
+        "lambda": ("auto", float, lambda x: 0 <= x < math.inf, "a finite number >= 0"),
+        "eta": ("auto", float, lambda x: 0 <= x < math.inf, "a finite number >= 0"),
+        "order": ("auto", int, lambda n: n >= 0, "an integer >= 0"),
+    },
+    "render": {  # the band's check against the sample rate comes after the table
+        "mode": ("sph", str, lambda v: v in ("sph", "pln"), "sph or pln"),
+        "nfft": (4096, int, lambda n: n >= 2 and not n & (n - 1), "a power of two >= 2"),
+        "window": ("tukey", str, lambda v: v in ("tukey", "boxcar"), "tukey or boxcar"),
+        "band": ([100.0, 1600.0], 2),
+        "sample_rate": (48000.0, float, _positive, "positive"),
+        "order_cap": (35, int, lambda n: n >= 0, ">= 0"),
+        "shoulder_radius": (0.45, float, _positive, "positive"),
+        "wav_duration": (0.25, float, _positive, "positive"),
+        "wav_gain": (1.0, float, math.isfinite, "finite"),
+    },
+    "listener": {"position": ([0.0, 0.0, 0.0], 3), "euler_deg": ([0.0, 0.0, 0.0], 3)},
+    "hrtf": {"synthetic": None},
+    # 0 < head_radius < measure_radius is checked after the table
+    "hrtf.synthetic": {"head_radius": (0.0875, float), "ear_azimuths_deg": ([90.0, -90.0], 2),
+                       "measure_radius": (1.5, float)},
+    "scene": {"freqs": None, "band": (None, 3), "sources": None, "sound_speed": (346.2, float)},
+    "scene.sources": {"pos": (None, 3), "spectrum": None},
+}
 
 
-def _known_keys(doc, keys, where):
-    """``doc`` itself, after checking it is an object holding only ``keys``."""
+def _section(doc, section):
+    """``doc`` itself, after checking it is an object holding only ``section``'s keys."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - set(keys))
+        raise ConfigError(f"{section} must be a JSON object")
+    unknown = sorted(set(doc) - set(_KEYS[section]))
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown key(s) in {section}: {', '.join(unknown)}")
     return doc
 
 
+def _value(doc, section, key, name=None):
+    """``doc[key]`` (or the key's default) as ``section``'s row for ``key`` asks.
+    A value of another JSON type, or one that fails the row's check, is a user
+    error naming ``name``: the dotted key unless a flag gave the value."""
+    default, kind, *check = _KEYS[section][key]
+    value = doc.get(key, default)
+    name = name or (key if section == "config" else f"{section}.{key}")
+    auto = '"auto" or ' if default == "auto" else ""
+    if auto and value == "auto":
+        return value
+    if kind is str:
+        expected, typed = "a string", isinstance(value, str)
+    elif type(kind) is int:
+        expected = f"a list of {('two', 'three')[kind - 2]} finite numbers"
+        typed = (isinstance(value, list) and len(value) == kind
+                 and all(type(v) in (int, float) and math.isfinite(v) for v in value))
+    else:
+        expected = "an integer" if kind is int else "a number"
+        typed = type(value) is int or (type(value) is float and (kind is float or value.is_integer()))
+    try:
+        if not typed:
+            raise TypeError
+        value = tuple(value) if type(kind) is int else kind(value)
+    except (TypeError, OverflowError) as exc:  # OverflowError: an int too large for a float
+        raise ConfigError(f"{name} must be {auto}{expected}, got {json.dumps(value)}") from exc
+    if check and not check[0](value):
+        raise ConfigError(f"{name} must be {auto}{check[1]}, got {json.dumps(value)}")
+    return value
+
+
 def parse_scene(doc) -> Scene:
-    _known_keys(doc, ("freqs", "band", "sources", "sound_speed"), "scene")
+    _section(doc, "scene")
     try:
         if "freqs" in doc:
             grid = "freqs"
             freqs = np.asarray(doc["freqs"], dtype=float)
         elif "band" in doc:
             grid = "band"
-            freqs = band_freqs(*_numbers(doc, "scene.band", None, 3))
+            freqs = band_freqs(*_value(doc, "scene", "band"))
         else:
             raise ConfigError("scene needs 'freqs' or 'band'")
         if (freqs.ndim != 1 or freqs.size == 0 or not np.all(np.isfinite(freqs))
@@ -148,8 +186,8 @@ def parse_scene(doc) -> Scene:
                               f"got {json.dumps(doc[grid])}")
         sources = []
         for s in doc.get("sources", []):
-            _known_keys(s, ("pos", "spectrum"), "scene source")
-            pos = np.asarray(_numbers(s, "scene.sources.pos", None, 3), dtype=float)
+            _section(s, "scene.sources")
+            pos = np.asarray(_value(s, "scene.sources", "pos"), dtype=float)
             spectrum = s.get("spectrum", "flat")
             if spectrum == "flat":
                 spec = None
@@ -161,37 +199,17 @@ def parse_scene(doc) -> Scene:
                     raise ConfigError("source spectrum length must match the frequency grid")
             sources.append(PointSource(pos, spec))
         return Scene(sources=tuple(sources), freqs=freqs,
-                     sound_speed=_number(doc, "scene.sound_speed", 346.2, float))
+                     sound_speed=_value(doc, "scene", "sound_speed"))
     except (TypeError, ValueError) as exc:  # a wrong JSON type, or a value that does not convert
         raise ConfigError(f"scene: {exc}") from exc
 
 
-def _positive(x):
-    return 0 < x < math.inf
-
-
-# render key -> (default, kind, check, requirement the check states). kind is
-# str (taken as it is), int or float (a JSON number), or list (two finite
-# numbers); the band's check against the sample rate comes after the table.
-_RENDER = {
-    "mode": ("sph", str, lambda v: v in ("sph", "pln"), "sph or pln"),
-    "nfft": (4096, int, lambda n: n >= 2 and not n & (n - 1), "a power of two >= 2"),
-    "window": ("tukey", str, lambda v: v in ("tukey", "boxcar"), "tukey or boxcar"),
-    "band": ([100.0, 1600.0], list, lambda band: True, None),
-    "sample_rate": (48000.0, float, _positive, "positive"),
-    "order_cap": (35, int, lambda n: n >= 0, ">= 0"),
-    "shoulder_radius": (0.45, float, _positive, "positive"),
-    "wav_duration": (0.25, float, _positive, "positive"),
-    "wav_gain": (1.0, float, math.isfinite, "finite"),
-}
-
-
 class RunConfig:
-    """Validated run configuration; all paths checked before any compute."""
+    """Validated run configuration; all paths checked before any compute. The
+    text of a ``lam``/``eta``/``order`` flag replaces its ``estimator`` value."""
 
-    def __init__(self, doc, base_dir):
-        _known_keys(doc, ("version", "scene", "geometry", "hrtf", "estimator", "render",
-                          "listener", "output_dir", "seed"), "config")
+    def __init__(self, doc, base_dir, **flags):
+        _section(doc, "config")
         if doc.get("version") != 1:
             raise ConfigError("config must carry \"version\": 1")
         self.doc = doc
@@ -203,10 +221,7 @@ class RunConfig:
         self.scene_doc = _load_json(base / scene_ref) if isinstance(scene_ref, str) else scene_ref
         self.scene = parse_scene(self.scene_doc)
 
-        geom_ref = doc.get("geometry")
-        if geom_ref is None:
-            raise ConfigError("config needs a 'geometry' path")
-        geom_path = base / geom_ref
+        geom_path = base / _value(doc, "config", "geometry")
         if not geom_path.exists():
             raise ConfigError(f"geometry file not found: {geom_path}")
         try:
@@ -214,45 +229,44 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"geometry file {geom_path}: {exc}") from exc
 
-        est = _known_keys(doc.get("estimator", {}), ("lambda", "eta", "order"), "estimator")
-        self.lam = est.get("lambda", "auto")
-        self.eta = est.get("eta", "auto")
-        self.order = est.get("order", "auto")
+        est = _section(doc.get("estimator", {}), "estimator")
+        self.flags = {}  # the checked value of each estimator flag given
+        for attr, key in (("lam", "lambda"), ("eta", "eta"), ("order", "order")):
+            value = flags.get(attr)
+            if value is None:
+                value = _value(est, "estimator", key)
+            else:  # the text as JSON would hold it: the number float() reads, else the text
+                try:
+                    value = float(value)
+                except ValueError:
+                    pass
+                value = self.flags[f"--{attr}"] = _value({key: value}, "estimator", key, f"--{attr}")
+            setattr(self, attr, value)
 
-        rnd = _known_keys(doc.get("render", {}), _RENDER, "render")
-        for key, (default, kind, valid, requirement) in _RENDER.items():
-            if kind is str:
-                value = rnd.get(key, default)
-            elif kind is list:
-                value = _numbers(rnd, f"render.{key}", default, 2)
-            else:
-                value = _number(rnd, f"render.{key}", default, kind)
-            if not valid(value):
-                raise ConfigError(f"render {key} must be {requirement}, got {value!r}")
-            setattr(self, key, value)
+        rnd = _section(doc.get("render", {}), "render")
+        for key in _KEYS["render"]:
+            setattr(self, key, _value(rnd, "render", key))
         if not 0 < self.band[0] < self.band[1] <= self.sample_rate / 2:
-            raise ConfigError(f"render band {list(self.band)} must be [lo, hi] with "
+            raise ConfigError(f"render.band {list(self.band)} must be [lo, hi] with "
                               f"0 < lo < hi <= {self.sample_rate / 2:g} Hz")
 
-        listener = _known_keys(doc.get("listener", {}), ("position", "euler_deg"), "listener")
-        self.listener_position = np.asarray(
-            _numbers(listener, "listener.position", [0.0, 0.0, 0.0], 3), dtype=float)
-        deg = _numbers(listener, "listener.euler_deg", [0.0, 0.0, 0.0], 3)
+        listener = _section(doc.get("listener", {}), "listener")
+        self.listener_position = np.asarray(_value(listener, "listener", "position"), dtype=float)
+        deg = _value(listener, "listener", "euler_deg")
         self.angles = EulerAngles(*(math.radians(a) for a in deg))
 
         hrtf_ref = doc.get("hrtf")
         self.hrtf_set = None
         self.synthetic_head = None
         if isinstance(hrtf_ref, dict) and "synthetic" in hrtf_ref:
-            _known_keys(hrtf_ref, ("synthetic",), "hrtf")
-            syn = _known_keys(hrtf_ref["synthetic"],
-                              ("head_radius", "ear_azimuths_deg", "measure_radius"), "hrtf.synthetic")
-            az = _numbers(syn, "hrtf.synthetic.ear_azimuths_deg", [90.0, -90.0], 2)
+            _section(hrtf_ref, "hrtf")
+            syn = _section(hrtf_ref["synthetic"], "hrtf.synthetic")
+            az = _value(syn, "hrtf.synthetic", "ear_azimuths_deg")
             self.synthetic_head = SyntheticHead(
-                radius=_number(syn, "hrtf.synthetic.head_radius", 0.0875, float),
+                radius=_value(syn, "hrtf.synthetic", "head_radius"),
                 ear_azimuths=(math.radians(az[0]), math.radians(az[1])),
             )
-            self.measure_radius = _number(syn, "hrtf.synthetic.measure_radius", 1.5, float)
+            self.measure_radius = _value(syn, "hrtf.synthetic", "measure_radius")
             if not 0 < self.synthetic_head.radius < self.measure_radius < math.inf:
                 raise ConfigError("hrtf.synthetic needs 0 < head_radius < measure_radius, got "
                                   f"{self.synthetic_head.radius} and {self.measure_radius}")
@@ -267,8 +281,8 @@ class RunConfig:
         elif hrtf_ref is not None:
             raise ConfigError("hrtf must be a bundle path or {\"synthetic\": {...}}")
 
-        self.out_dir = Path(base / doc.get("output_dir", "out"))
-        self.seed = _number(doc, "seed", 0, int)
+        self.out_dir = base / _value(doc, "config", "output_dir")
+        self.seed = _value(doc, "config", "seed")
 
     def require_rendering(self):
         """An HRTF, and free-field mics: the only kind the distributed estimator models."""
@@ -341,6 +355,19 @@ def cli():
 def geometry(kind, center, yaw_deg, radius, beta, out_path, validate_path):
     """Emit or validate array geometry files."""
     if validate_path is not None:
+        mode, reads = "--validate", ["--validate"]
+    elif kind is None or out_path is None:
+        raise ConfigError("need --kind and --out (or --validate)")
+    else:
+        mode, reads = f"--kind {kind}", ["--kind", "--center", "--out"] + {
+            "small": ["--yaw-deg", "--radius", "--beta"], "composite": ["--beta"],
+            "rigid-sphere": ["--radius"]}[kind]
+    ctx = click.get_current_context()
+    unused = [p.opts[0] for p in ctx.command.params if p.opts[0] not in reads
+              and ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE]
+    if unused:
+        raise ConfigError(f"{', '.join(unused)} not used with {mode}")
+    if validate_path is not None:
         try:
             doc = Path(validate_path).read_text()
         except OSError as exc:
@@ -354,8 +381,6 @@ def geometry(kind, center, yaw_deg, radius, beta, out_path, validate_path):
         click.echo(f"ok: {geom.n_mics} microphones"
                    + (", rigid baffle" if geom.baffle is not None else ""))
         return
-    if kind is None or out_path is None:
-        raise ConfigError("need --kind and --out (or --validate)")
     try:
         ctr = tuple(float(x) for x in center.split(","))
     except ValueError as exc:
@@ -402,15 +427,6 @@ _observations_flag = click.option(
     help="Observation bundle base path (default: output_dir/observation).")
 
 
-def _parse_reg(value, name):
-    if value is None or value == "auto":
-        return value
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"--{name} must be a number or 'auto'") from exc
-
-
 def _observations(cfg: RunConfig, path):
     """(F, n_mics) observations, checked against the run's geometry and grid."""
     base = Path(path) if path else cfg.out_dir / "observation"
@@ -427,31 +443,12 @@ def _observations(cfg: RunConfig, path):
     return obs
 
 
-def _check_ridge(value, name):
-    if value != "auto" and not (type(value) in (int, float) and 0 <= value < math.inf):
-        raise ConfigError(f"{name} must be \"auto\" or a finite number >= 0, got {value!r}")
-
-
-def _load_config(config_path, lam=None, eta=None, order=None):
+def _load_config(config_path, **flags):
     doc = _load_json(config_path)
     try:
-        cfg = RunConfig(doc, Path(config_path).resolve().parent)
+        return RunConfig(doc, Path(config_path).resolve().parent, **flags)
     except (TypeError, ValueError) as exc:  # a wrong JSON type, or a value that does not convert
         raise ConfigError(f"{config_path}: {exc}") from exc
-    if lam is not None:
-        cfg.lam = _parse_reg(lam, "lam")
-    _check_ridge(cfg.lam, "lambda")
-    if eta is not None:
-        cfg.eta = _parse_reg(eta, "eta")
-    _check_ridge(cfg.eta, "eta")
-    if order is not None:
-        try:
-            cfg.order = order if order == "auto" else int(order)
-        except ValueError as exc:
-            raise ConfigError(f"--order must be an integer or 'auto', got {order!r}") from exc
-    if cfg.order != "auto" and not (type(cfg.order) is int and cfg.order >= 0):
-        raise ConfigError(f"order must be \"auto\" or an integer >= 0, got {cfg.order!r}")
-    return cfg
 
 
 def _check_sources_off_array(scene: Scene, geom):
@@ -493,7 +490,7 @@ def simulate(config_path):
         cfg.out_dir / "observation", freqs, obs,
         geometry_hash=cfg.geometry.content_hash())
     outputs = [base.with_suffix(".json"), base.with_suffix(".bin")]
-    manifest = _write_manifest(cfg.out_dir, "simulate", cfg.doc, outputs, cfg.seed)
+    manifest = _write_manifest(cfg, "simulate", outputs)
     click.echo(f"wrote {base}.json/.bin and {manifest.name}")
 
 
@@ -505,7 +502,7 @@ def simulate(config_path):
 @_observations_flag
 def estimate(config_path, lam, eta, order, observations):
     """Estimate expansion coefficients at the listener position per frequency."""
-    cfg = _load_config(config_path, lam, eta, order)
+    cfg = _load_config(config_path, lam=lam, eta=eta, order=order)
     if (cfg.geometry.baffle is not None and cfg.order != "auto"
             and (cfg.order + 1) ** 2 > cfg.geometry.n_mics):
         raise ConfigError(f"order {cfg.order} on the rigid baffle needs at least "
@@ -534,7 +531,7 @@ def estimate(config_path, lam, eta, order, observations):
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     base = bundleio.write_bundle(cfg.out_dir / "coefficients", header, flat)
     outputs = [base.with_suffix(".json"), base.with_suffix(".bin")]
-    manifest = _write_manifest(cfg.out_dir, "estimate", cfg.doc, outputs, cfg.seed)
+    manifest = _write_manifest(cfg, "estimate", outputs)
     click.echo(f"wrote {base}.json/.bin and {manifest.name}")
 
 
@@ -544,7 +541,7 @@ def estimate(config_path, lam, eta, order, observations):
 @_observations_flag
 def render(config_path, lam, observations):
     """Render per-frequency binaural responses (CSV) and a multitone WAV."""
-    cfg = _load_config(config_path, lam)
+    cfg = _load_config(config_path, lam=lam)
     cfg.require_rendering()
     obs = _observations(cfg, observations)
     freqs = cfg.scene.freqs
@@ -563,7 +560,7 @@ def render(config_path, lam, observations):
     data = _multitone_wav(freqs, responses, cfg.sample_rate, cfg.wav_duration, cfg.wav_gain)
     wavfile.write(wav_path, int(cfg.sample_rate), data)
 
-    manifest = _write_manifest(cfg.out_dir, "render", cfg.doc, [csv_path, wav_path], cfg.seed)
+    manifest = _write_manifest(cfg, "render", [csv_path, wav_path])
     click.echo(f"wrote {csv_path.name}, {wav_path.name} and {manifest.name}")
 
 
@@ -572,7 +569,7 @@ def render(config_path, lam, observations):
 @_lam_flag
 def filters(config_path, lam):
     """Synthesize and export the MIMO FIR binaural filter bank."""
-    cfg = _load_config(config_path, lam)
+    cfg = _load_config(config_path, lam=lam)
     cfg.require_rendering()
     nyq_freqs = np.arange(1, cfg.nfft // 2 + 1) * cfg.sample_rate / cfg.nfft
     in_band = nyq_freqs[(nyq_freqs >= cfg.band[0]) & (nyq_freqs <= cfg.band[1])]
@@ -587,7 +584,7 @@ def filters(config_path, lam):
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     base = save_filter_bank(bank, cfg.out_dir / "filterbank")
     outputs = [base.with_suffix(".wav"), base.with_suffix(".json")]
-    manifest = _write_manifest(cfg.out_dir, "filters", cfg.doc, outputs, cfg.seed)
+    manifest = _write_manifest(cfg, "filters", outputs)
     click.echo(f"wrote {base}.wav/.json and {manifest.name}")
 
 
@@ -597,7 +594,7 @@ def filters(config_path, lam):
 @_observations_flag
 def evaluate(config_path, lam, observations):
     """Compare rendered binaural responses against the analytic ground truth."""
-    cfg = _load_config(config_path, lam)
+    cfg = _load_config(config_path, lam=lam)
     cfg.require_rendering()
     if cfg.hrtf_set is not None and not np.array_equal(cfg.scene.freqs, cfg.hrtf_set.freqs):
         raise ConfigError("evaluate against a measured HRTF bundle needs the scene grid "
@@ -643,7 +640,7 @@ def evaluate(config_path, lam, observations):
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     report = cfg.out_dir / "metrics.csv"
     write_metric_report(report, rows)
-    manifest = _write_manifest(cfg.out_dir, "evaluate", cfg.doc, [report], cfg.seed)
+    manifest = _write_manifest(cfg, "evaluate", [report])
     click.echo(f"wrote {report.name} and {manifest.name}")
 
 

@@ -192,3 +192,7 @@ class TestGeometryJson:
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
             arrays.geometry_from_json('{"format": "something-else"}')
+
+    def test_no_microphones_rejected(self):
+        with pytest.raises(ValueError, match="at least one microphone"):
+            arrays.ArrayGeometry(mics=())

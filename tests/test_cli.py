@@ -67,6 +67,28 @@ class TestGeometryCommand:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("kind, flag", [
+        ("composite", ["--radius", "0.02"]), ("composite", ["--yaw-deg", "30"]),
+        ("rigid-sphere", ["--beta", "0.3"]), ("rigid-sphere", ["--yaw-deg", "30"]),
+    ])
+    def test_flag_the_kind_ignores_is_user_error(self, tmp_path, capsys, kind, flag):
+        out = tmp_path / "g.json"
+        capsys.readouterr()
+        assert main(["geometry", "--kind", kind, *flag, "--out", str(out)]) == 1
+        assert f"{flag[0]} not used with --kind {kind}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [
+        ["--kind", "composite"], ["--center", "0,0,0"], ["--yaw-deg", "0"],
+        ["--radius", "0.02"], ["--beta", "0.5"], ["--out", "x.json"],
+    ])
+    def test_validate_takes_no_other_flag(self, tmp_path, capsys, flag):
+        path = tmp_path / "g.json"
+        assert main(["geometry", "--kind", "small", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["geometry", "--validate", str(path), *flag]) == 1
+        assert f"{flag[0]} not used with --validate" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_simulate_estimate_render_evaluate(self, tmp_path):
@@ -354,6 +376,19 @@ class TestInputChecks:
         assert main(argv) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--lam", "bogus"], '--lam must be "auto" or a number, got "bogus"'),
+        (["--lam", "-1"], '--lam must be "auto" or a finite number >= 0, got -1.0'),
+        (["--eta", "nan"], '--eta must be "auto" or a finite number >= 0, got NaN'),
+        (["--order", "2.5"], '--order must be "auto" or an integer, got 2.5'),
+    ])
+    def test_bad_flag_message_names_the_flag(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path)
+        capsys.readouterr()
+        assert main(["estimate", str(cfg), *argv]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def simulated_with(tmp_path, section, key, value):
         """Config path after a simulate run, then with ``section.key`` set to ``value``."""
@@ -426,6 +461,20 @@ class TestInputChecks:
                      "--out", str(tmp_path / "geom.json")]) == 0
         (tmp_path / "run.json").write_text(json.dumps(config))
         assert main(["simulate", str(tmp_path / "run.json")]) == 0
+
+    def test_readme_key_table_is_the_key_table(self):
+        # README's key table lists exactly the keys the CLI checks, with their defaults
+        from binrender.cli import _KEYS
+
+        text = README.read_text()
+        table = text[text.index("| key | default | requirement |"):].split("\n\n")[0]
+        listed = dict(re.findall(r"^\| `([\w.]+)` \| (.*?) \|", table, re.M))
+        keys = {key if section == "config" else f"{section}.{key}": row
+                for section, rows in _KEYS.items() for key, row in rows.items()}
+        assert sorted(listed) == sorted(keys)
+        for key, row in keys.items():
+            if row is not None and row[0] is not None:
+                assert listed[key] == f"`{json.dumps(row[0])}`", key
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_worker_variable_is_ignored(self, tmp_path, monkeypatch, value):
@@ -524,6 +573,7 @@ class TestExitCodes:
             ({**geom, "mics": [{**mic, "pos": None}]}, "mic 0 'pos': "),
             ({**geom, "mics": [{**mic, "dir_coeffs": [[0.5]]}]}, "mic 0 'dir_coeffs': "),
             ({**baffled, "baffle": {**baffled["baffle"], "radius": None}}, "baffle 'radius': "),
+            ({**geom, "mics": []}, "a geometry needs at least one microphone"),
         ]
         for doc, message in cases:
             path.write_text(json.dumps(doc))
@@ -616,13 +666,20 @@ class TestExitCodes:
          'scene.freqs must give a non-empty list of finite frequencies, got ["200", "400"]'),
         ("scene", "sources", [{"pos": [1.5, 0.0, 0.0], "spectrum": [[True, False]] * 5}],
          'scene.sources.spectrum must be "flat" or [re, im] pairs'),
+        # estimator values and top-level paths go through the same key check
+        ("estimator", "lambda", "x", 'estimator.lambda must be "auto" or a number, got "x"'),
+        ("estimator", "eta", True, 'estimator.eta must be "auto" or a number, got true'),
+        ("estimator", "order", 2.5, 'estimator.order must be "auto" or an integer, got 2.5'),
+        ("output_dir", None, 5, "output_dir must be a string, got 5"),
+        ("geometry", None, 5, "geometry must be a string, got 5"),
     ], ids=["nfft", "sample-rate", "order-cap", "shoulder-radius", "wav-duration", "wav-gain",
             "head-radius", "measure-radius", "seed", "sound-speed", "nfft-infinity",
             "seed-infinity", "nfft-fraction", "order-cap-fraction", "seed-fraction",
             "band-number", "ear-azimuths-number", "order-cap-boolean", "nfft-string",
             "seed-string", "head-radius-boolean", "listener-position-strings",
             "listener-euler-booleans", "source-pos-strings", "source-pos-booleans",
-            "freqs-strings", "spectrum-booleans"])
+            "freqs-strings", "spectrum-booleans", "lambda-string", "eta-boolean",
+            "order-fraction", "output-dir-number", "geometry-number"])
     def test_config_type_errors_name_the_key(self, tmp_path, capsys, section, key, value, message):
         cfg = write_config(tmp_path)
         if section == "scene":
@@ -664,6 +721,15 @@ class TestExitCodes:
         cfg.write_text(json.dumps(doc))
         assert main(["filters", str(cfg)]) == 0
         assert json.loads((tmp_path / "out" / "filterbank.json").read_text())["nfft"] == 1024
+        # the estimator order, from the config or from --order, reads the same way
+        assert main(["simulate", str(cfg)]) == 0
+        assert main(["estimate", str(cfg), "--order", "3.0"]) == 0
+        orders = [bundleio.read_bundle(tmp_path / "out" / "coefficients")[0]["orders"]]
+        doc["estimator"] = {"order": 3.0}
+        cfg.write_text(json.dumps(doc))
+        assert main(["estimate", str(cfg)]) == 0
+        orders.append(bundleio.read_bundle(tmp_path / "out" / "coefficients")[0]["orders"])
+        assert orders == [[3] * 5] * 2
 
     @pytest.mark.parametrize("row", ["1.0", "", "1.0,0.5,1.0,0.0,0.5"],
                              ids=["one-cell", "empty-row", "short-row"])
@@ -776,6 +842,19 @@ class TestDeterminism:
         manifest = json.loads((tmp_path / "out" / "manifest_simulate.json").read_text())
         assert set(manifest) == {"command", "config_hash", "library_version", "seed", "outputs"}
         assert "observation.bin" in manifest["outputs"]
+
+    def test_manifest_records_estimator_flags(self, tmp_path):
+        # a flag changes the outputs but not the config: the manifest names it
+        cfg = write_config(tmp_path)
+        manifests = []
+        for argv in ([], ["--lam", "0.5"]):
+            assert main(["filters", str(cfg), *argv]) == 0
+            manifests.append(json.loads((tmp_path / "out" / "manifest_filters.json").read_text()))
+        flagless, flagged = manifests
+        assert "flags" not in flagless
+        assert flagged["flags"] == {"--lam": 0.5}
+        assert flagged["config_hash"] == flagless["config_hash"]
+        assert flagged["outputs"] != flagless["outputs"]
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         import hashlib
