@@ -6,8 +6,8 @@ The four tables are those a warm call takes:
   top order 18), over the distinct pair and target-mic distances of the
   64-mic composite array;
 * bank-wide Xi: 100-12000 Hz, nfft 128 (32 bins, top order 35);
-* head-track: one bin's ``translate_multi`` table on a listener move,
-  64 distances at 1600 Hz, l <= 19.
+* head-track: one bin's ``build_xi`` table on a listener move, 64
+  distances at 1600 Hz, l <= 19.
 
 Kernel and scipy calls alternate; each time is the median of ``repeats``
 runs. Prints one JSON line.

@@ -7,7 +7,9 @@ seeded trajectory, as a head tracker drives the library:
 * rotation: new Euler angles at the same position, so every bin reuses
   its last Xi(target);
 * move: a new position (uniform in a 0.1 m ball) and new angles, so every
-  bin rebuilds Xi(target).
+  bin takes a new Xi(target): the first bin's ``build_xi`` builds the
+  target's translation plan, and the other bins reuse it with their own
+  radial table.
 
 An update is the 16 bins' ``render_full`` calls. Rotations and moves
 alternate, and beside them the two per-update parts that do not depend on

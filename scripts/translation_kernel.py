@@ -6,7 +6,10 @@ Three groups, on the 64-mic composite array and the head-tracking band
 * SH tables: ``special.sh_table`` against ``scipy.special.sph_harm_y_all``
   at lmax 3, 19 and 36 on the 64 target-mic directions, and at lmax 2 on
   the 2080 mic-pair directions of Psi;
-* a listener move: the 16 bins' ``build_xi`` calls at a new target;
+* a listener move: the 16 bins' ``build_xi`` calls at a new target (one
+  shared translation plan, then one radial table and one contraction per
+  bin) against the 16 bins' ``wavefield.translate_multi`` calls (the whole
+  kernel per bin), with their ratio;
 * a head rotation: the 16 bins' ``rendering._rotate_hrtf`` calls at new
   angles, with the Wigner-D blocks shared across the bins (the cache) and
   rebuilt for every bin (cache cleared before each call).
@@ -30,7 +33,7 @@ import numpy as np
 import scipy
 from scipy.special import sph_harm_y_all
 
-from binrender import arrays, estimation, metrics, rendering, simulate, special
+from binrender import arrays, estimation, metrics, rendering, simulate, special, wavefield
 from binrender.special import EulerAngles, num_coeffs, sh_table
 from binrender.utils import cart2sph
 
@@ -80,9 +83,17 @@ def main(argv):
             "ratio": round(times["sh_table"] / times["sph_harm_y_all"], 3)}
 
     targets = rng.uniform(-0.1, 0.1, size=(repeats, 3))
-    move = median_ms({"build_xi": lambda i: [estimation.build_xi(geom, targets[i], k, order)
-                                             for k, order in zip(ks, orders)]}, repeats)
+    c, _ = geom.directivities
+    for k, order in zip(ks, orders):  # warm-up: the plan slot sized by a whole move
+        estimation.build_xi(geom, TARGET, k, order)
+    move = median_ms({
+        "build_xi": lambda i: [estimation.build_xi(geom, targets[i], k, order)
+                               for k, order in zip(ks, orders)],
+        "translate_multi": lambda i: [wavefield.translate_multi(targets[i] - pos, k, order, c)
+                                      for k, order in zip(ks, orders)]}, repeats)
     result["move_16_build_xi_ms"] = move["build_xi"]
+    result["move_16_translate_multi_ms"] = move["translate_multi"]
+    result["move_ratio"] = round(move["build_xi"] / move["translate_multi"], 3)
 
     rows = [rng.normal(size=(2, num_coeffs(order))) + 1j * rng.normal(size=(2, num_coeffs(order)))
             for order in orders]

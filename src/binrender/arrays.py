@@ -128,6 +128,16 @@ class ArrayGeometry:
         iu.flags.writeable = ju.flags.writeable = False
         return iu, ju
 
+    @cached_property
+    def upper_flat(self):
+        """(upper, lower), the flat indices into an (n_mics, n_mics) C-order
+        matrix of the ``upper_pairs`` entries and of their mirror images:
+        read-only, built once."""
+        iu, ju = self.upper_pairs
+        upper, lower = iu * self.n_mics + ju, ju * self.n_mics + iu
+        upper.flags.writeable = lower.flags.writeable = False
+        return upper, lower
+
     def content_hash(self):
         """SHA-256 (hex) of the geometry's JSON form."""
         import hashlib

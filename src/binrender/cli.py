@@ -93,14 +93,20 @@ def _positive(x):
     return 0 < x < math.inf
 
 
+def _pairs(value):
+    return all(isinstance(p, list) and len(p) == 2 and all(type(v) in (int, float) for v in p)
+               for p in value)
+
+
 # section -> key -> (default, kind), or (default, kind, check, requirement the
-# check states). kind is str, int or float (a JSON value of that type; a whole
-# float is an int) or a count n (a list of n finite numbers). A default of
-# "auto" also admits "auto"; a default of None makes the key required. A row
-# of None is a key its section's own code reads: a nested object, a path or
-# object, or the scene's grid, sources or spectrum.
+# check states). kind is str, int, float or list (a JSON value of that type; a
+# whole float is an int) or a count n (a list of n finite numbers). A string
+# default of a key of another kind, such as "auto", also admits that string; a
+# default of None makes the key required. A row of None is a key its section's
+# own code reads: a nested object, a path or object, or the scene's grid.
 _KEYS = {
-    "config": {"version": None, "scene": None, "geometry": (None, str), "hrtf": None,
+    "config": {"version": (None, int, lambda v: v == 1, "1"), "scene": None,
+               "geometry": (None, str), "hrtf": None,
                "estimator": None, "render": None, "listener": None,
                "output_dir": ("out", str), "seed": (0, int)},
     "estimator": {
@@ -124,8 +130,10 @@ _KEYS = {
     # 0 < head_radius < measure_radius is checked after the table
     "hrtf.synthetic": {"head_radius": (0.0875, float), "ear_azimuths_deg": ([90.0, -90.0], 2),
                        "measure_radius": (1.5, float)},
-    "scene": {"freqs": None, "band": (None, 3), "sources": None, "sound_speed": (346.2, float)},
-    "scene.sources": {"pos": (None, 3), "spectrum": None},
+    "scene": {"freqs": None, "band": (None, 3), "sources": ([], list),
+              "sound_speed": (346.2, float)},
+    "scene.sources": {"pos": (None, 3),
+                      "spectrum": ("flat", list, _pairs, "[re, im] pairs")},
 }
 
 
@@ -146,11 +154,14 @@ def _value(doc, section, key, name=None):
     default, kind, *check = _KEYS[section][key]
     value = doc.get(key, default)
     name = name or (key if section == "config" else f"{section}.{key}")
-    auto = '"auto" or ' if default == "auto" else ""
-    if auto and value == "auto":
+    literal = isinstance(default, str) and kind is not str
+    auto = f"{json.dumps(default)} or " if literal else ""
+    if literal and value == default:
         return value
     if kind is str:
         expected, typed = "a string", isinstance(value, str)
+    elif kind is list:
+        expected, typed = "a list", isinstance(value, list)
     elif type(kind) is int:
         expected = f"a list of {('two', 'three')[kind - 2]} finite numbers"
         typed = (isinstance(value, list) and len(value) == kind
@@ -185,15 +196,13 @@ def parse_scene(doc) -> Scene:
             raise ConfigError(f"scene.{grid} must give a non-empty list of finite frequencies, "
                               f"got {json.dumps(doc[grid])}")
         sources = []
-        for s in doc.get("sources", []):
+        for s in _value(doc, "scene", "sources"):
             _section(s, "scene.sources")
             pos = np.asarray(_value(s, "scene.sources", "pos"), dtype=float)
-            spectrum = s.get("spectrum", "flat")
+            spectrum = _value(s, "scene.sources", "spectrum")
             if spectrum == "flat":
                 spec = None
             else:
-                if any(type(v) not in (int, float) for pair in spectrum for v in pair):
-                    raise ConfigError('scene.sources.spectrum must be "flat" or [re, im] pairs')
                 spec = np.array([complex(re, im) for re, im in spectrum])
                 if spec.size != freqs.size:
                     raise ConfigError("source spectrum length must match the frequency grid")
@@ -210,8 +219,7 @@ class RunConfig:
 
     def __init__(self, doc, base_dir, **flags):
         _section(doc, "config")
-        if doc.get("version") != 1:
-            raise ConfigError("config must carry \"version\": 1")
+        _value(doc, "config", "version")
         self.doc = doc
         base = Path(base_dir)
 

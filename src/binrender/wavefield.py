@@ -233,7 +233,9 @@ def translate_multi(displacements, k, order_out, coeff_rows):
     with row p equal to ``translation_matrix(d_p, k, order_out, order_in)
     @ coeff_rows[p]`` up to rounding, each (n, n_out) step one sum of its
     kernel terms; j_l(0) keeps only l = 0, so zero displacements give the
-    identity. Every single-k Xi (``estimation.build_xi``) comes from here.
+    identity. A single-k Psi without tabulated upper values
+    (``estimation.build_psi``) comes from here; every Xi comes from a
+    ``TranslationPlan``.
     """
     d = np.asarray(displacements, dtype=float)
     c = np.asarray(coeff_rows, dtype=complex)
@@ -263,7 +265,8 @@ class TranslationPlan:
     wavenumbers: the 2080 pair distances of the composite array take 245
     values. ``estimation.GridEstimator`` builds two: one for Psi's pairs,
     folded into its per-bin upper triangles, and one for Xi(target); a
-    single-k Xi is ``translate_multi``'s.
+    single-k Xi comes from the one plan ``estimation.build_xi`` keeps for the
+    last target, shared by every wavenumber asked there.
     """
 
     angular: np.ndarray
@@ -281,6 +284,10 @@ class TranslationPlan:
             offsets = np.arange(abs(n - n_out), n + n_out + 1, 2) - n_out + order_in
             angular[offsets, n_out * n_out : (n_out + 1) ** 2] += terms.sum(axis=2)
         return cls(angular, *np.unique(cart2sph(d)[0], return_inverse=True))
+
+    @property
+    def order(self):
+        return math.isqrt(self.angular.shape[1]) - 1
 
     @property
     def order_in(self):
@@ -319,7 +326,7 @@ class TranslationPlan:
         up to reassociation rounding: inner products of translated rows take
         one radial factor per degree instead of one per (offset, coefficient).
         """
-        ls = self._degrees(math.isqrt(self.angular.shape[1]) - 1)
+        ls = self._degrees(self.order)
         w = np.zeros((ls.max() + 1, self.angular.shape[2]), dtype=complex)
         np.add.at(w, ls, self.angular * np.asarray(rows).T[None])
         return w

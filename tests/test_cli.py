@@ -666,20 +666,27 @@ class TestExitCodes:
          'scene.freqs must give a non-empty list of finite frequencies, got ["200", "400"]'),
         ("scene", "sources", [{"pos": [1.5, 0.0, 0.0], "spectrum": [[True, False]] * 5}],
          'scene.sources.spectrum must be "flat" or [re, im] pairs'),
+        ("scene", "sources", 5, "scene.sources must be a list, got 5"),
+        ("scene", "sources", [{"pos": [1.5, 0.0, 0.0], "spectrum": 5}],
+         'scene.sources.spectrum must be "flat" or a list, got 5'),
         # estimator values and top-level paths go through the same key check
         ("estimator", "lambda", "x", 'estimator.lambda must be "auto" or a number, got "x"'),
         ("estimator", "eta", True, 'estimator.eta must be "auto" or a number, got true'),
         ("estimator", "order", 2.5, 'estimator.order must be "auto" or an integer, got 2.5'),
         ("output_dir", None, 5, "output_dir must be a string, got 5"),
         ("geometry", None, 5, "geometry must be a string, got 5"),
+        # true == 1 in Python, but a boolean is not a version
+        ("version", None, True, "version must be an integer, got true"),
+        ("version", None, 2, "version must be 1, got 2"),
     ], ids=["nfft", "sample-rate", "order-cap", "shoulder-radius", "wav-duration", "wav-gain",
             "head-radius", "measure-radius", "seed", "sound-speed", "nfft-infinity",
             "seed-infinity", "nfft-fraction", "order-cap-fraction", "seed-fraction",
             "band-number", "ear-azimuths-number", "order-cap-boolean", "nfft-string",
             "seed-string", "head-radius-boolean", "listener-position-strings",
             "listener-euler-booleans", "source-pos-strings", "source-pos-booleans",
-            "freqs-strings", "spectrum-booleans", "lambda-string", "eta-boolean",
-            "order-fraction", "output-dir-number", "geometry-number"])
+            "freqs-strings", "spectrum-booleans", "sources-number", "spectrum-number",
+            "lambda-string", "eta-boolean", "order-fraction", "output-dir-number",
+            "geometry-number", "version-boolean", "version-two"])
     def test_config_type_errors_name_the_key(self, tmp_path, capsys, section, key, value, message):
         cfg = write_config(tmp_path)
         if section == "scene":

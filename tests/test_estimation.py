@@ -113,6 +113,106 @@ class TestBuildXi:
                            rtol=1e-8)
 
 
+class TestXiPlanSlot:
+    """``build_xi`` keeps one Xi(target) plan; its results never depend on it."""
+
+    BAND = np.arange(100.0, 1700.0, 100.0)  # the head-tracking bins, orders 2-18
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The (order, plan) of every ``TranslationPlan.build`` call, from a cold slot."""
+        monkeypatch.setattr(estimation, "_xi_slot", None)
+        original, calls = wf.TranslationPlan.build, []
+
+        def counted(cls, displacements, order_out, coeff_rows):
+            plan = original(displacements, order_out, coeff_rows)
+            calls.append((order_out, plan))
+            return plan
+
+        monkeypatch.setattr(wf.TranslationPlan, "build", classmethod(counted))
+        return calls
+
+    @pytest.mark.parametrize("order", [2, 5, 11, 17])
+    def test_result_is_the_cold_result(self, composite, monkeypatch, order):
+        k = k_of(1200.0)
+        target, other = np.array([0.03, -0.02, 0.01]), np.array([-0.05, 0.04, 0.02])
+        monkeypatch.setattr(estimation, "_xi_slot", None)
+        cold = estimation.build_xi(composite, target, k, order).tobytes()
+        estimation.build_xi(composite, target, k, 18)  # an order-18 plan at the target
+        assert estimation.build_xi(composite, target, k, order).tobytes() == cold
+        estimation.build_xi(composite, other, k, 18)  # another target's plan
+        assert estimation.build_xi(composite, target, k, order).tobytes() == cold
+
+    def test_estimator_xi_is_grid_xi(self, composite):
+        # the single-bin and grid paths take Xi from one source
+        target = np.array([0.02, 0.01, -0.03])
+        for f, order in ((200.0, 3), (900.0, 10), (1600.0, 18)):
+            k = k_of(f)
+            grid = estimation.GridEstimator(composite, [k], "auto", target, order)
+            xi = estimation.Estimator(composite, k).xi(target, order)
+            assert xi.tobytes() == grid.xi(0, order).tobytes()
+
+    def test_move_builds_one_plan(self, composite, builds):
+        from binrender.hrtf import SyntheticHead, rigid_sphere_hrtf_spectrum
+        from binrender.rendering import render_full
+        from binrender.special import EulerAngles
+
+        ks = k_of(self.BAND)
+        orders = [metrics.truncation_order(k) for k in ks]
+        assert (min(orders), max(orders)) == (2, 18)
+        spectrum = rigid_sphere_hrtf_spectrum(SyntheticHead(), self.BAND, 1.5, max(orders))
+        obs = simulate.simulate_observation(
+            simulate.Scene(sources=(simulate.PointSource(np.array([1.4, 0.6, 0.2])),),
+                           freqs=self.BAND), composite)
+        estimators = [estimation.Estimator(composite, k) for k in ks]
+
+        def update(position, yaw):
+            for b, est in enumerate(estimators):
+                render_full(obs[b], est, position, EulerAngles(yaw), spectrum.at_index(b),
+                            "sph", 1.5, orders[b])
+
+        update(np.array([0.01, 0.02, 0.0]), 0.1)  # warm-up
+        del builds[:]
+        update(np.array([-0.03, 0.01, 0.02]), 0.4)  # a move
+        assert [order for order, _ in builds] == [18]
+        update(np.array([-0.03, 0.01, 0.02]), -0.7)  # a rotation
+        assert len(builds) == 1
+
+    def test_only_the_next_plan_grows(self, builds, rng):
+        # a high-order request sizes the next target's plan, not the one after
+        geom = arrays.build_small_array()
+        k = k_of(500.0)
+        for order in (2, 9, 3, 3, 2):
+            estimation.build_xi(geom, rng.uniform(-0.1, 0.1, 3), k, order)
+        assert [order for order, _ in builds] == [2, 9, 9, 3, 3]
+        # the same target at a higher order rebuilds at that order
+        target = rng.uniform(-0.1, 0.1, 3)
+        for order in (2, 4, 3):
+            estimation.build_xi(geom, target, k, order)
+        assert [order for order, _ in builds[5:]] == [2, 4]
+
+    def test_slot_keeps_one_plan(self, builds, rng):
+        geom = arrays.build_small_array()
+        for _ in range(20):
+            estimation.build_xi(geom, rng.uniform(-0.1, 0.1, 3), k_of(500.0), 4)
+        refs = [weakref.ref(plan) for _, plan in builds]
+        del builds[:]
+        gc.collect()
+        assert [r() is not None for r in refs] == [False] * 19 + [True]
+
+    def test_alternating_geometries_get_their_own_columns(self, builds):
+        # two arrays of the same size at one target: no stale plan is served
+        first, second = arrays.build_small_array(), arrays.build_small_array(center=(0.02, 0.0, 0.01))
+        target, k = np.array([0.04, -0.01, 0.02]), k_of(800.0)
+        for geom in (first, second, first, second):
+            for order in (6, 3):
+                c, _ = geom.directivities
+                want = wf.translate_multi(target - geom.positions(), k, order, c).T
+                xi = estimation.build_xi(geom, target, k, order)
+                assert np.max(np.abs(xi - want)) <= 1e-12 * np.max(np.abs(want))
+        assert len(builds) == 4
+
+
 class TestBuildPsi:
     def test_single_mic_scalar(self):
         mic = arrays.Microphone(position=np.zeros(3),
@@ -142,6 +242,23 @@ class TestBuildPsi:
         want = upper + upper.conj().T
         want[np.diag_indices_from(want)] = np.real(np.diag(upper))
         assert np.array_equal(estimation.build_psi(composite, k, vals), want)
+
+    def test_flat_scatter_equals_two_index_scatter(self, composite):
+        # the flat-index writes are the two-index scatters, bit for bit, for
+        # tabulated upper values and for the translate_multi path
+        k = k_of(900.0)
+        iu, ju = composite.upper_pairs
+        c, p = composite.directivities
+        pos = composite.positions()
+        tabulated = estimation.GridEstimator(composite, [k], "auto", np.zeros(3), 2).psi_upper[0]
+        direct = np.einsum("pq,pq->p", np.conj(c[iu]),
+                           wf.translate_multi(pos[iu] - pos[ju], k, p, c[ju]))
+        for vals, upper in ((tabulated, tabulated), (direct, None)):
+            want = np.empty((composite.n_mics, composite.n_mics), dtype=complex)
+            want[ju, iu] = np.conj(vals)
+            want[iu, ju] = vals
+            np.fill_diagonal(want, want.diagonal().real)
+            assert estimation.build_psi(composite, k, upper).tobytes() == want.tobytes()
 
     def test_position_independence_vs_xi_gram(self, composite, rng):
         # Psi == Xi(r)^H Xi(r) for arbitrary r once the row order has converged
