@@ -8,8 +8,8 @@ Three groups, on the 64-mic composite array and the head-tracking band
   the 2080 mic-pair directions of Psi;
 * a listener move: the 16 bins' ``build_xi`` calls at a new target (one
   shared translation plan, then one radial table and one contraction per
-  bin) against the 16 bins' ``wavefield.translate_multi`` calls (the whole
-  kernel per bin), with their ratio;
+  bin) against the 16 bins' ``wavefield.translate_multi`` calls (a plan
+  built per bin, so the whole kernel per bin), with their ratio;
 * a head rotation: the 16 bins' ``rendering._rotate_hrtf`` calls at new
   angles, with the Wigner-D blocks shared across the bins (the cache) and
   rebuilt for every bin (cache cleared before each call).

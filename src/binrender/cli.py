@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from importlib import metadata
 from pathlib import Path
 
@@ -300,9 +301,9 @@ class RunConfig:
             raise ConfigError("rigid-baffle arrays are not rendered; use 'estimate'")
 
     def spectrum_at(self, freqs):
-        """HRTF SH spectrum on the given frequency grid.
+        """HRTF SH spectrum covering the given frequencies, in any order.
 
-        A measured bundle must cover the grid; that is checked before the fit.
+        A measured bundle must cover them; that is checked before the fit.
         """
         from .hrtf import fit_sh
 
@@ -316,18 +317,32 @@ class RunConfig:
         order = truncation_order(k_max, self.shoulder_radius, self.order_cap)
         if self.synthetic_head is not None:
             return rigid_sphere_hrtf_spectrum(
-                self.synthetic_head, freqs, self.measure_radius, order,
+                self.synthetic_head, np.unique(freqs), self.measure_radius, order,
                 sample_rate=self.sample_rate, sound_speed=self.scene.sound_speed)
         order = min(order, math.isqrt(self.hrtf_set.n_directions) - 1)
         return fit_sh(self.hrtf_set, order)
 
 
+@contextmanager
+def _chosen_lambda(cfg: RunConfig):
+    """A numeric lambda that leaves Psi + lambda I singular is a user error."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        if cfg.lam == "auto":
+            raise
+        name = "--lam" if "--lam" in cfg.flags else "estimator.lambda"
+        raise ConfigError(f"{name} {cfg.lam:g}: {exc}") from exc
+
+
 def _render_responses(cfg: RunConfig, observations):
     """Per-frequency binaural responses (F, 2) through the estimator chain."""
     freqs = cfg.scene.freqs
-    rows = grid_rows(cfg.geometry, freqs, cfg.listener_position, cfg.angles,
-                     cfg.spectrum_at(freqs), cfg.mode, cfg.lam, cfg.order_cap,
-                     cfg.shoulder_radius, cfg.scene.sound_speed)
+    spectrum = cfg.spectrum_at(freqs)
+    with _chosen_lambda(cfg):
+        rows = grid_rows(cfg.geometry, freqs, cfg.listener_position, cfg.angles,
+                         spectrum, cfg.mode, cfg.lam, cfg.order_cap,
+                         cfg.shoulder_radius, cfg.scene.sound_speed)
     # one stacked matmul: bitwise the per-bin rows @ s (an einsum sums differently)
     return (rows @ observations[:, :, None])[:, :, 0]
 
@@ -526,8 +541,9 @@ def estimate(config_path, lam, eta, order, observations):
                   for s, k, order in zip(obs, ks, orders)]
     else:
         # one grid estimator at the top order: every bin slices its tables
-        grid = GridEstimator(cfg.geometry, ks, cfg.lam, cfg.listener_position, max(orders, default=0))
-        alphas = grid.coeffs(obs, orders)
+        with _chosen_lambda(cfg):
+            grid = GridEstimator(cfg.geometry, ks, cfg.lam, cfg.listener_position, max(orders, default=0))
+            alphas = grid.coeffs(obs, orders)
     flat = np.concatenate([alpha.coeffs for alpha in alphas])
     header = {
         "kind": "coefficients",
@@ -584,11 +600,12 @@ def filters(config_path, lam):
     if in_band.size == 0:
         raise ConfigError(f"render band {list(cfg.band)} holds no bin of the {cfg.nfft}-point FFT")
     spectrum = cfg.spectrum_at(in_band)
-    bank = synth_fir_filters(
-        cfg.geometry, cfg.listener_position, cfg.angles, spectrum,
-        cfg.band, cfg.nfft, cfg.sample_rate, mode=cfg.mode, lam=cfg.lam,
-        window=cfg.window, order_cap=cfg.order_cap,
-        shoulder_radius=cfg.shoulder_radius, sound_speed=cfg.scene.sound_speed)
+    with _chosen_lambda(cfg):
+        bank = synth_fir_filters(
+            cfg.geometry, cfg.listener_position, cfg.angles, spectrum,
+            cfg.band, cfg.nfft, cfg.sample_rate, mode=cfg.mode, lam=cfg.lam,
+            window=cfg.window, order_cap=cfg.order_cap,
+            shoulder_radius=cfg.shoulder_radius, sound_speed=cfg.scene.sound_speed)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     base = save_filter_bank(bank, cfg.out_dir / "filterbank")
     outputs = [base.with_suffix(".wav"), base.with_suffix(".json")]

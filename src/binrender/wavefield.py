@@ -5,9 +5,9 @@ A source-free region's pressure is represented as
     u(x) = sum_{n,m} alpha_n^m * sqrt(4 pi) j_n(k |x - c|) Y_n^m(angles(x - c))
 
 about an expansion center c. This module provides the coefficient container,
-field evaluation, the translation operator between expansion centers (built
-from Gaunt coefficients), per-order Wigner-D rotations, and analytic
-coefficient generators for point sources and plane waves.
+field evaluation, the translation operator between expansion centers (one
+Gaunt kernel behind the dense matrix and ``TranslationPlan``), per-order
+Wigner-D rotations, and analytic generators for point sources and plane waves.
 
 Sign/time conventions are those of :mod:`binrender.special`: exp(+j w t)
 time dependence, Hankel functions of the second kind, Green's function
@@ -163,20 +163,11 @@ def translation_matrix(displacement, k, order_out, order_in=None) -> Translation
         return TranslationMatrix(entries, d, k, order_out, order_in)
 
     entries = np.zeros((n_rows, n_cols), dtype=complex)
-    ones = np.ones((1, n_cols))
-    radial = _radial_table(np.atleast_1d(r), k, order_out + order_in)
-    for n, n_out, terms in _translation_terms(d[None, :], radial, order_out, ones):
-        entries[n_out * n_out : (n_out + 1) ** 2, n * n : (n + 1) ** 2] = terms[..., 0].sum(axis=0)
+    radial = sph_jn_table(order_out + order_in, k * r)
+    for n, n_out, ls, terms in _translation_terms(d[None, :], order_out, np.ones((1, n_cols))):
+        block = entries[n_out * n_out : (n_out + 1) ** 2, n * n : (n + 1) ** 2]
+        block[:] = (radial[ls] @ terms.reshape(ls.size, -1)).reshape(block.shape)
     return TranslationMatrix(entries, d, k, order_out, order_in)
-
-
-def _radial_table(radii, k, lmax):
-    """j_l(k r_p) for l = 0 .. lmax, shape k.shape + (lmax + 1, P).
-
-    One ``sph_jn_table`` over every k r_p: its entries depend on (l, k r_p)
-    alone, so each k's slice is bitwise its own single-k table.
-    """
-    return np.moveaxis(sph_jn_table(lmax, np.multiply.outer(k, radii)), 0, -2)
 
 
 @lru_cache(maxsize=4096)  # a 35 <- 45 translation matrix takes 1656 order pairs
@@ -189,7 +180,7 @@ def _term_constants(n, n_out):
     """
     ls = np.arange(abs(n - n_out), n + n_out + 1, 2)
     m = np.arange(-n, n + 1)
-    phase = (ipow(ls) * (4.0 * math.pi * ipow(n_out - n)))[:, None]
+    phase = (ipow(ls) * (4.0 * math.pi * ipow(n_out - n)))[:, None, None]
     sign_m = np.where(m % 2 == 0, 1.0, -1.0)[None, :, None]
     mu_idx = np.arange(-n_out, n_out + 1)[:, None] - m[None, :]
     for a in (ls, phase, sign_m, mu_idx):
@@ -197,18 +188,17 @@ def _term_constants(n, n_out):
     return ls, phase, sign_m, mu_idx
 
 
-def _translation_terms(displacements, radial, order_out, coeff_rows):
-    """The one translation kernel: yield ``(n, n_out, terms)`` per order pair.
+def _translation_terms(displacements, order_out, coeff_rows):
+    """The one translation kernel: yield ``(n, n_out, ls, terms)`` per order pair.
 
     ``terms[i, m', m, p]`` is the l = ls[i] summand of element
-    ((n_out, m'), (n, m)) of T(d_p, k) (formula in ``translation_matrix``),
-    scaled by ``coeff_rows[p, (n, m)]``; ls runs over |n - n_out| .. n + n_out
-    in steps of 2. ``radial[l, p]`` stands for j_l(k |d_p|): the caller's
-    table (``_radial_table``), or ones for the k-independent part
-    (``TranslationPlan``). Summing over i gives the block of the operator,
-    summing over i and m its product with the rows. One SH table over all
-    displacements serves every block, and each block is one product over
-    the stacked Gaunt slices.
+    ((n_out, m'), (n, m)) of T(d_p, k) (formula in ``translation_matrix``)
+    at unit radial factor, scaled by ``coeff_rows[p, (n, m)]``; ls runs over
+    |n - n_out| .. n + n_out in steps of 2. Weighting term i by
+    j_ls[i](k |d_p|) and summing over i gives the block of the operator,
+    summing over m too its product with the rows; the kernel itself never
+    sees k. One SH table over all displacements serves every block, and each
+    block is one product over the stacked Gaunt slices.
     """
     _, theta, phi = cart2sph(displacements)
     order_in = math.isqrt(coeff_rows.shape[1]) - 1
@@ -220,9 +210,8 @@ def _translation_terms(displacements, radial, order_out, coeff_rows):
             ls, phase, sign_m, mu_idx = _term_constants(n, n_out)
             # G(n, m; n_out, -m'; l) laid out as [l, m', m]
             g = np.stack([gaunt_grid(n, n_out, l)[:, ::-1].T for l in ls])
-            w = phase * radial[ls]
-            scaled = (sign_m * w[:, None, :]) * c[None, :, :]
-            yield n, n_out, (scaled[:, None, :, :] * y_conj[ls[:, None, None], mu_idx]) * g[..., None]
+            scaled = (sign_m * phase) * c[None, :, :]
+            yield n, n_out, ls, (scaled[:, None, :, :] * y_conj[ls[:, None, None], mu_idx]) * g[..., None]
 
 
 def translate_multi(displacements, k, order_out, coeff_rows):
@@ -231,42 +220,33 @@ def translate_multi(displacements, k, order_out, coeff_rows):
     ``displacements`` is (P, 3) and ``coeff_rows`` (P, (order_in+1)^2) with a
     small input order (microphone directivities). Returns (P, (order_out+1)^2)
     with row p equal to ``translation_matrix(d_p, k, order_out, order_in)
-    @ coeff_rows[p]`` up to rounding, each (n, n_out) step one sum of its
-    kernel terms; j_l(0) keeps only l = 0, so zero displacements give the
-    identity. A single-k Psi without tabulated upper values
-    (``estimation.build_psi``) comes from here; every Xi comes from a
-    ``TranslationPlan``.
+    @ coeff_rows[p]`` up to rounding: a ``TranslationPlan`` used at one
+    wavenumber. A single-k Psi without tabulated upper values
+    (``estimation.build_psi``) comes from here.
     """
-    d = np.asarray(displacements, dtype=float)
-    c = np.asarray(coeff_rows, dtype=complex)
-    if math.isqrt(c.shape[1]) ** 2 != c.shape[1]:
-        raise ValueError("coeff_rows must have a perfect-square width")
-    out = np.zeros((num_coeffs(order_out), d.shape[0]), dtype=complex)
-    radial = _radial_table(cart2sph(d)[0], k, order_out + math.isqrt(c.shape[1]) - 1)
-    for n, n_out, terms in _translation_terms(d, radial, order_out, c):
-        out[n_out * n_out : (n_out + 1) ** 2] += terms.sum(axis=(0, 2))
-    return out.T
+    plan = TranslationPlan.build(displacements, order_out, coeff_rows)
+    return plan.apply(plan.radial(k, order_out), order_out).T
 
 
 @dataclass(frozen=True)
 class TranslationPlan:
-    """The k-independent part of ``translate_multi`` for fixed displacements and rows.
+    """Translation of fixed rows over fixed displacements, at any wavenumber.
 
     Only the radial factor j_l(k |d_p|) of a kernel term depends on k; a term
     of output degree n has l = n + o - n_in for an offset o in 0 .. 2 n_in.
     ``angular[o, q, p]`` sums the terms at unit radial factor per offset, so
 
-        translate_multi(d, k, order, c)[p, q] = sum_o j_l(k |d_p|) angular[o, q, p]
+        (T(d_p, k) c_p)[q] = sum_o j_l(k |d_p|) angular[o, q, p]
 
-    up to reassociation rounding, for any order up to the plan's. Zero
-    displacements need no special case: j_l(0) keeps only l = 0, the identity.
-    The radial factors come from ``radial``, one table over the distinct
-    |d_p| (``radii``; ``radius_index[p]`` picks p's) for any number of
-    wavenumbers: the 2080 pair distances of the composite array take 245
-    values. ``estimation.GridEstimator`` builds two: one for Psi's pairs,
-    folded into its per-bin upper triangles, and one for Xi(target); a
-    single-k Xi comes from the one plan ``estimation.build_xi`` keeps for the
-    last target, shared by every wavenumber asked there.
+    for any order up to the plan's. Zero displacements need no special case:
+    j_l(0) keeps only l = 0, the identity. The radial factors come from
+    ``radial``, one table over the distinct |d_p| (``radii``;
+    ``radius_index[p]`` picks p's) for any number of wavenumbers: the 2080
+    pair distances of the composite array take 245 values. ``translate_multi``
+    is a plan at one wavenumber; ``estimation.GridEstimator`` builds two: one
+    for Psi's pairs, folded into its per-bin upper triangles, and one for
+    Xi(target); a single-k Xi comes from the one plan ``estimation.build_xi``
+    keeps for the last target, shared by every wavenumber asked there.
     """
 
     angular: np.ndarray
@@ -278,11 +258,11 @@ class TranslationPlan:
         d = np.asarray(displacements, dtype=float)
         c = np.asarray(coeff_rows, dtype=complex)
         order_in = math.isqrt(c.shape[1]) - 1
+        if (order_in + 1) ** 2 != c.shape[1]:
+            raise ValueError("coeff_rows must have a perfect-square width")
         angular = np.zeros((2 * order_in + 1, num_coeffs(order_out), d.shape[0]), dtype=complex)
-        ones = np.ones((order_out + order_in + 1, d.shape[0]))
-        for n, n_out, terms in _translation_terms(d, ones, order_out, c):
-            offsets = np.arange(abs(n - n_out), n + n_out + 1, 2) - n_out + order_in
-            angular[offsets, n_out * n_out : (n_out + 1) ** 2] += terms.sum(axis=2)
+        for n, n_out, ls, terms in _translation_terms(d, order_out, c):
+            angular[ls - n_out + order_in, n_out * n_out : (n_out + 1) ** 2] += terms.sum(axis=2)
         return cls(angular, *np.unique(cart2sph(d)[0], return_inverse=True))
 
     @property
@@ -295,9 +275,9 @@ class TranslationPlan:
 
     def radial(self, ks, order):
         """j_l(k r) at the distinct radii for l <= order + order_in, shape
-        ks.shape + (order + order_in + 1, len(radii)): one ``sph_jn_table``
-        (every degree in one recurrence pass) for all ``ks``."""
-        return _radial_table(self.radii, ks, order + self.order_in)
+        ks.shape + (order + order_in + 1, len(radii)), one ``sph_jn_table`` for all
+        ``ks``: its entries depend on (l, k r) alone, so a k's slice is its own table."""
+        return np.moveaxis(sph_jn_table(order + self.order_in, np.multiply.outer(ks, self.radii)), 0, -2)
 
     def _degrees(self, order):
         """l of the terms ``angular[o, q]`` for q < (order+1)^2, shape (2 n_in + 1, (order+1)^2)."""
@@ -312,8 +292,8 @@ class TranslationPlan:
         """Translated rows at ``order`` from one k's ``radial`` table, shape ((order+1)^2, P).
 
         ``radial`` is a slice ``self.radial(ks, order_top)[b]`` for any
-        order_top >= order, or ``self.radial(k, order)``; the result is the
-        transpose of ``translate_multi(d, k, order, c)``.
+        order_top >= order, or ``self.radial(k, order)``; column p is
+        T(d_p, k) c_p truncated at ``order``.
         """
         ls = self._degrees(order)
         return (radial[:, self.radius_index][ls] * self.angular[:, : ls.shape[1]]).sum(axis=0)

@@ -108,6 +108,31 @@ class TestPipeline:
         text = (out / "metrics.csv").read_text()
         assert "nmse_L_avg_db" in text and "itd_estimated_s" in text
 
+    @pytest.mark.parametrize("grid", [[1000.0, 600.0, 200.0], [600.0, 1000.0, 600.0]],
+                             ids=["unsorted", "repeated"])
+    def test_scene_grid_in_any_order(self, tmp_path, grid):
+        # with a synthetic head every frequency renders as in the sorted run
+        cfg = write_config(tmp_path)
+        scene = {key: value for key, value in SCENE.items() if key != "band"}
+
+        def run(freqs):
+            (tmp_path / "scene.json").write_text(json.dumps({**scene, "freqs": freqs}))
+            for command in ("simulate", "render", "evaluate"):
+                assert main([command, str(cfg)]) == 0
+            out = tmp_path / "out"
+            csv = np.loadtxt(out / "binaural_response.csv", delimiter=",", skiprows=1, ndmin=2)
+            nmse = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()
+                    if "nmse_L_db" in line or "nmse_R_db" in line]
+            return csv, {(row[2], row[3]): float(row[4]) for row in nmse}
+
+        got, got_nmse = run(grid)
+        want, want_nmse = run(sorted(set(grid)))
+        assert got[:, 0].tolist() == grid
+        for row in got:
+            ref = want[want[:, 0] == row[0]][0]
+            assert np.allclose(row[1:], ref[1:], rtol=1e-10, atol=0.0)
+        assert got_nmse == want_nmse
+
     def test_estimate_equals_per_bin_estimators(self, tmp_path, monkeypatch):
         # estimate takes every free-field bin from one GridEstimator; its
         # coefficients equal a direct Estimator per bin to reassociation rounding
@@ -508,6 +533,22 @@ class TestExitCodes:
         cfg = write_config(tmp_path)
         assert main(["filters", str(cfg)]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag, config, name", [
+        ("filters", "0", "auto", "--lam"),
+        ("estimate", "1e-30", "auto", "--lam"),
+        ("render", None, 0.0, "estimator.lambda"),
+    ])
+    def test_singular_chosen_lambda_is_user_error(self, tmp_path, capsys, command, flag, config, name):
+        # a lambda too small for Psi's rank at 50/100 Hz is the user's to raise
+        cfg = write_config(tmp_path, estimator={"lambda": config})
+        (tmp_path / "scene.json").write_text(json.dumps({**SCENE, "band": [50.0, 100.0, 50.0]}))
+        assert main(["simulate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main([command, str(cfg), *(["--lam", flag] if flag else [])]) == 1
+        message = f"error: {name} {float(flag or config):g}: Psi + lambda I is singular"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / f"manifest_{command}.json").exists()
 
     @pytest.mark.parametrize("field", ["responses", "directions", "freqs"])
     def test_non_finite_hrtf_bundle_is_user_error(self, tmp_path, field):

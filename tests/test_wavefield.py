@@ -272,16 +272,17 @@ class TestRotateCoeffs:
 class TestTranslateMulti:
     @staticmethod
     def per_degree_loop(d, k, order_out, c):
-        """translate_multi as explicit n/n_out/l/m loops, one SH call per l."""
+        """T(d_p, k) c_p as explicit n/n_out/l/m loops, one SH call per l."""
         from scipy.special import sph_harm_y
 
-        from binrender.special import gaunt_grid, ipow
+        from binrender.special import gaunt_grid, ipow, sph_jn_table
 
         order_in = math.isqrt(c.shape[1]) - 1
         r = np.linalg.norm(d, axis=1)
-        theta, phi = np.arccos(d[:, 2] / r), np.arctan2(d[:, 1], d[:, 0])
+        # any direction at d = 0, where j_l(0) keeps only l = 0
+        theta, phi = np.arctan2(np.hypot(d[:, 0], d[:, 1]), d[:, 2]), np.arctan2(d[:, 1], d[:, 0])
         lmax = order_out + order_in
-        jl = wf._radial_table(r, k, lmax).T
+        jl = sph_jn_table(lmax, k * r).T
         y_conj = np.zeros((d.shape[0], lmax + 1, 2 * lmax + 1), dtype=complex)
         for l in range(lmax + 1):
             mu = np.arange(-l, l + 1)
@@ -315,7 +316,7 @@ class TestTranslateMulti:
     @pytest.mark.parametrize("order_in", [0, 1, 2])
     def test_plan_equals_translate_multi(self, rng, order_in):
         # the angular sums per radial offset, contracted at any k and any
-        # order up to the plan's, give translate_multi's rows transposed
+        # order up to the plan's, give the explicit loop's rows transposed
         ds = rng.normal(scale=0.15, size=(7, 3))
         ds[4] = 0.0
         cs = rng.normal(size=(7, (order_in + 1) ** 2)) + 1j * rng.normal(size=(7, (order_in + 1) ** 2))
@@ -327,12 +328,18 @@ class TestTranslateMulti:
         for b, k in enumerate(ks):
             assert np.array_equal(table[b], plan.radial(k, 12))
             for order in (0, 1, 12):
-                want = wf.translate_multi(ds, k, order, cs)
+                want = self.per_degree_loop(ds, k, order, cs)
                 got = plan.apply(table[b], order)
                 assert np.max(np.abs(got.T - want)) < 1e-12 * np.max(np.abs(want))
                 assert np.array_equal(got, plan.apply(plan.radial(k, order), order))
         with pytest.raises(ValueError):
             plan.apply(plan.radial(21.0, 13), 13)
+
+    def test_plan_refuses_a_width_that_is_not_a_square(self, rng):
+        # a trailing column would otherwise be dropped without a word
+        ds = rng.normal(scale=0.15, size=(3, 3))
+        with pytest.raises(ValueError, match="perfect-square"):
+            wf.TranslationPlan.build(ds, 4, np.ones((3, 5)))
 
     @pytest.mark.parametrize("order_in", [0, 1, 2])
     def test_fold_equals_row_products(self, rng, order_in):
