@@ -132,7 +132,7 @@ _KEYS = {
     "hrtf.synthetic": {"head_radius": (0.0875, float), "ear_azimuths_deg": ([90.0, -90.0], 2),
                        "measure_radius": (1.5, float)},
     "scene": {"freqs": None, "band": (None, 3), "sources": ([], list),
-              "sound_speed": (346.2, float)},
+              "sound_speed": (346.2, float, _positive, "positive")},
     "scene.sources": {"pos": (None, 3),
                       "spectrum": ("flat", list, _pairs, "[re, im] pairs")},
 }
@@ -641,7 +641,7 @@ def evaluate(config_path, lam, observations):
                          "metric": f"nmse_{name}_db", "value": f"{per_bin[fi]:.6f}",
                          "excluded_bins": 0})
         avg = average_nmse(responses[:, ear], reference[:, ear])
-        band = f"{freqs[0]:g}-{freqs[-1]:g}"
+        band = f"{freqs.min():g}-{freqs.max():g}"
         rows.append({"position": pos, "azimuth_deg": "", "frequency_or_band": band,
                      "metric": f"nmse_{name}_avg_db", "value": f"{avg.db:.6f}",
                      "excluded_bins": avg.excluded_bins})

@@ -323,8 +323,10 @@ def rigid_sphere_hrtf_spectrum(head: SyntheticHead, freqs, measure_radius,
     For a source on the measurement sphere of radius R_s the surface-pressure
     series separates, giving exactly
 
-        H_n^m(k) = -h_n(k R_s) conj(Y_n^m(ear direction))
-                   / (k a^2 h_n'(k a))
+        H_n^m(k) = -h_n(k R_s) Y_n^m(ear direction) / (k a^2 h_n'(k a)),
+
+    unconjugated: the source direction enters conjugated where the spectrum
+    is evaluated, as conj(Y_n^m(source direction)).
 
     This closed form is both the fast path for rendering oracles and the
     reference the grid-fit route is tested against.

@@ -215,8 +215,9 @@ def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpe
     ``grid_rows`` gives the in-band (2, n_mics) complex responses; above the
     band edge the band-edge response is rolled off linearly in magnitude to
     zero over one octave; DC and Nyquist take the real part of the nearest
-    assembled response. The impulse responses are circularly shifted by
-    nfft/2 (the modeled delay) and windowed (Tukey r = 0.25 by default).
+    assembled response, Nyquist its own when it lies in the band. The impulse
+    responses are circularly shifted by nfft/2 (the modeled delay) and
+    windowed (Tukey r = 0.25 by default).
     """
     f_lo, f_hi = band
     nyquist = sample_rate / 2.0
@@ -246,7 +247,7 @@ def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpe
         responses[:, :, b] = responses[:, :, edge] * scale
 
     responses[:, :, 0] = responses[:, :, 1].real
-    responses[:, :, -1] = responses[:, :, -2].real
+    responses[:, :, -1] = responses[:, :, -1 if edge == nfft // 2 else -2].real
 
     impulse = np.fft.irfft(responses, n=nfft, axis=2)
     impulse = np.roll(impulse, nfft // 2, axis=2)

@@ -111,7 +111,8 @@ class TestPipeline:
     @pytest.mark.parametrize("grid", [[1000.0, 600.0, 200.0], [600.0, 1000.0, 600.0]],
                              ids=["unsorted", "repeated"])
     def test_scene_grid_in_any_order(self, tmp_path, grid):
-        # with a synthetic head every frequency renders as in the sorted run
+        # with a synthetic head every frequency renders as in the sorted run,
+        # and the band rows name the grid's lowest and highest frequency
         cfg = write_config(tmp_path)
         scene = {key: value for key, value in SCENE.items() if key != "band"}
 
@@ -121,12 +122,14 @@ class TestPipeline:
                 assert main([command, str(cfg)]) == 0
             out = tmp_path / "out"
             csv = np.loadtxt(out / "binaural_response.csv", delimiter=",", skiprows=1, ndmin=2)
-            nmse = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()
-                    if "nmse_L_db" in line or "nmse_R_db" in line]
-            return csv, {(row[2], row[3]): float(row[4]) for row in nmse}
+            metrics = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()]
+            nmse = [row for row in metrics if row[3] in ("nmse_L_db", "nmse_R_db")]
+            bands = {row[2] for row in metrics if row[3].endswith("avg_db") or row[3].startswith("sd_")}
+            return csv, {(row[2], row[3]): float(row[4]) for row in nmse}, bands
 
-        got, got_nmse = run(grid)
-        want, want_nmse = run(sorted(set(grid)))
+        got, got_nmse, got_bands = run(grid)
+        want, want_nmse, want_bands = run(sorted(set(grid)))
+        assert got_bands == want_bands == {f"{min(grid):g}-{max(grid):g}"}
         assert got[:, 0].tolist() == grid
         for row in got:
             ref = want[want[:, 0] == row[0]][0]
@@ -679,6 +682,9 @@ class TestExitCodes:
          'hrtf.synthetic.measure_radius must be a number, got "far"'),
         ("seed", None, None, "seed must be an integer, got null"),
         ("scene", "sound_speed", None, "scene.sound_speed must be a number, got null"),
+        # JSON's Infinity and NaN parse to floats that no wavenumber can take
+        ("scene", "sound_speed", float("inf"), "scene.sound_speed must be positive, got Infinity"),
+        ("scene", "sound_speed", float("nan"), "scene.sound_speed must be positive, got NaN"),
         # JSON's Infinity (and 1e999) parse to inf, which int() cannot take
         ("render", "nfft", float("inf"), "render.nfft must be an integer, got Infinity"),
         ("seed", None, float("inf"), "seed must be an integer, got Infinity"),
@@ -720,7 +726,8 @@ class TestExitCodes:
         ("version", None, True, "version must be an integer, got true"),
         ("version", None, 2, "version must be 1, got 2"),
     ], ids=["nfft", "sample-rate", "order-cap", "shoulder-radius", "wav-duration", "wav-gain",
-            "head-radius", "measure-radius", "seed", "sound-speed", "nfft-infinity",
+            "head-radius", "measure-radius", "seed", "sound-speed", "sound-speed-infinity",
+            "sound-speed-nan", "nfft-infinity",
             "seed-infinity", "nfft-fraction", "order-cap-fraction", "seed-fraction",
             "band-number", "ear-azimuths-number", "order-cap-boolean", "nfft-string",
             "seed-string", "head-radius-boolean", "listener-position-strings",

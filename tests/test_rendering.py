@@ -469,6 +469,20 @@ class TestFirSynthesis:
         got = resp[:, :, b] / shift[b]
         assert np.max(np.abs(got - rows)) < 1e-10 * np.max(np.abs(rows))
 
+    def test_nyquist_only_band(self):
+        # a band whose one FFT bin is Nyquist renders that bin: the real part of
+        # its response (a real filter's Nyquist bin is real), times the
+        # (-1)^(nfft/2) of the nfft/2 delay
+        geom = arrays.build_small_array()
+        fs, nfft = 48000.0, 256
+        spec = rigid_sphere_hrtf_spectrum(SyntheticHead(), [fs / 2], 1.5, 35)
+        bank = rendering.synth_fir_filters(geom, np.zeros(3), EulerAngles(), spec,
+                                           (23950.0, fs / 2), nfft, fs, window="boxcar")
+        rows = rendering.grid_rows(geom, [fs / 2], np.zeros(3), EulerAngles(), spec)[0]
+        got = np.fft.rfft(bank.taps, axis=2)[:, :, -1]
+        assert np.max(np.abs(rows.real)) > 0.0
+        assert np.max(np.abs(got - rows.real * (-1) ** (nfft // 2))) < 1e-12 * np.max(np.abs(rows))
+
     def test_tukey_window_leakage_bounded(self, bank_setup):
         # windowing perturbs interior design bins by less than 1 dB
         head, geom, fs, nfft, band, spec, bank = bank_setup
