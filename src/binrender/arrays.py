@@ -21,6 +21,7 @@ from .utils import (
     cart2sph,
     format_significant,
     json_field,
+    own_arrays,
     quantize_significant,
     rotation_matrix_z,
     unit,
@@ -37,7 +38,7 @@ DEFAULT_BETA = 0.5
 DEFAULT_BAFFLE_RADIUS = 0.145
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Microphone:
     """A directional microphone: position, directivity peak, SH directivity.
 
@@ -51,9 +52,7 @@ class Microphone:
     dir_coeffs: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        ori = np.asarray(self.orientation, dtype=float)
-        c = np.asarray(self.dir_coeffs, dtype=complex)
+        pos, ori, c = own_arrays(self, position=float, orientation=float, dir_coeffs=complex)
         if pos.shape != (3,) or ori.shape != (3,):
             raise ValueError("position and orientation must be 3-vectors")
         if not math.isclose(np.linalg.norm(ori), 1.0, rel_tol=1e-6):
@@ -61,33 +60,26 @@ class Microphone:
         order = math.isqrt(c.size) - 1
         if (order + 1) ** 2 != c.size:
             raise ValueError("dir_coeffs length must be a perfect square")
-        for a in (pos, ori, c):
-            a.flags.writeable = False
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "orientation", ori)
-        object.__setattr__(self, "dir_coeffs", c)
 
     @property
     def directivity_order(self):
         return math.isqrt(self.dir_coeffs.size) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RigidBaffle:
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
+        c, = own_arrays(self, center=float)
         if c.shape != (3,):
             raise ValueError("baffle center must be a 3-vector")
         if not self.radius > 0:
             raise ValueError("baffle radius must be positive")
-        c.flags.writeable = False
-        object.__setattr__(self, "center", c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrayGeometry:
     mics: tuple
     baffle: RigidBaffle | None = None

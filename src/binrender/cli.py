@@ -271,14 +271,13 @@ class RunConfig:
             _section(hrtf_ref, "hrtf")
             syn = _section(hrtf_ref["synthetic"], "hrtf.synthetic")
             az = _value(syn, "hrtf.synthetic", "ear_azimuths_deg")
-            self.synthetic_head = SyntheticHead(
-                radius=_value(syn, "hrtf.synthetic", "head_radius"),
-                ear_azimuths=(math.radians(az[0]), math.radians(az[1])),
-            )
+            head_radius = _value(syn, "hrtf.synthetic", "head_radius")
             self.measure_radius = _value(syn, "hrtf.synthetic", "measure_radius")
-            if not 0 < self.synthetic_head.radius < self.measure_radius < math.inf:
+            if not 0 < head_radius < self.measure_radius < math.inf:
                 raise ConfigError("hrtf.synthetic needs 0 < head_radius < measure_radius, got "
-                                  f"{self.synthetic_head.radius} and {self.measure_radius}")
+                                  f"{head_radius} and {self.measure_radius}")
+            self.synthetic_head = SyntheticHead(
+                radius=head_radius, ear_azimuths=(math.radians(az[0]), math.radians(az[1])))
         elif isinstance(hrtf_ref, str):
             try:
                 self.hrtf_set = bundleio.load_hrtf_bundle(base / hrtf_ref)
@@ -652,7 +651,7 @@ def evaluate(config_path, lam, observations):
     est_wav = _multitone_wav(freqs, responses, cfg.sample_rate, cfg.wav_duration, 1.0)
     ref_wav = _multitone_wav(freqs, reference, cfg.sample_rate, cfg.wav_duration, 1.0)
     for name, sig in (("estimated", est_wav), ("true", ref_wav)):
-        pair = BinauralPair(sig.T.astype(float), cfg.sample_rate)
+        pair = BinauralPair(sig.T, cfg.sample_rate)
         try:
             itd_s, ild_db = itd(pair), ild(pair)
         except ValueError as exc:  # no energy below the ITD/ILD low-pass

@@ -206,7 +206,7 @@ class Estimator:
         """
         w = self.solve(s)
         alpha = self.xi(target, order) @ w
-        return ShCoeffVec(alpha, np.asarray(target, dtype=float), self.k, order)
+        return ShCoeffVec(alpha, target, self.k, order)
 
     def predicted_observation(self, alpha: ShCoeffVec):
         """Forward prediction s_hat = Xi(r)^H alpha(r)."""

@@ -15,10 +15,10 @@ from scipy.linalg.blas import zherk
 from scipy.special import sph_legendre_p_all
 
 from .special import num_coeffs, orders_degrees, sh_matrix, sph_hankel2, sph_hankel2_deriv
-from .utils import cart2sph, cho_factor, cho_solve, sph2cart
+from .utils import cart2sph, cho_factor, cho_solve, own_arrays, sph2cart
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HrtfSet:
     """Grid-sampled HRTFs: left/right responses on a sphere of radius R_s.
 
@@ -33,9 +33,8 @@ class HrtfSet:
     sample_rate: float
 
     def __post_init__(self):
-        directions = np.asarray(self.directions, dtype=float)
-        freqs = np.asarray(self.freqs, dtype=float)
-        responses = np.asarray(self.responses, dtype=complex)
+        directions, freqs, responses = own_arrays(self, directions=float, freqs=float,
+                                                  responses=complex)
         if not 0 < self.radius < math.inf:
             raise ValueError("radius must be positive and finite")
         if directions.ndim != 2 or directions.shape[1] != 2:
@@ -46,20 +45,16 @@ class HrtfSet:
             raise ValueError("frequencies must be strictly increasing")
         if responses.shape != (2, freqs.size, directions.shape[0]):
             raise ValueError("responses must have shape (2, n_freqs, n_directions)")
-        for a in (directions, freqs, responses):
-            a.flags.writeable = False
-        object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "responses", responses)
 
     @property
     def n_directions(self):
         return self.directions.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HrtfShSpectrum:
-    """Per-frequency SH coefficients of an HrtfSet, shape (2, F, (N+1)^2)."""
+    """Per-frequency SH coefficients of an HrtfSet, shape (2, F, (N+1)^2), on
+    strictly increasing frequencies."""
 
     order: int
     radius: float
@@ -68,14 +63,11 @@ class HrtfShSpectrum:
     sample_rate: float
 
     def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=float)
-        coeffs = np.asarray(self.coeffs, dtype=complex)
+        freqs, coeffs = own_arrays(self, freqs=float, coeffs=complex)
+        if np.any(np.diff(freqs) <= 0):
+            raise ValueError("frequencies must be strictly increasing")
         if coeffs.shape != (2, freqs.size, num_coeffs(self.order)):
             raise ValueError("coeffs must have shape (2, n_freqs, (order+1)^2)")
-        freqs.flags.writeable = False
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "coeffs", coeffs)
 
     def at_index(self, freq_index):
         """(2, (N+1)^2) coefficient slice for one frequency bin."""
@@ -241,6 +233,12 @@ class SyntheticHead:
     radius: float = 0.0875
     ear_azimuths: tuple = (math.pi / 2.0, -math.pi / 2.0)  # (left, right)
     ear_zenith: float = math.pi / 2.0
+
+    def __post_init__(self):
+        if not 0 < self.radius < math.inf:
+            raise ValueError("head radius must be positive and finite")
+        if len(self.ear_azimuths) != 2:
+            raise ValueError("ear_azimuths must be (left, right)")
 
     def ear_direction(self, ear):
         return sph2cart(1.0, self.ear_zenith, self.ear_azimuths[ear])

@@ -15,6 +15,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.fft import next_fast_len
 
+from .utils import own_arrays
+
 EPS_TRUE = 1e-30
 NMSE_FLOOR_DB = -300.0
 
@@ -24,7 +26,7 @@ class MetricValue(NamedTuple):
     excluded_bins: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinauralPair:
     """Time-domain stereo signal; samples has shape (2, T), row 0 = left."""
 
@@ -32,13 +34,11 @@ class BinauralPair:
     sample_rate: float
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        samples, = own_arrays(self, samples=float)
         if samples.ndim != 2 or samples.shape[0] != 2:
             raise ValueError("samples must have shape (2, n_samples)")
         if not self.sample_rate > 0:
             raise ValueError("sample rate must be positive")
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
 
 
 def nmse(est, true):

@@ -33,6 +33,7 @@ from .hrtf import HrtfShSpectrum
 from .metrics import truncation_order
 from .special import SQRT_4PI, EulerAngles, ipow, num_coeffs, orders_degrees, sph_hankel2
 from .special import wigner_d_block  # noqa: F401 -- kept for perfbench/tracing.py to rebind
+from .utils import own_arrays
 from .wavefield import ShCoeffVec, rotate_blocks, rotate_coeffs
 
 
@@ -171,7 +172,7 @@ def render_composed(s, estimator: Estimator, target, angles: EulerAngles, h_pair
 # MIMO FIR filter bank
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinauralFilterBank:
     """Per-microphone, per-ear FIR taps realizing the rendering chain.
 
@@ -188,14 +189,12 @@ class BinauralFilterBank:
     geometry_hash: str = ""
 
     def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=float)
+        taps, = own_arrays(self, taps=float)
         if taps.ndim != 3 or taps.shape[0] != 2:
             raise ValueError("taps must have shape (2, n_mics, n_taps)")
         nfft = taps.shape[2]
         if nfft & (nfft - 1):
             raise ValueError("filter length must be a power of two")
-        taps.flags.writeable = False
-        object.__setattr__(self, "taps", taps)
 
     @property
     def nfft(self):

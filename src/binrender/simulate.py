@@ -14,32 +14,28 @@ import numpy as np
 from .arrays import ArrayGeometry
 from .hrtf import HrtfSet, SyntheticHead, ear_pressure, fit_sh, rigid_sphere_pressure
 from .special import SQRT_4PI, orders_degrees, sh_matrix, sph_hankel2
-from .utils import cart2sph
+from .utils import cart2sph, own_arrays
 
 DEFAULT_SOUND_SPEED = 346.2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSource:
     position: np.ndarray
     spectrum: np.ndarray | None = None  # complex amplitude per frequency; None = flat 1
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
+        pos, = own_arrays(self, position=float)
         if pos.shape != (3,):
             raise ValueError("source position must be a 3-vector")
-        pos.flags.writeable = False
-        object.__setattr__(self, "position", pos)
         if self.spectrum is not None:
-            spec = np.asarray(self.spectrum, dtype=complex)
-            spec.flags.writeable = False
-            object.__setattr__(self, "spectrum", spec)
+            own_arrays(self, spectrum=complex)
 
     def amplitude(self, freq_index):
         return 1.0 + 0.0j if self.spectrum is None else self.spectrum[freq_index]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
     sources: tuple
     freqs: np.ndarray
@@ -47,13 +43,13 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
-        freqs = np.asarray(self.freqs, dtype=float)
+        freqs, = own_arrays(self, freqs=float)
+        if not np.all(np.isfinite(freqs)):
+            raise ValueError("frequencies must be finite")
         if np.any(freqs <= 0):
             raise ValueError("frequencies must be positive")
-        if not self.sound_speed > 0:
-            raise ValueError("sound speed must be positive")
-        freqs.flags.writeable = False
-        object.__setattr__(self, "freqs", freqs)
+        if not 0 < self.sound_speed < math.inf:
+            raise ValueError("sound speed must be positive and finite")
         for src in self.sources:
             if src.spectrum is not None and src.spectrum.size != freqs.size:
                 raise ValueError("source spectrum length must match the frequency grid")

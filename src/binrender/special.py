@@ -54,7 +54,9 @@ def num_coeffs(order):
     return (order + 1) ** 2
 
 
-@lru_cache(maxsize=None)
+# one entry per order; every path asks for orders up to the rendering order cap
+# (35 by default), so 128 entries keep them all
+@lru_cache(maxsize=128)
 def orders_degrees(order):
     """Arrays of n and m for every linear index q < (order+1)^2."""
     n = np.concatenate([np.full(2 * nn + 1, nn) for nn in range(order + 1)])

@@ -66,6 +66,19 @@ def cho_solve(factor, b):
     return potrs(factor, b, lower=False)[0]
 
 
+def own_arrays(obj, **dtypes):
+    """Set each named field of the frozen dataclass ``obj`` to a read-only copy
+    of its value, converted to the given dtype (``np.array(value, dtype)``),
+    and return the copies in order. The caller's arrays are left as they were."""
+    copies = []
+    for name, dtype in dtypes.items():
+        a = np.array(getattr(obj, name), dtype=dtype)
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)
+        copies.append(a)
+    return copies
+
+
 def json_field(doc, key, where, convert=None):
     """``doc[key]``, passed through ``convert``, for a parsed JSON object called
     ``where`` in messages. ValueError naming the key if ``doc`` is not an

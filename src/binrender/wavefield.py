@@ -34,10 +34,10 @@ from .special import (
     sph_jn_table,
     wigner_d_block,
 )
-from .utils import cart2sph
+from .utils import cart2sph, own_arrays
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShCoeffVec:
     """Truncated interior expansion: coefficients, center, wavenumber, order.
 
@@ -51,8 +51,7 @@ class ShCoeffVec:
     order: int
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        center = np.asarray(self.center, dtype=float)
+        coeffs, center = own_arrays(self, coeffs=complex, center=float)
         if coeffs.shape != (num_coeffs(self.order),):
             raise ValueError(
                 f"coefficient vector has length {coeffs.shape}, expected {num_coeffs(self.order)}"
@@ -61,10 +60,6 @@ class ShCoeffVec:
             raise ValueError("center must be a 3-vector")
         if not self.k > 0:
             raise ValueError("wavenumber must be positive")
-        coeffs.flags.writeable = False
-        center.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "center", center)
 
     def truncated(self, order):
         """Copy truncated (or zero-padded) to the given order."""
@@ -75,7 +70,7 @@ class ShCoeffVec:
         return ShCoeffVec(out, self.center, self.k, order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TranslationMatrix:
     """Dense realization of the translation operator between two truncations.
 
@@ -228,7 +223,7 @@ def translate_multi(displacements, k, order_out, coeff_rows):
     return plan.apply(plan.radial(k, order_out), order_out).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TranslationPlan:
     """Translation of fixed rows over fixed displacements, at any wavenumber.
 
@@ -400,4 +395,4 @@ def plane_wave_coeffs(direction, k, order, center=(0.0, 0.0, 0.0)) -> ShCoeffVec
     _, theta, phi = cart2sph(direction)
     n_all, _ = orders_degrees(order)
     coeffs = SQRT_4PI * ipow(n_all) * np.conj(sh_matrix(order, theta, phi)[0])
-    return ShCoeffVec(coeffs, np.asarray(center, dtype=float), k, order)
+    return ShCoeffVec(coeffs, center, k, order)

@@ -701,6 +701,11 @@ class TestExitCodes:
         ("seed", None, "7", 'seed must be an integer, got "7"'),
         ("hrtf", "synthetic", {"head_radius": True},
          "hrtf.synthetic.head_radius must be a number, got true"),
+        # the config's own message, not the head's
+        ("hrtf", "synthetic", {"head_radius": -0.08},
+         "hrtf.synthetic needs 0 < head_radius < measure_radius, got -0.08 and 1.5"),
+        ("hrtf", "synthetic", {"head_radius": 0.0},
+         "hrtf.synthetic needs 0 < head_radius < measure_radius, got 0.0 and 1.5"),
         ("listener", "position", ["1", "2", "3"],
          'listener.position must be a list of three finite numbers, got ["1", "2", "3"]'),
         ("listener", "euler_deg", [True, False, True],
@@ -730,7 +735,8 @@ class TestExitCodes:
             "sound-speed-nan", "nfft-infinity",
             "seed-infinity", "nfft-fraction", "order-cap-fraction", "seed-fraction",
             "band-number", "ear-azimuths-number", "order-cap-boolean", "nfft-string",
-            "seed-string", "head-radius-boolean", "listener-position-strings",
+            "seed-string", "head-radius-boolean", "head-radius-negative", "head-radius-zero",
+            "listener-position-strings",
             "listener-euler-booleans", "source-pos-strings", "source-pos-booleans",
             "freqs-strings", "spectrum-booleans", "sources-number", "spectrum-number",
             "lambda-string", "eta-boolean", "order-fraction", "output-dir-number",

@@ -237,6 +237,14 @@ class TestHrtfSet:
 
 
 class TestSyntheticHead:
+    @pytest.mark.parametrize("kwargs", [
+        {"radius": -0.08}, {"radius": 0.0}, {"radius": np.inf}, {"radius": np.nan},
+        {"ear_azimuths": (1.0,)}, {"ear_azimuths": (1.0, -1.0, 0.0)},
+    ], ids=["negative", "zero", "infinite", "nan", "one-ear", "three-ears"])
+    def test_bad_head_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="head radius|ear_azimuths"):
+            hrtf.SyntheticHead(**kwargs)
+
     def test_bright_point_maximum(self):
         # source facing an ear maximizes that ear's magnitude at >= 1 kHz
         head = hrtf.SyntheticHead()
@@ -382,6 +390,15 @@ class TestShSpectrum:
         for f in (np.nextafter(freqs[0], 0.0), np.nextafter(freqs[-1], np.inf)):
             with pytest.raises(ValueError, match="outside the HRTF grid"):
                 spec.interpolated(f)
+
+    @pytest.mark.parametrize("freqs", [[200.0, 600.0, 400.0], [200.0, 400.0, 400.0]],
+                             ids=["unsorted", "repeated"])
+    def test_frequencies_must_increase(self, freqs):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            hrtf.rigid_sphere_hrtf_spectrum(hrtf.SyntheticHead(), freqs, 1.5, 3)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            hrtf.HrtfShSpectrum(order=0, radius=1.5, freqs=freqs, sample_rate=48000.0,
+                                coeffs=np.ones((2, 3, 1), dtype=complex))
 
 
 class TestCsvImport:

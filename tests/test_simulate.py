@@ -27,6 +27,20 @@ def green(r, k):
     return np.exp(-1j * k * d) / (4.0 * np.pi * d)
 
 
+class TestScene:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"freqs": [np.nan]}, "frequencies must be finite"),
+        ({"freqs": [100.0, np.inf]}, "frequencies must be finite"),
+        ({"freqs": [0.0]}, "frequencies must be positive"),
+        ({"freqs": [100.0], "sound_speed": np.inf}, "sound speed must be positive and finite"),
+        ({"freqs": [100.0], "sound_speed": np.nan}, "sound speed must be positive and finite"),
+        ({"freqs": [100.0], "sound_speed": 0.0}, "sound speed must be positive and finite"),
+    ], ids=["nan-freq", "inf-freq", "zero-freq", "inf-speed", "nan-speed", "zero-speed"])
+    def test_bad_grid_or_speed_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            simulate.Scene(sources=(), **kwargs)
+
+
 class TestDirectionalObservation:
     def test_omni_observation_is_green(self, rng):
         geom = arrays.ArrayGeometry(mics=(omni_mic([0.05, -0.02, 0.01]),))

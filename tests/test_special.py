@@ -1,5 +1,6 @@
 """Special-function oracles: series, quadrature, finite differences, sympy."""
 
+import inspect
 import math
 
 import numpy as np
@@ -369,6 +370,13 @@ def _euler_from_matrix(r):
 
 
 class TestShIndex:
+    def test_order_degree_cache_bounded_above_the_order_cap(self):
+        from binrender.rendering import synth_fir_filters
+
+        cap = inspect.signature(synth_fir_filters).parameters["order_cap"].default
+        maxsize = sp.orders_degrees.cache_info().maxsize
+        assert maxsize is not None and maxsize > cap
+
     def test_order_degree_arrays(self):
         n, m = sp.orders_degrees(3)
         assert n.size == 16

@@ -1,4 +1,6 @@
-"""The LAPACK Cholesky helpers against scipy.linalg's wrappers."""
+"""The LAPACK Cholesky helpers against scipy.linalg's wrappers, and ``own_arrays``."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -52,3 +54,19 @@ def test_non_finite_inputs_raise(bad, rng):
     b[3] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
         utils.cho_solve(factor, b)
+
+
+def test_own_arrays_stores_read_only_converted_copies():
+    @dataclass(frozen=True)
+    class Held:
+        a: object
+        b: object
+
+    a, b = np.arange(3), [1.0, 2.0]
+    held = Held(a, b)
+    copies = utils.own_arrays(held, b=complex, a=float)
+    assert copies[0] is held.b and copies[1] is held.a
+    assert held.a.dtype == float and held.b.dtype == complex
+    assert np.array_equal(held.a, a) and np.array_equal(held.b, b)
+    assert not held.a.flags.writeable and not held.b.flags.writeable
+    assert a.flags.writeable and held.a is not a
