@@ -13,7 +13,10 @@ orders 2-18).
 * ``rows``: each bank grid's pre-solve rows, per bin (``hw_b @ grid.xi(b,
   N_b)``) against ``GridEstimator.xi_rows``, for a fixed random ``hw`` zero
   above each bin's order; ``rel_diff`` is their largest difference relative
-  to the largest row entry.
+  to the largest row entry. Then the solves of ``GridEstimator.rows`` on
+  those rows: a per-bin ``Estimator(geom, k, "auto", psi_upper[b]).solve``
+  (Psi scattered, factored and dropped bin by bin) against the grid's
+  chunked in-place solve pass; ``bitwise`` says whether they agree bit for bit.
 * ``kernel``: ``special.sh_table`` against ``sph_harm_y_all`` (lmax 3, 19,
   36 on the 64 target-mic directions, 2 on the 2080 mic pairs); a move's 16
   ``build_xi`` calls (one shared plan) against 16 ``translate_multi`` calls
@@ -131,8 +134,17 @@ def rows(geom, repeats):
         blocked_ms, per_bin_ms, ratio = versus(calls, repeats)
         blocked, per_bin = calls["blocked"](0), calls["per_bin"](0)
         diff = np.max(np.abs(blocked - per_bin)) / np.max(np.abs(per_bin))
+        # the solves of grid.rows: the rows' conjugate transposes per bin
+        rhs = blocked.conj().transpose(0, 2, 1)
+        solves = {"pass": lambda i: grid._solve(rhs.copy()),
+                  "estimators": lambda i: np.array([estimation.Estimator(geom, k, "auto", grid.psi_upper[b])
+                                                    .solve(rhs[b]) for b, k in enumerate(ks)])}
+        pass_ms, estimators_ms, solve_ratio = versus(solves, repeats)
+        bitwise = solves["pass"](0).tobytes() == solves["estimators"](0).tobytes()
         out[name] = {"bins": ks.size, "top_order": top, "per_bin_ms": per_bin_ms,
-                     "blocked_ms": blocked_ms, "ratio": ratio, "rel_diff": float(f"{diff:.2e}")}
+                     "blocked_ms": blocked_ms, "ratio": ratio, "rel_diff": float(f"{diff:.2e}"),
+                     "estimators_solve_ms": estimators_ms, "pass_solve_ms": pass_ms,
+                     "solve_ratio": solve_ratio, "bitwise": bitwise}
     return {"grids": out}
 
 

@@ -55,6 +55,8 @@ class Microphone:
         pos, ori, c = own_arrays(self, position=float, orientation=float, dir_coeffs=complex)
         if pos.shape != (3,) or ori.shape != (3,):
             raise ValueError("position and orientation must be 3-vectors")
+        if not (np.isfinite(pos).all() and np.isfinite(c).all()):
+            raise ValueError("position and dir_coeffs must be finite")
         if not math.isclose(np.linalg.norm(ori), 1.0, rel_tol=1e-6):
             raise ValueError("orientation must be a unit vector")
         order = math.isqrt(c.size) - 1
@@ -75,8 +77,10 @@ class RigidBaffle:
         c, = own_arrays(self, center=float)
         if c.shape != (3,):
             raise ValueError("baffle center must be a 3-vector")
-        if not self.radius > 0:
-            raise ValueError("baffle radius must be positive")
+        if not np.isfinite(c).all():
+            raise ValueError("baffle center must be finite")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("baffle radius must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,11 +13,14 @@ Two estimators:
   ``build_xi`` translates from the directivities through one
   ``wavefield.TranslationPlan`` per target, shared by every wavenumber.
   ``GridEstimator`` runs it over a grid of wavenumbers, tabulating Psi's
-  upper triangle (for each bin's ``Estimator``) and Xi(target) over every
-  bin at once; filter banks and ``estimate`` go through it.
+  upper triangle and Xi(target) over every bin at once, and factors each
+  bin's (Psi + lambda I) in place, a chunk of bins at a time (1 MB of
+  matrices at 64 mics), with no per-bin ``Estimator`` and no factor kept;
+  filter banks and ``estimate`` go through it.
 """
 
 import numpy as np
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .arrays import ArrayGeometry
 from .special import SQRT_4PI, num_coeffs, orders_degrees, sh_matrix, sph_hankel2_deriv
@@ -98,6 +101,9 @@ def build_psi(geom: ArrayGeometry, k, upper=None):
     np.fill_diagonal(psi, psi.diagonal().real)
     return psi
 
+
+# Bins per chunk of ``GridEstimator``'s solve pass: 1 MB of matrices at 64 mics.
+_CHUNK = 16
 
 # The last Xi(target) plan: (geometry, target bytes, plan, highest order asked
 # at that target), replaced as one tuple.
@@ -222,10 +228,12 @@ class GridEstimator:
     ``special.sph_jn_table`` each. Psi's pair plan, folded with conj(c_i), is
     contracted into ``psi_upper``, the upper-triangle values per bin, shape
     (len(ks), pairs); Xi(target)'s plan keeps its angular part (4.0 MB at
-    order 35, 64 cardioids) and its table of j_l(k_b |target - r_p|). Bin b's
-    ``Estimator(geom, ks[b], lam, psi_upper[b])`` is built when a call needs
-    it and not kept: a 128-bin grid of 64 mics would hold 17 MB of Psi and
-    factors. ``ks`` need not be sorted or distinct.
+    order 35, 64 cardioids) and its table of j_l(k_b |target - r_p|). ``rows``
+    and ``coeffs`` solve with every bin's (Psi + lambda I) in one pass that
+    factors ``_CHUNK`` bins at a time in one 1 MB buffer (64 mics) and keeps
+    no factor: a 128-bin grid of 64 mics would hold 8.4 MB of them. The
+    solves are bitwise those of ``Estimator(geom, ks[b], lam, psi_upper[b])``
+    and raise its errors. ``ks`` need not be sorted or distinct.
     """
 
     def __init__(self, geom: ArrayGeometry, ks, lam, target, top_order):
@@ -243,9 +251,6 @@ class GridEstimator:
         radial = pairs.radial(self.ks, p)
         self.psi_upper = np.einsum("blp,lp->bp", radial[:, :, pairs.radius_index], weights)
         self._xi_table = self._xi_cols.radial(self.ks, self.order)
-
-    def _estimator(self, b) -> Estimator:
-        return Estimator(self.geom, self.ks[b], self.lam, self.psi_upper[b])
 
     def xi(self, b, order):
         """Xi(target) of bin b truncated at ``order`` <= ``top_order``."""
@@ -294,18 +299,59 @@ class GridEstimator:
         out[by_order] = rows
         return out
 
+    def _solve(self, rhs):
+        """Overwrite rhs[b], of shape (n_mics,) or (n_mics, K), with (Psi_b + lambda I)^{-1}
+        rhs[b] for every bin b, and return ``rhs``; bitwise a per-bin ``Estimator``'s solve.
+
+        The bins go ``_CHUNK`` at a time through one buffer of Fortran-ordered
+        matrices (1 MB at 64 mics): one indexed copy puts the chunk's rows of
+        ``psi_upper`` into their upper triangles, lambda goes on the diagonals
+        ("auto" from each matrix's trace), and LAPACK factors every matrix in
+        place (``zpotrf``) and solves with it (``zpotrs``). The lower triangles
+        are never read, and no factor outlives the call.
+        """
+        if not np.all(self.ks > 0):
+            raise ValueError("wavenumber must be positive")
+        lam = self.lam
+        if lam != "auto" and lam < 0:
+            raise ValueError("lambda must be non-negative")
+        if not (np.isfinite(self.psi_upper).all() and np.isfinite(rhs).all()
+                and (lam == "auto" or np.isfinite(lam))):
+            raise ValueError("Psi + lambda I and the right-hand sides must not contain infs or NaNs")
+        n = self.geom.n_mics
+        # buffer[c] is read in Fortran order, as zpotrf factors in place: there
+        # the pair (i, j) sits at the C-order flat index of (j, i)
+        _, at = self.geom.upper_flat
+        buffer = np.zeros((min(_CHUNK, self.ks.size), n, n), dtype=complex)
+        for first in range(0, self.ks.size, _CHUNK):
+            upper = self.psi_upper[first: first + _CHUNK]
+            buffer.reshape(len(buffer), -1)[: len(upper), at] = upper
+            chunk = buffer[: len(upper)].transpose(0, 2, 1)
+            shift = 1e-3 * np.real(np.trace(chunk, axis1=1, axis2=2))[:, None] / n if lam == "auto" else float(lam)
+            diagonal = np.einsum("bii->bi", chunk)
+            diagonal[:] = diagonal.real + shift
+            for c, a in enumerate(chunk):
+                factor, info = zpotrf(a, lower=False, clean=False, overwrite_a=True)
+                if info > 0:
+                    raise np.linalg.LinAlgError("Psi + lambda I is singular; increase lambda")
+                rhs[first + c] = zpotrs(factor, rhs[first + c], lower=False)[0]
+        return rhs
+
     def rows(self, hw, orders):
         """``xi_rows`` times (Psi + lambda I)^{-1} per bin: g[b] @ s = hw[b] @ alpha_b(target)
         for the observations s of bin b."""
         out = self.xi_rows(hw, orders)
-        for b, r in enumerate(out):
-            # Psi + lambda I is Hermitian: r (Psi + lambda I)^{-1} = ((Psi + lambda I)^{-1} r^H)^H
-            out[b] = self._estimator(b).solve(r.conj().T).conj().T
-        return out
+        # Psi + lambda I is Hermitian: r (Psi + lambda I)^{-1} = ((Psi + lambda I)^{-1} r^H)^H
+        solved = self._solve(out.conj().transpose(0, 2, 1))
+        return np.conjugate(solved.transpose(0, 2, 1), out=out)
 
     def coeffs(self, obs, orders):
         """Per bin, alpha_b(target) = Xi_b(target) (Psi_b + lambda I)^{-1} obs[b] at
         ``orders[b]``, with Xi_b from ``xi``."""
         orders = self._orders(orders)
-        return [ShCoeffVec(self.xi(b, order) @ self._estimator(b).solve(s), self.target, float(k), order)
-                for b, (k, s, order) in enumerate(zip(self.ks, obs, orders.tolist(), strict=True))]
+        obs = np.array(obs, dtype=complex)
+        if obs.shape != (self.ks.size, self.geom.n_mics):
+            raise ValueError(f"observations must have shape ({self.ks.size}, {self.geom.n_mics})")
+        w = self._solve(obs)
+        return [ShCoeffVec(self.xi(b, order) @ w[b], self.target, float(k), order)
+                for b, (k, order) in enumerate(zip(self.ks, orders.tolist()))]

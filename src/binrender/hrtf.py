@@ -51,6 +51,21 @@ class HrtfSet:
         return self.directions.shape[0]
 
 
+def interpolate_coeffs(freqs, coeffs, freq):
+    """(2, Q) slice of ``coeffs`` (2, F, Q) at ``freq``, linear per coefficient
+    between the strictly increasing ``freqs``; ValueError off the grid."""
+    f = freqs
+    if not f[0] <= freq <= f[-1]:
+        raise ValueError(f"{freq:g} Hz lies outside the HRTF grid [{f[0]:g}, {f[-1]:g}] Hz")
+    if freq <= f[0]:
+        return coeffs[:, 0, :]
+    if freq >= f[-1]:
+        return coeffs[:, -1, :]
+    i = int(np.searchsorted(f, freq)) - 1
+    w = (freq - f[i]) / (f[i + 1] - f[i])
+    return (1.0 - w) * coeffs[:, i, :] + w * coeffs[:, i + 1, :]
+
+
 @dataclass(frozen=True, eq=False)
 class HrtfShSpectrum:
     """Per-frequency SH coefficients of an HrtfSet, shape (2, F, (N+1)^2), on
@@ -75,16 +90,7 @@ class HrtfShSpectrum:
 
     def interpolated(self, freq):
         """Linear per-coefficient interpolation in frequency; ValueError off the grid."""
-        f = self.freqs
-        if not f[0] <= freq <= f[-1]:
-            raise ValueError(f"{freq:g} Hz lies outside the HRTF grid [{f[0]:g}, {f[-1]:g}] Hz")
-        if freq <= f[0]:
-            return self.coeffs[:, 0, :]
-        if freq >= f[-1]:
-            return self.coeffs[:, -1, :]
-        i = int(np.searchsorted(f, freq)) - 1
-        w = (freq - f[i]) / (f[i + 1] - f[i])
-        return (1.0 - w) * self.coeffs[:, i, :] + w * self.coeffs[:, i + 1, :]
+        return interpolate_coeffs(self.freqs, self.coeffs, freq)
 
     def evaluate(self, theta, phi):
         """Resynthesize responses at directions from the fitted spectrum."""

@@ -23,13 +23,13 @@ MIMO FIR filter bank.
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.io import wavfile
 
 from .estimation import Estimator, GridEstimator
-from .hrtf import HrtfShSpectrum
+from .hrtf import HrtfShSpectrum, interpolate_coeffs
 from .metrics import truncation_order
 from .special import SQRT_4PI, EulerAngles, ipow, num_coeffs, orders_degrees, sph_hankel2
 from .special import wigner_d_block  # noqa: F401 -- kept for perfbench/tracing.py to rebind
@@ -132,8 +132,7 @@ def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpec
     be sorted.
     """
     shape = spectrum.coeffs.shape
-    turned = replace(spectrum, coeffs=_rotate_hrtf(
-        spectrum.coeffs.reshape(-1, shape[2]), angles).reshape(shape))
+    turned = _rotate_hrtf(spectrum.coeffs.reshape(-1, shape[2]), angles).reshape(shape)
     ks = 2.0 * math.pi * np.asarray(freqs, dtype=float) / sound_speed
     orders = [min(truncation_order(k, shoulder_radius, order_cap), spectrum.order) for k in ks]
     top = max(orders, default=0)
@@ -142,7 +141,8 @@ def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpec
 
     hw = np.zeros((ks.size, 2, num_coeffs(top)), dtype=complex)
     for b, order in enumerate(orders):
-        hw[b, :, : num_coeffs(order)] = _weighted_hrtf(turned.interpolated(freqs[b]), weights[b], order)
+        h_pair = interpolate_coeffs(spectrum.freqs, turned, freqs[b])
+        hw[b, :, : num_coeffs(order)] = _weighted_hrtf(h_pair, weights[b], order)
     return grid.rows(hw, orders)
 
 

@@ -58,8 +58,10 @@ class ShCoeffVec:
             )
         if center.shape != (3,):
             raise ValueError("center must be a 3-vector")
-        if not self.k > 0:
-            raise ValueError("wavenumber must be positive")
+        if not np.isfinite(center).all():
+            raise ValueError("center must be finite")
+        if not 0 < self.k < math.inf:
+            raise ValueError("wavenumber must be positive and finite")
 
     def truncated(self, order):
         """Copy truncated (or zero-padded) to the given order."""

@@ -164,6 +164,31 @@ class TestRigidSphereArray:
             arrays.ArrayGeometry(mics=tuple(bad), baffle=geom.baffle)
 
 
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("field, value", [
+        ("position", [np.nan, 0.0, 0.0]),
+        ("position", [0.0, np.inf, 0.0]),
+        ("dir_coeffs", [np.nan]),
+        ("dir_coeffs", [0.5, 0.5j, complex(0.0, np.inf), 0.0]),
+    ], ids=["position-nan", "position-inf", "coeffs-nan", "coeffs-inf"])
+    def test_microphone(self, field, value):
+        # a NaN position would give NaN observations without an error
+        fields = {"position": np.zeros(3), "orientation": np.array([0.0, 0.0, 1.0]),
+                  "dir_coeffs": np.array([1.0 + 0.0j]), field: np.array(value)}
+        with pytest.raises(ValueError, match="^position and dir_coeffs must be finite$"):
+            arrays.Microphone(**fields)
+
+    @pytest.mark.parametrize("center, radius, message", [
+        ([np.nan, 0.0, 0.0], 0.1, "^baffle center must be finite$"),
+        ([0.0, 0.0, -np.inf], 0.1, "^baffle center must be finite$"),
+        ([0.0, 0.0, 0.0], np.inf, "^baffle radius must be positive and finite$"),
+        ([0.0, 0.0, 0.0], np.nan, "^baffle radius must be positive and finite$"),
+    ], ids=["center-nan", "center-inf", "radius-inf", "radius-nan"])
+    def test_rigid_baffle(self, center, radius, message):
+        with pytest.raises(ValueError, match=message):
+            arrays.RigidBaffle(np.array(center), radius)
+
+
 class TestGeometryJson:
     @pytest.mark.parametrize("builder", [
         lambda: arrays.build_small_array(center=(0.2, -0.1, 0.05), yaw=0.3),

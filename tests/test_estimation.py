@@ -410,6 +410,68 @@ class TestGridEstimator:
             assert np.array_equal(alpha.coeffs, want)
             assert np.array_equal(alpha.center, self.TARGET)
 
+    @pytest.mark.parametrize("lam", ["auto", 1e-4])
+    def test_rows_are_bitwise_per_bin_estimators(self, composite, lam, rng):
+        # the chunked solve pass, on more bins than one chunk, unsorted and with
+        # repeated wavenumbers, gives each bin's Estimator solve bit for bit
+        freqs = rng.uniform(100.0, 1600.0, 40)
+        freqs[[7, 12]] = freqs[[30, 13]]
+        ks = k_of(freqs)
+        orders = self.orders_of(freqs)
+        top = max(orders)
+        grid = estimation.GridEstimator(composite, ks, lam, self.TARGET, top)
+        shape = (ks.size, 2, (top + 1) ** 2)
+        hw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        pre, rows = grid.xi_rows(hw, orders), grid.rows(hw, orders)
+        assert ks.size > estimation._CHUNK
+        for b, (k, r) in enumerate(zip(ks, pre)):
+            est = estimation.Estimator(composite, k, lam, grid.psi_upper[b])
+            assert rows[b].tobytes() == est.solve(r.conj().T).conj().T.tobytes()
+
+    def test_solve_pass_factors_in_one_chunk_buffer(self, composite, monkeypatch):
+        # every bin is factored in place in one buffer of _CHUNK matrices,
+        # which no longer exists once the call returns
+        buffers = []
+        zpotrf = estimation.zpotrf
+
+        def recording(a, **kwargs):
+            buffers.append((id(a.base), a.base.nbytes, weakref.ref(a.base)))
+            return zpotrf(a, **kwargs)
+
+        monkeypatch.setattr(estimation, "zpotrf", recording)
+        ks = k_of(np.linspace(100.0, 1600.0, 40))
+        grid = estimation.GridEstimator(composite, ks, "auto", self.TARGET, 2)
+        grid.rows(np.ones((ks.size, 2, 9), dtype=complex), [2] * ks.size)
+        gc.collect()
+        assert len(buffers) == ks.size
+        assert {(at, nbytes) for at, nbytes, _ in buffers} == {(buffers[0][0], estimation._CHUNK * 64 * 64 * 16)}
+        assert buffers[0][2]() is None
+
+    @pytest.mark.parametrize("case, error, message", [
+        ("singular", np.linalg.LinAlgError, r"^Psi \+ lambda I is singular; increase lambda$"),
+        ("negative_lambda", ValueError, "^lambda must be non-negative$"),
+        ("zero_k", ValueError, "^wavenumber must be positive$"),
+        ("negative_k", ValueError, "^wavenumber must be positive$"),
+        ("non_finite_psi", ValueError, "infs or NaNs"),
+        ("nan_lambda", ValueError, "infs or NaNs"),
+    ])
+    def test_solve_pass_errors(self, composite, case, error, message):
+        # the per-bin Estimator's error types and messages, from rows and coeffs alike
+        # a repeated microphone leaves Psi singular
+        geom = arrays.ArrayGeometry(mics=composite.mics[:4] + composite.mics[1:2]) if case == "singular" else composite
+        ks = [k_of(1000.0), k_of(400.0)]
+        lam = {"singular": 0.0, "negative_lambda": -1.0, "nan_lambda": float("nan")}.get(case, "auto")
+        if case.endswith("_k"):
+            ks[1] = 0.0 if case == "zero_k" else -ks[1]
+        grid = estimation.GridEstimator(geom, ks, lam, self.TARGET, 3)
+        if case == "non_finite_psi":
+            grid.psi_upper = grid.psi_upper.copy()
+            grid.psi_upper[1, 5] = np.inf
+        for call in (lambda: grid.rows(np.ones((2, 2, 16), dtype=complex), [3, 2]),
+                     lambda: grid.coeffs(np.ones((2, geom.n_mics), dtype=complex), [3, 2])):
+            with pytest.raises(error, match=message):
+                call()
+
     def test_rejects_orders_above_the_top(self, composite):
         ks = [k_of(300.0), k_of(700.0)]
         grid = estimation.GridEstimator(composite, ks, "auto", self.TARGET, 4)

@@ -21,7 +21,8 @@ LAYER_KEYS = {
     "radial": under("tables", ["bank-narrow-psi", "bank-narrow-xi", "bank-wide-xi", "head-track-bin"],
                     ["lmax", "z", "kernel_ms", "scipy_ms", "ratio"]),
     "rows": under("grids", ["bank-narrow", "bank-wide"],
-                  ["bins", "top_order", "per_bin_ms", "blocked_ms", "ratio", "rel_diff"]),
+                  ["bins", "top_order", "per_bin_ms", "blocked_ms", "ratio", "rel_diff",
+                   "estimators_solve_ms", "pass_solve_ms", "solve_ratio", "bitwise"]),
     "kernel": under("sh_tables", ["target-mics-lmax3", "target-mics-lmax19", "target-mics-lmax36",
                                   "mic-pairs-lmax2"],
                     ["lmax", "points", "sh_table_ms", "sph_harm_y_all_ms", "ratio"])

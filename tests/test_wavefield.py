@@ -29,6 +29,19 @@ def unit_wavefunction(n, m, point, k):
     return wf.evaluate_field(wf.ShCoeffVec(coeffs, np.zeros(3), k, n), point)
 
 
+class TestShCoeffVec:
+    @pytest.mark.parametrize("center, k, message", [
+        ([0.0, 0.0, 0.0], np.inf, "^wavenumber must be positive and finite$"),
+        ([0.0, 0.0, 0.0], np.nan, "^wavenumber must be positive and finite$"),
+        ([0.0, 0.0, 0.0], 0.0, "^wavenumber must be positive and finite$"),
+        ([np.nan, 0.0, 0.0], 1.0, "^center must be finite$"),
+        ([0.0, np.inf, 0.0], 1.0, "^center must be finite$"),
+    ], ids=["k-inf", "k-nan", "k-zero", "center-nan", "center-inf"])
+    def test_non_finite_rejected(self, center, k, message):
+        with pytest.raises(ValueError, match=message):
+            wf.ShCoeffVec(np.ones(4), np.array(center), k, 1)
+
+
 class TestSphericalWavefunction:
     def test_origin_monopole(self):
         assert unit_wavefunction(0, 0, np.zeros(3), 10.0) == pytest.approx(1.0)
