@@ -32,8 +32,8 @@ GEOMETRY_FORMAT_VERSION = 1
 
 DEFAULT_SMALL_RADIUS = 0.015  # not stated in the source material; commercial
 #                               2nd-order ambisonics mics are about this size
-DEFAULT_RING_RADIUS = 0.145
-DEFAULT_RING_HEIGHT = 0.025
+RING_RADIUS = 0.145
+RING_HEIGHT = 0.025
 DEFAULT_BETA = 0.5
 DEFAULT_BAFFLE_RADIUS = 0.145
 
@@ -196,29 +196,20 @@ def build_small_array(center=(0.0, 0.0, 0.0), yaw=0.0, radius=DEFAULT_SMALL_RADI
     return ArrayGeometry(mics=tuple(mics))
 
 
-def build_composite_array(
-    center=(0.0, 0.0, 0.0),
-    beta=DEFAULT_BETA,
-    small_radius=DEFAULT_SMALL_RADIUS,
-    ring_radius=DEFAULT_RING_RADIUS,
-    ring_height=DEFAULT_RING_HEIGHT,
-):
+def build_composite_array(center=(0.0, 0.0, 0.0), beta=DEFAULT_BETA):
     """Composite array: 4 small arrays per ring at two heights, 64 mics total.
 
-    Small arrays sit equiangularly (azimuths 0/90/180/270 at both heights) on
-    the ring of ``ring_radius`` at z = +-ring_height, each yawed by its own
-    azimuth so the whole geometry is covariant under 90-degree rotation.
+    Small arrays of radius 0.015 m sit equiangularly (azimuths 0/90/180/270 at
+    both heights) on the ring of radius 0.145 m at z = +-0.025 m, each yawed by
+    its own azimuth so the whole geometry is covariant under 90-degree rotation.
     """
     center = np.asarray(center, dtype=float)
     mics = []
     for zsign in (+1.0, -1.0):
         for az_deg in (0.0, 90.0, 180.0, 270.0):
             az = math.radians(az_deg)
-            sub_center = center + np.array(
-                [ring_radius * math.cos(az), ring_radius * math.sin(az), zsign * ring_height]
-            )
-            sub = build_small_array(center=sub_center, yaw=az, radius=small_radius, beta=beta)
-            mics.extend(sub.mics)
+            offset = [RING_RADIUS * math.cos(az), RING_RADIUS * math.sin(az), zsign * RING_HEIGHT]
+            mics.extend(build_small_array(center=center + np.array(offset), yaw=az, beta=beta).mics)
     return ArrayGeometry(mics=tuple(mics))
 
 

@@ -44,7 +44,7 @@ from .metrics import (
     truncation_order,
     write_metric_report,
 )
-from .rendering import grid_rows, save_filter_bank, synth_fir_filters
+from .rendering import fft_grid, grid_rows, save_filter_bank, synth_fir_filters
 from .simulate import PointSource, Scene, band_freqs, simulate_observation, true_binaural
 from .special import EulerAngles
 
@@ -115,7 +115,7 @@ _KEYS = {
         "eta": ("auto", float, lambda x: 0 <= x < math.inf, "a finite number >= 0"),
         "order": ("auto", int, lambda n: n >= 0, "an integer >= 0"),
     },
-    "render": {  # the band's check against the sample rate comes after the table
+    "render": {  # band and wav_duration are checked against sample_rate after the table
         "mode": ("sph", str, lambda v: v in ("sph", "pln"), "sph or pln"),
         "nfft": (4096, int, lambda n: n >= 2 and not n & (n - 1), "a power of two >= 2"),
         "window": ("tukey", str, lambda v: v in ("tukey", "boxcar"), "tukey or boxcar"),
@@ -258,6 +258,9 @@ class RunConfig:
         if not 0 < self.band[0] < self.band[1] <= self.sample_rate / 2:
             raise ConfigError(f"render.band {list(self.band)} must be [lo, hi] with "
                               f"0 < lo < hi <= {self.sample_rate / 2:g} Hz")
+        if not self.wav_duration * self.sample_rate > 0.5:  # it rounds to no sample
+            raise ConfigError(f"render.wav_duration must hold a sample at {self.sample_rate:g} Hz, "
+                              f"got {json.dumps(self.wav_duration)}")
 
         listener = _section(doc.get("listener", {}), "listener")
         self.listener_position = np.asarray(_value(listener, "listener", "position"), dtype=float)
@@ -594,11 +597,10 @@ def filters(config_path, lam):
     """Synthesize and export the MIMO FIR binaural filter bank."""
     cfg = _load_config(config_path, lam=lam)
     cfg.require_rendering()
-    nyq_freqs = np.arange(1, cfg.nfft // 2 + 1) * cfg.sample_rate / cfg.nfft
-    in_band = nyq_freqs[(nyq_freqs >= cfg.band[0]) & (nyq_freqs <= cfg.band[1])]
+    freqs, in_band = fft_grid(cfg.band, cfg.nfft, cfg.sample_rate)
     if in_band.size == 0:
         raise ConfigError(f"render band {list(cfg.band)} holds no bin of the {cfg.nfft}-point FFT")
-    spectrum = cfg.spectrum_at(in_band)
+    spectrum = cfg.spectrum_at(freqs[in_band])
     with _chosen_lambda(cfg):
         bank = synth_fir_filters(
             cfg.geometry, cfg.listener_position, cfg.angles, spectrum,

@@ -102,6 +102,22 @@ def build_psi(geom: ArrayGeometry, k, upper=None):
     return psi
 
 
+_SINGULAR = "Psi + lambda I is singular; increase lambda"
+
+
+def _lambda_rule(ks, lam):
+    """Check an estimator's wavenumbers ``ks`` and ``lam`` before any work, and
+    return lambda as a function of trace(Psi) and the mic count n: for "auto",
+    1e-3 of Psi's mean diagonal. A NaN ``lam`` passes; the solves reject it."""
+    if not np.all(np.asarray(ks) > 0):
+        raise ValueError("wavenumber must be positive")
+    if lam == "auto":
+        return lambda trace, n: 1e-3 * trace / n
+    if lam < 0:
+        raise ValueError("lambda must be non-negative")
+    return lambda trace, n: float(lam)
+
+
 # Bins per chunk of ``GridEstimator``'s solve pass: 1 MB of matrices at 64 mics.
 _CHUNK = 16
 
@@ -169,18 +185,12 @@ class Estimator:
     """
 
     def __init__(self, geom: ArrayGeometry, k, lam="auto", psi_upper=None):
-        if not k > 0:
-            raise ValueError("wavenumber must be positive")
+        rule = _lambda_rule(k, lam)
         self.geom = geom
         self.k = float(k)
         self.psi = build_psi(geom, k, psi_upper)
-        if lam == "auto":
-            lam = 1e-3 * np.real(np.trace(self.psi)) / geom.n_mics
-        if lam < 0:
-            raise ValueError("lambda must be non-negative")
-        self.lam = float(lam)
-        self._factor = cho_factor(self.psi + self.lam * np.eye(geom.n_mics),
-                                  "Psi + lambda I is singular; increase lambda")
+        self.lam = float(rule(np.real(np.trace(self.psi)), geom.n_mics))
+        self._factor = cho_factor(self.psi + self.lam * np.eye(geom.n_mics), _SINGULAR)
         self._xi_key = None
         self._xi = None
 
@@ -240,6 +250,7 @@ class GridEstimator:
         self.geom = geom
         self.ks = np.asarray(ks, dtype=float)
         self.lam = lam
+        self._lambda = _lambda_rule(self.ks, lam)
         self.target = np.asarray(target, dtype=float)
         self.order = int(top_order)
         c, p = geom.directivities
@@ -310,13 +321,8 @@ class GridEstimator:
         place (``zpotrf``) and solves with it (``zpotrs``). The lower triangles
         are never read, and no factor outlives the call.
         """
-        if not np.all(self.ks > 0):
-            raise ValueError("wavenumber must be positive")
-        lam = self.lam
-        if lam != "auto" and lam < 0:
-            raise ValueError("lambda must be non-negative")
         if not (np.isfinite(self.psi_upper).all() and np.isfinite(rhs).all()
-                and (lam == "auto" or np.isfinite(lam))):
+                and (self.lam == "auto" or np.isfinite(self.lam))):
             raise ValueError("Psi + lambda I and the right-hand sides must not contain infs or NaNs")
         n = self.geom.n_mics
         # buffer[c] is read in Fortran order, as zpotrf factors in place: there
@@ -327,13 +333,13 @@ class GridEstimator:
             upper = self.psi_upper[first: first + _CHUNK]
             buffer.reshape(len(buffer), -1)[: len(upper), at] = upper
             chunk = buffer[: len(upper)].transpose(0, 2, 1)
-            shift = 1e-3 * np.real(np.trace(chunk, axis1=1, axis2=2))[:, None] / n if lam == "auto" else float(lam)
+            shift = self._lambda(np.real(np.trace(chunk, axis1=1, axis2=2))[:, None], n)
             diagonal = np.einsum("bii->bi", chunk)
             diagonal[:] = diagonal.real + shift
             for c, a in enumerate(chunk):
                 factor, info = zpotrf(a, lower=False, clean=False, overwrite_a=True)
                 if info > 0:
-                    raise np.linalg.LinAlgError("Psi + lambda I is singular; increase lambda")
+                    raise np.linalg.LinAlgError(_SINGULAR)
                 rhs[first + c] = zpotrs(factor, rhs[first + c], lower=False)[0]
         return rhs
 

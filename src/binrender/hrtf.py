@@ -387,9 +387,9 @@ def synth_rigid_sphere_hrtf(head: SyntheticHead, grid, freqs, measure_radius,
 # Direction grids
 # ---------------------------------------------------------------------------
 
-def equiangular_grid(zenith_step_deg=5.0, zenith_range=(10.0, 160.0), azimuth_step_deg=5.0):
-    """Equiangular measurement grid, default matching a 2232-point layout."""
-    zeniths = np.deg2rad(np.arange(zenith_range[0], zenith_range[1] + 1e-9, zenith_step_deg))
+def equiangular_grid(zenith_step_deg=5.0, azimuth_step_deg=5.0):
+    """Equiangular measurement grid on zeniths 10-160 degrees; 2232 points by default."""
+    zeniths = np.deg2rad(np.arange(10.0, 160.0 + 1e-9, zenith_step_deg))
     azimuths = np.deg2rad(np.arange(0.0, 360.0, azimuth_step_deg))
     th, ph = np.meshgrid(zeniths, azimuths, indexing="ij")
     return np.column_stack([th.ravel(), ph.ravel()])

@@ -137,28 +137,28 @@ def _check_not_silent(pair: BinauralPair):
         raise ValueError("silent channel: ITD/ILD undefined")
 
 
-def itd(pair: BinauralPair, lowpass_hz=1600.0, upsample=4, max_lag_s=0.002):
+def itd(pair: BinauralPair):
     """Interaural time difference in seconds.
 
     Maximizes the normalized cross-correlation
 
         sum_t  yL(t) yR(t + tau)  /  sqrt( sum_t yL(t)^2 yR(t + tau)^2 )
 
-    over lags |tau| <= max_lag_s after a zero-phase brickwall low-pass at
-    ``lowpass_hz`` and band-limited 4x upsampling for sub-sample precision.
-    Positive when the right channel is a delayed copy of the left (source on
-    the listener's left).
+    over lags |tau| <= 2 ms after a zero-phase brickwall low-pass at 1.6 kHz
+    and band-limited 4x upsampling for sub-sample precision. Positive when
+    the right channel is a delayed copy of the left (source on the
+    listener's left).
     """
     _check_not_silent(pair)
+    upsample = 4
     fs = pair.sample_rate * upsample
-    yl = _brickwall_lowpass(pair.samples[0], pair.sample_rate, lowpass_hz, upsample)
-    yr = _brickwall_lowpass(pair.samples[1], pair.sample_rate, lowpass_hz, upsample)
+    yl, yr = _brickwall_lowpass(pair.samples, pair.sample_rate, 1600.0, upsample)
     n = yl.size
     # _xcorr(yr, yl)[k] = sum_t yl[t] yr[t + k - (n-1)]  ->  lag = k - (n-1)
     num = _xcorr(yr, yl)
     den_sq = _xcorr(yr**2, yl**2)
     lags = np.arange(-(n - 1), n)
-    max_lag = int(round(max_lag_s * fs))
+    max_lag = int(round(0.002 * fs))
     window = np.abs(lags) <= max_lag
     num = num[window]
     den = np.sqrt(np.maximum(den_sq[window], 0.0))
@@ -182,12 +182,11 @@ def _xcorr(a, b):
     return np.fft.irfft(np.fft.rfft(a, n_fft) * np.fft.rfft(b[::-1], n_fft), n_fft)[:n_full]
 
 
-def ild(pair: BinauralPair, lowpass_hz=1600.0):
-    """Interaural level difference 10 log10(E_L / E_R) in dB, after the same
-    zero-phase brickwall low-pass used for the ITD."""
+def ild(pair: BinauralPair):
+    """Interaural level difference 10 log10(E_L / E_R) in dB, after the
+    ITD's zero-phase brickwall low-pass at 1.6 kHz."""
     _check_not_silent(pair)
-    yl = _brickwall_lowpass(pair.samples[0], pair.sample_rate, lowpass_hz)
-    yr = _brickwall_lowpass(pair.samples[1], pair.sample_rate, lowpass_hz)
+    yl, yr = _brickwall_lowpass(pair.samples, pair.sample_rate, 1600.0)
     el = float(np.sum(yl**2))
     er = float(np.sum(yr**2))
     if el == 0.0 or er == 0.0:

@@ -205,6 +205,19 @@ class BinauralFilterBank:
         return self.taps.shape[1]
 
 
+def fft_grid(band, nfft, sample_rate):
+    """The filter bank's FFT grid: the frequencies of bins 0 .. nfft/2 and the
+    indices of the bins among 1 .. nfft/2 that lie in ``band`` (none if no bin
+    does), for a power-of-two ``nfft`` and a band within (0, Nyquist]."""
+    f_lo, f_hi = band
+    if not 0 < f_lo < f_hi <= sample_rate / 2.0:
+        raise ValueError(f"band {band} must lie within (0, {sample_rate / 2.0}]")
+    if nfft & (nfft - 1):
+        raise ValueError("nfft must be a power of two")
+    freqs = np.arange(nfft // 2 + 1) * (sample_rate / nfft)
+    return freqs, 1 + np.flatnonzero((freqs[1:] >= f_lo) & (freqs[1:] <= f_hi))
+
+
 def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpectrum,
                       band, nfft, sample_rate, mode="sph", lam="auto",
                       window="tukey", order_cap=35, shoulder_radius=0.45,
@@ -218,27 +231,16 @@ def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpe
     responses are circularly shifted by nfft/2 (the modeled delay) and
     windowed (Tukey r = 0.25 by default).
     """
-    f_lo, f_hi = band
-    nyquist = sample_rate / 2.0
-    if not 0 < f_lo < f_hi <= nyquist:
-        raise ValueError(f"band {band} must lie within (0, {nyquist}]")
-    if nfft & (nfft - 1):
-        raise ValueError("nfft must be a power of two")
-
-    freqs = np.arange(nfft // 2 + 1) * (sample_rate / nfft)
-    n_mics = geometry.n_mics
-    responses = np.zeros((2, n_mics, nfft // 2 + 1), dtype=complex)
-
-    in_band = [b for b in range(1, nfft // 2 + 1) if f_lo <= freqs[b] <= f_hi]
-    if not in_band:
+    freqs, in_band = fft_grid(band, nfft, sample_rate)
+    if in_band.size == 0:
         raise ValueError("band contains no FFT bins")
-
+    responses = np.zeros((2, geometry.n_mics, nfft // 2 + 1), dtype=complex)
     responses[:, :, in_band] = grid_rows(
         geometry, freqs[in_band], target, angles, spectrum, mode, lam, order_cap,
         shoulder_radius, sound_speed).transpose(1, 2, 0)
 
     # linear magnitude roll-off of the band-edge response over one octave
-    edge = in_band[-1]
+    edge = int(in_band[-1])
     for b in range(edge + 1, nfft // 2 + 1):
         scale = max(0.0, 1.0 - (freqs[b] - freqs[edge]) / freqs[edge])
         if scale == 0.0:
@@ -261,7 +263,7 @@ def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpe
         taps=impulse,
         sample_rate=sample_rate,
         delay_samples=nfft // 2,
-        band=(float(f_lo), float(f_hi)),
+        band=(float(band[0]), float(band[1])),
         geometry_hash=geometry.content_hash(),
     )
 

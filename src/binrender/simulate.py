@@ -156,9 +156,9 @@ def _measured_binaural(scene: Scene, hrtf: HrtfSet, listener_position):
     return out
 
 
-def _matching_node(hrtf: HrtfSet, theta, phi, tol=1e-9):
+def _matching_node(hrtf: HrtfSet, theta, phi):
     dirs = hrtf.directions
     dtheta = np.abs(dirs[:, 0] - theta)
     dphi = np.abs((dirs[:, 1] - phi + math.pi) % (2 * math.pi) - math.pi)
-    hits = np.nonzero((dtheta < tol) & (dphi < tol))[0]
+    hits = np.nonzero((dtheta < 1e-9) & (dphi < 1e-9))[0]
     return int(hits[0]) if hits.size else None

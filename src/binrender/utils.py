@@ -109,16 +109,13 @@ def rotation_matrix_zyz(alpha, beta, gamma):
     return rotation_matrix_z(alpha) @ rotation_matrix_y(beta) @ rotation_matrix_z(gamma)
 
 
-def quantize_significant(x, digits=12):
-    """Round a float to `digits` significant decimal digits.
-
-    The result parses back bit-identically from its ``%.{digits-1}e``
-    representation, which is what makes geometry files round-trip exactly.
-    """
-    return float(f"{float(x):.{digits - 1}e}")
-
-
-def format_significant(x, digits=12):
+def format_significant(x):
     """Decimal-string form used in geometry files (12 significant digits)."""
-    return f"{float(x):.{digits - 1}e}"
+    return f"{float(x):.11e}"
+
+
+def quantize_significant(x):
+    """``x`` rounded to the 12 significant digits of ``format_significant``, which
+    parses back bit-identically: geometry files round-trip exactly."""
+    return float(format_significant(x))
 

@@ -21,11 +21,27 @@ from binrender.special import EulerAngles
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _load_tracing():
+@pytest.fixture
+def traced():
+    """Runs ``call()`` with binrender instrumented as the benchmark does it, and
+    returns its result, the spans and the per-layer metrics of the spans."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {"cli": cli, "bundleio": bundleio, "hrtf": hrtf, "estimation": estimation,
+               "wavefield": wavefield, "rendering": rendering, "simulate": simulate,
+               "scipy_special": scipy.special}
+
+    def run(call):
+        tracer = tracing.Tracer()
+        restore = tracing.instrument(tracer, modules)
+        try:
+            result = call()
+        finally:
+            restore()
+        return result, tracer.spans, tracing.layer_metrics(tracer.spans, 0.0)
+
+    return run
 
 
 @pytest.fixture
@@ -42,67 +58,47 @@ def factors(monkeypatch):
     return calls
 
 
-def test_tracer_instruments_traced_names():
-    tracing = _load_tracing()
-    modules = {"cli": cli, "bundleio": bundleio, "hrtf": hrtf, "estimation": estimation,
-               "wavefield": wavefield, "rendering": rendering, "simulate": simulate,
-               "scipy_special": scipy.special}
+def test_tracer_instruments_traced_names(traced):
     original = (rendering.render_full, estimation.Estimator.solve, scipy.special.spherical_jn)
-    tracer = tracing.Tracer()
-    restore = tracing.instrument(tracer, modules)
-    try:
+
+    def render():
         geom = arrays.build_small_array()
         f = 500.0
         k = 2.0 * math.pi * f / 346.2
         spec = hrtf.rigid_sphere_hrtf_spectrum(hrtf.SyntheticHead(), [f], 1.5, 3)
         est = estimation.Estimator(geom, k)
-        y = rendering.render_full(np.ones(geom.n_mics, dtype=complex), est, np.zeros(3),
-                                  EulerAngles(0.3, 0.2, 0.1), spec.at_index(0), "sph", 1.5)
-    finally:
-        restore()
+        return rendering.render_full(np.ones(geom.n_mics, dtype=complex), est, np.zeros(3),
+                                     EulerAngles(0.3, 0.2, 0.1), spec.at_index(0), "sph", 1.5)
+
+    y, spans, layers = traced(render)
     assert np.all(np.isfinite(y))
     assert (rendering.render_full, estimation.Estimator.solve,
             scipy.special.spherical_jn) == original
-    names = {span[1] for span in tracer.spans}
+    names = {span[1] for span in spans}
     assert {"hrtf.spectrum", "estimation.Estimator", "estimation.build_psi",
             "estimation.xi", "estimation.build_xi", "wavefield.translate_multi",
             "estimation.solve", "estimation.cho_solve", "rendering.render_full",
             "rendering.binaural_rows", "rendering.render_weights",
             "special.wigner_d"} <= names
-    layers = tracing.layer_metrics(tracer.spans, 0.0)
     assert layers["rendering.rows_calls"] == 1
 
 
-def test_bank_meters_count_bins_and_rotation_blocks(factors):
+def test_bank_meters_count_bins_and_rotation_blocks(traced, factors):
     # one filter bank at a turned head: one factor per in-band bin, and the
     # rotation builds each Wigner-D block of the HRTF spectrum once per call
-    tracing = _load_tracing()
-    modules = {"cli": cli, "bundleio": bundleio, "hrtf": hrtf, "estimation": estimation,
-               "wavefield": wavefield, "rendering": rendering, "simulate": simulate,
-               "scipy_special": scipy.special}
     fs, nfft, band = 48000.0, 256, (400.0, 2000.0)
     freqs = np.arange(1, nfft // 2 + 1) * fs / nfft
     in_band = freqs[(freqs >= band[0]) & (freqs <= band[1])]
     spec = hrtf.rigid_sphere_hrtf_spectrum(hrtf.SyntheticHead(), in_band, 1.5, 8)
-    tracer = tracing.Tracer()
-    restore = tracing.instrument(tracer, modules)
-    try:
-        rendering.synth_fir_filters(arrays.build_small_array(), np.zeros(3),
-                                    EulerAngles(0.6, -0.4, 0.9), spec, band, nfft, fs)
-    finally:
-        restore()
-    layers = tracing.layer_metrics(tracer.spans, 0.0)
+    _, _, layers = traced(lambda: rendering.synth_fir_filters(
+        arrays.build_small_array(), np.zeros(3), EulerAngles(0.6, -0.4, 0.9), spec, band, nfft, fs))
     assert len(factors) == in_band.size
     assert 0 < layers["special.wigner_d_calls"] <= spec.order + 1
 
 
-def test_bank_translations_do_not_grow_with_bins(factors):
+def test_bank_translations_do_not_grow_with_bins(traced, factors):
     # the angular plan is built once per call: doubling the in-band bins
     # doubles the factors and leaves the translate_multi count alone
-    tracing = _load_tracing()
-    modules = {"cli": cli, "bundleio": bundleio, "hrtf": hrtf, "estimation": estimation,
-               "wavefield": wavefield, "rendering": rendering, "simulate": simulate,
-               "scipy_special": scipy.special}
     fs, band = 48000.0, (400.0, 2000.0)
     geom = arrays.build_small_array()
     translations = []
@@ -111,27 +107,18 @@ def test_bank_translations_do_not_grow_with_bins(factors):
         in_band = freqs[(freqs >= band[0]) & (freqs <= band[1])]
         spec = hrtf.rigid_sphere_hrtf_spectrum(hrtf.SyntheticHead(), in_band, 1.5, 8)
         factors.clear()
-        tracer = tracing.Tracer()
-        restore = tracing.instrument(tracer, modules)
-        try:
-            rendering.synth_fir_filters(geom, np.zeros(3), EulerAngles(), spec, band, nfft, fs)
-        finally:
-            restore()
-        layers = tracing.layer_metrics(tracer.spans, 0.0)
+        _, _, layers = traced(lambda: rendering.synth_fir_filters(
+            geom, np.zeros(3), EulerAngles(), spec, band, nfft, fs))
         assert len(factors) == in_band.size
         translations.append(layers["wavefield.translate_calls"])
     assert translations[0] == translations[1]
 
 
-def test_bank_radial_calls_do_not_grow_with_bins(factors):
+def test_bank_radial_calls_do_not_grow_with_bins(traced, factors):
     # the radial tables (Psi, Xi and the SPH weights) are taken once per call
     # over every in-band wavenumber: doubling the bins leaves the
     # spherical_jn/spherical_yn count alone. instrument() itself fails on any
     # name the benchmark rebinds that no longer exists.
-    tracing = _load_tracing()
-    modules = {"cli": cli, "bundleio": bundleio, "hrtf": hrtf, "estimation": estimation,
-               "wavefield": wavefield, "rendering": rendering, "simulate": simulate,
-               "scipy_special": scipy.special}
     fs, band = 48000.0, (400.0, 2000.0)
     geom = arrays.build_small_array()
     radial_calls = []
@@ -140,26 +127,16 @@ def test_bank_radial_calls_do_not_grow_with_bins(factors):
         in_band = freqs[(freqs >= band[0]) & (freqs <= band[1])]
         spec = hrtf.rigid_sphere_hrtf_spectrum(hrtf.SyntheticHead(), in_band, 1.5, 8)
         factors.clear()
-        tracer = tracing.Tracer()
-        restore = tracing.instrument(tracer, modules)
-        try:
-            rendering.synth_fir_filters(geom, np.zeros(3), EulerAngles(0.3, 0.2, 0.1), spec,
-                                        band, nfft, fs)
-        finally:
-            restore()
-        layers = tracing.layer_metrics(tracer.spans, 0.0)
+        _, _, layers = traced(lambda: rendering.synth_fir_filters(
+            geom, np.zeros(3), EulerAngles(0.3, 0.2, 0.1), spec, band, nfft, fs))
         assert len(factors) == in_band.size
         radial_calls.append(layers["special.radial_calls"])
     assert 0 < radial_calls[0] == radial_calls[1]
 
 
-def test_estimate_translations_do_not_grow_with_bins(tmp_path, factors):
+def test_estimate_translations_do_not_grow_with_bins(tmp_path, traced, factors):
     # estimate takes its free-field bins from one angular plan: doubling the
     # scene's frequencies leaves the translate_multi and radial counts alone
-    tracing = _load_tracing()
-    modules = {"cli": cli, "bundleio": bundleio, "hrtf": hrtf, "estimation": estimation,
-               "wavefield": wavefield, "rendering": rendering, "simulate": simulate,
-               "scipy_special": scipy.special}
     (tmp_path / "geom.json").write_text(arrays.geometry_to_json(arrays.build_small_array()))
     counts = []
     for n in (8, 16):
@@ -173,25 +150,16 @@ def test_estimate_translations_do_not_grow_with_bins(tmp_path, factors):
             "listener": {"position": [0.01, 0.0, 0.0]}, "output_dir": "out"}))
         assert cli.main(["simulate", str(run / "run.json")]) == 0
         factors.clear()
-        tracer = tracing.Tracer()
-        restore = tracing.instrument(tracer, modules)
-        try:
-            assert cli.main(["estimate", str(run / "run.json")]) == 0
-        finally:
-            restore()
-        layers = tracing.layer_metrics(tracer.spans, 0.0)
+        rc, _, layers = traced(lambda: cli.main(["estimate", str(run / "run.json")]))
+        assert rc == 0
         assert len(factors) == n
         counts.append((layers["wavefield.translate_calls"], layers["special.radial_calls"]))
     assert 0 < counts[0][1] and counts[0] == counts[1]
 
 
-def test_traced_bank_meters_the_ring_fit(tmp_path):
+def test_traced_bank_meters_the_ring_fit(tmp_path, traced):
     # filters from a measured bundle on zenith rings: the traced meter sees
     # the one fit_sh call of the call, which takes the ring path
-    tracing = _load_tracing()
-    modules = {"cli": cli, "bundleio": bundleio, "hrtf": hrtf, "estimation": estimation,
-               "wavefield": wavefield, "rendering": rendering, "simulate": simulate,
-               "scipy_special": scipy.special}
     grid = hrtf.equiangular_grid(zenith_step_deg=20.0, azimuth_step_deg=10.0)  # 8 rings of 36
     assert hrtf._rings(grid, math.isqrt(grid.shape[0]) - 1) is not None
     bundleio.save_hrtf_bundle(tmp_path / "hrtf", hrtf.synth_rigid_sphere_hrtf(
@@ -201,13 +169,8 @@ def test_traced_bank_meters_the_ring_fit(tmp_path):
     (tmp_path / "run.json").write_text(json.dumps({
         "version": 1, "scene": "scene.json", "geometry": "geom.json", "hrtf": "hrtf",
         "render": {"band": [400.0, 2000.0], "nfft": 256}, "output_dir": "out"}))
-    tracer = tracing.Tracer()
-    restore = tracing.instrument(tracer, modules)
-    try:
-        assert cli.main(["filters", str(tmp_path / "run.json")]) == 0
-    finally:
-        restore()
-    layers = tracing.layer_metrics(tracer.spans, 0.0)
+    rc, _, layers = traced(lambda: cli.main(["filters", str(tmp_path / "run.json")]))
+    assert rc == 0
     assert layers["hrtf.fit_sh_calls"] == 1
     assert layers["hrtf.fit_sh_s"] > 0
 

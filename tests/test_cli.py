@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from binrender import arrays, bundleio
 from binrender.cli import main
@@ -461,6 +462,21 @@ class TestInputChecks:
         cfg = self.simulated_with(tmp_path, "render", key, value)
         assert main(["render", str(cfg)]) == 1
         assert not (tmp_path / "out" / "binaural.wav").exists()
+
+    @pytest.mark.parametrize("command", ["render", "evaluate"])
+    def test_wav_duration_without_a_sample_is_user_error(self, tmp_path, capsys, no_compute, command):
+        # 1e-5 s is 0.48 samples at 48 kHz: positive, yet it rounds to no sample
+        cfg = self.simulated_with(tmp_path, "render", "wav_duration", 1e-5)
+        capsys.readouterr()
+        assert main([command, str(cfg)]) == 1
+        assert "render.wav_duration must hold a sample at 48000 Hz, got 1e-05" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "binaural.wav").exists()
+
+    def test_wav_duration_of_one_sample_renders(self, tmp_path):
+        # 1.5e-5 s is 0.72 samples at 48 kHz, which rounds to one
+        cfg = self.simulated_with(tmp_path, "render", "wav_duration", 1.5e-5)
+        assert main(["render", str(cfg)]) == 0
+        assert wavfile.read(tmp_path / "out" / "binaural.wav")[1].shape == (1, 2)
 
     @pytest.mark.parametrize("level,key", [
         ("config", "outptu_dir"), ("estimator", "lamda"), ("render", "ordr_cap"),

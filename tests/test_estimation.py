@@ -452,17 +452,28 @@ class TestGridEstimator:
         ("negative_lambda", ValueError, "^lambda must be non-negative$"),
         ("zero_k", ValueError, "^wavenumber must be positive$"),
         ("negative_k", ValueError, "^wavenumber must be positive$"),
+        ("nan_k", ValueError, "^wavenumber must be positive$"),
         ("non_finite_psi", ValueError, "infs or NaNs"),
         ("nan_lambda", ValueError, "infs or NaNs"),
     ])
-    def test_solve_pass_errors(self, composite, case, error, message):
-        # the per-bin Estimator's error types and messages, from rows and coeffs alike
+    def test_solve_pass_errors(self, composite, monkeypatch, case, error, message):
+        # the per-bin Estimator's error types and messages: a wavenumber that is
+        # not positive or a negative lambda from the constructor, before it
+        # builds a plan; the rest from rows and coeffs alike
         # a repeated microphone leaves Psi singular
         geom = arrays.ArrayGeometry(mics=composite.mics[:4] + composite.mics[1:2]) if case == "singular" else composite
         ks = [k_of(1000.0), k_of(400.0)]
         lam = {"singular": 0.0, "negative_lambda": -1.0, "nan_lambda": float("nan")}.get(case, "auto")
         if case.endswith("_k"):
-            ks[1] = 0.0 if case == "zero_k" else -ks[1]
+            ks[1] = {"zero_k": 0.0, "negative_k": -ks[1], "nan_k": float("nan")}[case]
+        if case.endswith("_k") or case == "negative_lambda":
+            def no_plan(*args):
+                raise AssertionError("a plan was built before the input checks")
+
+            monkeypatch.setattr(estimation.TranslationPlan, "build", no_plan)
+            with pytest.raises(error, match=message):
+                estimation.GridEstimator(geom, ks, lam, self.TARGET, 3)
+            return
         grid = estimation.GridEstimator(geom, ks, lam, self.TARGET, 3)
         if case == "non_finite_psi":
             grid.psi_upper = grid.psi_upper.copy()
