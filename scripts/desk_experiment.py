@@ -75,8 +75,7 @@ def main():
             for ear, ear_name in ((0, "L"), (1, "R")):
                 avg = metrics.average_nmse(est[:, ear], truth[:, ear])
                 rows.append({
-                    "position": name, "azimuth_deg": "",
-                    "frequency_or_band": "100-1600",
+                    "position": name, "frequency_or_band": "100-1600",
                     "metric": f"nmse_{ear_name}_{label}_db",
                     "value": f"{avg.db:.3f}", "excluded_bins": avg.excluded_bins,
                 })

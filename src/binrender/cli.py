@@ -2,9 +2,10 @@
 evaluate.
 
 Every command checks its inputs (the config; an observation bundle against
-the geometry and frequency grid) before computing, writes deterministic
-outputs (no wall-clock anywhere), and drops a manifest JSON holding the
-config hash, library version, and content hashes of the files it produced.
+the geometry and frequency grid) before computing and writes deterministic
+outputs (no wall-clock anywhere). The five data commands write theirs in one
+output step, which drops a manifest JSON holding the config hash, library
+version, and content hashes of exactly the files written.
 Exit codes: 0 ok, 1 configuration/user error, 2 internal error: every
 check on user input raises ConfigError, so a ValueError escaping the library
 is an internal error.
@@ -35,6 +36,7 @@ from .arrays import (
 from .estimation import GridEstimator, rigid_sphere_estimate
 from .hrtf import SyntheticHead, rigid_sphere_hrtf_spectrum
 from .metrics import (
+    ITD_MAX_LAG_S,
     BinauralPair,
     average_nmse,
     ild,
@@ -60,21 +62,28 @@ def _library_version():
         return "unknown"
 
 
-def _write_manifest(cfg, command, outputs):
+@contextmanager
+def _output_step(cfg, command, *names):
+    """The one output step of every data command: it creates output_dir and
+    yields it for the command to write the files ``names`` into, then writes
+    the manifest hashing exactly those files and prints one report line. A
+    command that fails inside the step leaves no manifest."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    yield cfg.out_dir
     canonical = json.dumps(cfg.doc, sort_keys=True, separators=(",", ":"))
     manifest = {
         "command": command,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
         "library_version": _library_version(),
         "seed": cfg.seed,
-        "outputs": {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
-                    for p in outputs},
+        "outputs": {name: hashlib.sha256((cfg.out_dir / name).read_bytes()).hexdigest()
+                    for name in names},
     }
     if cfg.flags:  # estimator flags change outputs the config hash does not cover
         manifest["flags"] = cfg.flags
     path = cfg.out_dir / f"manifest_{command}.json"
     path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    return path
+    click.echo(f"wrote {', '.join(names)} and {path.name} in {cfg.out_dir}")
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +267,13 @@ class RunConfig:
         if not 0 < self.band[0] < self.band[1] <= self.sample_rate / 2:
             raise ConfigError(f"render.band {list(self.band)} must be [lo, hi] with "
                               f"0 < lo < hi <= {self.sample_rate / 2:g} Hz")
-        if not self.wav_duration * self.sample_rate > 0.5:  # it rounds to no sample
+        samples = self.wav_duration * self.sample_rate  # the WAV holds round(samples)
+        if not samples > 0.5:  # it rounds to no sample
             raise ConfigError(f"render.wav_duration must hold a sample at {self.sample_rate:g} Hz, "
+                              f"got {json.dumps(self.wav_duration)}")
+        if not samples < _WAV_MAX_SAMPLES + 0.5:  # the bound is odd: its + 0.5 rounds up
+            raise ConfigError(f"render.wav_duration must fit a 4 GiB RIFF WAV, at most "
+                              f"{_WAV_MAX_SAMPLES / self.sample_rate:g} s at {self.sample_rate:g} Hz, "
                               f"got {json.dumps(self.wav_duration)}")
 
         listener = _section(doc.get("listener", {}), "listener")
@@ -347,6 +361,11 @@ def _render_responses(cfg: RunConfig, observations):
                          cfg.shoulder_radius, cfg.scene.sound_speed)
     # one stacked matmul: bitwise the per-bin rows @ s (an einsum sums differently)
     return (rows @ observations[:, :, None])[:, :, 0]
+
+
+# A RIFF WAV states its size in 32 bits: 50 header bytes, then 8 bytes a
+# 2-channel float32 sample. Past that scipy writes RF64, which many readers refuse.
+_WAV_MAX_SAMPLES = (2**32 - 1 - 50) // 8
 
 
 def _multitone_wav(freqs, responses, sample_rate, duration, gain):
@@ -508,15 +527,10 @@ def simulate(config_path):
     """Simulate microphone observations for the configured scene."""
     cfg = _load_config(config_path)
     _check_sources_off_array(cfg.scene, cfg.geometry)
-    freqs = cfg.scene.freqs
     obs = simulate_observation(cfg.scene, cfg.geometry)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    base = bundleio.save_observation_bundle(
-        cfg.out_dir / "observation", freqs, obs,
-        geometry_hash=cfg.geometry.content_hash())
-    outputs = [base.with_suffix(".json"), base.with_suffix(".bin")]
-    manifest = _write_manifest(cfg, "simulate", outputs)
-    click.echo(f"wrote {base}.json/.bin and {manifest.name}")
+    with _output_step(cfg, "simulate", "observation.json", "observation.bin") as out:
+        bundleio.save_observation_bundle(out / "observation", cfg.scene.freqs, obs,
+                                         geometry_hash=cfg.geometry.content_hash())
 
 
 @cli.command()
@@ -554,11 +568,8 @@ def estimate(config_path, lam, eta, order, observations):
         "orders": orders,
         "center": [float(x) for x in cfg.listener_position],
     }
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    base = bundleio.write_bundle(cfg.out_dir / "coefficients", header, flat)
-    outputs = [base.with_suffix(".json"), base.with_suffix(".bin")]
-    manifest = _write_manifest(cfg, "estimate", outputs)
-    click.echo(f"wrote {base}.json/.bin and {manifest.name}")
+    with _output_step(cfg, "estimate", "coefficients.json", "coefficients.bin") as out:
+        bundleio.write_bundle(out / "coefficients", header, flat)
 
 
 @cli.command()
@@ -572,22 +583,14 @@ def render(config_path, lam, observations):
     obs = _observations(cfg, observations)
     freqs = cfg.scene.freqs
     responses = _render_responses(cfg, obs)
-
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = cfg.out_dir / "binaural_response.csv"
-    with open(csv_path, "w") as f:
-        f.write("freq_hz,left_re,left_im,right_re,right_im\n")
-        for fi, f_hz in enumerate(freqs):
-            left, right = responses[fi]
-            f.write(f"{f_hz:.6f},{left.real:.12e},{left.imag:.12e},"
-                    f"{right.real:.12e},{right.imag:.12e}\n")
-
-    wav_path = cfg.out_dir / "binaural.wav"
-    data = _multitone_wav(freqs, responses, cfg.sample_rate, cfg.wav_duration, cfg.wav_gain)
-    wavfile.write(wav_path, int(cfg.sample_rate), data)
-
-    manifest = _write_manifest(cfg, "render", [csv_path, wav_path])
-    click.echo(f"wrote {csv_path.name}, {wav_path.name} and {manifest.name}")
+    with _output_step(cfg, "render", "binaural_response.csv", "binaural.wav") as out:
+        with open(out / "binaural_response.csv", "w") as f:
+            f.write("freq_hz,left_re,left_im,right_re,right_im\n")
+            for f_hz, (left, right) in zip(freqs, responses):
+                f.write(f"{f_hz:.6f},{left.real:.12e},{left.imag:.12e},"
+                        f"{right.real:.12e},{right.imag:.12e}\n")
+        data = _multitone_wav(freqs, responses, cfg.sample_rate, cfg.wav_duration, cfg.wav_gain)
+        wavfile.write(out / "binaural.wav", int(cfg.sample_rate), data)
 
 
 @cli.command()
@@ -607,11 +610,8 @@ def filters(config_path, lam):
             cfg.band, cfg.nfft, cfg.sample_rate, mode=cfg.mode, lam=cfg.lam,
             window=cfg.window, order_cap=cfg.order_cap,
             shoulder_radius=cfg.shoulder_radius, sound_speed=cfg.scene.sound_speed)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    base = save_filter_bank(bank, cfg.out_dir / "filterbank")
-    outputs = [base.with_suffix(".wav"), base.with_suffix(".json")]
-    manifest = _write_manifest(cfg, "filters", outputs)
-    click.echo(f"wrote {base}.wav/.json and {manifest.name}")
+    with _output_step(cfg, "filters", "filterbank.wav", "filterbank.json") as out:
+        save_filter_bank(bank, out / "filterbank")
 
 
 @cli.command()
@@ -626,30 +626,31 @@ def evaluate(config_path, lam, observations):
         raise ConfigError("evaluate against a measured HRTF bundle needs the scene grid "
                           "to equal the bundle's frequency grid")
     _check_truth(cfg)
-    obs = _observations(cfg, observations)
     freqs = cfg.scene.freqs
+    shortest = max(1.0 / freqs.min(), ITD_MAX_LAG_S)
+    if cfg.wav_duration < shortest:
+        raise ConfigError(f"render.wav_duration must span a period of the lowest scene frequency "
+                          f"and the ITD's {ITD_MAX_LAG_S * 1e3:g} ms lag window for evaluate: at "
+                          f"least {shortest:g} s, got {json.dumps(cfg.wav_duration)}")
+    obs = _observations(cfg, observations)
     responses = _render_responses(cfg, obs)
     reference = true_binaural(
         cfg.scene, cfg.synthetic_head if cfg.synthetic_head is not None else cfg.hrtf_set,
         cfg.listener_position)
 
     pos = ";".join(f"{x:.6g}" for x in cfg.listener_position)
+
+    def row(band, metric, value, excluded_bins=0, digits=6):
+        return {"position": pos, "frequency_or_band": band, "metric": metric,
+                "value": f"{value:.{digits}f}", "excluded_bins": excluded_bins}
+
     rows = []
+    band = f"{freqs.min():g}-{freqs.max():g}"
     for ear, name in ((0, "L"), (1, "R")):
-        per_bin = nmse(responses[:, ear], reference[:, ear])
-        for fi, f in enumerate(freqs):
-            rows.append({"position": pos, "azimuth_deg": "", "frequency_or_band": f"{f:g}",
-                         "metric": f"nmse_{name}_db", "value": f"{per_bin[fi]:.6f}",
-                         "excluded_bins": 0})
-        avg = average_nmse(responses[:, ear], reference[:, ear])
-        band = f"{freqs.min():g}-{freqs.max():g}"
-        rows.append({"position": pos, "azimuth_deg": "", "frequency_or_band": band,
-                     "metric": f"nmse_{name}_avg_db", "value": f"{avg.db:.6f}",
-                     "excluded_bins": avg.excluded_bins})
-        sd = spectral_distortion(responses[:, ear], reference[:, ear], normalize=True)
-        rows.append({"position": pos, "azimuth_deg": "", "frequency_or_band": band,
-                     "metric": f"sd_{name}_db", "value": f"{sd.db:.6f}",
-                     "excluded_bins": sd.excluded_bins})
+        est, ref = responses[:, ear], reference[:, ear]
+        rows += [row(f"{f:g}", f"nmse_{name}_db", db) for f, db in zip(freqs, nmse(est, ref))]
+        rows.append(row(band, f"nmse_{name}_avg_db", *average_nmse(est, ref)))
+        rows.append(row(band, f"sd_{name}_db", *spectral_distortion(est, ref, normalize=True)))
     est_wav = _multitone_wav(freqs, responses, cfg.sample_rate, cfg.wav_duration, 1.0)
     ref_wav = _multitone_wav(freqs, reference, cfg.sample_rate, cfg.wav_duration, 1.0)
     for name, sig in (("estimated", est_wav), ("true", ref_wav)):
@@ -658,16 +659,10 @@ def evaluate(config_path, lam, observations):
             itd_s, ild_db = itd(pair), ild(pair)
         except ValueError as exc:  # no energy below the ITD/ILD low-pass
             raise ConfigError(f"{name} binaural signal: {exc}") from exc
-        rows.append({"position": pos, "azimuth_deg": "", "frequency_or_band": "time",
-                     "metric": f"itd_{name}_s", "value": f"{itd_s:.9f}", "excluded_bins": 0})
-        rows.append({"position": pos, "azimuth_deg": "", "frequency_or_band": "time",
-                     "metric": f"ild_{name}_db", "value": f"{ild_db:.6f}", "excluded_bins": 0})
-
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    report = cfg.out_dir / "metrics.csv"
-    write_metric_report(report, rows)
-    manifest = _write_manifest(cfg, "evaluate", [report])
-    click.echo(f"wrote {report.name} and {manifest.name}")
+        rows += [row("time", f"itd_{name}_s", itd_s, digits=9),
+                 row("time", f"ild_{name}_db", ild_db)]
+    with _output_step(cfg, "evaluate", "metrics.csv") as out:
+        write_metric_report(out / "metrics.csv", rows)
 
 
 def main(argv=None):

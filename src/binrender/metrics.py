@@ -19,6 +19,7 @@ from .utils import own_arrays
 
 EPS_TRUE = 1e-30
 NMSE_FLOOR_DB = -300.0
+ITD_MAX_LAG_S = 0.002
 
 
 class MetricValue(NamedTuple):
@@ -53,7 +54,6 @@ def nmse(est, true):
     num = np.abs(est - true) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         db = 10.0 * np.log10(num / denom)
-    db = np.where(np.isneginf(db), NMSE_FLOOR_DB, db)
     db = np.maximum(db, NMSE_FLOOR_DB)
     db = np.where(denom < EPS_TRUE, np.nan, db)
     if db.ndim == 0:
@@ -158,7 +158,7 @@ def itd(pair: BinauralPair):
     num = _xcorr(yr, yl)
     den_sq = _xcorr(yr**2, yl**2)
     lags = np.arange(-(n - 1), n)
-    max_lag = int(round(0.002 * fs))
+    max_lag = int(round(ITD_MAX_LAG_S * fs))
     window = np.abs(lags) <= max_lag
     num = num[window]
     den = np.sqrt(np.maximum(den_sq[window], 0.0))

@@ -478,6 +478,61 @@ class TestInputChecks:
         assert main(["render", str(cfg)]) == 0
         assert wavfile.read(tmp_path / "out" / "binaural.wav")[1].shape == (1, 2)
 
+    @staticmethod
+    def riff_max_samples(tmp_path):
+        """Most samples a plain RIFF file holds in a 2-channel float32 WAV:
+        its size field (file size - 8) is 32 bits, and scipy's header is
+        what a one-sample file holds besides the sample."""
+        wavfile.write(tmp_path / "one.wav", 48000, np.zeros((1, 2), dtype=np.float32))
+        header = (tmp_path / "one.wav").stat().st_size - 8 - 8
+        return (2**32 - 1 - header) // 8
+
+    # the shortest duration whose WAV rounds to one sample past the RIFF limit at 48 kHz
+    FIRST_PAST_RIFF = 11184.810531250001
+
+    @pytest.mark.parametrize("duration", [1e300, FIRST_PAST_RIFF])
+    @pytest.mark.parametrize("command", ["render", "evaluate"])
+    def test_wav_duration_past_the_riff_limit_is_user_error(self, tmp_path, capsys, no_compute,
+                                                              command, duration):
+        limit = self.riff_max_samples(tmp_path)
+        assert round(self.FIRST_PAST_RIFF * 48000) == limit + 1
+        cfg = self.simulated_with(tmp_path, "render", "wav_duration", duration)
+        capsys.readouterr()
+        assert main([command, str(cfg)]) == 1
+        assert ("render.wav_duration must fit a 4 GiB RIFF WAV, at most 11184.8 s at 48000 Hz, "
+                f"got {json.dumps(duration)}") in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "manifest_simulate.json", "observation.bin", "observation.json"]
+
+    def test_wav_duration_at_the_riff_limit_accepted(self, tmp_path):
+        # the config check only: rendering this WAV would take gigabytes
+        from binrender.cli import _load_config
+
+        last = float(np.nextafter(self.FIRST_PAST_RIFF, 0.0))
+        assert round(last * 48000) == self.riff_max_samples(tmp_path)
+        cfg = self.simulated_with(tmp_path, "render", "wav_duration", last)
+        assert _load_config(cfg).wav_duration == last
+
+    @pytest.mark.parametrize("band,duration,shortest", [
+        ([200.0, 1000.0, 200.0], 1e-3, "0.005"),  # a 200 Hz period is 5 ms
+        ([200.0, 1000.0, 200.0], 1.5e-5, "0.005"),
+        ([1000.0, 1600.0, 200.0], 1.5e-3, "0.002"),  # the lag window outlasts a 1 kHz period
+    ])
+    def test_multitone_too_short_for_time_metrics(self, tmp_path, capsys, no_compute,
+                                                  band, duration, shortest):
+        # the source on the listener's left: unchecked, 1 ms and 15 us read an
+        # ITD of zero or of the wrong sign, and an ILD 6.8 dB or more off
+        cfg = self.simulated_with(tmp_path, "render", "wav_duration", duration)
+        (tmp_path / "scene.json").write_text(json.dumps(
+            {**SCENE, "sources": [{"pos": [0.0, 1.5, 0.0]}], "band": band}))
+        assert main(["simulate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", str(cfg)]) == 1
+        assert (f"render.wav_duration must span a period of the lowest scene frequency and the "
+                f"ITD's 2 ms lag window for evaluate: at least {shortest} s, "
+                f"got {json.dumps(duration)}") in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
     @pytest.mark.parametrize("level,key", [
         ("config", "outptu_dir"), ("estimator", "lamda"), ("render", "ordr_cap"),
         ("listener", "postion"), ("synthetic", "head_radus"), ("scene", "sound_sped"),
@@ -932,6 +987,29 @@ class TestDeterminism:
         assert flagged["flags"] == {"--lam": 0.5}
         assert flagged["config_hash"] == flagless["config_hash"]
         assert flagged["outputs"] != flagless["outputs"]
+
+    def test_manifest_hashes_exactly_the_files_written(self, tmp_path, capsys):
+        # twice through: the first pass creates every file, the second rewrites them
+        import hashlib
+        import os
+
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        for command in ("simulate", "estimate", "render", "filters", "evaluate") * 2:
+            for path in out.glob("*"):
+                os.utime(path, ns=(0, 0))
+            capsys.readouterr()
+            assert main([command, str(cfg)]) == 0
+            written = {p.name for p in out.iterdir() if p.stat().st_mtime_ns != 0}
+            manifest_name = f"manifest_{command}.json"
+            outputs = json.loads((out / manifest_name).read_text())["outputs"]
+            assert set(outputs) == written - {manifest_name}
+            for name, digest in outputs.items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+            report = capsys.readouterr().out.splitlines()
+            assert len(report) == 1, report
+            names = re.fullmatch(f"wrote (.*) and {manifest_name} in {re.escape(str(out))}", report[0])
+            assert sorted(names[1].split(", ")) == sorted(outputs)
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         import hashlib

@@ -26,6 +26,7 @@ class TestNmse:
         true = np.array([1.0, 0.0, 3.0])
         per_bin = metrics.nmse(est, true)
         assert np.isnan(per_bin[1]) and not np.isnan(per_bin[0])
+        assert per_bin[0] == per_bin[2] == metrics.NMSE_FLOOR_DB  # exact matches floor, not -inf
         avg = metrics.average_nmse(est, true)
         assert avg.excluded_bins == 1
         assert np.isfinite(avg.db)

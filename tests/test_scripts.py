@@ -1,15 +1,19 @@
 """Every script under scripts/ still loads against the package: a name it
 imports that the library no longer has fails here, not on the next run. Each
-layer-timing group also runs once, so a fault at run time shows here too."""
+layer-timing group and the desk experiment also run once, so a fault at run
+time shows here too."""
 
+import csv
 import json
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 LAYER_TIMING = Path(__file__).resolve().parents[1] / "scripts" / "layer_timing.py"
+DESK = LAYER_TIMING.with_name("desk_experiment.py")
 
 
 def under(key, names, fields):
@@ -55,3 +59,22 @@ def test_layer_timing_group_runs(group, capsys):
     assert (doc.pop("group"), doc.pop("repeats")) == (group, 1)
     assert set(doc.pop("machine")) == {"python", "numpy", "scipy", "cpu", "nproc", "blas_threads"}
     assert set(leaves(doc)) == LAYER_KEYS[group]
+
+
+def test_desk_experiment_report(tmp_path, monkeypatch, capsys):
+    from binrender.metrics import REPORT_FIELDS
+
+    monkeypatch.setattr(sys, "argv", [str(DESK), str(tmp_path)])
+    namespace = runpy.run_path(str(DESK), run_name="smoke")
+    namespace["main"]()
+    with open(tmp_path / "desk_experiment.csv", newline="") as f:
+        reader = csv.DictReader(f)
+        rows = list(reader)
+    assert reader.fieldnames == REPORT_FIELDS
+    # 7 positions x 2 arrays x 2 ears, each a finite NMSE over the whole band
+    assert len(rows) == 28
+    assert {row["position"] for row in rows} == set(namespace["POSITIONS"])
+    assert {row["metric"] for row in rows} == {f"nmse_{ear}_{array}_db" for ear in "LR"
+                                               for array in ("composite", "rigid_sphere")}
+    assert all(row["azimuth_deg"] == "" and row["frequency_or_band"] == "100-1600"
+               and row["excluded_bins"] == "0" and float(row["value"]) < 0.0 for row in rows)
