@@ -19,13 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from binrender import arrays, estimation, metrics, rendering, simulate
-from binrender.hrtf import SyntheticHead, rigid_sphere_hrtf_spectrum
+from binrender.hrtf import SOUND_SPEED, SyntheticHead, rigid_sphere_hrtf_spectrum
 from binrender.special import EulerAngles
 from binrender.wavefield import translate_coeffs
 
-C = 346.2
 SOURCE = np.array([1.5, 0.0, 0.0])
 FREQS = simulate.band_freqs(100.0, 1600.0, 100.0)
+KS = 2.0 * math.pi * FREQS / SOUND_SPEED
+ORDERS = [metrics.truncation_order(k) for k in KS]
 POSITIONS = {
     "x=0.0": np.array([0.0, 0.0, 0.0]),
     "x=0.1": np.array([0.1, 0.0, 0.0]),
@@ -40,21 +41,18 @@ POSITIONS = {
 def binaural_through(geom, head, listener, rigid):
     scene = simulate.Scene(sources=(simulate.PointSource(SOURCE),), freqs=FREQS)
     obs = simulate.simulate_observation(scene, geom)
+    if not rigid:  # every bin at its truncation order, in one pass over the grid
+        spec = rigid_sphere_hrtf_spectrum(head, FREQS, 1.5, max(ORDERS))
+        rows = rendering.grid_rows(geom, FREQS, listener, EulerAngles(), spec)
+        return (rows @ obs[:, :, None])[:, :, 0]
     out = np.empty((FREQS.size, 2), dtype=complex)
-    for fi, f in enumerate(FREQS):
-        k = 2.0 * math.pi * f / C
-        order = metrics.truncation_order(k)
+    for fi, (f, k, order) in enumerate(zip(FREQS, KS, ORDERS)):
         spec = rigid_sphere_hrtf_spectrum(head, [f], 1.5, order)
-        if rigid:
-            est_order = min(order, 7)
-            alpha = estimation.rigid_sphere_estimate(obs[fi], geom, k, est_order)
-            if np.any(listener != geom.baffle.center):
-                alpha = translate_coeffs(alpha, listener, out_order=est_order)
-            out[fi] = rendering.render_coeffs(alpha, spec.at_index(0), "sph", 1.5)
-        else:
-            est = estimation.Estimator(geom, k)
-            out[fi] = rendering.render_full(obs[fi], est, listener, EulerAngles(),
-                                            spec.at_index(0), "sph", 1.5)
+        est_order = min(order, 7)
+        alpha = estimation.rigid_sphere_estimate(obs[fi], geom, k, est_order)
+        if np.any(listener != geom.baffle.center):
+            alpha = translate_coeffs(alpha, listener, out_order=est_order)
+        out[fi] = rendering.render_coeffs(alpha, spec.at_index(0), "sph", 1.5)
     return out
 
 

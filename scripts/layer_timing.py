@@ -47,11 +47,10 @@ import scipy
 from scipy.special import sph_harm_y_all, spherical_jn
 
 from binrender import arrays, estimation, hrtf, metrics, rendering, simulate, special, wavefield
+from binrender.hrtf import SAMPLE_RATE, SOUND_SPEED
 from binrender.special import EulerAngles, num_coeffs, sh_table, sph_jn_table
 from binrender.utils import cart2sph
 
-SOUND_SPEED = 346.2
-SAMPLE_RATE = 48000.0
 TARGET = np.array([0.03, -0.02, 0.01])
 MEASURE_RADIUS = 1.5
 GRIDS = {"bank-narrow": ((100.0, 1600.0), 4096), "bank-wide": ((100.0, 12000.0), 128)}
@@ -203,9 +202,8 @@ def track(geom, updates):
     scene = simulate.Scene(sources=(simulate.PointSource(np.array([1.4, 0.6, 0.2])),),
                            freqs=TRACK_FREQS, sound_speed=SOUND_SPEED)
     obs = simulate.simulate_observation(scene, geom)
-    spectrum = hrtf.rigid_sphere_hrtf_spectrum(hrtf.SyntheticHead(radius=0.0875), TRACK_FREQS,
-                                               MEASURE_RADIUS, max(TRACK_ORDERS), SAMPLE_RATE,
-                                               SOUND_SPEED)
+    spectrum = hrtf.rigid_sphere_hrtf_spectrum(hrtf.SyntheticHead(), TRACK_FREQS,
+                                               MEASURE_RADIUS, max(TRACK_ORDERS))
     h_pairs = [spectrum.at_index(b) for b in range(TRACK_KS.size)]
     estimators = [estimation.Estimator(geom, k) for k in TRACK_KS]
     start = pose(rng)

@@ -19,10 +19,9 @@ import numpy as np
 
 from binrender import metrics, rendering, simulate
 from binrender import wavefield as wf
-from binrender.hrtf import SyntheticHead, ear_pressure, equiangular_grid, fit_sh, \
+from binrender.hrtf import SOUND_SPEED, SyntheticHead, ear_pressure, equiangular_grid, fit_sh, \
     synth_rigid_sphere_hrtf
 
-C = 346.2
 MEASURE_RADIUS = 1.5
 FREQS = simulate.band_freqs(100.0, 12000.0, 100.0)
 
@@ -32,7 +31,7 @@ def left_ear_sd(head, spectrum, src):
     y_sph = np.empty(FREQS.size, dtype=complex)
     y_pln = np.empty(FREQS.size, dtype=complex)
     for fi, f in enumerate(FREQS):
-        k = 2.0 * math.pi * f / C
+        k = 2.0 * math.pi * f / SOUND_SPEED
         order = metrics.truncation_order(k)
         alpha = wf.point_source_coeffs(src, np.zeros(3), k, order)
         h_pair = spectrum.at_index(fi)
@@ -47,9 +46,9 @@ def main():
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("pln_vs_sph_out")
     outdir.mkdir(parents=True, exist_ok=True)
     head = SyntheticHead()
-    print("fitting HRTF spectrum (order 35, 2232 directions)...")
+    print(f"fitting HRTF spectrum (order {metrics.ORDER_CAP}, 2232 directions)...")
     hrtf_set = synth_rigid_sphere_hrtf(head, equiangular_grid(), FREQS, MEASURE_RADIUS)
-    spectrum = fit_sh(hrtf_set, 35)
+    spectrum = fit_sh(hrtf_set, metrics.ORDER_CAP)
 
     rows = []
     for az_deg in range(0, 360, 15):

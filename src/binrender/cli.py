@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from importlib import metadata
 from pathlib import Path
 
 import click
@@ -24,7 +23,7 @@ import numpy as np
 from click.core import ParameterSource
 from scipy.io import wavfile
 
-from . import bundleio
+from . import __version__, arrays, bundleio, hrtf, metrics
 from .arrays import (
     build_composite_array,
     build_rigid_sphere_array,
@@ -46,20 +45,13 @@ from .metrics import (
     truncation_order,
     write_metric_report,
 )
-from .rendering import fft_grid, grid_rows, save_filter_bank, synth_fir_filters
+from .rendering import fft_grid, grid_rows, is_wav_rate, save_filter_bank, synth_fir_filters
 from .simulate import PointSource, Scene, band_freqs, simulate_observation, true_binaural
 from .special import EulerAngles
 
 
 class ConfigError(Exception):
     """User-facing configuration problem (exit code 1)."""
-
-
-def _library_version():
-    try:
-        return metadata.version("binrender")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 @contextmanager
@@ -74,7 +66,7 @@ def _output_step(cfg, command, *names):
     manifest = {
         "command": command,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
-        "library_version": _library_version(),
+        "library_version": __version__,
         "seed": cfg.seed,
         "outputs": {name: hashlib.sha256((cfg.out_dir / name).read_bytes()).hexdigest()
                     for name in names},
@@ -129,19 +121,20 @@ _KEYS = {
         "nfft": (4096, int, lambda n: n >= 2 and not n & (n - 1), "a power of two >= 2"),
         "window": ("tukey", str, lambda v: v in ("tukey", "boxcar"), "tukey or boxcar"),
         "band": ([100.0, 1600.0], 2),
-        "sample_rate": (48000.0, float, _positive, "positive"),
-        "order_cap": (35, int, lambda n: n >= 0, ">= 0"),
-        "shoulder_radius": (0.45, float, _positive, "positive"),
+        "sample_rate": (hrtf.SAMPLE_RATE, float, is_wav_rate, f"a whole number from 1 to {2**32 - 1}"),
+        "order_cap": (metrics.ORDER_CAP, int, lambda n: n >= 0, ">= 0"),
+        "shoulder_radius": (metrics.SHOULDER_RADIUS, float, _positive, "positive"),
         "wav_duration": (0.25, float, _positive, "positive"),
         "wav_gain": (1.0, float, math.isfinite, "finite"),
     },
     "listener": {"position": ([0.0, 0.0, 0.0], 3), "euler_deg": ([0.0, 0.0, 0.0], 3)},
     "hrtf": {"synthetic": None},
     # 0 < head_radius < measure_radius is checked after the table
-    "hrtf.synthetic": {"head_radius": (0.0875, float), "ear_azimuths_deg": ([90.0, -90.0], 2),
+    "hrtf.synthetic": {"head_radius": (hrtf.HEAD_RADIUS, float),
+                       "ear_azimuths_deg": (list(hrtf.EAR_AZIMUTHS_DEG), 2),
                        "measure_radius": (1.5, float)},
     "scene": {"freqs": None, "band": (None, 3), "sources": ([], list),
-              "sound_speed": (346.2, float, _positive, "positive")},
+              "sound_speed": (hrtf.SOUND_SPEED, float, _positive, "positive")},
     "scene.sources": {"pos": (None, 3),
                       "spectrum": ("flat", list, _pairs, "[re, im] pairs")},
 }
@@ -321,8 +314,6 @@ class RunConfig:
 
         A measured bundle must cover them; that is checked before the fit.
         """
-        from .hrtf import fit_sh
-
         if self.hrtf_set is not None:
             lo, hi = self.hrtf_set.freqs[0], self.hrtf_set.freqs[-1]
             if np.min(freqs) < lo or np.max(freqs) > hi:
@@ -336,7 +327,7 @@ class RunConfig:
                 self.synthetic_head, np.unique(freqs), self.measure_radius, order,
                 sample_rate=self.sample_rate, sound_speed=self.scene.sound_speed)
         order = min(order, math.isqrt(self.hrtf_set.n_directions) - 1)
-        return fit_sh(self.hrtf_set, order)
+        return hrtf.fit_sh(self.hrtf_set, order)
 
 
 @contextmanager
@@ -393,7 +384,8 @@ def cli():
 @click.option("--center", default="0,0,0", show_default=True, help="Array center x,y,z in meters.")
 @click.option("--yaw-deg", default=0.0, show_default=True)
 @click.option("--radius", default=None, type=float, help="Small-array or baffle radius in meters.")
-@click.option("--beta", default=0.5, show_default=True, help="Cardioid directivity parameter.")
+@click.option("--beta", default=arrays.DEFAULT_BETA, show_default=True,
+              help="Cardioid directivity parameter.")
 @click.option("--out", "out_path", default=None, help="Write geometry JSON here.")
 @click.option("--validate", "validate_path", default=None, help="Validate an existing geometry file.")
 def geometry(kind, center, yaw_deg, radius, beta, out_path, validate_path):
@@ -429,14 +421,16 @@ def geometry(kind, center, yaw_deg, radius, beta, out_path, validate_path):
         ctr = tuple(float(x) for x in center.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad --center {center!r}") from exc
+    if radius is None:  # the kind's default; a given radius, 0 too, goes to the builder's check
+        radius = arrays.DEFAULT_BAFFLE_RADIUS if kind == "rigid-sphere" else arrays.DEFAULT_SMALL_RADIUS
     try:
         if kind == "small":
-            geom = build_small_array(ctr, math.radians(yaw_deg), radius or 0.015, beta)
+            geom = build_small_array(ctr, math.radians(yaw_deg), radius, beta)
         elif kind == "composite":
             geom = build_composite_array(ctr, beta)
         else:
-            geom = build_rigid_sphere_array(ctr, radius or 0.145)
-    except ValueError as exc:  # a center that is not x,y,z, a bad radius or beta
+            geom = build_rigid_sphere_array(ctr, radius)
+    except ValueError as exc:  # a center that is not x,y,z, a bad beta or radius
         raise ConfigError(str(exc)) from exc
     Path(out_path).write_text(geometry_to_json(geom))
     click.echo(f"wrote {out_path} ({geom.n_mics} microphones)")
@@ -445,14 +439,12 @@ def geometry(kind, center, yaw_deg, radius, beta, out_path, validate_path):
 @cli.command("hrtf-import")
 @click.argument("csv_path", type=click.Path())
 @click.option("--radius", type=float, required=True, help="Measurement sphere radius in meters.")
-@click.option("--sample-rate", type=float, default=48000.0, show_default=True)
+@click.option("--sample-rate", type=float, default=hrtf.SAMPLE_RATE, show_default=True)
 @click.option("--out", "out_base", required=True, help="Output bundle base path.")
 def hrtf_import(csv_path, radius, sample_rate, out_base):
     """Convert a hand-made HRTF CSV into a bundle (JSON header + binary blob)."""
-    from .hrtf import read_hrtf_csv
-
     try:
-        hrtf_set = read_hrtf_csv(csv_path, radius=radius, sample_rate=sample_rate)
+        hrtf_set = hrtf.read_hrtf_csv(csv_path, radius=radius, sample_rate=sample_rate)
     except FileNotFoundError as exc:
         raise ConfigError(f"CSV not found: {csv_path}") from exc
     except ValueError as exc:

@@ -17,6 +17,12 @@ from scipy.special import sph_legendre_p_all
 from .special import num_coeffs, orders_degrees, sh_matrix, sph_hankel2, sph_hankel2_deriv
 from .utils import cart2sph, cho_factor, cho_solve, own_arrays, sph2cart
 
+# Run defaults: the sound speed (m/s) of every k = 2 pi f / c, the sample rate (Hz)
+# of every WAV, the synthetic head's radius (m) and ear azimuths (degrees, L then R).
+SOUND_SPEED = 346.2
+SAMPLE_RATE = 48000.0
+HEAD_RADIUS = 0.0875
+EAR_AZIMUTHS_DEG = (90.0, -90.0)
 
 @dataclass(frozen=True, eq=False)
 class HrtfSet:
@@ -37,6 +43,8 @@ class HrtfSet:
                                                   responses=complex)
         if not 0 < self.radius < math.inf:
             raise ValueError("radius must be positive and finite")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError(f"sample rate must be positive and finite, got {self.sample_rate}")
         if directions.ndim != 2 or directions.shape[1] != 2:
             raise ValueError("directions must be (J, 2) zenith/azimuth pairs")
         if not all(np.all(np.isfinite(a)) for a in (directions, freqs, responses)):
@@ -87,10 +95,6 @@ class HrtfShSpectrum:
     def at_index(self, freq_index):
         """(2, (N+1)^2) coefficient slice for one frequency bin."""
         return self.coeffs[:, freq_index, :]
-
-    def interpolated(self, freq):
-        """Linear per-coefficient interpolation in frequency; ValueError off the grid."""
-        return interpolate_coeffs(self.freqs, self.coeffs, freq)
 
     def evaluate(self, theta, phi):
         """Resynthesize responses at directions from the fitted spectrum."""
@@ -234,11 +238,10 @@ def _fit_rings(responses, zeniths, rings, offsets, order, gamma):
 
 @dataclass(frozen=True)
 class SyntheticHead:
-    """Rigid-sphere head model with ear points on the sphere surface."""
+    """Rigid-sphere head model with ear points on the equator of its surface."""
 
-    radius: float = 0.0875
-    ear_azimuths: tuple = (math.pi / 2.0, -math.pi / 2.0)  # (left, right)
-    ear_zenith: float = math.pi / 2.0
+    radius: float = HEAD_RADIUS
+    ear_azimuths: tuple = tuple(map(math.radians, EAR_AZIMUTHS_DEG))  # (left, right)
 
     def __post_init__(self):
         if not 0 < self.radius < math.inf:
@@ -247,7 +250,7 @@ class SyntheticHead:
             raise ValueError("ear_azimuths must be (left, right)")
 
     def ear_direction(self, ear):
-        return sph2cart(1.0, self.ear_zenith, self.ear_azimuths[ear])
+        return sph2cart(1.0, math.pi / 2.0, self.ear_azimuths[ear])
 
 
 def rigid_sphere_pressure(radius, cos_gamma, source_distance, k, tol=1e-12, cap_order=400):
@@ -321,7 +324,7 @@ def ear_pressure(head: SyntheticHead, source_pos, k):
 
 
 def rigid_sphere_hrtf_spectrum(head: SyntheticHead, freqs, measure_radius,
-                               order, sample_rate=48000.0, sound_speed=346.2) -> HrtfShSpectrum:
+                               order, sample_rate=SAMPLE_RATE, sound_speed=SOUND_SPEED) -> HrtfShSpectrum:
     """Analytic SH spectrum of the rigid-sphere head's HRTFs.
 
     For a source on the measurement sphere of radius R_s the surface-pressure
@@ -356,7 +359,7 @@ def rigid_sphere_hrtf_spectrum(head: SyntheticHead, freqs, measure_radius,
 
 
 def synth_rigid_sphere_hrtf(head: SyntheticHead, grid, freqs, measure_radius,
-                            sample_rate=48000.0, sound_speed=346.2) -> HrtfSet:
+                            sample_rate=SAMPLE_RATE, sound_speed=SOUND_SPEED) -> HrtfSet:
     """Synthesize a grid-sampled HrtfSet from the rigid-sphere head.
 
     ``grid`` is an array of (zenith, azimuth) source directions on the
@@ -408,7 +411,7 @@ def fibonacci_grid(n_points):
 # CSV import (small hand-made datasets)
 # ---------------------------------------------------------------------------
 
-def read_hrtf_csv(path, radius, sample_rate=48000.0) -> HrtfSet:
+def read_hrtf_csv(path, radius, sample_rate=SAMPLE_RATE) -> HrtfSet:
     """Read a direction-table CSV with per-frequency magnitude/phase columns.
 
     Expected header: theta,phi followed by four columns per frequency f:

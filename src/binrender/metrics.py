@@ -198,7 +198,12 @@ def ild(pair: BinauralPair):
 # Truncation rule
 # ---------------------------------------------------------------------------
 
-def truncation_order(k, shoulder_radius=0.45, cap=35):
+# The rule's defaults: the shoulder radius R_w in meters, and the order cap.
+SHOULDER_RADIUS = 0.45
+ORDER_CAP = 35
+
+
+def truncation_order(k, shoulder_radius=SHOULDER_RADIUS, cap=ORDER_CAP):
     """Rendering truncation order N = min(ceil(e k R_w / 2), cap)."""
     if not k > 0:
         raise ValueError("wavenumber must be positive")

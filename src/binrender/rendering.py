@@ -29,8 +29,8 @@ import numpy as np
 from scipy.io import wavfile
 
 from .estimation import Estimator, GridEstimator
-from .hrtf import HrtfShSpectrum, interpolate_coeffs
-from .metrics import truncation_order
+from .hrtf import SOUND_SPEED, HrtfShSpectrum, interpolate_coeffs
+from .metrics import ORDER_CAP, SHOULDER_RADIUS, truncation_order
 from .special import SQRT_4PI, EulerAngles, ipow, num_coeffs, orders_degrees, sph_hankel2
 from .special import wigner_d_block  # noqa: F401 -- kept for perfbench/tracing.py to rebind
 from .utils import own_arrays
@@ -116,8 +116,8 @@ def binaural_rows(estimator: Estimator, target, angles: EulerAngles, h_pair,
     return _rotate_hrtf(weighted, angles) @ estimator.xi(target, order)
 
 
-def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpectrum,
-              mode="sph", lam="auto", order_cap=35, shoulder_radius=0.45, sound_speed=346.2):
+def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpectrum, mode="sph",
+              lam="auto", order_cap=ORDER_CAP, shoulder_radius=SHOULDER_RADIUS, sound_speed=SOUND_SPEED):
     """Rows r with binaural pair y = r @ s per frequency, shape (F, 2, n_mics).
 
     Once per call, ``spectrum`` is turned by ``angles``, and every table that
@@ -172,6 +172,11 @@ def render_composed(s, estimator: Estimator, target, angles: EulerAngles, h_pair
 # MIMO FIR filter bank
 # ---------------------------------------------------------------------------
 
+def is_wav_rate(rate):
+    """Whether a WAV header holds ``rate`` as it is: a whole number of Hz in 32 bits."""
+    return float(rate).is_integer() and 1 <= rate <= 2**32 - 1
+
+
 @dataclass(frozen=True, eq=False)
 class BinauralFilterBank:
     """Per-microphone, per-ear FIR taps realizing the rendering chain.
@@ -190,6 +195,9 @@ class BinauralFilterBank:
 
     def __post_init__(self):
         taps, = own_arrays(self, taps=float)
+        if not is_wav_rate(self.sample_rate):
+            raise ValueError(f"sample rate must be a whole number from 1 to {2**32 - 1} Hz, "
+                             f"got {self.sample_rate}")
         if taps.ndim != 3 or taps.shape[0] != 2:
             raise ValueError("taps must have shape (2, n_mics, n_taps)")
         nfft = taps.shape[2]
@@ -220,8 +228,8 @@ def fft_grid(band, nfft, sample_rate):
 
 def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpectrum,
                       band, nfft, sample_rate, mode="sph", lam="auto",
-                      window="tukey", order_cap=35, shoulder_radius=0.45,
-                      sound_speed=346.2):
+                      window="tukey", order_cap=ORDER_CAP, shoulder_radius=SHOULDER_RADIUS,
+                      sound_speed=SOUND_SPEED):
     """Sample the end-to-end linear form on an FFT grid and window it to taps.
 
     ``grid_rows`` gives the in-band (2, n_mics) complex responses; above the

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ArrayGeometry
-from .hrtf import HrtfSet, SyntheticHead, ear_pressure, fit_sh, rigid_sphere_pressure
-from .special import SQRT_4PI, orders_degrees, sh_matrix, sph_hankel2
+from .hrtf import SOUND_SPEED, HrtfSet, SyntheticHead, ear_pressure, fit_sh, rigid_sphere_pressure
+from .metrics import ORDER_CAP
 from .utils import cart2sph, own_arrays
-
-DEFAULT_SOUND_SPEED = 346.2
+from .wavefield import point_source_expansions
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +38,7 @@ class PointSource:
 class Scene:
     sources: tuple
     freqs: np.ndarray
-    sound_speed: float = DEFAULT_SOUND_SPEED
+    sound_speed: float = SOUND_SPEED
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
@@ -66,21 +65,6 @@ def band_freqs(lo=100.0, hi=15000.0, step=100.0):
     return lo + step * np.arange(n + 1)
 
 
-def _directional_observation(src_pos, positions, dir_coeffs, order, k):
-    """conj(c_i) . alpha_i for every mic i, alpha_i the source's local expansion.
-
-    ``dir_coeffs`` is the (n_mics, (order+1)^2) zero-padded directivity
-    table; alpha_i follows ``point_source_coeffs`` at the mic position.
-    """
-    d, theta, phi = cart2sph(src_pos[None, :] - positions)
-    if np.any(d == 0):
-        raise ValueError("source coincides with a microphone")
-    n_all, _ = orders_degrees(order)
-    radial = sph_hankel2(np.arange(order + 1)[None, :], k * d[:, None])
-    alpha = (-1j * k / SQRT_4PI) * radial[:, n_all] * np.conj(sh_matrix(order, theta, phi))
-    return np.sum(np.conj(dir_coeffs) * alpha, axis=1)
-
-
 def simulate_observation(scene: Scene, geom: ArrayGeometry):
     """Microphone observations, shape (n_freqs, n_mics).
 
@@ -105,8 +89,9 @@ def simulate_observation(scene: Scene, geom: ArrayGeometry):
         dir_coeffs, order = geom.directivities
         for fi, k in enumerate(ks):
             for src in scene.sources:
-                out[fi] += src.amplitude(fi) * _directional_observation(
-                    src.position, positions, dir_coeffs, order, k)
+                alpha = point_source_expansions(src.position - positions, k, order,
+                                                "source coincides with a microphone")
+                out[fi] += src.amplitude(fi) * np.sum(np.conj(dir_coeffs) * alpha, axis=1)
     return out
 
 
@@ -149,7 +134,7 @@ def _measured_binaural(scene: Scene, hrtf: HrtfSet, listener_position):
             resp = hrtf.responses[:, :, node].T  # (F, 2)
         else:
             if spec is None:
-                spec = fit_sh(hrtf, min(35, math.isqrt(hrtf.n_directions) - 1))
+                spec = fit_sh(hrtf, min(ORDER_CAP, math.isqrt(hrtf.n_directions) - 1))
             resp = spec.evaluate(np.array([theta]), np.array([phi]))[:, :, 0].T
         for fi in range(scene.freqs.size):
             out[fi] += src.amplitude(fi) * resp[fi]

@@ -370,17 +370,23 @@ def point_source_coeffs(r_src, center, k, order) -> ShCoeffVec:
     """
     r_src = np.asarray(r_src, dtype=float)
     center = np.asarray(center, dtype=float)
-    d, theta, phi = cart2sph(r_src - center)
-    if d == 0:
-        raise ValueError("source coincides with the expansion center")
+    coeffs = point_source_expansions((r_src - center)[None, :], k, order,
+                                     "source coincides with the expansion center")
+    return ShCoeffVec(coeffs[0], center, k, order)
+
+
+def point_source_expansions(offsets, k, order, coincident):
+    """``point_source_coeffs`` of one source about many centers, shape (P, (order+1)^2).
+
+    ``offsets`` (P, 3) are the source position less each center; a zero
+    offset raises ValueError(``coincident``).
+    """
+    d, theta, phi = cart2sph(offsets)
+    if np.any(d == 0):
+        raise ValueError(coincident)
     n_all, _ = orders_degrees(order)
-    radial = sph_hankel2(np.arange(order + 1), k * d)
-    coeffs = (
-        (-1j * k / SQRT_4PI)
-        * radial[n_all]
-        * np.conj(sh_matrix(order, theta, phi)[0])
-    )
-    return ShCoeffVec(coeffs, center, k, order)
+    radial = sph_hankel2(np.arange(order + 1)[None, :], k * d[:, None])
+    return (-1j * k / SQRT_4PI) * radial[:, n_all] * np.conj(sh_matrix(order, theta, phi))
 
 
 def plane_wave_coeffs(direction, k, order, center=(0.0, 0.0, 0.0)) -> ShCoeffVec:

@@ -396,6 +396,20 @@ class TestInputChecks:
         assert main(["filters", str(cfg)]) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["render", "filters"])
+    @pytest.mark.parametrize("rate", [44100.5, 1e10])
+    def test_rate_a_wav_header_cannot_hold_is_user_error(self, tmp_path, capsys, no_compute,
+                                                          command, rate):
+        # a WAV header states its rate as a 32-bit whole number: 44100.5 Hz
+        # would be saved as 44100, and 1e10 Hz (0.05 s is within the RIFF size
+        # bound) does not fit
+        cfg = self.simulated_with(tmp_path, "render", "sample_rate", rate)
+        capsys.readouterr()
+        assert main([command, str(cfg)]) == 1
+        assert (f"render.sample_rate must be a whole number from 1 to 4294967295, got {rate!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out" / f"manifest_{command}.json").exists()
+
     @pytest.mark.parametrize("flag,config", [
         ("-1", "auto"), ("nan", "auto"), ("inf", "auto"), (None, float("nan")), (None, -1.0),
     ])
@@ -662,7 +676,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["--kind", "small", "--radius", "-1"], ["--kind", "small", "--center", "1,2"],
-        ["--kind", "composite", "--beta", "2"],
+        ["--kind", "composite", "--beta", "2"], ["--kind", "small", "--radius", "0"],
+        ["--kind", "rigid-sphere", "--radius", "0"],
     ])
     def test_bad_geometry_args_are_user_errors(self, tmp_path, argv):
         assert main(["geometry", *argv, "--out", str(tmp_path / "g.json")]) == 1
@@ -934,6 +949,15 @@ class TestHrtfImport:
         assert hs.n_directions == 2
         assert hs.radius == 1.5
 
+    @pytest.mark.parametrize("rate", ["nan", "-5", "0", "inf"])
+    def test_bad_sample_rate_is_user_error(self, tmp_path, rate):
+        csv = tmp_path / "set.csv"
+        csv.write_text("theta,phi,L_mag_100,L_phase_100,R_mag_100,R_phase_100\n"
+                       "1.0,0.5,1.0,0.0,0.5,0.1\n")
+        assert main(["hrtf-import", str(csv), "--radius", "1.5", "--sample-rate", rate,
+                     "--out", str(tmp_path / "bundle")]) == 1
+        assert not (tmp_path / "bundle.json").exists()
+
     def test_missing_csv_is_user_error(self, tmp_path):
         rc = main(["hrtf-import", str(tmp_path / "nope.csv"), "--radius", "1.5",
                    "--out", str(tmp_path / "b")])
@@ -974,6 +998,22 @@ class TestDeterminism:
         manifest = json.loads((tmp_path / "out" / "manifest_simulate.json").read_text())
         assert set(manifest) == {"command", "config_hash", "library_version", "seed", "outputs"}
         assert "observation.bin" in manifest["outputs"]
+
+    def test_manifest_records_the_package_version(self, tmp_path, monkeypatch):
+        # binrender.__version__, not whatever distribution metadata the import
+        # path finds: a stale egg-info in a checkout, or none at all
+        import importlib.metadata
+
+        import binrender
+
+        def no_metadata(name):
+            raise importlib.metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", no_metadata)
+        cfg = write_config(tmp_path)
+        assert main(["simulate", str(cfg)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest_simulate.json").read_text())
+        assert manifest["library_version"] == binrender.__version__
 
     def test_manifest_records_estimator_flags(self, tmp_path):
         # a flag changes the outputs but not the config: the manifest names it

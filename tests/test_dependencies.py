@@ -27,6 +27,15 @@ def test_scipy_floor_has_sph_legendre_p_all():
     assert _floor("scipy") >= (1, 15)
 
 
+def test_version_is_read_from_the_package():
+    # one definition: pyproject names binrender.__version__ and states no copy
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    doc = tomllib.loads(PYPROJECT.read_text())
+    assert "version" not in doc["project"]
+    assert "version" in doc["project"]["dynamic"]
+    assert doc["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "binrender.__version__"}
+
+
 def _declared():
     """Distribution names in ``dependencies`` and the ``test`` extra."""
     text = PYPROJECT.read_text()

@@ -386,10 +386,11 @@ class TestShSpectrum:
         spec = hrtf.HrtfShSpectrum(order=2, radius=1.5, freqs=freqs, sample_rate=48000.0,
                                    coeffs=rng.normal(size=shape) + 1j * rng.normal(size=shape))
         for fi, f in enumerate(freqs):
-            assert np.array_equal(spec.interpolated(f), spec.coeffs[:, fi, :])
+            got = hrtf.interpolate_coeffs(spec.freqs, spec.coeffs, f)
+            assert np.array_equal(got, spec.coeffs[:, fi, :])
         for f in (np.nextafter(freqs[0], 0.0), np.nextafter(freqs[-1], np.inf)):
             with pytest.raises(ValueError, match="outside the HRTF grid"):
-                spec.interpolated(f)
+                hrtf.interpolate_coeffs(spec.freqs, spec.coeffs, f)
 
     @pytest.mark.parametrize("freqs", [[200.0, 600.0, 400.0], [200.0, 400.0, 400.0]],
                              ids=["unsorted", "repeated"])

@@ -14,6 +14,7 @@ from binrender.hrtf import (
     ear_pressure,
     fibonacci_grid,
     fit_sh,
+    interpolate_coeffs,
     rigid_sphere_hrtf_spectrum,
     rigid_sphere_pressure,
     synth_rigid_sphere_hrtf,
@@ -277,8 +278,9 @@ class TestRenderFull:
         rows = rendering.grid_rows(composite, freqs, target, angles, spec, "sph")
         for b, f in enumerate(freqs):
             k = k_of(f)
+            h_pair = interpolate_coeffs(spec.freqs, spec.coeffs, f)
             want = rendering.render_full(obs[b], estimation.Estimator(composite, k), target, angles,
-                                         spec.interpolated(f), "sph", 1.5, truncation_order(k))
+                                         h_pair, "sph", 1.5, truncation_order(k))
             assert np.max(np.abs(rows[b] @ obs[b] - np.array(want))) < 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("mode", ["sph", "pln"])
@@ -302,8 +304,8 @@ class TestRenderFull:
         for b, f in enumerate(freqs):
             k = k_of(f)
             est = estimation.Estimator(composite, k)
-            want = rendering.binaural_rows(est, target, angles, spec.interpolated(f), mode, 1.5,
-                                           truncation_order(k))
+            h_pair = interpolate_coeffs(spec.freqs, spec.coeffs, f)
+            want = rendering.binaural_rows(est, target, angles, h_pair, mode, 1.5, truncation_order(k))
             got = rows[b] @ (est.psi + est.lam * np.eye(composite.n_mics))
             assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
             y = want @ est.solve(obs[b])
@@ -436,7 +438,7 @@ class TestFirSynthesis:
             freqs=np.array([f_tone]))
         obs = simulate.simulate_observation(scene, geom)[0]
         est = estimation.Estimator(geom, k)
-        h_pair = spec.interpolated(f_tone)
+        h_pair = interpolate_coeffs(spec.freqs, spec.coeffs, f_tone)
         order = truncation_order(k, cap=14)
         want = rendering.render_full(obs, est, np.zeros(3), EulerAngles(),
                                      h_pair, "sph", 1.5, order=order)
@@ -500,6 +502,14 @@ class TestFirSynthesis:
         with pytest.raises(ValueError):
             rendering.synth_fir_filters(geom, np.zeros(3), EulerAngles(), spec,
                                         (100.0, 30000.0), nfft, fs)
+
+    @pytest.mark.parametrize("rate", [44100.5, 2.0**32, 1e10, 0.0, -48000.0, float("nan")])
+    def test_bank_refuses_a_rate_no_wav_header_holds(self, rate):
+        # the saved WAV states the rate as a 32-bit whole number; a sidecar
+        # beside it must not state another
+        with pytest.raises(ValueError, match="whole number"):
+            rendering.BinauralFilterBank(taps=np.zeros((2, 1, 4)), sample_rate=rate,
+                                         delay_samples=2, band=(100.0, 1000.0))
 
     def test_save_roundtrip(self, bank_setup, tmp_path):
         *_, bank = bank_setup
