@@ -26,12 +26,16 @@ orders 2-18).
   of 16-bin ``render_full`` updates: rotations (each bin reuses its Xi) and
   moves in a 0.1 m ball (the first bin builds the target's plan, the rest
   reuse it), beside an update's 16 ``render_weights`` and ``solve`` calls.
+* ``convolve``: ``rendering.apply_filter_bank`` on seeded 64-channel float32
+  noise of 1 s and 10 s at 48 kHz, through random banks of 128 and 4096
+  taps: the median time, then the tracemalloc peak of one more call (its
+  output included).
 
 The calls of a group alternate; each time is the median (``track`` adds the
 90th percentile) of ``repeats`` runs. Pin BLAS to one thread for numbers
 comparable with the benchmark: ``OPENBLAS_NUM_THREADS=1``.
 
-Usage: python scripts/layer_timing.py {radial,rows,kernel,track} [repeats]
+Usage: python scripts/layer_timing.py {radial,rows,kernel,track,convolve} [repeats]
 """
 
 import json
@@ -40,6 +44,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -232,7 +237,29 @@ def track(geom, updates):
     return out
 
 
-GROUPS = {"radial": (radial, 21), "rows": (rows, 21), "kernel": (kernel, 21), "track": (track, 41)}
+def convolve(geom, repeats):
+    rng = np.random.default_rng(1)
+    out = {}
+    for seconds in (1, 10):
+        signals = rng.standard_normal((geom.n_mics, int(seconds * SAMPLE_RATE)), dtype=np.float32)
+        for taps in (128, 4096):
+            bank = rendering.BinauralFilterBank(
+                taps=rng.standard_normal((2, geom.n_mics, taps)), sample_rate=SAMPLE_RATE,
+                delay_samples=taps // 2, band=(100.0, 1000.0))
+            median = timed({"call": lambda i: rendering.apply_filter_bank(bank, signals)}, repeats)["call"][0]
+            tracemalloc.start()
+            try:
+                rendering.apply_filter_bank(bank, signals)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out[f"{seconds}s-{taps}taps"] = {"seconds": seconds, "taps": taps, "median_ms": median,
+                                             "peak_mb": round(peak / 1e6, 2)}
+    return {"mics": geom.n_mics, "signals": out}
+
+
+GROUPS = {"radial": (radial, 21), "rows": (rows, 21), "kernel": (kernel, 21), "track": (track, 41),
+          "convolve": (convolve, 11)}
 
 
 def main(argv):

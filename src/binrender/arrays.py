@@ -178,8 +178,8 @@ def _trapezohedron_vertices(radius):
 
 def build_small_array(center=(0.0, 0.0, 0.0), yaw=0.0, radius=DEFAULT_SMALL_RADIUS, beta=DEFAULT_BETA):
     """8 outward-oriented cardioid mics on tetragonal-trapezohedron vertices."""
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     center = np.asarray(center, dtype=float)
     rz = rotation_matrix_z(yaw)
     mics = []
@@ -223,8 +223,8 @@ def tdesign_nodes():
 
 def build_rigid_sphere_array(center=(0.0, 0.0, 0.0), radius=DEFAULT_BAFFLE_RADIUS):
     """64 omnidirectional mics on a rigid sphere at spherical 7-design nodes."""
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     center = np.asarray(center, dtype=float)
     omni = np.array([1.0 + 0.0j])
     mics = []

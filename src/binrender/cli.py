@@ -357,16 +357,22 @@ def _render_responses(cfg: RunConfig, observations):
 # A RIFF WAV states its size in 32 bits: 50 header bytes, then 8 bytes a
 # 2-channel float32 sample. Past that scipy writes RF64, which many readers refuse.
 _WAV_MAX_SAMPLES = (2**32 - 1 - 50) // 8
+# Samples per span of _multitone_wav: its time and phasor arrays take ~32 bytes a sample.
+_WAV_SPAN = 1 << 16
 
 
 def _multitone_wav(freqs, responses, sample_rate, duration, gain):
-    """Deterministic multitone realization of per-frequency responses."""
-    t = np.arange(int(round(duration * sample_rate))) / sample_rate
-    out = np.zeros((t.size, 2), dtype=np.float32)
-    for fi, f in enumerate(freqs):
-        phasor = np.exp(1j * 2.0 * math.pi * f * t)
-        for ear in (0, 1):
-            out[:, ear] += (gain * np.real(responses[fi, ear] * phasor)).astype(np.float32)
+    """Deterministic multitone realization of per-frequency responses, built in
+    spans of _WAV_SPAN samples so that working memory does not grow with the duration."""
+    n_samples = int(round(duration * sample_rate))
+    out = np.zeros((n_samples, 2), dtype=np.float32)
+    for lo in range(0, n_samples, _WAV_SPAN):
+        hi = min(lo + _WAV_SPAN, n_samples)
+        t = np.arange(lo, hi) / sample_rate
+        for fi, f in enumerate(freqs):
+            phasor = np.exp(1j * 2.0 * math.pi * f * t)
+            for ear in (0, 1):
+                out[lo:hi, ear] += (gain * np.real(responses[fi, ear] * phasor)).astype(np.float32)
     return out
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,18 @@ class TestGeometryCommand:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("kind", ["small", "rigid-sphere"])
+    def test_infinite_radius_is_named(self, tmp_path, capsys, kind):
+        # the builder refuses the radius itself, before any microphone is placed
+        out = tmp_path / "g.json"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["geometry", "--kind", kind, "--radius", "inf", "--out", str(out)]) == 1
+        assert "error: radius must be positive and finite" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, flag", [
         ("composite", ["--radius", "0.02"]), ("composite", ["--yaw-deg", "30"]),
         ("rigid-sphere", ["--beta", "0.3"]), ("rigid-sphere", ["--yaw-deg", "30"]),
@@ -108,6 +121,25 @@ class TestPipeline:
         assert main(["evaluate", str(cfg)]) == 0
         text = (out / "metrics.csv").read_text()
         assert "nmse_L_avg_db" in text and "itd_estimated_s" in text
+
+    def test_multitone_wav_equals_the_whole_array_formula(self):
+        # built span by span, the signal is bitwise the one built over all samples at once
+        from binrender.cli import _WAV_SPAN, _multitone_wav
+
+        rng = np.random.default_rng(5)
+        freqs = np.array([200.0, 433.3, 1000.0])
+        responses = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        fs, duration, gain = 48000.0, 3.0, 0.3
+        t = np.arange(int(round(duration * fs))) / fs
+        want = np.zeros((t.size, 2), dtype=np.float32)
+        for fi, f in enumerate(freqs):
+            phasor = np.exp(1j * 2.0 * math.pi * f * t)
+            for ear in (0, 1):
+                want[:, ear] += (gain * np.real(responses[fi, ear] * phasor)).astype(np.float32)
+        got = _multitone_wav(freqs, responses, fs, duration, gain)
+        assert t.size > 2 * _WAV_SPAN
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("grid", [[1000.0, 600.0, 200.0], [600.0, 1000.0, 600.0]],
                              ids=["unsorted", "repeated"])

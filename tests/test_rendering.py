@@ -2,6 +2,7 @@
 frequency-sampling consistency."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -426,6 +427,25 @@ class TestFirSynthesis:
         out = rendering.apply_filter_bank(bank, signals)
         assert out.shape == want.shape
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_working_memory_does_not_grow_with_the_signal(self):
+        # one block of every mic is in flight: ten times the samples may add the
+        # larger output's bytes and at most 1 MB besides (one block of 8 mics
+        # through 128 taps is 64 kB; a double copy of the longer signal is 30 MB)
+        rng = np.random.default_rng(8)
+        bank = rendering.BinauralFilterBank(
+            taps=rng.standard_normal((2, 8, 128)), sample_rate=48000.0,
+            delay_samples=64, band=(100.0, 1000.0))
+        peaks, out_bytes = [], []
+        for n_samples in (48000, 480000):
+            signals = rng.standard_normal((8, n_samples))
+            tracemalloc.start()
+            try:
+                out_bytes.append(rendering.apply_filter_bank(bank, signals).nbytes)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= out_bytes[1] - out_bytes[0] + 2**20
 
     def test_tone_reproduces_render_full_magnitude(self, bank_setup):
         # steady-state 984.375 Hz tone (an exact FFT bin) through the filter

@@ -34,6 +34,8 @@ LAYER_KEYS = {
        "rotation_16_rotate_hrtf_ms.shared_blocks", "rotation_16_rotate_hrtf_ms.per_bin_blocks"},
     "track": {"bins", "orders", "updates"}
     | {f"{call}{stat}" for call in ("rotate", "move", "weights", "solve") for stat in ("_ms", "_p90_ms")},
+    "convolve": {"mics"} | under("signals", ["1s-128taps", "1s-4096taps", "10s-128taps", "10s-4096taps"],
+                                ["seconds", "taps", "median_ms", "peak_mb"]),
 }
 
 
