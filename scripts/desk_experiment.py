@@ -9,7 +9,7 @@ average NMSE below 1.6 kHz is reported per position and array.
 Output: desk_experiment.csv in the chosen output directory (plot-ready,
 one row per position/array/metric).
 
-Usage: python scripts/desk_experiment.py [outdir]
+Usage: PYTHONPATH=src python scripts/desk_experiment.py [outdir]
 """
 
 import math

@@ -8,8 +8,9 @@ orders 2-18).
 
 * ``radial``: ``special.sph_jn_table`` against one ``spherical_jn`` call on
   the tables a warm call takes: bank-narrow Psi and Xi, bank-wide Xi (over
-  the distinct pair and target-mic distances) and one head-track bin's
-  ``build_xi`` table (64 distances at 1600 Hz, l <= 19).
+  the distinct pair and target-mic distances) and the table of one
+  head-track bin at 1600 Hz (64 distances, l <= 19), which ``build_xi``
+  takes for a wavenumber its last target did not ask.
 * ``rows``: each bank grid's pre-solve rows, per bin (``hw_b @ grid.xi(b,
   N_b)``) against ``GridEstimator.xi_rows``, for a fixed random ``hw`` zero
   above each bin's order; ``rel_diff`` is their largest difference relative
@@ -19,13 +20,15 @@ orders 2-18).
   chunked in-place solve pass; ``bitwise`` says whether they agree bit for bit.
 * ``kernel``: ``special.sh_table`` against ``sph_harm_y_all`` (lmax 3, 19,
   36 on the 64 target-mic directions, 2 on the 2080 mic pairs); a move's 16
-  ``build_xi`` calls (one shared plan) against 16 ``translate_multi`` calls
-  (a plan per bin); a rotation's 16 ``_rotate_hrtf`` calls, Wigner-D blocks
+  ``build_xi`` calls (one shared plan and one radial table over the 16
+  wavenumbers) against 16 ``translate_multi`` calls (a plan and a table per
+  bin); a rotation's 16 ``_rotate_hrtf`` calls, Wigner-D blocks
   shared across bins against rebuilt per bin; new targets and angles per repeat.
 * ``track``: one ``Estimator`` per head-track bin serves a seeded trajectory
   of 16-bin ``render_full`` updates: rotations (each bin reuses its Xi) and
-  moves in a 0.1 m ball (the first bin builds the target's plan, the rest
-  reuse it), beside an update's 16 ``render_weights`` and ``solve`` calls.
+  moves in a 0.1 m ball (the first bin builds the target's plan and one
+  radial table over the 16 wavenumbers, the rest reuse both), beside an
+  update's 16 ``render_weights`` and ``solve`` calls.
 * ``convolve``: ``rendering.apply_filter_bank`` on seeded 64-channel float32
   noise of 1 s and 10 s at 48 kHz, through random banks of 128 and 4096
   taps: the median time, then the tracemalloc peak of one more call (its
@@ -33,9 +36,10 @@ orders 2-18).
 
 The calls of a group alternate; each time is the median (``track`` adds the
 90th percentile) of ``repeats`` runs. Pin BLAS to one thread for numbers
-comparable with the benchmark: ``OPENBLAS_NUM_THREADS=1``.
+comparable with the benchmark (``OPENBLAS_NUM_THREADS=1``); ``PYTHONPATH=src``
+runs it from a source checkout, without installing the package.
 
-Usage: python scripts/layer_timing.py {radial,rows,kernel,track,convolve} [repeats]
+Usage: OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/layer_timing.py {radial,rows,kernel,track,convolve} [repeats]
 """
 
 import json

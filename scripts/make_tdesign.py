@@ -13,7 +13,7 @@ coordinates plus the achieved residual, after verifying
     max_{1<=n<=7, |m|<=n} |sum_i Y_n^m(x_i)| < 1e-13
     cond(Y_order7(nodes)) reasonably small.
 
-Usage: python scripts/make_tdesign.py [seed]
+Usage: PYTHONPATH=src python scripts/make_tdesign.py [seed]
 """
 
 import json

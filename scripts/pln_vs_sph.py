@@ -8,7 +8,7 @@ distance.
 
 Output: pln_vs_sph_azimuth.csv and pln_vs_sph_distance.csv.
 
-Usage: python scripts/pln_vs_sph.py [outdir]
+Usage: PYTHONPATH=src python scripts/pln_vs_sph.py [outdir]
 """
 
 import math

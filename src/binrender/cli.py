@@ -634,7 +634,7 @@ def evaluate(config_path, lam, observations):
     responses = _render_responses(cfg, obs)
     reference = true_binaural(
         cfg.scene, cfg.synthetic_head if cfg.synthetic_head is not None else cfg.hrtf_set,
-        cfg.listener_position)
+        cfg.listener_position, cfg.angles)
 
     pos = ";".join(f"{x:.6g}" for x in cfg.listener_position)
 

@@ -11,13 +11,16 @@ Two estimators:
   factorization of (Psi + lambda I) serves every target position and head
   rotation; retargeting only swaps the synthesis matrix Xi(r), which
   ``build_xi`` translates from the directivities through one
-  ``wavefield.TranslationPlan`` per target, shared by every wavenumber.
+  ``wavefield.TranslationPlan`` per target, shared by every wavenumber,
+  and one radial table per head-tracking move, shared by the move's bins.
   ``GridEstimator`` runs it over a grid of wavenumbers, tabulating Psi's
   upper triangle and Xi(target) over every bin at once, and factors each
   bin's (Psi + lambda I) in place, a chunk of bins at a time (1 MB of
   matrices at 64 mics), with no per-bin ``Estimator`` and no factor kept;
   filter banks and ``estimate`` go through it.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import zpotrf, zpotrs
@@ -121,30 +124,22 @@ def _lambda_rule(ks, lam):
 # Bins per chunk of ``GridEstimator``'s solve pass: 1 MB of matrices at 64 mics.
 _CHUNK = 16
 
-# The last Xi(target) plan: (geometry, target bytes, plan, highest order asked
-# at that target), replaced as one tuple.
+class _XiSlot(NamedTuple):
+    """``build_xi``'s state at the last target."""
+
+    geom: ArrayGeometry  # compared by identity, kept alive by the slot
+    target: bytes
+    plan: TranslationPlan
+    order: int  # the highest order asked at the target
+    asked: dict  # each wavenumber asked at the target: its row in the next target's table
+    table: np.ndarray | None  # the radial table over the previous target's wavenumbers
+    rows: dict  # each of those wavenumbers: its row in ``table``
+
+
+# Wavenumbers recorded per target; they bound the next target's radial table.
+_XI_WAVENUMBERS = 128
+
 _xi_slot = None
-
-
-def _xi_plan(geom: ArrayGeometry, target, order):
-    """The ``TranslationPlan`` of Xi(target) for ``geom``, of order >= ``order``."""
-    global _xi_slot
-    key = target.tobytes()
-    slot = _xi_slot
-    same_geom = slot is not None and slot[0] is geom
-    if same_geom and slot[1] == key:
-        plan = slot[2] if order <= slot[2].order else None
-        asked = max(order, slot[3])
-    else:
-        plan = None
-        # the previous target's highest order sizes this plan: the bins of one
-        # move then share it whatever order the first of them asks
-        asked, order = order, max(order, slot[3] if same_geom else 0)
-    if plan is None:
-        c, _ = geom.directivities
-        plan = TranslationPlan.build(target - geom.positions(), order, c)
-    _xi_slot = (geom, key, plan, asked)
-    return plan
 
 
 def build_xi(geom: ArrayGeometry, target, k, order):
@@ -153,25 +148,58 @@ def build_xi(geom: ArrayGeometry, target, k, order):
     The rows of Xi are independent, so the returned block for any order is
     identical to the corresponding block of a higher-order build; buffering
     matters only when the estimated vector is subsequently translated. The
-    columns are ``plan.apply(plan.radial(k, order), order)`` of the
-    ``TranslationPlan`` of the displacements r - r_i, so every wavenumber at
-    one target shares the plan's angular sums and pays only its radial table
-    and one contraction; a grid of wavenumbers takes them from
+    columns are ``plan.apply(radial, order)`` of the ``TranslationPlan`` of
+    the displacements r - r_i and a table ``radial`` of j_l(k |r - r_i|), so
+    every wavenumber at one target shares the plan's angular sums and pays
+    one contraction; a grid of wavenumbers takes them from
     ``GridEstimator.xi`` instead.
 
-    One plan is kept, in a module-level slot holding (geometry, target, plan,
-    highest order asked at that target). A call with the same geometry object
+    One plan is kept, in a module-level slot with the highest order and the
+    wavenumbers asked at its target. A call with the same geometry object
     (which the slot keeps alive), the same target and an order the plan
     covers reuses it. The same target at a higher order rebuilds it at that
-    order; a new target builds it at the larger of ``order`` and the highest
-    order asked at the previous target of the same geometry, so the first bin
-    of a head-tracking move sizes the plan for the move's other bins. A plan
-    slice does not depend on the plan's order, so neither does the result.
-    The slot holds 1.1 MB at order 18 and 4.0 MB at order 35 on 64 cardioids.
+    order. A new target builds it at the larger of ``order`` and the highest
+    order asked at the previous target of the same geometry, and takes one
+    radial table at the plan's order over the wavenumbers asked there. So
+    the first bin of a head-tracking move sizes the plan and the table for
+    the move's other bins, and each bin applies its k's row of the table,
+    found by exact float equality. A k without a row takes a table of its
+    own and is recorded for the next target. Table entries depend on (l, kr)
+    alone and a plan slice does not depend on the plan's order, so the
+    result depends on neither.
+
+    The slot holds the plan, 1.1 MB at order 18 and 4.0 MB at order 35 on 64
+    cardioids, and the table: 8 (N + n + 1) bytes per wavenumber and distinct
+    target-mic distance at plan order N and directivity order n. At most 128
+    wavenumbers are recorded per target, so the table holds at most
+    2,424,832 bytes (2.4 MB) at order 35 on 64 cardioids, and 163,840 bytes
+    for the 16 head-tracking bins at order 18.
     """
+    global _xi_slot
     target = np.asarray(target, dtype=float)
-    plan = _xi_plan(geom, target, int(order))
-    return plan.apply(plan.radial(k, order), order)
+    k, order, key = float(k), int(order), target.tobytes()
+    slot = _xi_slot
+    same_geom = slot is not None and slot.geom is geom
+    if same_geom and slot.target == key and order <= slot.plan.order:
+        slot = slot._replace(order=max(order, slot.order))
+    elif same_geom and slot.target == key:
+        # the same target at a higher order: a new plan, whose bins take their own tables
+        plan = TranslationPlan.build(target - geom.positions(), order, geom.directivities[0])
+        slot = slot._replace(plan=plan, order=order, table=None, rows={})
+    else:
+        # a new target: the previous target's highest order and wavenumbers
+        # size its plan and one radial table, shared by the bins of a move
+        top = max(order, slot.order if same_geom else 0)
+        plan = TranslationPlan.build(target - geom.positions(), top, geom.directivities[0])
+        rows = slot.asked if same_geom else {}
+        table = plan.radial(np.array(list(rows)), top) if rows else None
+        slot = _XiSlot(geom, key, plan, order, {}, table, rows)
+    if len(slot.asked) < _XI_WAVENUMBERS:
+        slot.asked.setdefault(k, len(slot.asked))
+    _xi_slot = slot
+    row = slot.rows.get(k)
+    radial = slot.plan.radial(k, order) if row is None else slot.table[row]
+    return slot.plan.apply(radial, order)
 
 
 class Estimator:

@@ -14,7 +14,8 @@ import numpy as np
 from .arrays import ArrayGeometry
 from .hrtf import SOUND_SPEED, HrtfSet, SyntheticHead, ear_pressure, fit_sh, rigid_sphere_pressure
 from .metrics import ORDER_CAP
-from .utils import cart2sph, own_arrays
+from .special import EulerAngles
+from .utils import cart2sph, own_arrays, rotation_matrix_zyz
 from .wavefield import point_source_expansions
 
 
@@ -95,35 +96,39 @@ def simulate_observation(scene: Scene, geom: ArrayGeometry):
     return out
 
 
-def true_binaural(scene: Scene, head, listener_position=(0.0, 0.0, 0.0)):
+def true_binaural(scene: Scene, head, listener_position=(0.0, 0.0, 0.0), angles=EulerAngles()):
     """Ground-truth ear signals, shape (n_freqs, 2) with columns (L, R).
 
     ``head`` is either a SyntheticHead (analytic rigid-sphere ear pressures,
     any source distance) or an HrtfSet (exact node lookup when a source sits
     on a grid node of the measurement sphere, SH interpolation otherwise;
-    sources must lie on the measurement radius).
+    sources must lie on the measurement radius). The head sits at
+    ``listener_position``, turned by R(``angles``), the rotation the
+    renderers take: it sees a source at x in head coordinates R^T (x - p).
     """
-    listener_position = np.asarray(listener_position, dtype=float)
+    rel = [src.position - np.asarray(listener_position, dtype=float) for src in scene.sources]
+    if angles != EulerAngles():
+        rot = rotation_matrix_zyz(angles.alpha, angles.beta, angles.gamma)
+        rel = [rot.T @ x for x in rel]
     ks = scene.wavenumbers()
     out = np.zeros((scene.freqs.size, 2), dtype=complex)
     if isinstance(head, SyntheticHead):
         for fi, k in enumerate(ks):
-            for src in scene.sources:
-                out[fi] += src.amplitude(fi) * ear_pressure(head, src.position - listener_position, k)
+            for src, x in zip(scene.sources, rel):
+                out[fi] += src.amplitude(fi) * ear_pressure(head, x, k)
         return out
     if isinstance(head, HrtfSet):
-        return _measured_binaural(scene, head, listener_position)
+        return _measured_binaural(scene, head, rel)
     raise TypeError("head must be a SyntheticHead or HrtfSet")
 
 
-def _measured_binaural(scene: Scene, hrtf: HrtfSet, listener_position):
+def _measured_binaural(scene: Scene, hrtf: HrtfSet, rel):
     if not np.array_equal(np.asarray(scene.freqs), np.asarray(hrtf.freqs)):
         raise ValueError("scene frequency grid must match the HRTF set")
     out = np.zeros((scene.freqs.size, 2), dtype=complex)
     spec = None
-    for src in scene.sources:
-        rel = src.position - listener_position
-        d, theta, phi = cart2sph(rel)
+    for src, x in zip(scene.sources, rel):
+        d, theta, phi = cart2sph(x)
         if abs(d - hrtf.radius) > 1e-6 * hrtf.radius:
             raise ValueError(
                 "measured HRTF sets define the truth only on the measurement "

@@ -74,14 +74,11 @@ def orders_degrees(order):
 _MILLER_BOUND = 1e-22
 
 
-@lru_cache(maxsize=8)
 def _miller_thresholds(n):
     """z_l for l = 1 .. n, increasing: z^l / (2l+1)!! < _MILLER_BOUND exactly when z < z_l."""
     l = np.arange(1.0, n + 1.0)
     log_double_factorial = _sp.gammaln(2.0 * l + 2.0) - l * math.log(2.0) - _sp.gammaln(l + 1.0)
-    out = np.exp((math.log(_MILLER_BOUND) + log_double_factorial) / l)
-    out.flags.writeable = False
-    return out
+    return np.exp((math.log(_MILLER_BOUND) + log_double_factorial) / l)
 
 
 def sph_jn_table(lmax, z):

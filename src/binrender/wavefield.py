@@ -243,7 +243,9 @@ class TranslationPlan:
     is a plan at one wavenumber; ``estimation.GridEstimator`` builds two: one
     for Psi's pairs, folded into its per-bin upper triangles, and one for
     Xi(target); a single-k Xi comes from the one plan ``estimation.build_xi``
-    keeps for the last target, shared by every wavenumber asked there.
+    keeps for the last target, shared by every wavenumber asked there, and
+    from its one radial table over the previous target's wavenumbers, shared
+    by the bins of a head-tracking move.
     """
 
     angular: np.ndarray

@@ -122,6 +122,17 @@ class TestPipeline:
         text = (out / "metrics.csv").read_text()
         assert "nmse_L_avg_db" in text and "itd_estimated_s" in text
 
+    def test_evaluate_scores_a_turned_head(self, tmp_path):
+        # the truth is the turned head's, so a yawed listener scores as an unturned one
+        cfg = write_config(tmp_path, listener={"position": [0.0, 0.0, 0.0],
+                                               "euler_deg": [30.0, 0.0, 0.0]})
+        for command in ("simulate", "evaluate"):
+            assert main([command, str(cfg)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "out" / "metrics.csv").read_text().splitlines()]
+        value = {row[3]: float(row[4]) for row in rows[1:]}
+        assert value["nmse_L_avg_db"] <= -30.0 and value["nmse_R_avg_db"] <= -30.0
+        assert np.sign(value["itd_true_s"]) == np.sign(value["itd_estimated_s"]) != 0.0
+
     def test_multitone_wav_equals_the_whole_array_formula(self):
         # built span by span, the signal is bitwise the one built over all samples at once
         from binrender.cli import _WAV_SPAN, _multitone_wav

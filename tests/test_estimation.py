@@ -217,6 +217,102 @@ class TestXiPlanSlot:
         assert len(builds) == 4
 
 
+class TestXiRadialTable:
+    """A new target takes one radial table over the previous target's wavenumbers."""
+
+    BINS = [(k, metrics.truncation_order(k)) for k in k_of(np.arange(100.0, 1700.0, 100.0))]
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """The z shape of every ``sph_jn_table`` call made in ``wavefield``, from a cold slot."""
+        monkeypatch.setattr(estimation, "_xi_slot", None)
+        original, calls = wf.sph_jn_table, []
+
+        def counted(lmax, z):
+            calls.append(np.shape(z))
+            return original(lmax, z)
+
+        monkeypatch.setattr(wf, "sph_jn_table", counted)
+        return calls
+
+    @staticmethod
+    def checked(geom, target, k, order):
+        """``build_xi``'s result, asserted bitwise equal to a call on a cold slot."""
+        xi = estimation.build_xi(geom, target, k, order)
+        slot = estimation._xi_slot
+        estimation._xi_slot = None
+        try:
+            cold = estimation.build_xi(geom, target, k, order)
+        finally:
+            estimation._xi_slot = slot
+        assert xi.tobytes() == cold.tobytes()
+        return xi
+
+    def move(self, geom, target, bins=None):
+        for k, order in self.BINS if bins is None else bins:
+            self.checked(geom, target, k, order)
+
+    def test_move_takes_one_table(self, composite, tables):
+        self.move(composite, np.array([0.01, 0.02, 0.0]))
+        del tables[:]
+        for k, order in self.BINS:
+            estimation.build_xi(composite, np.array([-0.03, 0.01, 0.02]), k, order)
+        assert tables == [(16, 64)]
+
+    def test_bins_in_reverse_order(self, composite, tables):
+        self.move(composite, np.array([0.01, 0.02, 0.0]))
+        start = len(tables)
+        self.move(composite, np.array([-0.03, 0.01, 0.02]), self.BINS[::-1])
+        # the move's one table, then a table per cold check
+        assert tables[start] == (16, 64) and len(tables) == start + 1 + 16
+
+    def test_new_wavenumber_mid_move(self, composite, tables):
+        extra = (k_of(1234.5), 14)
+        self.move(composite, np.array([0.01, 0.02, 0.0]))
+        self.move(composite, np.array([0.02, -0.01, 0.03]), self.BINS[:8] + [extra] + self.BINS[8:])
+        assert estimation._xi_slot.table.shape[0] == 16  # the extra k took a table of its own
+        self.move(composite, np.array([-0.04, 0.0, 0.01]), [extra] + self.BINS)
+        assert estimation._xi_slot.table.shape[0] == 17
+        assert estimation._xi_slot.rows[extra[0]] == 8
+
+    def test_same_target_at_higher_order(self, composite, tables):
+        target = np.array([0.02, 0.03, -0.01])
+        self.move(composite, np.array([0.01, 0.02, 0.0]))
+        self.move(composite, target)
+        k, order = self.BINS[5]
+        self.checked(composite, target, k, 24)  # rebuilds the plan and drops the table
+        assert estimation._xi_slot.table is None
+        self.move(composite, target)
+        self.checked(composite, target, k, order)
+        # the next target's plan and table are at order 24
+        self.move(composite, np.array([-0.02, 0.0, 0.04]))
+        slot = estimation._xi_slot
+        assert slot.plan.order == 24 and slot.table.shape == (16, 26, slot.plan.radii.size)
+
+    def test_another_geometry_between_targets(self, composite, tables):
+        small = arrays.build_small_array()
+        self.move(composite, np.array([0.01, 0.02, 0.0]))
+        self.move(small, np.array([0.01, 0.02, 0.0]), self.BINS[:6])
+        self.move(composite, np.array([-0.03, 0.01, 0.02]))  # cold: the slot held the small array
+        self.move(small, np.array([0.03, 0.0, -0.01]), self.BINS[:6])
+        self.move(small, np.array([0.02, 0.01, -0.01]), self.BINS[:6])
+        assert estimation._xi_slot.table.shape[0] == 6
+
+    def test_table_is_bounded(self, composite, tables):
+        # 200 wavenumbers at one target, one of them at order 35: the next
+        # target's table holds the first 128, within the stated 2,424,832 bytes
+        ks = k_of(np.linspace(100.0, 1600.0, 200))
+        estimation.build_xi(composite, np.array([0.01, 0.02, 0.0]), ks[0], 35)
+        for k in ks[1:]:
+            estimation.build_xi(composite, np.array([0.01, 0.02, 0.0]), k, 1)
+        assert len(estimation._xi_slot.asked) == estimation._XI_WAVENUMBERS == 128
+        self.checked(composite, np.array([-0.03, 0.01, 0.02]), ks[-1], 2)  # past the cap: its own table
+        self.checked(composite, np.array([-0.03, 0.01, 0.02]), ks[127], 2)
+        table = estimation._xi_slot.table
+        assert table.shape == (128, 37, 64)
+        assert table.nbytes == 2_424_832
+
+
 class TestBuildPsi:
     def test_single_mic_scalar(self):
         mic = arrays.Microphone(position=np.zeros(3),

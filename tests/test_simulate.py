@@ -221,6 +221,53 @@ class TestTrueBinaural:
         out = simulate.true_binaural(scene, hs)
         assert np.array_equal(out, hs.responses[:, :, node].T)
 
+    def test_yaw_is_the_source_turned_back(self):
+        # a head turned by psi hears the source turned by -psi
+        from binrender.special import EulerAngles
+        from binrender.utils import rotation_matrix_z
+
+        head, psi, src = SyntheticHead(), 0.6, np.array([1.2, 0.5, 0.3])
+
+        def truth(pos, **kw):
+            scene = simulate.Scene(sources=(simulate.PointSource(pos),), freqs=np.array([300.0, 1200.0]))
+            return simulate.true_binaural(scene, head, **kw)
+
+        turned = truth(src, angles=EulerAngles(psi))
+        assert np.allclose(turned, truth(rotation_matrix_z(-psi) @ src), rtol=1e-12, atol=0.0)
+        assert not np.allclose(turned, truth(src), rtol=1e-3)
+
+    def test_turned_head_sees_head_coordinates(self):
+        # at any position and rotation the truth is the unturned head's at R^T (x - p)
+        from binrender.special import EulerAngles
+        from binrender.utils import rotation_matrix_zyz
+
+        head, angles = SyntheticHead(), EulerAngles(0.7, -0.4, 1.1)
+        p, rot = np.array([0.1, -0.2, 0.05]), rotation_matrix_zyz(0.7, -0.4, 1.1)
+        sources = (np.array([1.2, 0.5, 0.3]), np.array([-0.4, 1.1, -0.6]))
+        freqs = np.array([300.0, 1200.0])
+        got = simulate.true_binaural(
+            simulate.Scene(sources=tuple(simulate.PointSource(x) for x in sources), freqs=freqs),
+            head, p, angles)
+        want = simulate.true_binaural(
+            simulate.Scene(sources=tuple(simulate.PointSource(rot.T @ (x - p)) for x in sources),
+                           freqs=freqs), head)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_measured_set_looked_up_in_head_frame(self):
+        # a source turned with the head stays on the node the head sees it at
+        from binrender.special import EulerAngles
+        from binrender.utils import rotation_matrix_z
+
+        grid = np.array([[math.pi / 2, 0.0], [0.4, 1.0], [1.2, -2.0], [2.2, 2.8]])
+        hs = synth_rigid_sphere_hrtf(SyntheticHead(), grid, np.array([400.0, 800.0]), 1.5)
+        theta, phi = grid[2]
+        node = 1.5 * np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                               math.cos(theta)])
+        scene = simulate.Scene(sources=(simulate.PointSource(rotation_matrix_z(0.9) @ node),),
+                               freqs=hs.freqs)
+        out = simulate.true_binaural(scene, hs, angles=EulerAngles(0.9))
+        assert np.array_equal(out, hs.responses[:, :, 2].T)
+
     def test_measured_set_off_radius_rejected(self):
         head = SyntheticHead()
         hs = synth_rigid_sphere_hrtf(head, np.array([[1.0, 1.0]]), [500.0], 1.5)
