@@ -8,9 +8,9 @@ orders 2-18).
 
 * ``radial``: ``special.sph_jn_table`` against one ``spherical_jn`` call on
   the tables a warm call takes: bank-narrow Psi and Xi, bank-wide Xi (over
-  the distinct pair and target-mic distances) and the table of one
-  head-track bin at 1600 Hz (64 distances, l <= 19), which ``build_xi``
-  takes for a wavenumber its last target did not ask.
+  the distinct pair and target-mic distances) and the table of a
+  head-tracking move (the 16 head-track wavenumbers times the 64 target-mic
+  distances, l <= 19), which ``build_xi`` takes at a new target.
 * ``rows``: each bank grid's pre-solve rows, per bin (``hw_b @ grid.xi(b,
   N_b)``) against ``GridEstimator.xi_rows``, for a fixed random ``hw`` zero
   above each bin's order; ``rel_diff`` is their largest difference relative
@@ -115,7 +115,7 @@ def radial(geom, repeats):
             tables["bank-narrow-psi"] = (2 * p, np.multiply.outer(ks, pairs.radii))
         xi_cols = wavefield.TranslationPlan.build(TARGET - pos, top, c)
         tables[f"{name}-xi"] = (top + p, np.multiply.outer(ks, xi_cols.radii))
-    tables["head-track-bin"] = (19, TRACK_KS[-1] * np.linalg.norm(TARGET - pos, axis=1))  # 1600 Hz
+    tables["head-track-move"] = (19, np.multiply.outer(TRACK_KS, np.linalg.norm(TARGET - pos, axis=1)))
     out = {}
     for name, (lmax, z) in tables.items():
         ours, scipy_ms, ratio = versus({

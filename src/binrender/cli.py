@@ -1,14 +1,15 @@
-"""Command-line front end: geometry, simulate, estimate, render, filters,
-evaluate.
+"""Command-line front end: geometry, hrtf-import, simulate, estimate, render,
+filters, evaluate.
 
-Every command checks its inputs (the config; an observation bundle against
-the geometry and frequency grid) before computing and writes deterministic
-outputs (no wall-clock anywhere). The five data commands write theirs in one
-output step, which drops a manifest JSON holding the config hash, library
-version, and content hashes of exactly the files written.
-Exit codes: 0 ok, 1 configuration/user error, 2 internal error: every
-check on user input raises ConfigError, so a ValueError escaping the library
-is an internal error.
+Every command checks its inputs (the config; an observation bundle against the
+geometry and frequency grid) before computing and writes deterministic outputs
+(no wall-clock anywhere). The five data commands write theirs in one output
+step, which drops a manifest JSON holding the config hash, library version,
+and content hashes of exactly the files written. Every path the CLI reads or
+writes that is missing, unreadable, a directory or not writable exits 1 and
+names the path, and output_dir is checked before any computation. Exit codes:
+0 ok, 1 configuration/user error, 2 internal error: every check on user input
+raises ConfigError, so a ValueError escaping the library is an internal error.
 """
 
 import hashlib
@@ -55,26 +56,40 @@ class ConfigError(Exception):
 
 
 @contextmanager
+def _user_file(what, path, parsed=True):
+    """The one path step of every file the user names: an OSError on it is a
+    user error naming ``what`` and the file that failed (for a bundle, its
+    .json or .bin), and so is a ValueError while a ``parsed`` input is read."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{what} {exc.filename or path}: {exc.strerror or exc}") from exc
+    except (ValueError if parsed else ()) as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from exc
+
+
+@contextmanager
 def _output_step(cfg, command, *names):
     """The one output step of every data command: it creates output_dir and
     yields it for the command to write the files ``names`` into, then writes
     the manifest hashing exactly those files and prints one report line. A
-    command that fails inside the step leaves no manifest."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    yield cfg.out_dir
-    canonical = json.dumps(cfg.doc, sort_keys=True, separators=(",", ":"))
-    manifest = {
-        "command": command,
-        "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
-        "library_version": __version__,
-        "seed": cfg.seed,
-        "outputs": {name: hashlib.sha256((cfg.out_dir / name).read_bytes()).hexdigest()
-                    for name in names},
-    }
-    if cfg.flags:  # estimator flags change outputs the config hash does not cover
-        manifest["flags"] = cfg.flags
-    path = cfg.out_dir / f"manifest_{command}.json"
-    path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    command that fails inside it leaves no manifest; an OSError is the user's."""
+    with _user_file("output_dir", cfg.out_dir, parsed=False):
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        yield cfg.out_dir
+        canonical = json.dumps(cfg.doc, sort_keys=True, separators=(",", ":"))
+        manifest = {
+            "command": command,
+            "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
+            "library_version": __version__,
+            "seed": cfg.seed,
+            "outputs": {name: hashlib.sha256((cfg.out_dir / name).read_bytes()).hexdigest()
+                        for name in names},
+        }
+        if cfg.flags:  # estimator flags change outputs the config hash does not cover
+            manifest["flags"] = cfg.flags
+        path = cfg.out_dir / f"manifest_{command}.json"
+        path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
     click.echo(f"wrote {', '.join(names)} and {path.name} in {cfg.out_dir}")
 
 
@@ -82,13 +97,9 @@ def _output_step(cfg, command, *names):
 # Config parsing / validation
 # ---------------------------------------------------------------------------
 
-def _load_json(path):
-    try:
+def _load_json(what, path):
+    with _user_file(what, path):  # a ValueError: not JSON, or not text
         return json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"file not found: {path}") from exc
-    except ValueError as exc:  # not JSON, or not text
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _positive(x):
@@ -229,16 +240,12 @@ class RunConfig:
         scene_ref = doc.get("scene")
         if scene_ref is None:
             raise ConfigError("config needs a 'scene' (path or inline object)")
-        self.scene_doc = _load_json(base / scene_ref) if isinstance(scene_ref, str) else scene_ref
+        self.scene_doc = _load_json("scene", base / scene_ref) if isinstance(scene_ref, str) else scene_ref
         self.scene = parse_scene(self.scene_doc)
 
         geom_path = base / _value(doc, "config", "geometry")
-        if not geom_path.exists():
-            raise ConfigError(f"geometry file not found: {geom_path}")
-        try:
+        with _user_file("geometry file", geom_path):
             self.geometry = load_geometry(geom_path)
-        except ValueError as exc:
-            raise ConfigError(f"geometry file {geom_path}: {exc}") from exc
 
         est = _section(doc.get("estimator", {}), "estimator")
         self.flags = {}  # the checked value of each estimator flag given
@@ -289,17 +296,17 @@ class RunConfig:
             self.synthetic_head = SyntheticHead(
                 radius=head_radius, ear_azimuths=(math.radians(az[0]), math.radians(az[1])))
         elif isinstance(hrtf_ref, str):
-            try:
+            with _user_file("HRTF bundle", base / hrtf_ref):
                 self.hrtf_set = bundleio.load_hrtf_bundle(base / hrtf_ref)
-            except FileNotFoundError as exc:
-                raise ConfigError(f"HRTF bundle not found: {base / hrtf_ref}") from exc
-            except ValueError as exc:
-                raise ConfigError(f"HRTF bundle {base / hrtf_ref}: {exc}") from exc
             self.measure_radius = self.hrtf_set.radius
         elif hrtf_ref is not None:
             raise ConfigError("hrtf must be a bundle path or {\"synthetic\": {...}}")
 
         self.out_dir = base / _value(doc, "config", "output_dir")
+        with _user_file("output_dir", self.out_dir):  # refused here, before any computation
+            first = next(p for p in (self.out_dir, *self.out_dir.parents) if p.exists())
+            if not first.is_dir():
+                raise ConfigError(f"output_dir {self.out_dir}: {first} is not a directory")
         self.seed = _value(doc, "config", "seed")
 
     def require_rendering(self):
@@ -410,14 +417,9 @@ def geometry(kind, center, yaw_deg, radius, beta, out_path, validate_path):
     if unused:
         raise ConfigError(f"{', '.join(unused)} not used with {mode}")
     if validate_path is not None:
-        try:
+        with _user_file("geometry file", validate_path):
             doc = Path(validate_path).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read geometry file {validate_path}: {exc.strerror}") from exc
-        try:
             geom = geometry_from_json(doc)
-        except ValueError as exc:
-            raise ConfigError(f"geometry file {validate_path}: {exc}") from exc
         if geometry_to_json(geom) != doc:
             raise ConfigError("geometry file is not in canonical form (round trip differs)")
         click.echo(f"ok: {geom.n_mics} microphones"
@@ -425,8 +427,12 @@ def geometry(kind, center, yaw_deg, radius, beta, out_path, validate_path):
         return
     try:
         ctr = tuple(float(x) for x in center.split(","))
+        if len(ctr) != 3 or not all(map(math.isfinite, ctr)):
+            raise ValueError
     except ValueError as exc:
-        raise ConfigError(f"bad --center {center!r}") from exc
+        raise ConfigError(f"--center must be three finite numbers x,y,z, got {center!r}") from exc
+    if not math.isfinite(yaw_deg):
+        raise ConfigError(f"--yaw-deg must be finite, got {yaw_deg}")
     if radius is None:  # the kind's default; a given radius, 0 too, goes to the builder's check
         radius = arrays.DEFAULT_BAFFLE_RADIUS if kind == "rigid-sphere" else arrays.DEFAULT_SMALL_RADIUS
     try:
@@ -436,9 +442,10 @@ def geometry(kind, center, yaw_deg, radius, beta, out_path, validate_path):
             geom = build_composite_array(ctr, beta)
         else:
             geom = build_rigid_sphere_array(ctr, radius)
-    except ValueError as exc:  # a center that is not x,y,z, a bad beta or radius
+    except ValueError as exc:  # a bad beta or radius
         raise ConfigError(str(exc)) from exc
-    Path(out_path).write_text(geometry_to_json(geom))
+    with _user_file("--out", out_path, parsed=False):
+        Path(out_path).write_text(geometry_to_json(geom))
     click.echo(f"wrote {out_path} ({geom.n_mics} microphones)")
 
 
@@ -449,13 +456,10 @@ def geometry(kind, center, yaw_deg, radius, beta, out_path, validate_path):
 @click.option("--out", "out_base", required=True, help="Output bundle base path.")
 def hrtf_import(csv_path, radius, sample_rate, out_base):
     """Convert a hand-made HRTF CSV into a bundle (JSON header + binary blob)."""
-    try:
+    with _user_file("HRTF CSV", csv_path):
         hrtf_set = hrtf.read_hrtf_csv(csv_path, radius=radius, sample_rate=sample_rate)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"CSV not found: {csv_path}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"HRTF CSV {csv_path}: {exc}") from exc
-    base = bundleio.save_hrtf_bundle(out_base, hrtf_set)
+    with _user_file("--out", out_base, parsed=False):
+        base = bundleio.save_hrtf_bundle(out_base, hrtf_set)
     click.echo(f"wrote {base}.json/.bin ({hrtf_set.n_directions} directions, "
                f"{hrtf_set.freqs.size} frequencies)")
 
@@ -472,12 +476,8 @@ _observations_flag = click.option(
 def _observations(cfg: RunConfig, path):
     """(F, n_mics) observations, checked against the run's geometry and grid."""
     base = Path(path) if path else cfg.out_dir / "observation"
-    try:
+    with _user_file("observation bundle", base):
         freqs, obs = bundleio.load_observation_bundle(base, cfg.geometry.content_hash())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"observation bundle not found: {base}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"observation bundle {base}: {exc}") from exc
     if obs.shape[1] != cfg.geometry.n_mics:
         raise ConfigError("observation bundle does not match the geometry's microphone count")
     if not np.array_equal(freqs, cfg.scene.freqs):
@@ -486,7 +486,7 @@ def _observations(cfg: RunConfig, path):
 
 
 def _load_config(config_path, **flags):
-    doc = _load_json(config_path)
+    doc = _load_json("config", config_path)
     try:
         return RunConfig(doc, Path(config_path).resolve().parent, **flags)
     except (TypeError, ValueError) as exc:  # a wrong JSON type, or a value that does not convert

@@ -20,6 +20,8 @@ SCENE = {
     "band": [200.0, 1000.0, 200.0],
     "sound_speed": 346.2,
 }
+SYNTHETIC = {"synthetic": {"head_radius": 0.0875, "measure_radius": 1.5}}
+CSV = "theta,phi,L_mag_100,L_phase_100,R_mag_100,R_phase_100\n1.0,0.5,1.0,0.0,0.5,0.1\n"
 
 
 def write_config(tmp_path, **overrides):
@@ -30,7 +32,7 @@ def write_config(tmp_path, **overrides):
         "version": 1,
         "scene": "scene.json",
         "geometry": "geom.json",
-        "hrtf": {"synthetic": {"head_radius": 0.0875, "measure_radius": 1.5}},
+        "hrtf": SYNTHETIC,
         "render": {"band": [200.0, 1000.0], "nfft": 1024, "wav_duration": 0.05},
         "listener": {"position": [0.0, 0.0, 0.0], "euler_deg": [0.0, 0.0, 0.0]},
         "output_dir": "out",
@@ -79,6 +81,21 @@ class TestGeometryCommand:
             assert main(["geometry", "--kind", kind, "--radius", "inf", "--out", str(out)]) == 1
         assert "error: radius must be positive and finite" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, flag, value", [
+        *[(kind, "--center", value) for kind in ("small", "composite", "rigid-sphere")
+          for value in ("1,2", "0,0,nan", "0,0,inf")],
+        ("small", "--yaw-deg", "nan"), ("small", "--yaw-deg", "-inf"),
+    ])
+    def test_bad_center_or_yaw_is_named(self, tmp_path, capsys, kind, flag, value):
+        # refused by the flag's name, not by numpy's broadcast or Microphone's finiteness
+        out = tmp_path / "g.json"
+        capsys.readouterr()
+        assert main(["geometry", "--kind", kind, flag, value, "--out", str(out)]) == 1
+        want = (f"--center must be three finite numbers x,y,z, got '{value}'" if flag == "--center"
+                else f"--yaw-deg must be finite, got {value}")
+        assert f"error: {want}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, flag", [
@@ -315,6 +332,48 @@ class TestInputChecks:
         for command in ("estimate", "render", "evaluate"):
             assert main([command, str(cfg), "--observations", str(tmp_path / "nope")]) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, state", [
+        *[(name, state) for name in ("run.json", "scene.json", "geom.json", "hrtf.json", "hrtf.bin",
+                                     "obs.json", "obs.bin", "set.csv")
+          for state in ("directory", "missing")],
+        ("missing/g.json", "geometry --out"), ("missing/bundle.json", "hrtf-import --out"),
+        ("out", "output_dir a file"), ("out", "output_dir under a file"),
+    ])
+    def test_bad_path_is_user_error(self, tmp_path, capsys, no_compute, name, state):
+        # every file a command reads or writes goes through one path step, which
+        # names the file that failed: for a bundle, its .json or .bin
+        from binrender import hrtf
+
+        tmp_path = tmp_path.resolve()  # the config's directory, as the CLI names it
+        path = tmp_path / name
+        cfg = write_config(tmp_path, hrtf="hrtf" if name.startswith("hrtf.") else SYNTHETIC,
+                           output_dir="out/sub" if state.endswith("under a file") else "out")
+        hs = hrtf.synth_rigid_sphere_hrtf(hrtf.SyntheticHead(), hrtf.fibonacci_grid(16),
+                                          [200.0, 400.0], 1.5)
+        bundleio.save_hrtf_bundle(tmp_path / "hrtf", hs)
+        bundleio.save_observation_bundle(tmp_path / "obs", np.arange(200.0, 1001.0, 200.0),
+                                         np.zeros((5, 64)))
+        (tmp_path / "set.csv").write_text(CSV)
+        hrtf_import = ["hrtf-import", str(tmp_path / "set.csv"), "--radius", "1.5", "--out"]
+        argv = {"obs.json": ["render", str(cfg), "--observations", str(tmp_path / "obs")],
+                "set.csv": [*hrtf_import, str(tmp_path / "imported")],
+                "missing/g.json": ["geometry", "--kind", "composite", "--out", str(path)],
+                "missing/bundle.json": [*hrtf_import, str(path.with_suffix(""))],
+                }.get(name.replace(".bin", ".json"), ["filters", str(cfg)])
+        if state in ("directory", "missing"):
+            path.unlink()
+        if state == "directory":
+            path.mkdir()
+        elif state.startswith("output_dir"):
+            path.write_text("")
+        capsys.readouterr()
+        assert main(argv) == 1
+        named = f"{path} is not a directory" if state.startswith("output_dir") else f"{path}: "
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").is_dir()
+        assert not list(tmp_path.rglob("manifest_*.json"))
+        assert not (tmp_path / "imported.json").exists()
 
     @pytest.mark.parametrize("bundle, key, value, message", [
         ("hrtf", "shape", None, "bundle header has no 'shape'"),
@@ -617,6 +676,12 @@ class TestInputChecks:
                      "--out", str(tmp_path / "geom.json")]) == 0
         (tmp_path / "run.json").write_text(json.dumps(config))
         assert main(["simulate", str(tmp_path / "run.json")]) == 0
+
+    def test_readme_python_blocks_run(self):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), {})
 
     def test_readme_key_table_is_the_key_table(self):
         # README's key table lists exactly the keys the CLI checks, with their defaults

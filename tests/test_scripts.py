@@ -22,7 +22,7 @@ def under(key, names, fields):
 
 # group -> dotted paths of the leaves its JSON holds beside group, machine and repeats
 LAYER_KEYS = {
-    "radial": under("tables", ["bank-narrow-psi", "bank-narrow-xi", "bank-wide-xi", "head-track-bin"],
+    "radial": under("tables", ["bank-narrow-psi", "bank-narrow-xi", "bank-wide-xi", "head-track-move"],
                     ["lmax", "z", "kernel_ms", "scipy_ms", "ratio"]),
     "rows": under("grids", ["bank-narrow", "bank-wide"],
                   ["bins", "top_order", "per_bin_ms", "blocked_ms", "ratio", "rel_diff",
