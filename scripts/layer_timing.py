@@ -24,6 +24,10 @@ orders 2-18).
   wavenumbers) against 16 ``translate_multi`` calls (a plan and a table per
   bin); a rotation's 16 ``_rotate_hrtf`` calls, Wigner-D blocks
   shared across bins against rebuilt per bin; new targets and angles per repeat.
+  Then a cold order-35 ``TranslationPlan.build`` over the target-mic
+  displacements (``gaunt_grid``, ``_term_constants`` and the Legendre tables
+  cleared before each): the median time, then the tracemalloc peak of one
+  more cold build and the memory it keeps beyond the plan it returns.
 * ``track``: one ``Estimator`` per head-track bin serves a seeded trajectory
   of 16-bin ``render_full`` updates: rotations (each bin reuses its Xi) and
   moves in a 0.1 m ball (the first bin builds the target's plan and one
@@ -194,7 +198,28 @@ def kernel(geom, repeats):
     shared, per_bin, _ = versus({"shared": lambda i: rotate(i, True),
                                  "per_bin": lambda i: rotate(i, False)}, repeats)
     out["rotation_16_rotate_hrtf_ms"] = {"shared_blocks": shared, "per_bin_blocks": per_bin}
+    out["cold_plan_35"] = cold_plan(TARGET - pos, c, repeats)
     return out
+
+
+def cold_plan(displacements, c, repeats):
+    """A cold order-35 plan build: median ms, tracemalloc peak and what it keeps beyond the plan."""
+    def build():
+        for cache in (special.gaunt_grid, special._gauss_legendre_sh, wavefield._term_constants):
+            cache.cache_clear()
+        start = time.perf_counter()
+        plan = wavefield.TranslationPlan.build(displacements, 35, c)
+        return plan, (time.perf_counter() - start) * 1e3
+
+    median = round(float(np.median([build()[1] for _ in range(repeats)])), 4)
+    tracemalloc.start()
+    try:
+        plan, _ = build()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    retained = current - plan.angular.nbytes - plan.radii.nbytes - plan.radius_index.nbytes
+    return {"median_ms": median, "peak_mb": round(peak / 1e6, 2), "retained_mb": round(retained / 1e6, 2)}
 
 
 def pose(rng, position=None):

@@ -2,10 +2,12 @@
 
 Used for HRTF sets ([ear][freq][direction] layout) and microphone
 observations ([freq][mic]); responses are interleaved complex float32.
-A bundle at ``base`` occupies ``base.json`` and ``base.bin``.
+A bundle at ``base`` occupies ``base.json`` and ``base.bin``; a failed
+write leaves no header without its own blob.
 """
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +38,34 @@ def write_bundle(base, header: dict, data: np.ndarray):
             "shape": list(data.shape),
         }
     )
-    blob = data.astype("<c8").tobytes()
-    base.with_suffix(".json").write_text(json.dumps(doc, indent=1, sort_keys=True))
-    base.with_suffix(".bin").write_bytes(blob)
+    text = json.dumps(doc, indent=1, sort_keys=True)
+    _write_pair(base.with_suffix(".json"), text.encode(), base.with_suffix(".bin"),
+                data.astype("<c8").tobytes())
     return base
+
+
+def _write_pair(header_path, header, blob_path, blob):
+    """Write a header and its blob so that no failure leaves the header beside
+    a blob that is missing or came from another write.
+
+    Both are written to temporaries beside them first. Then the old header
+    goes, the blob takes its place, and the header comes last. No temporary
+    outlives the call, and an OSError names the file it was meant for.
+    """
+    contents = {header_path: header, blob_path: blob}
+    temps = {path: path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in contents}
+    try:
+        for target, content in contents.items():
+            temps[target].write_bytes(content)
+        target = header_path
+        header_path.unlink(missing_ok=True)
+        for target in (blob_path, header_path):
+            os.replace(temps[target], target)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(target)) from exc
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
 
 
 def _field(doc, key, convert=None):
@@ -51,6 +77,8 @@ def _floats(value):
 
 
 def read_bundle(base):
+    """(header, data): the blob as stored, a read-only complex64 array of the
+    header's shape. Each loader converts it once, in the copy it keeps."""
     base = _strip(base)
     doc = json.loads(base.with_suffix(".json").read_text())
     if _field(doc, "format") != "binrender-bundle":
@@ -59,7 +87,7 @@ def read_bundle(base):
         raise ValueError(f"unsupported bundle version {doc.get('version')}")
     flat = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<c8")
     data = _field(doc, "shape", lambda shape: flat.reshape(tuple(shape)))
-    return doc, data.astype(complex)
+    return doc, data
 
 
 def save_hrtf_bundle(base, hrtf: HrtfSet):
@@ -110,4 +138,4 @@ def load_observation_bundle(base, geometry_hash=None):
     freqs = _field(doc, "freqs", _floats)
     if data.ndim != 2 or data.shape[0] != freqs.size:
         raise ValueError(f"bundle header 'shape' must be [{freqs.size}, mics], one row per frequency")
-    return freqs, data
+    return freqs, data.astype(complex)

@@ -219,7 +219,16 @@ def _gauss_legendre_sh(q):
     """q-node Gauss-Legendre rule on cos(theta), weights times 2 pi, and the
     real table ``y[n, m, i] = Y_n^m(arccos x_i, 0)`` for n, |m| < q (degree
     axis wrapped, so negative m index it directly): the Legendre factors of
-    ``sh_table``, whose phase is 1 + 0j at phi = 0."""
+    ``sh_table``, whose phase is 1 + 0j at phi = 0.
+
+    The cache lives for one translation build: ``wavefield._translation_terms``
+    clears it when it returns or raises, so the grids of a build share each
+    table and no later call holds one. The sharing pays: a cold
+    ``translation_matrix(d, 20.0, 20, 30)`` takes 1.19 s with it and 4.49 s
+    with one table per grid (2-core Xeon, one BLAS thread). Bound: 64 tables
+    of (2q - 1) q^2 doubles, 781 KiB at q = 37; an order-35 plan of
+    first-order rows takes q <= 37, 7.4 MiB in all, and a 35 <- 45 matrix at
+    most 175 MB (q = 18 .. 81) until it returns."""
     x, w = np.polynomial.legendre.leggauss(q)
     y = _sp.sph_legendre_p_all(q - 1, q - 1, np.arccos(x))[0]
     return 2.0 * math.pi * w, y
@@ -236,6 +245,14 @@ def gaunt_grid(n1, n2, l):
     array of shape (2*n1+1, 2*n2+1); selection-rule zeros (triangle,
     parity, |m1+m2| > l) are exact, and G(n2, n1, l) is the bitwise
     transpose. The returned array is read-only and cached.
+
+    The cache lives for the process and pays only across calls: warm
+    bank-wide ``filters`` (32 bins, top order 35) takes 31.4 ms with it and
+    33.5 ms without, a 16-bin head-tracking move 8.0 and 9.0 ms (2-core
+    Xeon, one BLAS thread); a cold call gains nothing. An order-35 plan of
+    first-order rows needs 107 grids. Bound: 20000 grids of
+    (2 n1 + 1)(2 n2 + 1) doubles, by count and not by bytes: a 35 <- 45
+    matrix asks for 22866 grids (473 MB), so its repeat finds none cached.
     """
     out = np.zeros((2 * n1 + 1, 2 * n2 + 1))
     if _triangle_ok(n1, n2, l) and (n1 + n2 + l) % 2 == 0:

@@ -24,6 +24,7 @@ from scipy import special as _sp
 from .special import (
     SQRT_4PI,
     EulerAngles,
+    _gauss_legendre_sh,
     gaunt_grid,
     ipow,
     num_coeffs,
@@ -195,20 +196,25 @@ def _translation_terms(displacements, order_out, coeff_rows):
     j_ls[i](k |d_p|) and summing over i gives the block of the operator,
     summing over m too its product with the rows; the kernel itself never
     sees k. One SH table over all displacements serves every block, and each
-    block is one product over the stacked Gaunt slices.
+    block is one product over the stacked Gaunt slices. The Gauss-Legendre
+    tables behind the cold Gaunt grids are shared across the build and
+    released when it ends, returning or raising.
     """
     _, theta, phi = cart2sph(displacements)
     order_in = math.isqrt(coeff_rows.shape[1]) - 1
     # zero for |mu| > l, matching the Gaunt selection-rule zeros it multiplies
     y_conj = np.conj(sh_table(order_out + order_in, theta, phi))
-    for n in range(order_in + 1):
-        c = coeff_rows[:, n * n : (n + 1) ** 2].T
-        for n_out in range(order_out + 1):
-            ls, phase, sign_m, mu_idx = _term_constants(n, n_out)
-            # G(n, m; n_out, -m'; l) laid out as [l, m', m]
-            g = np.stack([gaunt_grid(n, n_out, l)[:, ::-1].T for l in ls])
-            scaled = (sign_m * phase) * c[None, :, :]
-            yield n, n_out, ls, (scaled[:, None, :, :] * y_conj[ls[:, None, None], mu_idx]) * g[..., None]
+    try:
+        for n in range(order_in + 1):
+            c = coeff_rows[:, n * n : (n + 1) ** 2].T
+            for n_out in range(order_out + 1):
+                ls, phase, sign_m, mu_idx = _term_constants(n, n_out)
+                # G(n, m; n_out, -m'; l) laid out as [l, m', m]
+                g = np.stack([gaunt_grid(n, n_out, l)[:, ::-1].T for l in ls])
+                scaled = (sign_m * phase) * c[None, :, :]
+                yield n, n_out, ls, (scaled[:, None, :, :] * y_conj[ls[:, None, None], mu_idx]) * g[..., None]
+    finally:  # the Legendre tables serve this build's cold grids only
+        _gauss_legendre_sh.cache_clear()
 
 
 def translate_multi(displacements, k, order_out, coeff_rows):

@@ -16,13 +16,16 @@ class TestBundle:
         doc, loaded = bundleio.read_bundle(base)
         assert doc["kind"] == "test"
         assert doc["shape"] == [2, 3, 5]
-        assert np.array_equal(loaded.astype(np.complex64), data)
+        # the blob as stored: each loader converts it once, in the copy it keeps
+        assert loaded.dtype == np.complex64 and not loaded.flags.writeable
+        assert np.array_equal(loaded, data)
 
     def test_hrtf_roundtrip_exact(self, tmp_path):
         head = SyntheticHead()
         hs = synth_rigid_sphere_hrtf(head, fibonacci_grid(30), [500.0, 900.0], 1.5)
         base = bundleio.save_hrtf_bundle(tmp_path / "hrtf", hs)
         loaded = bundleio.load_hrtf_bundle(base)
+        assert loaded.responses.dtype == complex
         assert loaded.radius == hs.radius
         assert loaded.sample_rate == hs.sample_rate
         assert np.array_equal(loaded.directions, hs.directions)
@@ -36,6 +39,7 @@ class TestBundle:
         freqs = np.array([100.0, 200.0, 300.0, 400.0])
         base = bundleio.save_observation_bundle(tmp_path / "obs", freqs, obs, geometry_hash="abc")
         freqs2, obs2 = bundleio.load_observation_bundle(base)
+        assert obs2.dtype == complex
         assert np.array_equal(freqs, freqs2)
         assert np.array_equal(obs2.astype(np.complex64), obs.astype(np.complex64))
 
@@ -90,3 +94,35 @@ class TestBundle:
         base = bundleio.write_bundle(tmp_path / "z", {"kind": "test"}, data)
         raw = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f4")
         assert list(raw) == [1.0, 2.0, 3.0, -4.0]
+
+    @pytest.mark.parametrize("failing", [".json", ".bin"])
+    def test_failed_rewrite_leaves_no_mismatched_header(self, tmp_path, monkeypatch, failing):
+        # a rewrite that fails on either file leaves neither the new header
+        # beside the old blob nor the old header beside the new one
+        import errno
+        import os
+
+        old = np.array([1.0 + 2.0j], dtype=np.complex64)
+        base = bundleio.write_bundle(tmp_path / "b", {"kind": "test"}, old)
+        replace = os.replace
+
+        def full_disk(src, dst):
+            if str(dst).endswith(failing):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(src))
+            replace(src, dst)
+
+        monkeypatch.setattr(bundleio.os, "replace", full_disk)
+        with pytest.raises(OSError, match=f"b\\{failing}'$"):
+            bundleio.write_bundle(base, {"kind": "test"}, np.zeros((3, 2), dtype=np.complex64))
+        assert not base.with_suffix(".json").exists()
+        assert set(p.name for p in tmp_path.iterdir()) <= {"b.bin"}
+
+    def test_rewrite_is_byte_identical_to_a_first_write(self, tmp_path, rng):
+        data = (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))).astype(np.complex64)
+        first = bundleio.write_bundle(tmp_path / "first", {"kind": "test"}, data)
+        again = bundleio.write_bundle(tmp_path / "again", {"kind": "test"}, data[::-1])
+        bundleio.write_bundle(again, {"kind": "test"}, data)
+        for suffix in (".json", ".bin"):
+            assert again.with_suffix(suffix).read_bytes() == first.with_suffix(suffix).read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["again.bin", "again.json",
+                                                             "first.bin", "first.json"]

@@ -375,6 +375,23 @@ class TestInputChecks:
         assert not list(tmp_path.rglob("manifest_*.json"))
         assert not (tmp_path / "imported.json").exists()
 
+    @pytest.mark.parametrize("command", ["hrtf-import", "simulate"])
+    def test_failed_bundle_write_leaves_no_header(self, tmp_path, capsys, command):
+        # the blob is written before its header, so a failure on it leaves neither
+        tmp_path = tmp_path.resolve()
+        (tmp_path / "set.csv").write_text(CSV)
+        cfg = write_config(tmp_path)
+        base = tmp_path / ("out/observation" if command == "simulate" else "bundles/b")
+        argv = {"simulate": ["simulate", str(cfg)],
+                "hrtf-import": ["hrtf-import", str(tmp_path / "set.csv"), "--radius", "1.5",
+                                "--out", str(base)]}[command]
+        base.with_suffix(".bin").mkdir(parents=True)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert f"{base.with_suffix('.bin')}: " in capsys.readouterr().err
+        assert not base.with_suffix(".json").exists()
+        assert sorted(p.name for p in base.parent.iterdir()) == [base.with_suffix(".bin").name]
+
     @pytest.mark.parametrize("bundle, key, value, message", [
         ("hrtf", "shape", None, "bundle header has no 'shape'"),
         ("hrtf", None, None, "bundle header is not a JSON object"),  # the header wrapped in a list

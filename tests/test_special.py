@@ -282,6 +282,41 @@ class TestGaunt:
                 for l in range(n1 - n2, n1 + n2 + 1, 2):
                     assert np.array_equal(sp.gaunt_grid(n1, n2, l), sp.gaunt_grid(n2, n1, l).T)
 
+    @staticmethod
+    def fresh_table_grid(n1, n2, l):
+        """``gaunt_grid`` on a q-node table of its own: leggauss, then one
+        ``sph_legendre_p_all`` call at arccos of the nodes, then the same products."""
+        from scipy.special import sph_legendre_p_all
+
+        out = np.zeros((2 * n1 + 1, 2 * n2 + 1))
+        if abs(n1 - n2) <= l <= n1 + n2 and (n1 + n2 + l) % 2 == 0:
+            q = (n1 + n2 + l) // 2 + 1
+            x, w = np.polynomial.legendre.leggauss(q)
+            w = 2.0 * math.pi * w
+            y = sph_legendre_p_all(q - 1, q - 1, np.arccos(x))[0]
+            m1 = np.arange(-n1, n1 + 1)
+            m2 = np.arange(-n2, n2 + 1)
+            m3 = m1[:, None] + m2[None, :]
+            valid = np.abs(m3) <= l
+            y3w = y[l, np.where(valid, m3, 0)] * w
+            terms = (y[n1, m1][:, None, :] * y[n2, m2][None, :, :]) * y3w
+            out[valid] = terms[valid].sum(axis=-1)
+        return out
+
+    def test_grids_bitwise_on_tables_shared_within_a_build_only(self):
+        # the grids a translation build computes share its tables, which it
+        # releases; those asked for after it (the exchanged ones) take new
+        # tables: every grid is bitwise the one a table of its own gives
+        from binrender import wavefield
+
+        sp.gaunt_grid.cache_clear()
+        wavefield.translation_matrix(np.array([0.1, -0.05, 0.08]), 20.0, 10, 10)
+        assert sp._gauss_legendre_sh.cache_info().currsize == 0
+        for n1 in range(11):
+            for n2 in range(11):
+                for l in range(11):
+                    assert sp.gaunt_grid(n1, n2, l).tobytes() == self.fresh_table_grid(n1, n2, l).tobytes()
+
     @pytest.mark.parametrize("n1,n2,l,stride", [
         (40, 40, 40, 7), (39, 36, 41, 7), (30, 40, 50, 7),
         (0, 35, 35, 1), (1, 35, 34, 1), (1, 35, 36, 1), (1, 20, 21, 1),

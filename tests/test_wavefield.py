@@ -381,3 +381,75 @@ class TestTranslateMulti:
         for p in range(6):
             ref = wf.translation_matrix(ds[p], k, 7, 1).entries @ cs[p]
             assert np.max(np.abs(out[p] - ref)) < 1e-12
+
+
+class TestLegendreTableLifetime:
+    """The Gauss-Legendre tables behind cold Gaunt grids live for one translation build."""
+
+    @staticmethod
+    def cold():
+        from binrender import special
+
+        for cache in (special.gaunt_grid, special._gauss_legendre_sh, wf._term_constants):
+            cache.cache_clear()
+        return special
+
+    def test_cold_order_35_build_retains_only_its_plan(self):
+        import tracemalloc
+
+        from binrender import arrays
+
+        geom = arrays.build_composite_array()
+        c, _ = geom.directivities
+        displacements = np.array([0.03, -0.02, 0.01]) - geom.positions()
+        special = self.cold()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plan = wf.TranslationPlan.build(displacements, 35, c)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        retained -= plan.angular.nbytes + plan.radii.nbytes + plan.radius_index.nbytes
+        # the 107 Gaunt grids and the term constants stay; the q <= 37 tables (7.4 MiB) go
+        assert special.gaunt_grid.cache_info().currsize == 107
+        assert special._gauss_legendre_sh.cache_info().currsize == 0
+        assert retained <= 1e6
+
+    @staticmethod
+    def held_tables(monkeypatch, fail_at=None):
+        """The number of tables held after each Gaunt grid the kernel takes."""
+        from binrender import special
+
+        held = []
+
+        def grid(*args):
+            if len(held) + 1 == fail_at:
+                raise RuntimeError(f"grid {fail_at} fails")
+            out = special.gaunt_grid(*args)
+            held.append(special._gauss_legendre_sh.cache_info().currsize)
+            return out
+
+        monkeypatch.setattr(wf, "gaunt_grid", grid)
+        return held
+
+    @pytest.mark.parametrize("entry", ["translation_matrix", "translate_multi"])
+    def test_no_table_held_after_a_build(self, rng, monkeypatch, entry):
+        special = self.cold()
+        held = self.held_tables(monkeypatch)
+        d = np.array([0.1, -0.05, 0.08])
+        if entry == "translation_matrix":
+            wf.translation_matrix(d, k_of(1000.0), 8, 12)
+        else:
+            wf.translate_multi(d + rng.normal(scale=0.05, size=(5, 3)), k_of(1000.0), 8,
+                               rng.normal(size=(5, 4)) + 0j)
+        assert max(held) > 1  # the build's grids shared its tables
+        assert special._gauss_legendre_sh.cache_info().currsize == 0
+
+    def test_no_table_held_after_a_build_raises(self, monkeypatch):
+        special = self.cold()
+        held = self.held_tables(monkeypatch, fail_at=30)
+        with pytest.raises(RuntimeError, match="grid 30 fails"):
+            wf.translation_matrix(np.array([0.1, -0.05, 0.08]), k_of(1000.0), 8, 12)
+        assert held[-1] > 0
+        assert special._gauss_legendre_sh.cache_info().currsize == 0
