@@ -27,7 +27,11 @@ orders 2-18).
   Then a cold order-35 ``TranslationPlan.build`` over the target-mic
   displacements (``gaunt_grid``, ``_term_constants`` and the Legendre tables
   cleared before each): the median time, then the tracemalloc peak of one
-  more cold build and the memory it keeps beyond the plan it returns.
+  more cold build, the memory it keeps beyond the plan it returns and the
+  most Legendre tables it held at once. Last ``fit_sh`` at order 35 on the
+  2232-direction ``equiangular_grid`` at 8 frequencies (seeded random
+  responses): the median time and the tracemalloc peak of one more fit
+  beyond the ``HrtfSet``.
 * ``track``: one ``Estimator`` per head-track bin serves a seeded trajectory
   of 16-bin ``render_full`` updates: rotations (each bin reuses its Xi) and
   moves in a 0.1 m ball (the first bin builds the target's plan and one
@@ -199,11 +203,13 @@ def kernel(geom, repeats):
                                  "per_bin": lambda i: rotate(i, False)}, repeats)
     out["rotation_16_rotate_hrtf_ms"] = {"shared_blocks": shared, "per_bin_blocks": per_bin}
     out["cold_plan_35"] = cold_plan(TARGET - pos, c, repeats)
+    out["fit_35"] = fit_35(repeats)
     return out
 
 
 def cold_plan(displacements, c, repeats):
-    """A cold order-35 plan build: median ms, tracemalloc peak and what it keeps beyond the plan."""
+    """A cold order-35 plan build: median ms, tracemalloc peak, what it keeps
+    beyond the plan and the most Legendre tables held at once."""
     def build():
         for cache in (special.gaunt_grid, special._gauss_legendre_sh, wavefield._term_constants):
             cache.cache_clear()
@@ -212,14 +218,43 @@ def cold_plan(displacements, c, repeats):
         return plan, (time.perf_counter() - start) * 1e3
 
     median = round(float(np.median([build()[1] for _ in range(repeats)])), 4)
+    held = [0]
+
+    def grid(*args):
+        out = special.gaunt_grid(*args)
+        held[0] = max(held[0], special._gauss_legendre_sh.cache_info().currsize)
+        return out
+
+    wavefield.gaunt_grid = grid
     tracemalloc.start()
     try:
         plan, _ = build()
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+        wavefield.gaunt_grid = special.gaunt_grid
     retained = current - plan.angular.nbytes - plan.radii.nbytes - plan.radius_index.nbytes
-    return {"median_ms": median, "peak_mb": round(peak / 1e6, 2), "retained_mb": round(retained / 1e6, 2)}
+    return {"median_ms": median, "peak_mb": round(peak / 1e6, 2), "retained_mb": round(retained / 1e6, 2),
+            "tables_held": held[0]}
+
+
+def fit_35(repeats):
+    """``fit_sh`` at order 35 on 2232 directions: median ms and tracemalloc peak beyond the set."""
+    rng = np.random.default_rng(1)
+    grid = hrtf.equiangular_grid()
+    freqs = np.linspace(1000.0, 12000.0, 8)
+    shape = (2, freqs.size, grid.shape[0])
+    responses = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    hs = hrtf.HrtfSet(MEASURE_RADIUS, grid, freqs, responses, SAMPLE_RATE)
+    median = timed({"fit": lambda i: hrtf.fit_sh(hs, 35)}, repeats)["fit"][0]
+    tracemalloc.start()
+    try:
+        hrtf.fit_sh(hs, 35)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"directions": hs.n_directions, "freqs": freqs.size, "median_ms": median,
+            "peak_mb": round(peak / 1e6, 2)}
 
 
 def pose(rng, position=None):

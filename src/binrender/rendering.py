@@ -312,10 +312,13 @@ def apply_filter_bank(bank: BinauralFilterBank, mic_signals):
     gain nothing below 1024 (nfft 128: 15.1 ms at 1024, 16.7 ms at 512).
 
     Signals of up to hop samples, empty ones included, make one block.
+    Complex signals raise ValueError: the real taps take real signals only.
     """
     mic_signals = np.asarray(mic_signals)
     if mic_signals.ndim != 2 or mic_signals.shape[0] != bank.n_mics:
         raise ValueError("mic_signals must have shape (n_mics, n_samples)")
+    if np.iscomplexobj(mic_signals):
+        raise ValueError(f"mic_signals must be real, got {mic_signals.dtype}")
     n_mics, n_samples = mic_signals.shape
     nfft = bank.nfft
     block = 1 << (max(4 * nfft, 1024) - 1).bit_length()

@@ -18,8 +18,9 @@ formula below is pinned to the set above.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, update_wrapper
 
 import numpy as np
 from scipy import special as _sp
@@ -214,21 +215,63 @@ def _triangle_ok(j1, j2, j3):
     return abs(j1 - j2) <= j3 <= j1 + j2
 
 
-@lru_cache(maxsize=64)
+_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+
+class _ReleasableCache:
+    """``lru_cache(maxsize)`` for a function of one integer q, which can also
+    drop every entry with q <= a bound (``release``): same ``cache_info()``
+    and ``cache_clear()``, least recently used evicted first."""
+
+    def __init__(self, build, maxsize):
+        update_wrapper(self, build)
+        self._build, self._maxsize = build, maxsize
+        self._entries = {}
+        self._hits = self._misses = 0
+
+    def __call__(self, q):
+        value = self._entries.pop(q, None)
+        if value is None:
+            self._misses += 1
+            value = self._build(q)
+            if len(self._entries) >= self._maxsize:
+                del self._entries[next(iter(self._entries))]
+        else:
+            self._hits += 1
+        self._entries[q] = value  # most recently used last
+        return value
+
+    def release(self, q_max):
+        """Drop every entry with q <= q_max."""
+        for q in [q for q in self._entries if q <= q_max]:
+            del self._entries[q]
+
+    def cache_info(self):
+        return _CacheInfo(self._hits, self._misses, self._maxsize, len(self._entries))
+
+    def cache_clear(self):
+        self._entries.clear()
+        self._hits = self._misses = 0
+
+
+@partial(_ReleasableCache, maxsize=64)
 def _gauss_legendre_sh(q):
     """q-node Gauss-Legendre rule on cos(theta), weights times 2 pi, and the
     real table ``y[n, m, i] = Y_n^m(arccos x_i, 0)`` for n, |m| < q (degree
     axis wrapped, so negative m index it directly): the Legendre factors of
     ``sh_table``, whose phase is 1 + 0j at phi = 0.
 
-    The cache lives for one translation build: ``wavefield._translation_terms``
-    clears it when it returns or raises, so the grids of a build share each
-    table and no later call holds one. The sharing pays: a cold
-    ``translation_matrix(d, 20.0, 20, 30)`` takes 1.19 s with it and 4.49 s
-    with one table per grid (2-core Xeon, one BLAS thread). Bound: 64 tables
-    of (2q - 1) q^2 doubles, 781 KiB at q = 37; an order-35 plan of
-    first-order rows takes q <= 37, 7.4 MiB in all, and a 35 <- 45 matrix at
-    most 175 MB (q = 18 .. 81) until it returns."""
+    A table lives for one output degree of a translation build: the grid
+    G(n, n_out, l) takes q = (n + n_out + l) / 2 + 1 >= n_out + 1 nodes, so
+    ``wavefield._translation_terms`` releases every q <= n_out + 1 once
+    output degree n_out is done, and the rest when it returns or raises.
+    The grids of one degree and the next share each table, and that pays: a
+    cold ``translation_matrix(d, 20.0, 20, 30)`` takes 1.19 s with it and
+    4.49 s with one table per grid (2-core Xeon, one BLAS thread). Bound:
+    (2q - 1) q^2 doubles a table, 781 KiB at q = 37; a build from input
+    order n_in holds at most n_in + 1 tables (q = n_out + 1 .. n_out + n_in
+    + 1), 1.6 MB for an order-35 plan of first-order rows and 46 tables
+    (169 MB at its last degree) for a 35 <- 45 matrix; 64 at most in all."""
     x, w = np.polynomial.legendre.leggauss(q)
     y = _sp.sph_legendre_p_all(q - 1, q - 1, np.arccos(x))[0]
     return 2.0 * math.pi * w, y

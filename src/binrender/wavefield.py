@@ -195,24 +195,30 @@ def _translation_terms(displacements, order_out, coeff_rows):
     |n - n_out| .. n + n_out in steps of 2. Weighting term i by
     j_ls[i](k |d_p|) and summing over i gives the block of the operator,
     summing over m too its product with the rows; the kernel itself never
-    sees k. One SH table over all displacements serves every block, and each
-    block is one product over the stacked Gaunt slices. The Gauss-Legendre
-    tables behind the cold Gaunt grids are shared across the build and
-    released when it ends, returning or raising.
+    sees k. One SH table over all displacements, conjugated in place, serves
+    every block, and each block is one product over the stacked Gaunt slices.
+    Pairs come by output degree, each n_out with n = 0 .. order_in in turn.
+    The Gauss-Legendre tables behind the cold Gaunt grids are shared by the
+    grids that need them and released once no later output degree does
+    (``special._gauss_legendre_sh``: at most order_in + 1 held), the last
+    when the kernel returns or raises.
     """
     _, theta, phi = cart2sph(displacements)
     order_in = math.isqrt(coeff_rows.shape[1]) - 1
     # zero for |mu| > l, matching the Gaunt selection-rule zeros it multiplies
-    y_conj = np.conj(sh_table(order_out + order_in, theta, phi))
+    y_conj = sh_table(order_out + order_in, theta, phi)
+    np.conjugate(y_conj, out=y_conj)
+    rows = [coeff_rows[:, n * n : (n + 1) ** 2].T for n in range(order_in + 1)]
     try:
-        for n in range(order_in + 1):
-            c = coeff_rows[:, n * n : (n + 1) ** 2].T
-            for n_out in range(order_out + 1):
+        for n_out in range(order_out + 1):
+            for n, c in enumerate(rows):
                 ls, phase, sign_m, mu_idx = _term_constants(n, n_out)
                 # G(n, m; n_out, -m'; l) laid out as [l, m', m]
                 g = np.stack([gaunt_grid(n, n_out, l)[:, ::-1].T for l in ls])
                 scaled = (sign_m * phase) * c[None, :, :]
                 yield n, n_out, ls, (scaled[:, None, :, :] * y_conj[ls[:, None, None], mu_idx]) * g[..., None]
+            # a later degree's grids take q >= n_out + 2 nodes
+            _gauss_legendre_sh.release(n_out + 1)
     finally:  # the Legendre tables serve this build's cold grids only
         _gauss_legendre_sh.cache_clear()
 

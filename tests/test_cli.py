@@ -258,6 +258,33 @@ class TestPipeline:
         assert sidecar["delay_samples"] == 512
         assert sidecar["n_mics"] == 64
 
+    def test_filters_releases_the_measured_set_before_the_bank(self, tmp_path, monkeypatch):
+        # the fit replaces the set: its responses are not held while the bank is built
+        import weakref
+
+        from binrender import cli, hrtf
+
+        hs = hrtf.synth_rigid_sphere_hrtf(hrtf.SyntheticHead(), hrtf.fibonacci_grid(144),
+                                          [200.0, 400.0], 1.5)
+        bundleio.save_hrtf_bundle(tmp_path / "hrtf", hs)
+        loaded, alive = [], []
+        load, synth = bundleio.load_hrtf_bundle, cli.synth_fir_filters
+
+        def tracked(path):
+            out = load(path)
+            loaded.append(weakref.ref(out))
+            return out
+
+        def checked(*args, **kwargs):
+            alive.append(loaded[0]() is not None)
+            return synth(*args, **kwargs)
+
+        monkeypatch.setattr(bundleio, "load_hrtf_bundle", tracked)
+        monkeypatch.setattr(cli, "synth_fir_filters", checked)
+        cfg = write_config(tmp_path, hrtf="hrtf", render={"band": [200.0, 400.0], "nfft": 1024})
+        assert main(["filters", str(cfg)]) == 0
+        assert alive == [False]
+
     def test_missing_geometry_is_user_error(self, tmp_path):
         cfg = write_config(tmp_path, geometry="nope.json")
         assert main(["simulate", str(cfg)]) == 1

@@ -171,8 +171,44 @@ def _qr_fit(hs, order):
     return x.T.reshape(hs.responses.shape[:2] + (num_coeffs(order),))
 
 
+def _stacked_ring_fit(hs, order):
+    """The ring fit with every degree's right-hand side formed at once: one
+    stacked (2N+1, N+1, 2F) ``legendre @ spectra``, then the same solves."""
+    from scipy.special import sph_legendre_p_all
+
+    from binrender.utils import cho_factor, cho_solve
+
+    zeniths, rings, offsets = hrtf._rings(hs.directions, order)
+    degrees = np.arange(-order, order + 1)
+    h = hs.responses.reshape(-1, hs.n_directions)
+    spectra = np.empty((degrees.size, len(rings), h.shape[0]), dtype=complex)
+    for r, idx in enumerate(rings):
+        ring = np.fft.ifft(h[:, idx], norm="forward")[:, degrees % idx.size]
+        spectra[:, r, :] = (ring * np.exp(1j * degrees * offsets[r])).T
+    legendre = sph_legendre_p_all(order, order, zeniths)[0][:, degrees, :].transpose(1, 0, 2)
+    sizes = np.array([idx.size for idx in rings], dtype=float)
+    normal = (legendre * sizes) @ legendre.transpose(0, 2, 1)
+    gamma = 1e-6 * np.einsum("mnn->", normal) / num_coeffs(order)
+    rhs = legendre @ spectra
+    n = np.arange(order + 1)
+    coeffs = np.empty((h.shape[0], num_coeffs(order)), dtype=complex)
+    for m in degrees:
+        lo = abs(m)
+        block = normal[m + order, lo:, lo:] + gamma * np.diag(1.0 + n[lo:] * (n[lo:] + 1.0))
+        x = cho_solve(cho_factor(block, "singular"), rhs[m + order, lo:].view(float))
+        coeffs[:, n[lo:] * (n[lo:] + 1) + m] = np.ascontiguousarray(x).view(complex).T
+    return coeffs.reshape(hs.responses.shape[:2] + (num_coeffs(order),))
+
+
 class TestRingFit:
     """On zenith rings of > 2N uniform azimuths the fit splits by degree m."""
+
+    @pytest.mark.parametrize("grid", ["equiangular", "offset"])
+    @pytest.mark.parametrize("order", [1, 18, 35])
+    def test_rhs_by_degree_bitwise_the_stacked_product(self, ring_sets, grid, order):
+        # all N + 1 rows of a degree, then the slice: the stacked product's bits
+        hs = ring_sets[grid]
+        assert hrtf.fit_sh(hs, order).coeffs.tobytes() == _stacked_ring_fit(hs, order).tobytes()
 
     @pytest.mark.parametrize("grid", ["equiangular", "offset"])
     @pytest.mark.parametrize("order", [0, 1, 18, 35])

@@ -447,6 +447,22 @@ class TestFirSynthesis:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= out_bytes[1] - out_bytes[0] + 2**20
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_complex_signals_raise_before_any_work(self, monkeypatch, dtype):
+        # numpy would drop the imaginary part with only a ComplexWarning
+        rng = np.random.default_rng(2)
+        bank = rendering.BinauralFilterBank(
+            taps=rng.standard_normal((2, 2, 8)), sample_rate=48000.0,
+            delay_samples=4, band=(100.0, 1000.0))
+        signals = (rng.standard_normal((2, 50)) + 1j * rng.standard_normal((2, 50))).astype(dtype)
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("an FFT ran before the signals were checked")
+
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
+        with pytest.raises(ValueError, match="mic_signals must be real"):
+            rendering.apply_filter_bank(bank, signals)
+
     def test_tone_reproduces_render_full_magnitude(self, bank_setup):
         # steady-state 984.375 Hz tone (an exact FFT bin) through the filter
         # bank matches the per-bin rendering magnitude within 0.2 dB

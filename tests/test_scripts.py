@@ -32,7 +32,9 @@ LAYER_KEYS = {
                     ["lmax", "points", "sh_table_ms", "sph_harm_y_all_ms", "ratio"])
     | {"move_16_build_xi_ms", "move_16_translate_multi_ms", "move_ratio",
        "rotation_16_rotate_hrtf_ms.shared_blocks", "rotation_16_rotate_hrtf_ms.per_bin_blocks",
-       "cold_plan_35.median_ms", "cold_plan_35.peak_mb", "cold_plan_35.retained_mb"},
+       "cold_plan_35.median_ms", "cold_plan_35.peak_mb", "cold_plan_35.retained_mb",
+       "cold_plan_35.tables_held", "fit_35.directions", "fit_35.freqs", "fit_35.median_ms",
+       "fit_35.peak_mb"},
     "track": {"bins", "orders", "updates"}
     | {f"{call}{stat}" for call in ("rotate", "move", "weights", "solve") for stat in ("_ms", "_p90_ms")},
     "convolve": {"mics"} | under("signals", ["1s-128taps", "1s-4096taps", "10s-128taps", "10s-4096taps"],

@@ -433,6 +433,29 @@ class TestLegendreTableLifetime:
         monkeypatch.setattr(wf, "gaunt_grid", grid)
         return held
 
+    def test_cold_order_35_build_holds_two_tables(self, monkeypatch):
+        # output degree n_out takes tables q = n_out + 1 .. n_out + 2 for
+        # first-order rows and releases those no later degree needs
+        import tracemalloc
+
+        from binrender import arrays
+
+        geom = arrays.build_composite_array()
+        c, _ = geom.directivities
+        displacements = np.array([0.03, -0.02, 0.01]) - geom.positions()
+        special = self.cold()
+        held = self.held_tables(monkeypatch)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            wf.TranslationPlan.build(displacements, 35, c)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert special.gaunt_grid.cache_info().misses == len(held) == 107  # every grid cold
+        assert max(held) <= 2  # a build that kept every table would hold 37
+        assert peak <= 12e6  # 9.6 MB; keeping the 37 tables (7.4 MiB) peaks at 16.2 MB
+
     @pytest.mark.parametrize("entry", ["translation_matrix", "translate_multi"])
     def test_no_table_held_after_a_build(self, rng, monkeypatch, entry):
         special = self.cold()
