@@ -15,9 +15,12 @@ orders 2-18).
   N_b)``) against ``GridEstimator.xi_rows``, for a fixed random ``hw`` zero
   above each bin's order; ``rel_diff`` is their largest difference relative
   to the largest row entry. Then the solves of ``GridEstimator.rows`` on
-  those rows: a per-bin ``Estimator(geom, k, "auto", psi_upper[b]).solve``
-  (Psi scattered, factored and dropped bin by bin) against the grid's
-  chunked in-place solve pass; ``bitwise`` says whether they agree bit for bit.
+  those rows: a per-bin ``Estimator(geom, k, "auto", grid.psi_upper(b, b +
+  1)[0]).solve`` (Psi scattered, factored and dropped bin by bin) against the
+  grid's chunked in-place solve pass; ``bitwise`` says whether they agree bit
+  for bit. Last ``peak_mb``, the tracemalloc peak of one warm
+  ``rendering.grid_rows`` call on the grid, against the synthetic head's
+  spectrum at the grid's top order.
 * ``kernel``: ``special.sh_table`` against ``sph_harm_y_all`` (lmax 3, 19,
   36 on the 64 target-mic directions, 2 on the 2080 mic pairs); a move's 16
   ``build_xi`` calls (one shared plan and one radial table over the 16
@@ -153,15 +156,32 @@ def rows(geom, repeats):
         # the solves of grid.rows: the rows' conjugate transposes per bin
         rhs = blocked.conj().transpose(0, 2, 1)
         solves = {"pass": lambda i: grid._solve(rhs.copy()),
-                  "estimators": lambda i: np.array([estimation.Estimator(geom, k, "auto", grid.psi_upper[b])
+                  "estimators": lambda i: np.array([estimation.Estimator(geom, k, "auto",
+                                                                         grid.psi_upper(b, b + 1)[0])
                                                     .solve(rhs[b]) for b, k in enumerate(ks)])}
         pass_ms, estimators_ms, solve_ratio = versus(solves, repeats)
         bitwise = solves["pass"](0).tobytes() == solves["estimators"](0).tobytes()
         out[name] = {"bins": ks.size, "top_order": top, "per_bin_ms": per_bin_ms,
                      "blocked_ms": blocked_ms, "ratio": ratio, "rel_diff": float(f"{diff:.2e}"),
                      "estimators_solve_ms": estimators_ms, "pass_solve_ms": pass_ms,
-                     "solve_ratio": solve_ratio, "bitwise": bitwise}
+                     "solve_ratio": solve_ratio, "bitwise": bitwise,
+                     "peak_mb": grid_rows_peak(geom, ks, top)}
     return {"grids": out}
+
+
+def grid_rows_peak(geom, ks, top):
+    """The tracemalloc peak, in MB, of one warm ``grid_rows`` call over ``ks``."""
+    freqs = ks * SOUND_SPEED / (2.0 * math.pi)
+    spectrum = hrtf.rigid_sphere_hrtf_spectrum(hrtf.SyntheticHead(), freqs, MEASURE_RADIUS, top)
+    call = lambda: rendering.grid_rows(geom, freqs, TARGET, EulerAngles(), spectrum)
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return round(peak / 1e6, 2)
 
 
 def kernel(geom, repeats):

@@ -349,10 +349,10 @@ def _chosen_lambda(cfg: RunConfig):
         raise ConfigError(f"{name} {cfg.lam:g}: {exc}") from exc
 
 
-def _render_responses(cfg: RunConfig, observations):
-    """Per-frequency binaural responses (F, 2) through the estimator chain."""
+def _render_responses(cfg: RunConfig, observations, spectrum):
+    """Per-frequency binaural responses (F, 2) through the estimator chain,
+    against ``spectrum``, the HRTF spectrum at the scene's frequencies."""
     freqs = cfg.scene.freqs
-    spectrum = cfg.spectrum_at(freqs)
     with _chosen_lambda(cfg):
         rows = grid_rows(cfg.geometry, freqs, cfg.listener_position, cfg.angles,
                          spectrum, cfg.mode, cfg.lam, cfg.order_cap,
@@ -580,7 +580,10 @@ def render(config_path, lam, observations):
     cfg.require_rendering()
     obs = _observations(cfg, observations)
     freqs = cfg.scene.freqs
-    responses = _render_responses(cfg, obs)
+    spectrum = cfg.spectrum_at(freqs)
+    # as in filters: the fit replaces the measured set before the rows are built
+    cfg.hrtf_set = None
+    responses = _render_responses(cfg, obs, spectrum)
     with _output_step(cfg, "render", "binaural_response.csv", "binaural.wav") as out:
         with open(out / "binaural_response.csv", "w") as f:
             f.write("freq_hz,left_re,left_im,right_re,right_im\n")
@@ -634,7 +637,7 @@ def evaluate(config_path, lam, observations):
                           f"and the ITD's {ITD_MAX_LAG_S * 1e3:g} ms lag window for evaluate: at "
                           f"least {shortest:g} s, got {json.dumps(cfg.wav_duration)}")
     obs = _observations(cfg, observations)
-    responses = _render_responses(cfg, obs)
+    responses = _render_responses(cfg, obs, cfg.spectrum_at(freqs))
     reference = true_binaural(
         cfg.scene, cfg.synthetic_head if cfg.synthetic_head is not None else cfg.hrtf_set,
         cfg.listener_position, cfg.angles)

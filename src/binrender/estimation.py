@@ -13,11 +13,12 @@ Two estimators:
   ``build_xi`` translates from the directivities through one
   ``wavefield.TranslationPlan`` per target, shared by every wavenumber,
   and one radial table per head-tracking move, shared by the move's bins.
-  ``GridEstimator`` runs it over a grid of wavenumbers, tabulating Psi's
-  upper triangle and Xi(target) over every bin at once, and factors each
+  ``GridEstimator`` runs it over a grid of wavenumbers, with one radial
+  table each for Psi's pairs and Xi(target) over every bin, and factors each
   bin's (Psi + lambda I) in place, a chunk of bins at a time (1 MB of
-  matrices at 64 mics), with no per-bin ``Estimator`` and no factor kept;
-  filter banks and ``estimate`` go through it.
+  matrices at 64 mics), contracting the chunk's rows of Psi as it goes, with
+  no per-bin ``Estimator`` and no factor kept; filter banks and ``estimate``
+  go through it.
 """
 
 from typing import NamedTuple
@@ -261,16 +262,26 @@ class Estimator:
 class GridEstimator:
     """The distributed-array estimator over a grid of wavenumbers ``ks``.
 
-    Built once over all of ``ks`` up to ``top_order``: the k-independent parts
-    of Psi and Xi(target) as two ``TranslationPlan``s, with one
-    ``special.sph_jn_table`` each. Psi's pair plan, folded with conj(c_i), is
-    contracted into ``psi_upper``, the upper-triangle values per bin, shape
-    (len(ks), pairs); Xi(target)'s plan keeps its angular part (4.0 MB at
-    order 35, 64 cardioids) and its table of j_l(k_b |target - r_p|). ``rows``
-    and ``coeffs`` solve with every bin's (Psi + lambda I) in one pass that
-    factors ``_CHUNK`` bins at a time in one 1 MB buffer (64 mics) and keeps
-    no factor: a 128-bin grid of 64 mics would hold 8.4 MB of them. The
-    solves are bitwise those of ``Estimator(geom, ks[b], lam, psi_upper[b])``
+    Built once over all of ``ks`` up to ``top_order``, it holds the
+    k-independent parts of Psi and Xi(target), from two ``TranslationPlan``s,
+    and one ``special.sph_jn_table`` each of their k-dependent parts. At the
+    128 bins of a 100-1600 Hz, nfft-4096 grid on the 64-cardioid composite
+    array (top order 18) that is:
+
+    * Psi's pair table, j_l(k_b |r_i - r_j|) for l <= 2 at the 245 distinct
+      pair distances: 752,640 bytes (0.75 MB);
+    * its weights, the pair plan folded with conj(c_i): 99,840 bytes, and the
+      pairs' 16,640-byte index into the distances;
+    * Xi(target)'s angular part: 1,108,992 bytes (1.1 MB; 4.0 MB at order 35);
+    * Xi(target)'s table, j_l(k_b |target - r_p|) for l <= 19 at the 64
+      target-mic distances: 1,310,720 bytes (1.3 MB).
+
+    Psi's upper-triangle rows, 4.26 MB over those bins, are never held whole:
+    ``psi_upper`` contracts a range of bins on request, and ``rows`` and
+    ``coeffs`` solve with every bin's (Psi + lambda I) in one pass that takes
+    ``_CHUNK`` bins at a time through one 1 MB buffer (64 mics) and keeps no
+    factor: a 128-bin grid of 64 mics would hold 8.4 MB of them. The solves
+    are bitwise those of ``Estimator(geom, ks[b], lam, psi_upper(b, b + 1)[0])``
     and raise its errors. ``ks`` need not be sorted or distinct.
     """
 
@@ -285,11 +296,20 @@ class GridEstimator:
         pos = geom.positions()
         iu, ju = geom.upper_pairs
         pairs = TranslationPlan.build(pos[iu] - pos[ju], p, c[ju])
-        weights = pairs.fold(np.conj(c[iu]))
+        self._psi_weights = pairs.fold(np.conj(c[iu]))
+        self._psi_index = pairs.radius_index
         self._xi_cols = TranslationPlan.build(self.target - pos, self.order, c)
-        radial = pairs.radial(self.ks, p)
-        self.psi_upper = np.einsum("blp,lp->bp", radial[:, :, pairs.radius_index], weights)
+        # Xi's table first: its kernel temporaries then meet no Psi table
         self._xi_table = self._xi_cols.radial(self.ks, self.order)
+        self._psi_table = pairs.radial(self.ks, p)
+
+    def psi_upper(self, first=0, stop=None):
+        """Psi's upper-triangle values of bins ``first`` .. ``stop`` - 1 in
+        ``geom.upper_pairs`` order, shape (bins, pairs): a fresh array, the pair
+        table's rows contracted with the folded weights. Each bin's row is
+        bitwise the same whatever the range."""
+        radial = self._psi_table[first:stop][:, :, self._psi_index]
+        return np.einsum("blp,lp->bp", radial, self._psi_weights)
 
     def xi(self, b, order):
         """Xi(target) of bin b truncated at ``order`` <= ``top_order``."""
@@ -311,46 +331,51 @@ class GridEstimator:
         Xi is never formed: per degree n, one product takes hw's degree-n
         block of every bin of order >= n onto the Xi plan's angular part, and
         the radial factors j_{n + o - n_in} of each bin contract the offsets o.
+        Neither ``hw`` nor the radial table is copied whole: each degree picks
+        its bins' degree-n block of hw, and their (offset, mic) factors from
+        the table with one combined index.
         """
         orders = self._orders(orders)
         hw = np.asarray(hw, dtype=complex)
         top, n_in, angular = self.order, self._xi_cols.order_in, self._xi_cols.angular
         if hw.ndim != 3 or hw.shape[::2] != (self.ks.size, num_coeffs(top)):
             raise ValueError(f"hw must have shape ({self.ks.size}, K, {num_coeffs(top)})")
-        # bins by falling order, so the bins of order >= n are a leading slice
+        # bins by falling order, so the bins of order >= n lead ``by_order``
         by_order = np.argsort(-orders, kind="stable")
-        hw = hw[by_order]
-        # j_l(k_b |target - r_p|) per bin, degree l and mic
-        radial = self._xi_table[by_order][:, :, self._xi_cols.radius_index]
         count = np.searchsorted(-orders[by_order], -np.arange(top + 1), side="right")
+        mics = self._xi_cols.radius_index
         rows = np.zeros(hw.shape[:2] + (self.geom.n_mics,), dtype=complex)
         for n, m in enumerate(count):
             if m == 0:
                 break
+            bins = by_order[:m]
             block = slice(n * n, (n + 1) ** 2)
             # (bins x K, 2n + 1) @ (2n + 1, offsets x mics)
             a_n = np.moveaxis(angular[:, block], 1, 0).reshape(2 * n + 1, -1)
-            s_n = (hw[:m, :, block].reshape(-1, 2 * n + 1) @ a_n).reshape(m, hw.shape[1], 2 * n_in + 1, -1)
-            # l < 0 only where the angular sums are zero
+            s_n = (hw[bins, :, block].reshape(-1, 2 * n + 1) @ a_n).reshape(m, hw.shape[1], 2 * n_in + 1, -1)
+            # j_l(k_b |target - r_p|) per bin, offset and mic; l < 0 only
+            # where the angular sums are zero
             ls = np.maximum(n + np.arange(2 * n_in + 1) - n_in, 0)
-            rows[:m] += np.einsum("beop,bop->bep", s_n, radial[:m, ls])
-        out = np.empty_like(rows)
-        out[by_order] = rows
-        return out
+            radial = self._xi_table[np.ix_(bins, ls, mics)]
+            rows[bins] += np.einsum("beop,bop->bep", s_n, radial)
+        return rows
 
     def _solve(self, rhs):
         """Overwrite rhs[b], of shape (n_mics,) or (n_mics, K), with (Psi_b + lambda I)^{-1}
         rhs[b] for every bin b, and return ``rhs``; bitwise a per-bin ``Estimator``'s solve.
 
         The bins go ``_CHUNK`` at a time through one buffer of Fortran-ordered
-        matrices (1 MB at 64 mics): one indexed copy puts the chunk's rows of
-        ``psi_upper`` into their upper triangles, lambda goes on the diagonals
-        ("auto" from each matrix's trace), and LAPACK factors every matrix in
-        place (``zpotrf``) and solves with it (``zpotrs``). The lower triangles
-        are never read, and no factor outlives the call.
+        matrices (1 MB at 64 mics): the chunk's rows of Psi are contracted
+        from the pair table (``psi_upper``) and one indexed copy puts them
+        into their upper triangles, lambda goes on the diagonals ("auto" from
+        each matrix's trace), and LAPACK factors every matrix in place
+        (``zpotrf``) and solves with it (``zpotrs``). The lower triangles are
+        never read, and no factor or row of Psi outlives its chunk. A
+        non-finite pair table, weight, right-hand side or lambda raises
+        before any right-hand side is overwritten.
         """
-        if not (np.isfinite(self.psi_upper).all() and np.isfinite(rhs).all()
-                and (self.lam == "auto" or np.isfinite(self.lam))):
+        if not (np.isfinite(self._psi_table).all() and np.isfinite(self._psi_weights).all()
+                and np.isfinite(rhs).all() and (self.lam == "auto" or np.isfinite(self.lam))):
             raise ValueError("Psi + lambda I and the right-hand sides must not contain infs or NaNs")
         n = self.geom.n_mics
         # buffer[c] is read in Fortran order, as zpotrf factors in place: there
@@ -358,7 +383,7 @@ class GridEstimator:
         _, at = self.geom.upper_flat
         buffer = np.zeros((min(_CHUNK, self.ks.size), n, n), dtype=complex)
         for first in range(0, self.ks.size, _CHUNK):
-            upper = self.psi_upper[first: first + _CHUNK]
+            upper = self.psi_upper(first, first + _CHUNK)
             buffer.reshape(len(buffer), -1)[: len(upper), at] = upper
             chunk = buffer[: len(upper)].transpose(0, 2, 1)
             shift = self._lambda(np.real(np.trace(chunk, axis1=1, axis2=2))[:, None], n)

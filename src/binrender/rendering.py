@@ -122,8 +122,8 @@ def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpec
 
     Once per call, ``spectrum`` is turned by ``angles``, and every table that
     depends on k is taken over all of ``freqs`` at the highest order
-    rendered: a ``GridEstimator`` (Psi's upper triangle and Xi(target) of
-    every frequency, from their translation plans and radial tables) and the
+    rendered: a ``GridEstimator`` (the translation plans of Psi's pairs and
+    Xi(target), and their radial tables over every frequency) and the
     rendering weights. Each frequency renders at
     ``truncation_order(k, shoulder_radius, order_cap)`` against the
     interpolated spectrum; the weighted HRTF rows of all frequencies go
@@ -238,14 +238,21 @@ def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpe
     assembled response, Nyquist its own when it lies in the band. The impulse
     responses are circularly shifted by nfft/2 (the modeled delay) and
     windowed (Tukey r = 0.25 by default).
+
+    Each bank-sized array is held once: the (2, n_mics, nfft/2 + 1) complex
+    responses are allocated after ``grid_rows`` returns and dropped after
+    the inverse FFT, the shift is two slice copies into the taps' buffer,
+    and the window multiplies it in place. The taps are bitwise those of
+    ``np.roll`` and a windowed copy.
     """
     freqs, in_band = fft_grid(band, nfft, sample_rate)
     if in_band.size == 0:
         raise ValueError("band contains no FFT bins")
+    rows = grid_rows(geometry, freqs[in_band], target, angles, spectrum, mode, lam, order_cap,
+                     shoulder_radius, sound_speed)
     responses = np.zeros((2, geometry.n_mics, nfft // 2 + 1), dtype=complex)
-    responses[:, :, in_band] = grid_rows(
-        geometry, freqs[in_band], target, angles, spectrum, mode, lam, order_cap,
-        shoulder_radius, sound_speed).transpose(1, 2, 0)
+    responses[:, :, in_band] = rows.transpose(1, 2, 0)
+    del rows
 
     # linear magnitude roll-off of the band-edge response over one octave
     edge = int(in_band[-1])
@@ -259,16 +266,20 @@ def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpe
     responses[:, :, -1] = responses[:, :, -1 if edge == nfft // 2 else -2].real
 
     impulse = np.fft.irfft(responses, n=nfft, axis=2)
-    impulse = np.roll(impulse, nfft // 2, axis=2)
+    del responses
+    # the circular shift by nfft / 2, as np.roll takes it, in one buffer
+    half = nfft // 2
+    taps = np.empty_like(impulse)
+    taps[:, :, half:] = impulse[:, :, : nfft - half]
+    taps[:, :, :half] = impulse[:, :, nfft - half :]
+    del impulse
     if window == "tukey":
-        impulse = impulse * _tukey(nfft, 0.25)[None, None, :]
-    elif window == "boxcar":
-        pass
-    else:
+        taps *= _tukey(nfft, 0.25)
+    elif window != "boxcar":
         raise ValueError(f"unknown window {window!r}")
 
     return BinauralFilterBank(
-        taps=impulse,
+        taps=taps,
         sample_rate=sample_rate,
         delay_samples=nfft // 2,
         band=(float(band[0]), float(band[1])),
@@ -341,13 +352,20 @@ def apply_filter_bank(bank: BinauralFilterBank, mic_signals):
 
 
 def save_filter_bank(bank: BinauralFilterBank, base_path):
-    """WAV (float32, channels mic-major: all L then all R) + JSON sidecar."""
+    """WAV (float32, channels mic-major: all L then all R) + JSON sidecar.
+
+    The taps are rounded to float32 straight into the one (nfft, 2 n_mics)
+    array the WAV writer takes as it is, with no double-precision stack or
+    transposed copy in between.
+    """
     from pathlib import Path
 
     base = Path(base_path)
     if base.suffix == ".wav":
         base = base.with_suffix("")
-    data = np.concatenate([bank.taps[0], bank.taps[1]], axis=0).T.astype(np.float32)
+    data = np.empty((bank.nfft, 2 * bank.n_mics), dtype=np.float32)
+    data[:, : bank.n_mics] = bank.taps[0].T
+    data[:, bank.n_mics :] = bank.taps[1].T
     wavfile.write(base.with_suffix(".wav"), int(bank.sample_rate), data)
     sidecar = {
         "format": "binrender-filterbank",

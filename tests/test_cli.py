@@ -285,6 +285,34 @@ class TestPipeline:
         assert main(["filters", str(cfg)]) == 0
         assert alive == [False]
 
+    def test_render_releases_the_measured_set_before_the_rows(self, tmp_path, monkeypatch):
+        # as in filters: the set's responses are not held while grid_rows runs
+        import weakref
+
+        from binrender import cli, hrtf
+
+        hs = hrtf.synth_rigid_sphere_hrtf(hrtf.SyntheticHead(), hrtf.fibonacci_grid(144),
+                                          [200.0, 1000.0], 1.5)
+        bundleio.save_hrtf_bundle(tmp_path / "hrtf", hs)
+        cfg = write_config(tmp_path, hrtf="hrtf")
+        assert main(["simulate", str(cfg)]) == 0
+        loaded, alive = [], []
+        load, rows = bundleio.load_hrtf_bundle, cli.grid_rows
+
+        def tracked(path):
+            out = load(path)
+            loaded.append(weakref.ref(out))
+            return out
+
+        def checked(*args, **kwargs):
+            alive.append(loaded[0]() is not None)
+            return rows(*args, **kwargs)
+
+        monkeypatch.setattr(bundleio, "load_hrtf_bundle", tracked)
+        monkeypatch.setattr(cli, "grid_rows", checked)
+        assert main(["render", str(cfg)]) == 0
+        assert alive == [False]
+
     def test_missing_geometry_is_user_error(self, tmp_path):
         cfg = write_config(tmp_path, geometry="nope.json")
         assert main(["simulate", str(cfg)]) == 1

@@ -335,7 +335,7 @@ class TestBuildPsi:
         # the upper values and their conjugates written straight into Psi equal
         # the mirror psi + psi^H of the upper triangle with its real diagonal
         k = k_of(900.0)
-        vals = estimation.GridEstimator(composite, [k], "auto", np.zeros(3), 2).psi_upper[0]
+        vals = estimation.GridEstimator(composite, [k], "auto", np.zeros(3), 2).psi_upper()[0]
         iu, ju = np.triu_indices(composite.n_mics)
         upper = np.zeros((composite.n_mics, composite.n_mics), dtype=complex)
         upper[iu, ju] = vals
@@ -350,7 +350,7 @@ class TestBuildPsi:
         iu, ju = composite.upper_pairs
         c, p = composite.directivities
         pos = composite.positions()
-        tabulated = estimation.GridEstimator(composite, [k], "auto", np.zeros(3), 2).psi_upper[0]
+        tabulated = estimation.GridEstimator(composite, [k], "auto", np.zeros(3), 2).psi_upper()[0]
         direct = np.einsum("pq,pq->p", np.conj(c[iu]),
                            wf.translate_multi(pos[iu] - pos[ju], k, p, c[ju]))
         for vals, upper in ((tabulated, tabulated), (direct, None)):
@@ -395,7 +395,7 @@ class TestGridEstimator:
         ks = rng.uniform(1.0, 220.0, 3)
         grid = estimation.GridEstimator(geom, ks, "auto", target, 35)
         for b, k in enumerate(ks):
-            psi = estimation.build_psi(geom, k, grid.psi_upper[b])
+            psi = estimation.build_psi(geom, k, grid.psi_upper()[b])
             assert self.rel(psi, estimation.build_psi(geom, k)) < 1e-12
             assert np.array_equal(psi, psi.conj().T)
             for order in (0, 1, 18, 35):
@@ -436,7 +436,7 @@ class TestGridEstimator:
             monkeypatch.setattr(scipy.special, name,
                                 lambda *a, real=real, **kw: calls.append(1) or real(*a, **kw))
         for b, k in enumerate(ks):
-            estimation.Estimator(composite, k, psi_upper=grid.psi_upper[b])
+            estimation.Estimator(composite, k, psi_upper=grid.psi_upper()[b])
             grid.xi(b, 6)
         grid.rows(np.ones((2, 2, 49), dtype=complex), [6, 3])
         grid.coeffs(np.ones((2, composite.n_mics), dtype=complex), [6, 3])
@@ -452,7 +452,30 @@ class TestGridEstimator:
         radial = pairs.radial(ks, pairs.order_in)[:, :, pairs.radius_index]
         want = sum(radial[:, l] * w for l, w in enumerate(weights))
         assert ks.size == 128
-        assert grid.psi_upper.tobytes() == want.tobytes()
+        assert grid.psi_upper().tobytes() == want.tobytes()
+
+    def test_psi_rows_per_range_are_bitwise_the_whole_grid(self, composite, monkeypatch):
+        # the solve pass contracts Psi's rows a chunk at a time; every range,
+        # the chunks the pass takes included, gives the bytes of one einsum
+        # over the whole 128-bin bank-narrow grid
+        freqs = np.arange(1, 2049) * 48000.0 / 4096
+        ks = k_of(freqs[(freqs >= 100.0) & (freqs <= 1600.0)])
+        grid = estimation.GridEstimator(composite, ks, "auto", self.TARGET, 2)
+        pairs, weights = pair_plan(composite)
+        want = np.einsum("blp,lp->bp", pairs.radial(ks, pairs.order_in)[:, :, pairs.radius_index], weights)
+        ranges = [(first, first + estimation._CHUNK) for first in range(0, ks.size, estimation._CHUNK)]
+        for first, stop in ranges + [(0, None), (5, 6), (7, 93), (120, 128)]:
+            assert grid.psi_upper(first, stop).tobytes() == want[first:stop].tobytes()
+        taken = []
+        psi_upper = grid.psi_upper
+
+        def recording(first, stop):
+            taken.append((first, stop))
+            return psi_upper(first, stop)
+
+        monkeypatch.setattr(grid, "psi_upper", recording)
+        grid.rows(np.ones((ks.size, 2, 9), dtype=complex), [2] * ks.size)
+        assert taken == ranges
 
     def test_estimator_xi_is_build_xi(self, composite):
         # a grid gives an Estimator its Psi only: Xi is build_xi's, bit for
@@ -460,7 +483,7 @@ class TestGridEstimator:
         k = k_of(900.0)
         target = np.array([0.01, 0.02, -0.01])
         grid = estimation.GridEstimator(composite, [k], "auto", target, 4)
-        est = estimation.Estimator(composite, k, psi_upper=grid.psi_upper[0])
+        est = estimation.Estimator(composite, k, psi_upper=grid.psi_upper()[0])
         for t, order in ((target, 4), (target + 0.01, 4), (target, 6)):
             assert np.array_equal(est.xi(t, order), estimation.build_xi(composite, t, k, order))
 
@@ -521,7 +544,7 @@ class TestGridEstimator:
         pre, rows = grid.xi_rows(hw, orders), grid.rows(hw, orders)
         assert ks.size > estimation._CHUNK
         for b, (k, r) in enumerate(zip(ks, pre)):
-            est = estimation.Estimator(composite, k, lam, grid.psi_upper[b])
+            est = estimation.Estimator(composite, k, lam, grid.psi_upper()[b])
             assert rows[b].tobytes() == est.solve(r.conj().T).conj().T.tobytes()
 
     def test_solve_pass_factors_in_one_chunk_buffer(self, composite, monkeypatch):
@@ -572,12 +595,17 @@ class TestGridEstimator:
             return
         grid = estimation.GridEstimator(geom, ks, lam, self.TARGET, 3)
         if case == "non_finite_psi":
-            grid.psi_upper = grid.psi_upper.copy()
-            grid.psi_upper[1, 5] = np.inf
+            # through the pair table that bin 1's Psi row is contracted from
+            grid._psi_table[1, 0, grid._psi_index[5]] = np.inf
+            assert not np.isfinite(grid.psi_upper(1, 2)[0, 5])
+        rhs = np.ones((2, geom.n_mics, 2), dtype=complex)
         for call in (lambda: grid.rows(np.ones((2, 2, 16), dtype=complex), [3, 2]),
-                     lambda: grid.coeffs(np.ones((2, geom.n_mics), dtype=complex), [3, 2])):
+                     lambda: grid.coeffs(np.ones((2, geom.n_mics), dtype=complex), [3, 2]),
+                     lambda: grid._solve(rhs)):
             with pytest.raises(error, match=message):
                 call()
+        # the pass raises before it overwrites any right-hand side
+        assert np.array_equal(rhs, np.ones_like(rhs))
 
     def test_rejects_orders_above_the_top(self, composite):
         ks = [k_of(300.0), k_of(700.0)]

@@ -3,7 +3,11 @@
 The estimate depends on the relative geometry only, so one rigid motion of
 everything at once (mics with their directivities, sources, listener and
 head) must leave the ear signals unchanged, whatever the chain computes in
-between: Psi, its factor, Xi, the rotation, the weights and the rows.
+between: Psi, its factor, Xi, the rotation, the weights and the rows. So
+must a relabelling of the mics, which permutes the observations with the
+rows, and a common scale c > 0 of every directivity under lambda "auto":
+Psi and lambda (1e-3 of Psi's mean diagonal) scale by c^2, Xi and the
+observations by c.
 """
 
 import math
@@ -23,6 +27,10 @@ LISTENER = np.array([0.03, -0.02, 0.01])
 HEAD = EulerAngles(0.4, 0.3, -0.2)
 # 1.6-2.4e-14 relative measured at the three motions below
 RIGID_MOTION_RTOL = 1e-12
+# 1.35-1.43e-14 relative measured at the three relabellings below
+RELABEL_RTOL = 1e-12
+# 0, 1.5e-14 and 1.8e-14 relative measured at the three scales below
+SCALE_RTOL = 1e-12
 
 
 def zyz_angles(rot):
@@ -77,3 +85,22 @@ def test_rigid_motion_leaves_the_ears_unchanged(unmoved, seed):
     got = ears(moved_geometry(geom, rot, shift), [rot @ s + shift for s in SOURCES],
                rot @ LISTENER + shift, zyz_angles(head), spectrum)
     assert np.max(np.abs(got - want)) <= RIGID_MOTION_RTOL * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mic_relabelling_leaves_the_ears_unchanged(unmoved, seed):
+    # the ears, not the rows: permuted rows agree only to 4-6e-13 of their largest entry
+    geom, spectrum, want = unmoved
+    perm = np.random.default_rng(seed).permutation(geom.n_mics)
+    relabelled = arrays.ArrayGeometry([geom.mics[i] for i in perm])
+    got = ears(relabelled, SOURCES, LISTENER, HEAD, spectrum)
+    assert np.max(np.abs(got - want)) <= RELABEL_RTOL * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("scale", [0.5, 3.0, 17.0])
+def test_directivity_scale_leaves_the_ears_unchanged(unmoved, scale):
+    geom, spectrum, want = unmoved
+    scaled = arrays.ArrayGeometry([arrays.Microphone(mic.position, mic.orientation, scale * mic.dir_coeffs)
+                                   for mic in geom.mics])
+    got = ears(scaled, SOURCES, LISTENER, HEAD, spectrum)
+    assert np.max(np.abs(got - want)) <= SCALE_RTOL * np.max(np.abs(want))
