@@ -445,7 +445,7 @@ def geometry(kind, center, yaw_deg, radius, beta, out_path, validate_path):
     except ValueError as exc:  # a bad beta or radius
         raise ConfigError(str(exc)) from exc
     with _user_file("--out", out_path, parsed=False):
-        Path(out_path).write_text(geometry_to_json(geom))
+        arrays.save_geometry(geom, out_path)
     click.echo(f"wrote {out_path} ({geom.n_mics} microphones)")
 
 

@@ -12,7 +12,8 @@ Two estimators:
   rotation; retargeting only swaps the synthesis matrix Xi(r), which
   ``build_xi`` translates from the directivities through one
   ``wavefield.TranslationPlan`` per target, shared by every wavenumber,
-  and one radial table per head-tracking move, shared by the move's bins.
+  and one radial table over the wavenumbers recorded on the geometry,
+  shared by the bins of a head-tracking move.
   ``GridEstimator`` runs it over a grid of wavenumbers, with one radial
   table each for Psi's pairs and Xi(target) over every bin, and factors each
   bin's (Psi + lambda I) in place, a chunk of bins at a time (1 MB of
@@ -126,18 +127,17 @@ def _lambda_rule(ks, lam):
 _CHUNK = 16
 
 class _XiSlot(NamedTuple):
-    """``build_xi``'s state at the last target."""
+    """``build_xi``'s state on the last geometry."""
 
     geom: ArrayGeometry  # compared by identity, kept alive by the slot
-    target: bytes
-    plan: TranslationPlan
-    order: int  # the highest order asked at the target
-    asked: dict  # each wavenumber asked at the target: its row in the next target's table
-    table: np.ndarray | None  # the radial table over the previous target's wavenumbers
-    rows: dict  # each of those wavenumbers: its row in ``table``
+    target: bytes | None
+    plan: TranslationPlan | None
+    order: int  # the highest order asked since the plan was built
+    table: np.ndarray | None  # the radial table over ``rows`` as they were when the plan was built
+    rows: dict  # each wavenumber asked on the geometry, in first-asked order: its row in the tables
 
 
-# Wavenumbers recorded per target; they bound the next target's radial table.
+# Wavenumbers recorded per geometry; they bound the radial table.
 _XI_WAVENUMBERS = 128
 
 _xi_slot = None
@@ -155,51 +155,40 @@ def build_xi(geom: ArrayGeometry, target, k, order):
     one contraction; a grid of wavenumbers takes them from
     ``GridEstimator.xi`` instead.
 
-    One plan is kept, in a module-level slot with the highest order and the
-    wavenumbers asked at its target. A call with the same geometry object
-    (which the slot keeps alive), the same target and an order the plan
-    covers reuses it. The same target at a higher order rebuilds it at that
-    order. A new target builds it at the larger of ``order`` and the highest
-    order asked at the previous target of the same geometry, and takes one
-    radial table at the plan's order over the wavenumbers asked there. So
-    the first bin of a head-tracking move sizes the plan and the table for
-    the move's other bins, and each bin applies its k's row of the table,
-    found by exact float equality. A k without a row takes a table of its
-    own and is recorded for the next target. Table entries depend on (l, kr)
-    alone and a plan slice does not depend on the plan's order, so the
-    result depends on neither.
+    One plan is kept, in a module-level slot with the first 128 wavenumbers
+    asked on its geometry (which the slot keeps alive) and the highest order
+    asked since the plan was built. A call on another geometry object starts
+    an empty slot. A call at another target, or above the plan's order,
+    rebuilds: the plan at the larger of ``order`` and that highest order,
+    and one radial table at the plan's order over every recorded wavenumber.
+    So the first bin of a head-tracking move sizes the plan and the table
+    for the move's other bins, and each bin applies its k's row of the
+    table, found by exact float equality; a k without a row takes a table of
+    its own. Table entries depend on (l, kr) alone and a plan slice does not
+    depend on the plan's order, so the result depends on neither.
 
     The slot holds the plan, 1.1 MB at order 18 and 4.0 MB at order 35 on 64
     cardioids, and the table: 8 (N + n + 1) bytes per wavenumber and distinct
     target-mic distance at plan order N and directivity order n. At most 128
-    wavenumbers are recorded per target, so the table holds at most
-    2,424,832 bytes (2.4 MB) at order 35 on 64 cardioids, and 163,840 bytes
-    for the 16 head-tracking bins at order 18.
+    wavenumbers are recorded, so the table holds at most 2,424,832 bytes
+    (2.4 MB) at order 35 on 64 cardioids, and 163,840 bytes for the 16
+    head-tracking bins at order 18.
     """
     global _xi_slot
     target = np.asarray(target, dtype=float)
     k, order, key = float(k), int(order), target.tobytes()
     slot = _xi_slot
-    same_geom = slot is not None and slot.geom is geom
-    if same_geom and slot.target == key and order <= slot.plan.order:
-        slot = slot._replace(order=max(order, slot.order))
-    elif same_geom and slot.target == key:
-        # the same target at a higher order: a new plan, whose bins take their own tables
-        plan = TranslationPlan.build(target - geom.positions(), order, geom.directivities[0])
-        slot = slot._replace(plan=plan, order=order, table=None, rows={})
-    else:
-        # a new target: the previous target's highest order and wavenumbers
-        # size its plan and one radial table, shared by the bins of a move
-        top = max(order, slot.order if same_geom else 0)
+    if slot is None or slot.geom is not geom:
+        slot = _XiSlot(geom, None, None, 0, None, {})
+    if len(slot.rows) < _XI_WAVENUMBERS:
+        slot.rows.setdefault(k, len(slot.rows))
+    if slot.target != key or order > slot.plan.order:
+        top = max(order, slot.order)
         plan = TranslationPlan.build(target - geom.positions(), top, geom.directivities[0])
-        rows = slot.asked if same_geom else {}
-        table = plan.radial(np.array(list(rows)), top) if rows else None
-        slot = _XiSlot(geom, key, plan, order, {}, table, rows)
-    if len(slot.asked) < _XI_WAVENUMBERS:
-        slot.asked.setdefault(k, len(slot.asked))
-    _xi_slot = slot
-    row = slot.rows.get(k)
-    radial = slot.plan.radial(k, order) if row is None else slot.table[row]
+        slot = _XiSlot(geom, key, plan, order, plan.radial(np.array(list(slot.rows)), top), slot.rows)
+    _xi_slot = slot = slot._replace(order=max(order, slot.order))
+    row = slot.rows.get(k, len(slot.table))
+    radial = slot.table[row] if row < len(slot.table) else slot.plan.radial(k, order)
     return slot.plan.apply(radial, order)
 
 
@@ -252,11 +241,6 @@ class Estimator:
         w = self.solve(s)
         alpha = self.xi(target, order) @ w
         return ShCoeffVec(alpha, target, self.k, order)
-
-    def predicted_observation(self, alpha: ShCoeffVec):
-        """Forward prediction s_hat = Xi(r)^H alpha(r)."""
-        xi = self.xi(alpha.center, alpha.order)
-        return xi.conj().T @ alpha.coeffs
 
 
 class GridEstimator:

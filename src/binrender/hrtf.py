@@ -283,20 +283,10 @@ def rigid_sphere_pressure(radius, cos_gamma, source_distance, k, tol=1e-12, cap_
 
     n_start = int(math.ceil(math.e * ka / 2.0)) + 16
     coefs = _scattering_coefs(0, min(n_start, cap_order) + 1, ka, kd)
-    p_prev = np.ones_like(cos_gamma)  # P_0
-    p_curr = cos_gamma.copy()  # P_1
+    p_prev, pn = np.zeros_like(cos_gamma), np.ones_like(cos_gamma)  # P_-1, P_0
     total = np.zeros(cos_gamma.shape, dtype=complex)
-    n = 0
     ref = 0.0
-    while True:
-        if n == 0:
-            pn = p_prev
-        elif n == 1:
-            pn = p_curr
-        else:
-            p_next = ((2 * n - 1) * cos_gamma * p_curr - (n - 1) * p_prev) / n
-            p_prev, p_curr = p_curr, p_next
-            pn = p_curr
+    for n in range(cap_order + 1):
         if n == coefs.size:
             coefs = np.concatenate(
                 [coefs, _scattering_coefs(n, min(2 * n, cap_order + 1), ka, kd)])
@@ -304,13 +294,9 @@ def rigid_sphere_pressure(radius, cos_gamma, source_distance, k, tol=1e-12, cap_
         total += term
         ref = max(ref, float(np.max(np.abs(total))))
         if n >= n_start and float(np.max(np.abs(term))) < tol * max(ref, 1e-300):
-            break
-        n += 1
-        if n > cap_order:
-            raise RuntimeError(
-                f"rigid-sphere scattering series did not converge within {cap_order} terms"
-            )
-    return -total / (4.0 * math.pi * k * radius**2)
+            return -total / (4.0 * math.pi * k * radius**2)
+        p_prev, pn = pn, ((2 * n + 1) * cos_gamma * pn - n * p_prev) / (n + 1)
+    raise RuntimeError(f"rigid-sphere scattering series did not converge within {cap_order} terms")
 
 
 def _scattering_coefs(n_lo, n_hi, ka, kd):

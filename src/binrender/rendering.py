@@ -241,9 +241,8 @@ def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpe
 
     Each bank-sized array is held once: the (2, n_mics, nfft/2 + 1) complex
     responses are allocated after ``grid_rows`` returns and dropped after
-    the inverse FFT, the shift is two slice copies into the taps' buffer,
-    and the window multiplies it in place. The taps are bitwise those of
-    ``np.roll`` and a windowed copy.
+    the inverse FFT, the shift is one ``np.roll`` into the taps' buffer,
+    and the window multiplies it in place.
     """
     freqs, in_band = fft_grid(band, nfft, sample_rate)
     if in_band.size == 0:
@@ -267,11 +266,7 @@ def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpe
 
     impulse = np.fft.irfft(responses, n=nfft, axis=2)
     del responses
-    # the circular shift by nfft / 2, as np.roll takes it, in one buffer
-    half = nfft // 2
-    taps = np.empty_like(impulse)
-    taps[:, :, half:] = impulse[:, :, : nfft - half]
-    taps[:, :, :half] = impulse[:, :, nfft - half :]
+    taps = np.roll(impulse, nfft // 2, axis=2)
     del impulse
     if window == "tukey":
         taps *= _tukey(nfft, 0.25)

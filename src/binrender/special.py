@@ -122,20 +122,14 @@ def sph_jn_table(lmax, z):
             np.multiply(out[l - 1], 2 * l - 1, out=out[l])  # (2l - 1) j_{l-1} / z - j_{l-2}
             out[l] /= flat
             out[l] -= out[l - 2]
-        # (2l + 1) / x as one table when x is short, where the steps' cost is
-        # per call, and step by step when long; the quotients are the same
-        ratio = np.divide.outer(np.arange(1.0, 2 * top + 2, 2), x) if x.size <= 1024 else None
         for l in range(top, 0, -1):
             a = running[l]
             if a < x.size:
                 step, here, above = rows[l - 1][:a], rows[l][:a], rows[l + 1][:a]
             else:  # every column running: whole rows, no slicing
                 step, here, above = rows[l - 1], rows[l], rows[l + 1]
-            if ratio is None:
-                np.divide(2 * l + 1, x[:a], out=step)
-                step *= here
-            else:
-                np.multiply(ratio[l, :a], here, out=step)
+            np.divide(2 * l + 1, x[:a], out=step)
+            step *= here
             step -= above
         j0, j1 = out[0, near], out[1, near]
         larger1 = np.abs(j1) > np.abs(j0)

@@ -256,8 +256,8 @@ class TranslationPlan:
     for Psi's pairs, folded into its per-bin upper triangles, and one for
     Xi(target); a single-k Xi comes from the one plan ``estimation.build_xi``
     keeps for the last target, shared by every wavenumber asked there, and
-    from its one radial table over the previous target's wavenumbers, shared
-    by the bins of a head-tracking move.
+    from its one radial table over the wavenumbers recorded on the geometry,
+    shared by the bins of a head-tracking move.
     """
 
     angular: np.ndarray

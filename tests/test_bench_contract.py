@@ -58,6 +58,20 @@ def factors(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """Counts ``wavefield.TranslationPlan.build`` calls: the grid path's translations."""
+    calls = []
+    build = wavefield.TranslationPlan.build
+
+    def counted(cls, *args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(wavefield.TranslationPlan, "build", classmethod(counted))
+    return calls
+
+
 def test_tracer_instruments_traced_names(traced):
     original = (rendering.render_full, estimation.Estimator.solve, scipy.special.spherical_jn)
 
@@ -96,9 +110,10 @@ def test_bank_meters_count_bins_and_rotation_blocks(traced, factors):
     assert 0 < layers["special.wigner_d_calls"] <= spec.order + 1
 
 
-def test_bank_translations_do_not_grow_with_bins(traced, factors):
-    # the angular plan is built once per call: doubling the in-band bins
-    # doubles the factors and leaves the translate_multi count alone
+def test_bank_translations_do_not_grow_with_bins(traced, factors, plan_builds):
+    # the angular plans are built once per call, Psi's pairs and Xi(target):
+    # doubling the in-band bins doubles the factors and leaves the plan and
+    # translate_multi counts alone
     fs, band = 48000.0, (400.0, 2000.0)
     geom = arrays.build_small_array()
     translations = []
@@ -107,9 +122,11 @@ def test_bank_translations_do_not_grow_with_bins(traced, factors):
         in_band = freqs[(freqs >= band[0]) & (freqs <= band[1])]
         spec = hrtf.rigid_sphere_hrtf_spectrum(hrtf.SyntheticHead(), in_band, 1.5, 8)
         factors.clear()
+        plan_builds.clear()
         _, _, layers = traced(lambda: rendering.synth_fir_filters(
             geom, np.zeros(3), EulerAngles(), spec, band, nfft, fs))
         assert len(factors) == in_band.size
+        assert len(plan_builds) == 2
         translations.append(layers["wavefield.translate_calls"])
     assert translations[0] == translations[1]
 
@@ -134,9 +151,10 @@ def test_bank_radial_calls_do_not_grow_with_bins(traced, factors):
     assert 0 < radial_calls[0] == radial_calls[1]
 
 
-def test_estimate_translations_do_not_grow_with_bins(tmp_path, traced, factors):
-    # estimate takes its free-field bins from one angular plan: doubling the
-    # scene's frequencies leaves the translate_multi and radial counts alone
+def test_estimate_translations_do_not_grow_with_bins(tmp_path, traced, factors, plan_builds):
+    # estimate takes its free-field bins from two angular plans, Psi's pairs
+    # and Xi(target): doubling the scene's frequencies leaves the plan,
+    # translate_multi and radial counts alone
     (tmp_path / "geom.json").write_text(arrays.geometry_to_json(arrays.build_small_array()))
     counts = []
     for n in (8, 16):
@@ -150,9 +168,11 @@ def test_estimate_translations_do_not_grow_with_bins(tmp_path, traced, factors):
             "listener": {"position": [0.01, 0.0, 0.0]}, "output_dir": "out"}))
         assert cli.main(["simulate", str(run / "run.json")]) == 0
         factors.clear()
+        plan_builds.clear()
         rc, _, layers = traced(lambda: cli.main(["estimate", str(run / "run.json")]))
         assert rc == 0
         assert len(factors) == n
+        assert len(plan_builds) == 2
         counts.append((layers["wavefield.translate_calls"], layers["special.radial_calls"]))
     assert 0 < counts[0][1] and counts[0] == counts[1]
 

@@ -218,7 +218,7 @@ class TestXiPlanSlot:
 
 
 class TestXiRadialTable:
-    """A new target takes one radial table over the previous target's wavenumbers."""
+    """A rebuild takes one radial table over the wavenumbers recorded on the geometry."""
 
     BINS = [(k, metrics.truncation_order(k)) for k in k_of(np.arange(100.0, 1700.0, 100.0))]
 
@@ -273,15 +273,16 @@ class TestXiRadialTable:
         assert estimation._xi_slot.table.shape[0] == 16  # the extra k took a table of its own
         self.move(composite, np.array([-0.04, 0.0, 0.01]), [extra] + self.BINS)
         assert estimation._xi_slot.table.shape[0] == 17
-        assert estimation._xi_slot.rows[extra[0]] == 8
+        assert estimation._xi_slot.rows[extra[0]] == 16  # rows in first-asked order on the geometry
 
     def test_same_target_at_higher_order(self, composite, tables):
         target = np.array([0.02, 0.03, -0.01])
         self.move(composite, np.array([0.01, 0.02, 0.0]))
         self.move(composite, target)
         k, order = self.BINS[5]
-        self.checked(composite, target, k, 24)  # rebuilds the plan and drops the table
-        assert estimation._xi_slot.table is None
+        self.checked(composite, target, k, 24)  # rebuilds the plan and the table at order 24
+        slot = estimation._xi_slot
+        assert slot.plan.order == 24 and slot.table.shape == (16, 26, slot.plan.radii.size)
         self.move(composite, target)
         self.checked(composite, target, k, order)
         # the next target's plan and table are at order 24
@@ -305,7 +306,7 @@ class TestXiRadialTable:
         estimation.build_xi(composite, np.array([0.01, 0.02, 0.0]), ks[0], 35)
         for k in ks[1:]:
             estimation.build_xi(composite, np.array([0.01, 0.02, 0.0]), k, 1)
-        assert len(estimation._xi_slot.asked) == estimation._XI_WAVENUMBERS == 128
+        assert len(estimation._xi_slot.rows) == estimation._XI_WAVENUMBERS == 128
         self.checked(composite, np.array([-0.03, 0.01, 0.02]), ks[-1], 2)  # past the cap: its own table
         self.checked(composite, np.array([-0.03, 0.01, 0.02]), ks[127], 2)
         table = estimation._xi_slot.table
@@ -672,7 +673,7 @@ class TestEstimator:
         for lam in (1e-6 * tr, 1e-4 * tr, 1e-2 * tr):
             est = estimation.Estimator(composite, k, lam=lam)
             alpha = est.coeffs(s, np.zeros(3), 20)
-            s_hat = est.predicted_observation(alpha)
+            s_hat = est.xi(np.zeros(3), 20).conj().T @ alpha.coeffs
             errs.append(np.linalg.norm(s_hat - s) / np.linalg.norm(s))
         assert errs[0] < errs[1] < errs[2]
 

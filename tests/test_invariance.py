@@ -2,8 +2,9 @@
 
 The estimate depends on the relative geometry only, so one rigid motion of
 everything at once (mics with their directivities, sources, listener and
-head) must leave the ear signals unchanged, whatever the chain computes in
-between: Psi, its factor, Xi, the rotation, the weights and the rows. So
+head) must leave the ear signals unchanged, and without the sources the
+filter bank's taps, whatever the chain computes in between: Psi, its
+factor, Xi, the rotation, the weights and the rows. So
 must a relabelling of the mics, which permutes the observations with the
 rows, and a common scale c > 0 of every directivity under lambda "auto":
 Psi and lambda (1e-3 of Psi's mean diagonal) scale by c^2, Xi and the
@@ -27,6 +28,8 @@ LISTENER = np.array([0.03, -0.02, 0.01])
 HEAD = EulerAngles(0.4, 0.3, -0.2)
 # 1.6-2.4e-14 relative measured at the three motions below
 RIGID_MOTION_RTOL = 1e-12
+# 2.6, 2.5 and 5.3e-13 of the largest tap measured at the same three motions
+TAPS_RTOL = 1e-12
 # 1.35-1.43e-14 relative measured at the three relabellings below
 RELABEL_RTOL = 1e-12
 # 0, 1.5e-14 and 1.8e-14 relative measured at the three scales below
@@ -85,6 +88,22 @@ def test_rigid_motion_leaves_the_ears_unchanged(unmoved, seed):
     got = ears(moved_geometry(geom, rot, shift), [rot @ s + shift for s in SOURCES],
                rot @ LISTENER + shift, zyz_angles(head), spectrum)
     assert np.max(np.abs(got - want)) <= RIGID_MOTION_RTOL * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rigid_motion_leaves_the_filter_taps_unchanged(unmoved, seed):
+    # on the geometry in memory: a geometry file rounds positions to 12 digits
+    geom, spectrum, _ = unmoved
+    band, nfft, fs = (100.0, 1600.0), 1024, 48000.0
+    want = rendering.synth_fir_filters(geom, LISTENER, HEAD, spectrum, band, nfft, fs,
+                                       sound_speed=C).taps
+    rng = np.random.default_rng(seed)
+    rot = rotation_matrix_zyz(*rng.uniform(-math.pi, math.pi, size=3))
+    shift = rng.normal(scale=0.5, size=3)
+    head = rot @ rotation_matrix_zyz(HEAD.alpha, HEAD.beta, HEAD.gamma)
+    got = rendering.synth_fir_filters(moved_geometry(geom, rot, shift), rot @ LISTENER + shift,
+                                      zyz_angles(head), spectrum, band, nfft, fs, sound_speed=C).taps
+    assert np.max(np.abs(got - want)) <= TAPS_RTOL * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -78,7 +78,7 @@ class TestSphJnTable:
         assert np.all(err <= np.maximum(2.0 * scipy_err, floor))
 
     def test_values_independent_of_lmax_and_batch(self, rng):
-        # a long batch against single values: both ways of taking (2l + 1) / z
+        # a long batch against single values and a short subset
         z = np.concatenate([self.Z, rng.uniform(0.0, 40.0, 1500)])
         table = sp.sph_jn_table(40, z)
         for lmax in (2, 3, 12, 39):
