@@ -11,16 +11,18 @@ orders 2-18).
   the distinct pair and target-mic distances) and the table of a
   head-tracking move (the 16 head-track wavenumbers times the 64 target-mic
   distances, l <= 19), which ``build_xi`` takes at a new target.
-* ``rows``: each bank grid's pre-solve rows, per bin (``hw_b @ grid.xi(b,
-  N_b)``) against ``GridEstimator.xi_rows``, for a fixed random ``hw`` zero
-  above each bin's order; ``rel_diff`` is their largest difference relative
-  to the largest row entry. Then the solves of ``GridEstimator.rows`` on
-  those rows: a per-bin ``Estimator(geom, k, "auto", grid.psi_upper(b, b +
+* ``rows``: each bank grid's pre-solve rows, per bin (``hw_b @ xi.xi(b,
+  N_b)``) against ``XiGrid.xi_rows``, for a fixed random ``hw`` zero above
+  each bin's order; ``rel_diff`` is their largest difference relative to
+  the largest row entry. Then the solves of ``PsiGrid.solve_rows`` on those
+  rows: a per-bin ``Estimator(geom, k, "auto", psi.psi_upper(b, b +
   1)[0]).solve`` (Psi scattered, factored and dropped bin by bin) against the
   grid's chunked in-place solve pass; ``bitwise`` says whether they agree bit
   for bit. Last ``peak_mb``, the tracemalloc peak of one warm
   ``rendering.grid_rows`` call on the grid, against the synthetic head's
-  spectrum at the grid's top order; bank-wide adds ``fit_peak_mb``, the
+  spectrum at the grid's top order; bank-narrow adds ``bank_peak_mb``, the
+  tracemalloc peak of one warm ``rendering.synth_fir_filters`` call on its
+  grid (the rows and the bank's tail), and bank-wide ``fit_peak_mb``, the
   tracemalloc peak of the order-35 ``fit_sh`` that comes before it in the
   bench's ``filters`` call (the 2232-direction ``equiangular_grid`` at the
   bench bundle's 61 frequencies, 100-12100 Hz every 200 Hz, seeded random
@@ -148,21 +150,21 @@ def rows(geom, repeats):
         ks = bank_ks(band, nfft)
         orders = [metrics.truncation_order(k) for k in ks]
         top = max(orders)
-        grid = estimation.GridEstimator(geom, ks, "auto", TARGET, top)
+        xi, psi = estimation.XiGrid(geom, ks, TARGET, top), estimation.PsiGrid(geom, ks, "auto")
         hw = rng.standard_normal((ks.size, 2, (top + 1) ** 2, 2)) @ np.array([1.0, 1j])
         for b, order in enumerate(orders):
             hw[b, :, (order + 1) ** 2 :] = 0.0
-        calls = {"blocked": lambda i: grid.xi_rows(hw, orders),
-                 "per_bin": lambda i: np.array([hw[b, :, : (n + 1) ** 2] @ grid.xi(b, n)
+        calls = {"blocked": lambda i: xi.xi_rows(hw, orders),
+                 "per_bin": lambda i: np.array([hw[b, :, : (n + 1) ** 2] @ xi.xi(b, n)
                                                 for b, n in enumerate(orders)])}
         blocked_ms, per_bin_ms, ratio = versus(calls, repeats)
         blocked, per_bin = calls["blocked"](0), calls["per_bin"](0)
         diff = np.max(np.abs(blocked - per_bin)) / np.max(np.abs(per_bin))
-        # the solves of grid.rows: the rows' conjugate transposes per bin
+        # the solves of psi.solve_rows: the rows' conjugate transposes per bin
         rhs = blocked.conj().transpose(0, 2, 1)
-        solves = {"pass": lambda i: grid._solve(rhs.copy()),
+        solves = {"pass": lambda i: psi.solve(rhs.copy()),
                   "estimators": lambda i: np.array([estimation.Estimator(geom, k, "auto",
-                                                                         grid.psi_upper(b, b + 1)[0])
+                                                                         psi.psi_upper(b, b + 1)[0])
                                                     .solve(rhs[b]) for b, k in enumerate(ks)])}
         pass_ms, estimators_ms, solve_ratio = versus(solves, repeats)
         bitwise = solves["pass"](0).tobytes() == solves["estimators"](0).tobytes()
@@ -171,6 +173,7 @@ def rows(geom, repeats):
                      "estimators_solve_ms": estimators_ms, "pass_solve_ms": pass_ms,
                      "solve_ratio": solve_ratio, "bitwise": bitwise,
                      "peak_mb": grid_rows_peak(geom, ks, top)}
+    out["bank-narrow"]["bank_peak_mb"] = bank_peak(geom, *GRIDS["bank-narrow"])
     out["bank-wide"]["fit_peak_mb"] = fit_peak(fit_set(BUNDLE_FREQS))
     return {"grids": out}
 
@@ -180,6 +183,24 @@ def grid_rows_peak(geom, ks, top):
     freqs = ks * SOUND_SPEED / (2.0 * math.pi)
     spectrum = hrtf.rigid_sphere_hrtf_spectrum(hrtf.SyntheticHead(), freqs, MEASURE_RADIUS, top)
     call = lambda: rendering.grid_rows(geom, freqs, TARGET, EulerAngles(), spectrum)
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return round(peak / 1e6, 2)
+
+
+def bank_peak(geom, band, nfft):
+    """The tracemalloc peak, in MB, of one warm ``synth_fir_filters`` call on the grid of
+    ``band`` and ``nfft``."""
+    freqs, in_band = rendering.fft_grid(band, nfft, SAMPLE_RATE)
+    top = max(metrics.truncation_order(k) for k in 2.0 * math.pi * freqs[in_band] / SOUND_SPEED)
+    spectrum = hrtf.rigid_sphere_hrtf_spectrum(hrtf.SyntheticHead(), freqs[in_band], MEASURE_RADIUS, top)
+    call = lambda: rendering.synth_fir_filters(geom, TARGET, EulerAngles(0.3, 0.2, 0.1), spectrum, band,
+                                               nfft, SAMPLE_RATE)
     call()
     tracemalloc.start()
     try:

@@ -33,7 +33,7 @@ from .arrays import (
     geometry_to_json,
     load_geometry,
 )
-from .estimation import GridEstimator, rigid_sphere_estimate
+from .estimation import PsiGrid, XiGrid, rigid_sphere_estimate
 from .hrtf import SyntheticHead, rigid_sphere_hrtf_spectrum
 from .metrics import (
     ITD_MAX_LAG_S,
@@ -554,10 +554,11 @@ def estimate(config_path, lam, eta, order, observations):
         alphas = [rigid_sphere_estimate(s, cfg.geometry, k, order, cfg.eta)
                   for s, k, order in zip(obs, ks, orders)]
     else:
-        # one grid estimator at the top order: every bin slices its tables
+        # the grid estimator's halves, Psi's solves first and then Xi(target)
+        # at the top order: every bin slices their tables
         with _chosen_lambda(cfg):
-            grid = GridEstimator(cfg.geometry, ks, cfg.lam, cfg.listener_position, max(orders, default=0))
-            alphas = grid.coeffs(obs, orders)
+            w = PsiGrid(cfg.geometry, ks, cfg.lam).solve(np.array(obs, dtype=complex))
+        alphas = XiGrid(cfg.geometry, ks, cfg.listener_position, max(orders, default=0)).coeffs(w, orders)
     flat = np.concatenate([alpha.coeffs for alpha in alphas])
     header = {
         "kind": "coefficients",
@@ -604,13 +605,14 @@ def filters(config_path, lam):
     freqs, in_band = fft_grid(cfg.band, cfg.nfft, cfg.sample_rate)
     if in_band.size == 0:
         raise ConfigError(f"render band {list(cfg.band)} holds no bin of the {cfg.nfft}-point FFT")
-    spectrum = cfg.spectrum_at(freqs[in_band])
     # the fit replaces the measured set: its responses (4.4 MB for a
-    # 2232-direction bundle at 61 frequencies) go before the bank is built
+    # 2232-direction bundle at 61 frequencies) go before the bank is built,
+    # and the bank takes the fit's only reference, to drop it before its tail
+    fit = [cfg.spectrum_at(freqs[in_band])]
     cfg.hrtf_set = None
     with _chosen_lambda(cfg):
         bank = synth_fir_filters(
-            cfg.geometry, cfg.listener_position, cfg.angles, spectrum,
+            cfg.geometry, cfg.listener_position, cfg.angles, fit.pop(),
             cfg.band, cfg.nfft, cfg.sample_rate, mode=cfg.mode, lam=cfg.lam,
             window=cfg.window, order_cap=cfg.order_cap,
             shoulder_radius=cfg.shoulder_radius, sound_speed=cfg.scene.sound_speed)

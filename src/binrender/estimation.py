@@ -14,12 +14,13 @@ Two estimators:
   ``wavefield.TranslationPlan`` per target, shared by every wavenumber,
   and one radial table over the wavenumbers recorded on the geometry,
   shared by the bins of a head-tracking move.
-  ``GridEstimator`` runs it over a grid of wavenumbers, with one radial
-  table each for Psi's pairs and Xi(target) over every bin, and factors each
-  bin's (Psi + lambda I) in place, a chunk of bins at a time (1 MB of
-  matrices at 64 mics), contracting the chunk's rows of Psi as it goes, with
-  no per-bin ``Estimator`` and no factor kept; filter banks and ``estimate``
-  go through it.
+  Over a grid of wavenumbers it comes in two halves, built and dropped one
+  after the other: ``XiGrid``, the Xi(target) plan and one radial table over
+  every bin, and ``PsiGrid``, the Psi pairs' folded plan and one radial
+  table, which factors each bin's (Psi + lambda I) in place, a chunk of bins
+  at a time (1 MB of matrices at 64 mics), contracting the chunk's rows of
+  Psi as it goes, with no per-bin ``Estimator`` and no factor kept; filter
+  banks and ``estimate`` go through them.
 """
 
 from typing import NamedTuple
@@ -89,7 +90,7 @@ def build_psi(geom: ArrayGeometry, k, upper=None):
     the upper triangle, whose conjugates fill the lower one (one flat scatter
     each, at ``geom.upper_flat``), hence Hermitian by construction; the
     diagonal is real positive. ``upper`` gives the upper-triangle values at k
-    in ``geom.upper_pairs`` order, as ``GridEstimator`` tabulates them per
+    in ``geom.upper_pairs`` order, as ``PsiGrid`` tabulates them per
     bin; without it they come from ``translate_multi``.
     """
     if upper is None:
@@ -110,7 +111,7 @@ def build_psi(geom: ArrayGeometry, k, upper=None):
 _SINGULAR = "Psi + lambda I is singular; increase lambda"
 
 
-def _lambda_rule(ks, lam):
+def lambda_rule(ks, lam):
     """Check an estimator's wavenumbers ``ks`` and ``lam`` before any work, and
     return lambda as a function of trace(Psi) and the mic count n: for "auto",
     1e-3 of Psi's mean diagonal. A NaN ``lam`` passes; the solves reject it."""
@@ -123,7 +124,7 @@ def _lambda_rule(ks, lam):
     return lambda trace, n: float(lam)
 
 
-# Bins per chunk of ``GridEstimator``'s solve pass: 1 MB of matrices at 64 mics.
+# Bins per chunk of ``PsiGrid``'s solve pass: 1 MB of matrices at 64 mics.
 _CHUNK = 16
 
 class _XiSlot(NamedTuple):
@@ -153,7 +154,7 @@ def build_xi(geom: ArrayGeometry, target, k, order):
     the displacements r - r_i and a table ``radial`` of j_l(k |r - r_i|), so
     every wavenumber at one target shares the plan's angular sums and pays
     one contraction; a grid of wavenumbers takes them from
-    ``GridEstimator.xi`` instead.
+    ``XiGrid.xi`` instead.
 
     One plan is kept, in a module-level slot with the first 128 wavenumbers
     asked on its geometry (which the slot keeps alive) and the highest order
@@ -203,7 +204,7 @@ class Estimator:
     """
 
     def __init__(self, geom: ArrayGeometry, k, lam="auto", psi_upper=None):
-        rule = _lambda_rule(k, lam)
+        rule = lambda_rule(k, lam)
         self.geom = geom
         self.k = float(k)
         self.psi = build_psi(geom, k, psi_upper)
@@ -243,61 +244,41 @@ class Estimator:
         return ShCoeffVec(alpha, target, self.k, order)
 
 
-class GridEstimator:
-    """The distributed-array estimator over a grid of wavenumbers ``ks``.
+class XiGrid:
+    """The Xi(target) half of the distributed-array estimator over a grid of
+    wavenumbers ``ks``: everything that depends on the target and nothing that
+    depends on lambda.
 
-    Built once over all of ``ks`` up to ``top_order``, it holds the
-    k-independent parts of Psi and Xi(target), from two ``TranslationPlan``s,
-    and one ``special.sph_jn_table`` each of their k-dependent parts. At the
-    128 bins of a 100-1600 Hz, nfft-4096 grid on the 64-cardioid composite
-    array (top order 18) that is:
+    Built once over all of ``ks`` up to ``top_order``, it holds Xi(target)'s
+    k-independent part, the ``TranslationPlan`` of the target-mic
+    displacements, and one ``special.sph_jn_table`` of its k-dependent part.
+    At the 128 bins of a 100-1600 Hz, nfft-4096 grid on the 64-cardioid
+    composite array (top order 18) that is:
 
-    * Psi's pair table, j_l(k_b |r_i - r_j|) for l <= 2 at the 245 distinct
-      pair distances: 752,640 bytes (0.75 MB);
-    * its weights, the pair plan folded with conj(c_i): 99,840 bytes, and the
-      pairs' 16,640-byte index into the distances;
-    * Xi(target)'s angular part: 1,108,992 bytes (1.1 MB; 4.0 MB at order 35);
-    * Xi(target)'s table, j_l(k_b |target - r_p|) for l <= 19 at the 64
+    * the plan's angular part: 1,108,992 bytes (1.1 MB; 4.0 MB at order 35);
+    * the radial table, j_l(k_b |target - r_p|) for l <= 19 at the 64
       target-mic distances: 1,310,720 bytes (1.3 MB).
 
-    Psi's upper-triangle rows, 4.26 MB over those bins, are never held whole:
-    ``psi_upper`` contracts a range of bins on request, and ``rows`` and
-    ``coeffs`` solve with every bin's (Psi + lambda I) in one pass that takes
-    ``_CHUNK`` bins at a time through one 1 MB buffer (64 mics) and keeps no
-    factor: a 128-bin grid of 64 mics would hold 8.4 MB of them. The solves
-    are bitwise those of ``Estimator(geom, ks[b], lam, psi_upper(b, b + 1)[0])``
-    and raise its errors. ``ks`` need not be sorted or distinct.
+    A retarget is a new ``XiGrid`` beside a kept ``PsiGrid``.
+    ``rendering.grid_rows`` drops this half, and the weighted HRTF rows it was
+    given, as soon as ``xi_rows`` returns, before the Psi half is built. A
+    warm bank-narrow ``filters`` call (the bench's seed-1 inputs) now peaks at
+    7.6 MB of tracemalloc in ``xi_rows``, 7.2 MB while this half is built and
+    6.8 MB in the solve pass after it, which peaked at 9.9 MB beside this
+    half and those rows. ``ks`` need not be sorted or distinct.
     """
 
-    def __init__(self, geom: ArrayGeometry, ks, lam, target, top_order):
+    def __init__(self, geom: ArrayGeometry, ks, target, top_order):
         self.geom = geom
         self.ks = np.asarray(ks, dtype=float)
-        self.lam = lam
-        self._lambda = _lambda_rule(self.ks, lam)
         self.target = np.asarray(target, dtype=float)
         self.order = int(top_order)
-        c, p = geom.directivities
-        pos = geom.positions()
-        iu, ju = geom.upper_pairs
-        pairs = TranslationPlan.build(pos[iu] - pos[ju], p, c[ju])
-        self._psi_weights = pairs.fold(np.conj(c[iu]))
-        self._psi_index = pairs.radius_index
-        self._xi_cols = TranslationPlan.build(self.target - pos, self.order, c)
-        # Xi's table first: its kernel temporaries then meet no Psi table
-        self._xi_table = self._xi_cols.radial(self.ks, self.order)
-        self._psi_table = pairs.radial(self.ks, p)
-
-    def psi_upper(self, first=0, stop=None):
-        """Psi's upper-triangle values of bins ``first`` .. ``stop`` - 1 in
-        ``geom.upper_pairs`` order, shape (bins, pairs): a fresh array, the pair
-        table's rows contracted with the folded weights. Each bin's row is
-        bitwise the same whatever the range."""
-        radial = self._psi_table[first:stop][:, :, self._psi_index]
-        return np.einsum("blp,lp->bp", radial, self._psi_weights)
+        self._plan = TranslationPlan.build(self.target - geom.positions(), self.order, geom.directivities[0])
+        self._table = self._plan.radial(self.ks, self.order)
 
     def xi(self, b, order):
         """Xi(target) of bin b truncated at ``order`` <= ``top_order``."""
-        return self._xi_cols.apply(self._xi_table[b], order)
+        return self._plan.apply(self._table[b], order)
 
     def _orders(self, orders):
         orders = np.asarray(orders, dtype=int)
@@ -321,13 +302,13 @@ class GridEstimator:
         """
         orders = self._orders(orders)
         hw = np.asarray(hw, dtype=complex)
-        top, n_in, angular = self.order, self._xi_cols.order_in, self._xi_cols.angular
+        top, n_in, angular = self.order, self._plan.order_in, self._plan.angular
         if hw.ndim != 3 or hw.shape[::2] != (self.ks.size, num_coeffs(top)):
             raise ValueError(f"hw must have shape ({self.ks.size}, K, {num_coeffs(top)})")
         # bins by falling order, so the bins of order >= n lead ``by_order``
         by_order = np.argsort(-orders, kind="stable")
         count = np.searchsorted(-orders[by_order], -np.arange(top + 1), side="right")
-        mics = self._xi_cols.radius_index
+        mics = self._plan.radius_index
         rows = np.zeros(hw.shape[:2] + (self.geom.n_mics,), dtype=complex)
         for n, m in enumerate(count):
             if m == 0:
@@ -340,11 +321,67 @@ class GridEstimator:
             # j_l(k_b |target - r_p|) per bin, offset and mic; l < 0 only
             # where the angular sums are zero
             ls = np.maximum(n + np.arange(2 * n_in + 1) - n_in, 0)
-            radial = self._xi_table[np.ix_(bins, ls, mics)]
+            radial = self._table[np.ix_(bins, ls, mics)]
             rows[bins] += np.einsum("beop,bop->bep", s_n, radial)
         return rows
 
-    def _solve(self, rhs):
+    def coeffs(self, w, orders):
+        """Per bin, alpha_b(target) = Xi_b(target) w[b] at ``orders[b]``, with Xi_b
+        from ``xi``: the coefficients of observations s_b that ``PsiGrid.solve``
+        turned into w[b] = (Psi_b + lambda I)^{-1} s_b."""
+        orders = self._orders(orders)
+        return [ShCoeffVec(self.xi(b, order) @ w[b], self.target, float(k), order)
+                for b, (k, order) in enumerate(zip(self.ks, orders.tolist()))]
+
+
+class PsiGrid:
+    """The Psi half of the distributed-array estimator over a grid of
+    wavenumbers ``ks``: the Gram side, which no target changes.
+
+    It holds Psi's k-independent part, the ``TranslationPlan`` of the mic
+    pairs folded with conj(c_i), and one ``special.sph_jn_table`` of its
+    k-dependent part. At the 128 bins of a 100-1600 Hz, nfft-4096 grid on the
+    64-cardioid composite array that is:
+
+    * the folded weights, 99,840 bytes, and the pairs' 16,640-byte index into
+      the 245 distinct pair distances;
+    * the pair table, j_l(k_b |r_i - r_j|) for l <= 2 at those distances:
+      752,640 bytes (0.75 MB).
+
+    Psi's upper-triangle rows, 4.26 MB over those bins, are never held whole:
+    ``psi_upper`` contracts a range of bins on request, and ``solve`` and
+    ``solve_rows`` take every bin's (Psi + lambda I) in one pass that takes
+    ``_CHUNK`` bins at a time through one 1 MB buffer (64 mics) and keeps no
+    factor: a 128-bin grid of 64 mics would hold 8.4 MB of them. The solves
+    are bitwise those of ``Estimator(geom, ks[b], lam, psi_upper(b, b + 1)[0])``
+    and raise its errors; the wavenumbers and ``lam`` are checked before the
+    pair plan is built. ``rendering.grid_rows`` builds this half after it has
+    dropped the Xi half, and drops it when the rows are solved. ``ks`` need
+    not be sorted or distinct.
+    """
+
+    def __init__(self, geom: ArrayGeometry, ks, lam):
+        self.geom = geom
+        self.ks = np.asarray(ks, dtype=float)
+        self.lam = lam
+        self._lambda = lambda_rule(self.ks, lam)
+        c, p = geom.directivities
+        pos = geom.positions()
+        iu, ju = geom.upper_pairs
+        pairs = TranslationPlan.build(pos[iu] - pos[ju], p, c[ju])
+        self._weights = pairs.fold(np.conj(c[iu]))
+        self._index = pairs.radius_index
+        self._table = pairs.radial(self.ks, p)
+
+    def psi_upper(self, first=0, stop=None):
+        """Psi's upper-triangle values of bins ``first`` .. ``stop`` - 1 in
+        ``geom.upper_pairs`` order, shape (bins, pairs): a fresh array, the real
+        pair table's rows contracted with the folded weights degree by degree.
+        Each bin's row is bitwise the same whatever the range."""
+        radial = self._table[first:stop][:, :, self._index]
+        return sum(radial[:, l] * w for l, w in enumerate(self._weights))
+
+    def solve(self, rhs):
         """Overwrite rhs[b], of shape (n_mics,) or (n_mics, K), with (Psi_b + lambda I)^{-1}
         rhs[b] for every bin b, and return ``rhs``; bitwise a per-bin ``Estimator``'s solve.
 
@@ -355,13 +392,16 @@ class GridEstimator:
         each matrix's trace), and LAPACK factors every matrix in place
         (``zpotrf``) and solves with it (``zpotrs``). The lower triangles are
         never read, and no factor or row of Psi outlives its chunk. A
-        non-finite pair table, weight, right-hand side or lambda raises
-        before any right-hand side is overwritten.
+        right-hand side of the wrong shape, or a non-finite pair table,
+        weight, right-hand side or lambda, raises before any right-hand side
+        is overwritten.
         """
-        if not (np.isfinite(self._psi_table).all() and np.isfinite(self._psi_weights).all()
+        n = self.geom.n_mics
+        if rhs.ndim not in (2, 3) or rhs.shape[:2] != (self.ks.size, n):
+            raise ValueError(f"right-hand sides must have shape ({self.ks.size}, {n}) or ({self.ks.size}, {n}, K)")
+        if not (np.isfinite(self._table).all() and np.isfinite(self._weights).all()
                 and np.isfinite(rhs).all() and (self.lam == "auto" or np.isfinite(self.lam))):
             raise ValueError("Psi + lambda I and the right-hand sides must not contain infs or NaNs")
-        n = self.geom.n_mics
         # buffer[c] is read in Fortran order, as zpotrf factors in place: there
         # the pair (i, j) sits at the C-order flat index of (j, i)
         _, at = self.geom.upper_flat
@@ -380,21 +420,10 @@ class GridEstimator:
                 rhs[first + c] = zpotrs(factor, rhs[first + c], lower=False)[0]
         return rhs
 
-    def rows(self, hw, orders):
-        """``xi_rows`` times (Psi + lambda I)^{-1} per bin: g[b] @ s = hw[b] @ alpha_b(target)
-        for the observations s of bin b."""
-        out = self.xi_rows(hw, orders)
+    def solve_rows(self, rows):
+        """Overwrite rows[b], (K, n_mics), with rows[b] (Psi_b + lambda I)^{-1} for every
+        bin b, and return ``rows``: with the pre-solve rows of ``XiGrid.xi_rows``,
+        g[b] @ s = hw[b] @ alpha_b(target) for the observations s of bin b."""
         # Psi + lambda I is Hermitian: r (Psi + lambda I)^{-1} = ((Psi + lambda I)^{-1} r^H)^H
-        solved = self._solve(out.conj().transpose(0, 2, 1))
-        return np.conjugate(solved.transpose(0, 2, 1), out=out)
-
-    def coeffs(self, obs, orders):
-        """Per bin, alpha_b(target) = Xi_b(target) (Psi_b + lambda I)^{-1} obs[b] at
-        ``orders[b]``, with Xi_b from ``xi``."""
-        orders = self._orders(orders)
-        obs = np.array(obs, dtype=complex)
-        if obs.shape != (self.ks.size, self.geom.n_mics):
-            raise ValueError(f"observations must have shape ({self.ks.size}, {self.geom.n_mics})")
-        w = self._solve(obs)
-        return [ShCoeffVec(self.xi(b, order) @ w[b], self.target, float(k), order)
-                for b, (k, order) in enumerate(zip(self.ks, orders.tolist()))]
+        solved = self.solve(rows.conj().transpose(0, 2, 1))
+        return np.conjugate(solved.transpose(0, 2, 1), out=rows)

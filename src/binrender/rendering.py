@@ -14,8 +14,9 @@ Two rendering modes share one code path:
 as one linear form; ``grid_rows`` takes that form over a frequency grid as
 rows applied to the observations: the head rotation turns the HRTF
 (h blockdiag(D_n^H)) once per call rather than every bin's Xi, and
-``estimation.GridEstimator`` contracts the weighted HRTF rows of all
-frequencies with Xi one degree at a time, so no bin's Xi is formed.
+``estimation.XiGrid`` contracts the weighted HRTF rows of all frequencies
+with Xi one degree at a time, so no bin's Xi is formed, before
+``estimation.PsiGrid`` solves them.
 ``synth_fir_filters`` samples the rows on an FFT grid and realizes them as a
 MIMO FIR filter bank.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.io import wavfile
 
-from .estimation import Estimator, GridEstimator
+from .estimation import Estimator, PsiGrid, XiGrid, lambda_rule
 from .hrtf import SOUND_SPEED, HrtfShSpectrum, interpolate_coeffs
 from .metrics import ORDER_CAP, SHOULDER_RADIUS, truncation_order
 from .special import SQRT_4PI, EulerAngles, ipow, num_coeffs, orders_degrees, sph_hankel2
@@ -128,21 +129,26 @@ def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpec
 
     Once per call, ``spectrum`` is turned by ``angles``, and every table that
     depends on k is taken over all of ``freqs`` at the highest order
-    rendered: a ``GridEstimator`` (the translation plans of Psi's pairs and
-    Xi(target), and their radial tables over every frequency) and the
-    rendering weights. Each frequency renders at
+    rendered: the rendering weights, then the two halves of the estimator,
+    ``estimation.XiGrid`` and ``estimation.PsiGrid`` (the translation plans
+    of Xi(target) and of Psi's pairs, and their radial tables over every
+    frequency). Each frequency renders at
     ``truncation_order(k, shoulder_radius, order_cap)`` against the
     interpolated spectrum; the weighted HRTF rows of all frequencies go
-    through ``GridEstimator.rows`` together, which folds in Xi degree by
-    degree and then (Psi + lambda I)^{-1} per frequency. ``freqs`` need not
-    be sorted.
+    through ``XiGrid.xi_rows`` together, which folds in Xi degree by degree,
+    and then through ``PsiGrid.solve_rows``, (Psi + lambda I)^{-1} per
+    frequency. ``freqs`` need not be sorted; the wavenumbers and ``lam`` are
+    checked before either half is built.
 
-    The weighted rows ``hw``, (F, 2, (top + 1)^2) complex (1.3 MB at 32 bins
-    of order 35), are built first. The turned spectrum (as large as
-    ``spectrum.coeffs``: 2.5 MB for 61 frequencies at order 35) and the
-    weight table are dropped before the ``GridEstimator`` is built, so
-    neither is held beside its order-35 Xi plan (4 MB) and that plan's SH
-    table: a warm bank-wide call peaks at 10.1 MB of tracemalloc there.
+    Each stage drops what the next does not read. The weighted rows ``hw``,
+    (F, 2, (top + 1)^2) complex (1.3 MB at 32 bins of order 35), are built
+    first; the turned spectrum (as large as ``spectrum.coeffs``: 2.5 MB for
+    61 frequencies at order 35) and the weight table go before the Xi half
+    is built, so neither is held beside its order-35 plan (4 MB) and that
+    plan's SH table: a warm bank-wide call peaks at 9.6 MB of tracemalloc
+    there. The Xi half and ``hw`` go once the pre-solve rows are taken, before
+    the Psi half is built, so Psi's pair table and its 1 MB solve buffer meet
+    neither.
     """
     shape = spectrum.coeffs.shape
     turned = _rotate_hrtf(spectrum.coeffs.reshape(-1, shape[2]), angles).reshape(shape)
@@ -156,7 +162,10 @@ def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpec
         hw[b, :, : num_coeffs(order)] = _weighted_hrtf(
             interpolate_coeffs(spectrum.freqs, turned, freqs[b]), weights[b], order)
     del turned, weights
-    return GridEstimator(geometry, ks, lam, target, top).rows(hw, orders)
+    lambda_rule(ks, lam)
+    rows = XiGrid(geometry, ks, target, top).xi_rows(hw, orders)
+    del hw
+    return PsiGrid(geometry, ks, lam).solve_rows(rows)
 
 
 def render_full(s, estimator: Estimator, target, angles: EulerAngles, h_pair,
@@ -239,6 +248,11 @@ def fft_grid(band, nfft, sample_rate):
     return freqs, 1 + np.flatnonzero((freqs[1:] >= f_lo) & (freqs[1:] <= f_hi))
 
 
+# Mics of one ear per inverse FFT of ``synth_fir_filters``' tail: 0.5 MB of
+# responses at nfft 4096.
+_TAIL_MICS = 16
+
+
 def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpectrum,
                       band, nfft, sample_rate, mode="sph", lam="auto",
                       window="tukey", order_cap=ORDER_CAP, shoulder_radius=SHOULDER_RADIUS,
@@ -252,39 +266,54 @@ def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpe
     responses are circularly shifted by nfft/2 (the modeled delay) and
     windowed (Tukey r = 0.25 by default).
 
-    Each bank-sized array is held once: the (2, n_mics, nfft/2 + 1) complex
-    responses are allocated after ``grid_rows`` returns and dropped after
-    the inverse FFT, the shift is one ``np.roll`` into the taps' buffer,
-    and the window multiplies it in place.
+    Each bank-sized array is held once, and one after another. ``spectrum``
+    is dropped once ``grid_rows`` returns (a caller that hands it over and
+    keeps no reference frees it there). The tail then writes the taps
+    straight into one (2, n_mics, nfft) buffer, ``_TAIL_MICS`` mics of one
+    ear at a time: their responses (0.5 MB at nfft 4096) are assembled from
+    the rows, inverse-transformed, and swapped by halves into their place,
+    the nfft/2 shift of ``np.roll``. The window multiplies the buffer in
+    place, and the bank adopts it read-only without a copy. A warm
+    bank-narrow call (128 bins, nfft 4096, 64 mics) peaks at 6.1 MB of
+    tracemalloc in the tail, against 8.4 MB with the whole (2, n_mics,
+    nfft/2 + 1) responses, the unshifted impulses and the bank's copy of the
+    taps.
     """
     freqs, in_band = fft_grid(band, nfft, sample_rate)
     if in_band.size == 0:
         raise ValueError("band contains no FFT bins")
     rows = grid_rows(geometry, freqs[in_band], target, angles, spectrum, mode, lam, order_cap,
                      shoulder_radius, sound_speed)
-    responses = np.zeros((2, geometry.n_mics, nfft // 2 + 1), dtype=complex)
-    responses[:, :, in_band] = rows.transpose(1, 2, 0)
-    del rows
+    del spectrum
 
     # linear magnitude roll-off of the band-edge response over one octave
-    edge = int(in_band[-1])
-    for b in range(edge + 1, nfft // 2 + 1):
+    half, edge = nfft // 2, int(in_band[-1])
+    rolloff = []
+    for b in range(edge + 1, half + 1):
         scale = max(0.0, 1.0 - (freqs[b] - freqs[edge]) / freqs[edge])
         if scale == 0.0:
             break
-        responses[:, :, b] = responses[:, :, edge] * scale
+        rolloff.append((b, scale))
 
-    responses[:, :, 0] = responses[:, :, 1].real
-    responses[:, :, -1] = responses[:, :, -1 if edge == nfft // 2 else -2].real
-
-    impulse = np.fft.irfft(responses, n=nfft, axis=2)
-    del responses
-    taps = np.roll(impulse, nfft // 2, axis=2)
-    del impulse
+    taps = np.empty((2, geometry.n_mics, nfft))
+    for ear in range(2):
+        for first in range(0, geometry.n_mics, _TAIL_MICS):
+            mics = slice(first, first + _TAIL_MICS)
+            block = rows[:, ear, mics].T
+            responses = np.zeros((len(block), half + 1), dtype=complex)
+            responses[:, in_band] = block
+            for b, scale in rolloff:
+                responses[:, b] = responses[:, edge] * scale
+            responses[:, 0] = responses[:, 1].real
+            responses[:, -1] = responses[:, -1 if edge == half else -2].real
+            impulse = np.fft.irfft(responses, n=nfft, axis=1)
+            taps[ear, mics, :half] = impulse[:, half:]
+            taps[ear, mics, half:] = impulse[:, :half]
     if window == "tukey":
         taps *= _tukey(nfft, 0.25)
     elif window != "boxcar":
         raise ValueError(f"unknown window {window!r}")
+    taps.flags.writeable = False
 
     return BinauralFilterBank(
         taps=taps,

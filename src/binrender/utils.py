@@ -67,16 +67,21 @@ def cho_solve(factor, b):
 
 
 def own_arrays(obj, **dtypes):
-    """Set each named field of the frozen dataclass ``obj`` to a read-only copy
-    of its value, converted to the given dtype (``np.array(value, dtype)``),
-    and return the copies in order. The caller's arrays are left as they were."""
-    copies = []
+    """Set each named field of the frozen dataclass ``obj`` to a read-only array
+    of its value in the given dtype, and return those arrays in order. A value
+    that already owns its data, is read-only and has that dtype is adopted as
+    it is (a bank's taps, handed over by ``rendering.synth_fir_filters``);
+    anything else is copied (``np.array(value, dtype)``), so no caller can
+    write through a field and the caller's arrays are left as they were."""
+    held = []
     for name, dtype in dtypes.items():
-        a = np.array(getattr(obj, name), dtype=dtype)
-        a.flags.writeable = False
+        a = getattr(obj, name)
+        if not (type(a) is np.ndarray and a.base is None and not a.flags.writeable and a.dtype == dtype):
+            a = np.array(a, dtype=dtype)
+            a.flags.writeable = False
         object.__setattr__(obj, name, a)
-        copies.append(a)
-    return copies
+        held.append(a)
+    return held
 
 
 def json_field(doc, key, where, convert=None):

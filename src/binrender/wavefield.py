@@ -252,12 +252,13 @@ class TranslationPlan:
     ``radial``, one table over the distinct |d_p| (``radii``;
     ``radius_index[p]`` picks p's) for any number of wavenumbers: the 2080
     pair distances of the composite array take 245 values. ``translate_multi``
-    is a plan at one wavenumber; ``estimation.GridEstimator`` builds two: one
-    for Psi's pairs, folded into its per-bin upper triangles, and one for
-    Xi(target); a single-k Xi comes from the one plan ``estimation.build_xi``
-    keeps for the last target, shared by every wavenumber asked there, and
-    from its one radial table over the wavenumbers recorded on the geometry,
-    shared by the bins of a head-tracking move.
+    is a plan at one wavenumber; a grid estimator builds two, one per half:
+    ``estimation.PsiGrid`` for Psi's pairs, folded into its per-bin upper
+    triangles, and ``estimation.XiGrid`` for Xi(target); a single-k Xi comes
+    from the one plan ``estimation.build_xi`` keeps for the last target,
+    shared by every wavenumber asked there, and from its one radial table
+    over the wavenumbers recorded on the geometry, shared by the bins of a
+    head-tracking move.
     """
 
     angular: np.ndarray

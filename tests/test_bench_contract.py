@@ -46,7 +46,7 @@ def traced():
 
 @pytest.fixture
 def factors(monkeypatch):
-    """Counts the Cholesky factors of ``GridEstimator``'s solve pass, one per bin."""
+    """Counts the Cholesky factors of ``PsiGrid``'s solve pass, one per bin."""
     calls = []
     zpotrf = estimation.zpotrf
 

@@ -198,7 +198,7 @@ class TestPipeline:
         assert got_nmse == want_nmse
 
     def test_estimate_equals_per_bin_estimators(self, tmp_path, monkeypatch):
-        # estimate takes every free-field bin from one GridEstimator; its
+        # estimate takes every free-field bin from one XiGrid and PsiGrid; its
         # coefficients equal a direct Estimator per bin to reassociation rounding
         from binrender.arrays import load_geometry
         from binrender.estimation import Estimator
@@ -284,6 +284,30 @@ class TestPipeline:
         cfg = write_config(tmp_path, hrtf="hrtf", render={"band": [200.0, 400.0], "nfft": 1024})
         assert main(["filters", str(cfg)]) == 0
         assert alive == [False]
+
+    def test_filters_hands_the_fit_to_the_bank(self, tmp_path, monkeypatch):
+        # the command keeps no reference to the fit: the bank drops it before its tail
+        import weakref
+
+        from binrender import cli
+
+        fits, alive = [], []
+        spectrum_at, irfft = cli.RunConfig.spectrum_at, np.fft.irfft
+
+        def tracked(self, freqs):
+            out = spectrum_at(self, freqs)
+            fits.append(weakref.ref(out))
+            return out
+
+        def checked(*args, **kwargs):
+            alive.append(fits[0]() is not None)
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(cli.RunConfig, "spectrum_at", tracked)
+        monkeypatch.setattr(np.fft, "irfft", checked)
+        cfg = write_config(tmp_path, render={"band": [200.0, 400.0], "nfft": 1024})
+        assert main(["filters", str(cfg)]) == 0
+        assert alive and not any(alive)
 
     def test_render_releases_the_measured_set_before_the_rows(self, tmp_path, monkeypatch):
         # as in filters: the set's responses are not held while grid_rows runs

@@ -19,7 +19,7 @@ def k_of(f):
 
 
 def pair_plan(geom):
-    """Psi's pair plan and its conj(c_i) fold, built as ``GridEstimator`` builds them."""
+    """Psi's pair plan and its conj(c_i) fold, built as ``PsiGrid`` builds them."""
     c, p = geom.directivities
     pos = geom.positions()
     iu, ju = np.triu_indices(geom.n_mics)
@@ -28,7 +28,7 @@ def pair_plan(geom):
 
 
 def xi_plan(geom, target, order):
-    """Xi(target)'s column plan, built as ``GridEstimator`` builds it."""
+    """Xi(target)'s column plan, built as ``XiGrid`` builds it."""
     c, _ = geom.directivities
     return wf.TranslationPlan.build(np.subtract(target, geom.positions()), order, c)
 
@@ -148,7 +148,7 @@ class TestXiPlanSlot:
         target = np.array([0.02, 0.01, -0.03])
         for f, order in ((200.0, 3), (900.0, 10), (1600.0, 18)):
             k = k_of(f)
-            grid = estimation.GridEstimator(composite, [k], "auto", target, order)
+            grid = estimation.XiGrid(composite, [k], target, order)
             xi = estimation.Estimator(composite, k).xi(target, order)
             assert xi.tobytes() == grid.xi(0, order).tobytes()
 
@@ -336,7 +336,7 @@ class TestBuildPsi:
         # the upper values and their conjugates written straight into Psi equal
         # the mirror psi + psi^H of the upper triangle with its real diagonal
         k = k_of(900.0)
-        vals = estimation.GridEstimator(composite, [k], "auto", np.zeros(3), 2).psi_upper()[0]
+        vals = estimation.PsiGrid(composite, [k], "auto").psi_upper()[0]
         iu, ju = np.triu_indices(composite.n_mics)
         upper = np.zeros((composite.n_mics, composite.n_mics), dtype=complex)
         upper[iu, ju] = vals
@@ -351,7 +351,7 @@ class TestBuildPsi:
         iu, ju = composite.upper_pairs
         c, p = composite.directivities
         pos = composite.positions()
-        tabulated = estimation.GridEstimator(composite, [k], "auto", np.zeros(3), 2).psi_upper()[0]
+        tabulated = estimation.PsiGrid(composite, [k], "auto").psi_upper()[0]
         direct = np.einsum("pq,pq->p", np.conj(c[iu]),
                            wf.translate_multi(pos[iu] - pos[ju], k, p, c[ju]))
         for vals, upper in ((tabulated, tabulated), (direct, None)):
@@ -374,7 +374,8 @@ class TestBuildPsi:
 
 
 class TestGridEstimator:
-    """Psi, Xi, rows and coefficients over a grid equal standalone per-bin builds."""
+    """Psi, Xi, rows and coefficients over a grid, from the estimator's two halves
+    ``XiGrid`` and ``PsiGrid``, equal standalone per-bin builds."""
 
     TARGET = np.array([0.02, -0.03, 0.01])
 
@@ -394,13 +395,13 @@ class TestGridEstimator:
         target = geom.positions()[5] if on_mic else rng.uniform(-0.05, 0.05, 3)
         # radial tables over all ks, sliced per bin (also at orders below the top)
         ks = rng.uniform(1.0, 220.0, 3)
-        grid = estimation.GridEstimator(geom, ks, "auto", target, 35)
+        psi_grid, xi_grid = estimation.PsiGrid(geom, ks, "auto"), estimation.XiGrid(geom, ks, target, 35)
         for b, k in enumerate(ks):
-            psi = estimation.build_psi(geom, k, grid.psi_upper()[b])
+            psi = estimation.build_psi(geom, k, psi_grid.psi_upper()[b])
             assert self.rel(psi, estimation.build_psi(geom, k)) < 1e-12
             assert np.array_equal(psi, psi.conj().T)
             for order in (0, 1, 18, 35):
-                xi = grid.xi(b, order)
+                xi = xi_grid.xi(b, order)
                 assert xi.shape == ((order + 1) ** 2, geom.n_mics)
                 assert self.rel(xi, estimation.build_xi(geom, target, k, order)) < 1e-12
 
@@ -430,25 +431,25 @@ class TestGridEstimator:
 
         ks = np.array([k_of(300.0), k_of(900.0)])
         target = np.array([0.01, 0.02, -0.01])
-        grid = estimation.GridEstimator(composite, ks, "auto", target, 6)
+        xi, psi = estimation.XiGrid(composite, ks, target, 6), estimation.PsiGrid(composite, ks, "auto")
         calls = []
         for name in ("spherical_jn", "spherical_yn"):
             real = getattr(scipy.special, name)
             monkeypatch.setattr(scipy.special, name,
                                 lambda *a, real=real, **kw: calls.append(1) or real(*a, **kw))
         for b, k in enumerate(ks):
-            estimation.Estimator(composite, k, psi_upper=grid.psi_upper()[b])
-            grid.xi(b, 6)
-        grid.rows(np.ones((2, 2, 49), dtype=complex), [6, 3])
-        grid.coeffs(np.ones((2, composite.n_mics), dtype=complex), [6, 3])
+            estimation.Estimator(composite, k, psi_upper=psi.psi_upper()[b])
+            xi.xi(b, 6)
+        psi.solve_rows(xi.xi_rows(np.ones((2, 2, 49), dtype=complex), [6, 3]))
+        xi.coeffs(psi.solve(np.ones((2, composite.n_mics), dtype=complex)), [6, 3])
         assert calls == []
 
     def test_psi_table_bytes_equal_the_per_degree_sum(self, composite):
-        # one contraction over the degrees gives the bytes of the per-degree
-        # sum it replaced, on the 128 bins of a 100-1600 Hz, nfft-4096 grid
+        # Psi's rows are the real pair table contracted degree by degree, on
+        # the 128 bins of a 100-1600 Hz, nfft-4096 grid
         freqs = np.arange(1, 2049) * 48000.0 / 4096
         ks = k_of(freqs[(freqs >= 100.0) & (freqs <= 1600.0)])
-        grid = estimation.GridEstimator(composite, ks, "auto", np.zeros(3), 1)
+        grid = estimation.PsiGrid(composite, ks, "auto")
         pairs, weights = pair_plan(composite)
         radial = pairs.radial(ks, pairs.order_in)[:, :, pairs.radius_index]
         want = sum(radial[:, l] * w for l, w in enumerate(weights))
@@ -458,10 +459,10 @@ class TestGridEstimator:
     def test_psi_rows_per_range_are_bitwise_the_whole_grid(self, composite, monkeypatch):
         # the solve pass contracts Psi's rows a chunk at a time; every range,
         # the chunks the pass takes included, gives the bytes of one einsum
-        # over the whole 128-bin bank-narrow grid
+        # (over the table cast to complex) over the whole 128-bin bank-narrow grid
         freqs = np.arange(1, 2049) * 48000.0 / 4096
         ks = k_of(freqs[(freqs >= 100.0) & (freqs <= 1600.0)])
-        grid = estimation.GridEstimator(composite, ks, "auto", self.TARGET, 2)
+        grid = estimation.PsiGrid(composite, ks, "auto")
         pairs, weights = pair_plan(composite)
         want = np.einsum("blp,lp->bp", pairs.radial(ks, pairs.order_in)[:, :, pairs.radius_index], weights)
         ranges = [(first, first + estimation._CHUNK) for first in range(0, ks.size, estimation._CHUNK)]
@@ -475,7 +476,7 @@ class TestGridEstimator:
             return psi_upper(first, stop)
 
         monkeypatch.setattr(grid, "psi_upper", recording)
-        grid.rows(np.ones((ks.size, 2, 9), dtype=complex), [2] * ks.size)
+        grid.solve_rows(np.ones((ks.size, 2, composite.n_mics), dtype=complex))
         assert taken == ranges
 
     def test_estimator_xi_is_build_xi(self, composite):
@@ -483,7 +484,7 @@ class TestGridEstimator:
         # bit, at the grid's own target too
         k = k_of(900.0)
         target = np.array([0.01, 0.02, -0.01])
-        grid = estimation.GridEstimator(composite, [k], "auto", target, 4)
+        grid = estimation.PsiGrid(composite, [k], "auto")
         est = estimation.Estimator(composite, k, psi_upper=grid.psi_upper()[0])
         for t, order in ((target, 4), (target + 0.01, 4), (target, 6)):
             assert np.array_equal(est.xi(t, order), estimation.build_xi(composite, t, k, order))
@@ -497,11 +498,11 @@ class TestGridEstimator:
         ks = [k_of(f) for f in freqs]
         orders = self.orders_of(freqs)
         top = max(orders)
-        grid = estimation.GridEstimator(composite, ks, "auto", self.TARGET, top)
+        xi, psi = estimation.XiGrid(composite, ks, self.TARGET, top), estimation.PsiGrid(composite, ks, "auto")
         # entries above a bin's order are not read
         shape = (len(ks), 2, (top + 1) ** 2)
         hw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        pre, rows = grid.xi_rows(hw, orders), grid.rows(hw, orders)
+        pre, rows = xi.xi_rows(hw, orders), psi.solve_rows(xi.xi_rows(hw, orders))
         assert pre.shape == rows.shape == (len(ks), 2, composite.n_mics)
         for b, (k, order) in enumerate(zip(ks, orders)):
             est = estimation.Estimator(composite, k)
@@ -516,14 +517,14 @@ class TestGridEstimator:
         orders = self.orders_of(freqs)
         obs = rng.normal(size=(len(ks), composite.n_mics)) + 1j * rng.normal(size=(len(ks), composite.n_mics))
         top = max(orders)
-        grid = estimation.GridEstimator(composite, ks, 1e-4, self.TARGET, top)
+        xi, psi = estimation.XiGrid(composite, ks, self.TARGET, top), estimation.PsiGrid(composite, ks, 1e-4)
         # the oracle tables, straight from the two translation plans
         pairs, weights = pair_plan(composite)
         radial = pairs.radial(np.asarray(ks), pairs.order_in)[:, :, pairs.radius_index]
         psi_upper = np.einsum("blp,lp->bp", radial, weights)
         xi_cols = xi_plan(composite, self.TARGET, top)
         xi_table = xi_cols.radial(np.asarray(ks), top)
-        for b, (alpha, s, k, order) in enumerate(zip(grid.coeffs(obs, orders), obs, ks, orders)):
+        for b, (alpha, s, k, order) in enumerate(zip(xi.coeffs(psi.solve(obs.copy()), orders), obs, ks, orders)):
             est = estimation.Estimator(composite, k, 1e-4, psi_upper[b])
             want = xi_cols.apply(xi_table[b], order) @ est.solve(s)
             assert alpha.order == order and alpha.k == est.k
@@ -539,13 +540,13 @@ class TestGridEstimator:
         ks = k_of(freqs)
         orders = self.orders_of(freqs)
         top = max(orders)
-        grid = estimation.GridEstimator(composite, ks, lam, self.TARGET, top)
+        xi, psi = estimation.XiGrid(composite, ks, self.TARGET, top), estimation.PsiGrid(composite, ks, lam)
         shape = (ks.size, 2, (top + 1) ** 2)
         hw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        pre, rows = grid.xi_rows(hw, orders), grid.rows(hw, orders)
+        pre, rows = xi.xi_rows(hw, orders), psi.solve_rows(xi.xi_rows(hw, orders))
         assert ks.size > estimation._CHUNK
         for b, (k, r) in enumerate(zip(ks, pre)):
-            est = estimation.Estimator(composite, k, lam, grid.psi_upper()[b])
+            est = estimation.Estimator(composite, k, lam, psi.psi_upper()[b])
             assert rows[b].tobytes() == est.solve(r.conj().T).conj().T.tobytes()
 
     def test_solve_pass_factors_in_one_chunk_buffer(self, composite, monkeypatch):
@@ -560,8 +561,7 @@ class TestGridEstimator:
 
         monkeypatch.setattr(estimation, "zpotrf", recording)
         ks = k_of(np.linspace(100.0, 1600.0, 40))
-        grid = estimation.GridEstimator(composite, ks, "auto", self.TARGET, 2)
-        grid.rows(np.ones((ks.size, 2, 9), dtype=complex), [2] * ks.size)
+        estimation.PsiGrid(composite, ks, "auto").solve(np.ones((ks.size, composite.n_mics, 2), dtype=complex))
         gc.collect()
         assert len(buffers) == ks.size
         assert {(at, nbytes) for at, nbytes, _ in buffers} == {(buffers[0][0], estimation._CHUNK * 64 * 64 * 16)}
@@ -578,8 +578,9 @@ class TestGridEstimator:
     ])
     def test_solve_pass_errors(self, composite, monkeypatch, case, error, message):
         # the per-bin Estimator's error types and messages: a wavenumber that is
-        # not positive or a negative lambda from the constructor, before it
-        # builds a plan; the rest from rows and coeffs alike
+        # not positive or a negative lambda from the Psi half's constructor,
+        # before it builds a plan; the rest from its solves, for rows and
+        # coefficients alike
         # a repeated microphone leaves Psi singular
         geom = arrays.ArrayGeometry(mics=composite.mics[:4] + composite.mics[1:2]) if case == "singular" else composite
         ks = [k_of(1000.0), k_of(400.0)]
@@ -592,29 +593,39 @@ class TestGridEstimator:
 
             monkeypatch.setattr(estimation.TranslationPlan, "build", no_plan)
             with pytest.raises(error, match=message):
-                estimation.GridEstimator(geom, ks, lam, self.TARGET, 3)
+                estimation.PsiGrid(geom, ks, lam)
             return
-        grid = estimation.GridEstimator(geom, ks, lam, self.TARGET, 3)
+        xi, psi = estimation.XiGrid(geom, ks, self.TARGET, 3), estimation.PsiGrid(geom, ks, lam)
         if case == "non_finite_psi":
             # through the pair table that bin 1's Psi row is contracted from
-            grid._psi_table[1, 0, grid._psi_index[5]] = np.inf
-            assert not np.isfinite(grid.psi_upper(1, 2)[0, 5])
+            psi._table[1, 0, psi._index[5]] = np.inf
+            with np.errstate(invalid="ignore"):  # inf times a zero weight part
+                assert not np.isfinite(psi.psi_upper(1, 2)[0, 5])
         rhs = np.ones((2, geom.n_mics, 2), dtype=complex)
-        for call in (lambda: grid.rows(np.ones((2, 2, 16), dtype=complex), [3, 2]),
-                     lambda: grid.coeffs(np.ones((2, geom.n_mics), dtype=complex), [3, 2]),
-                     lambda: grid._solve(rhs)):
+        for call in (lambda: psi.solve_rows(xi.xi_rows(np.ones((2, 2, 16), dtype=complex), [3, 2])),
+                     lambda: xi.coeffs(psi.solve(np.ones((2, geom.n_mics), dtype=complex)), [3, 2]),
+                     lambda: psi.solve(rhs)):
             with pytest.raises(error, match=message):
                 call()
         # the pass raises before it overwrites any right-hand side
         assert np.array_equal(rhs, np.ones_like(rhs))
 
+    def test_solve_rejects_misshapen_right_hand_sides(self, composite):
+        # one (n_mics,) or (n_mics, K) right-hand side per bin, or nothing is solved
+        psi = estimation.PsiGrid(composite, [k_of(300.0), k_of(700.0)], "auto")
+        for shape in ((3, 64), (2, 63), (2,), (2, 64, 2, 1)):
+            rhs = np.ones(shape, dtype=complex)
+            with pytest.raises(ValueError, match="^right-hand sides must have shape"):
+                psi.solve(rhs)
+            assert np.array_equal(rhs, np.ones(shape))
+
     def test_rejects_orders_above_the_top(self, composite):
         ks = [k_of(300.0), k_of(700.0)]
-        grid = estimation.GridEstimator(composite, ks, "auto", self.TARGET, 4)
+        grid = estimation.XiGrid(composite, ks, self.TARGET, 4)
         hw = np.ones((2, 2, 25), dtype=complex)
-        obs = np.ones((2, composite.n_mics), dtype=complex)
-        for call in (lambda: grid.rows(hw, [4, 5]), lambda: grid.coeffs(obs, [5, 2]),
-                     lambda: grid.rows(hw, [4]), lambda: grid.rows(hw[:, :, :16], [3, 3])):
+        w = np.ones((2, composite.n_mics), dtype=complex)
+        for call in (lambda: grid.xi_rows(hw, [4, 5]), lambda: grid.coeffs(w, [5, 2]),
+                     lambda: grid.xi_rows(hw, [4]), lambda: grid.xi_rows(hw[:, :, :16], [3, 3])):
             with pytest.raises(ValueError):
                 call()
 

@@ -449,10 +449,10 @@ class TestFirSynthesis:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= out_bytes[1] - out_bytes[0] + 2**20
 
-    def test_bank_narrow_holds_each_bin_sized_array_once(self, composite):
-        # a warm bank on the bank-narrow grid (100-1600 Hz, nfft 4096: 128
-        # bins, the synthetic head at order 18) peaks at 8.4 MB of tracemalloc,
-        # against 19.2 MB with Psi's rows kept whole and the tail's copies
+    @staticmethod
+    def bank_narrow_peak(composite):
+        """The tracemalloc peak of a warm bank on the bank-narrow grid (100-1600
+        Hz, nfft 4096: 128 bins, the synthetic head at order 18)."""
         fs, nfft, band = 48000.0, 4096, (100.0, 1600.0)
         freqs, in_band = rendering.fft_grid(band, nfft, fs)
         spec = rigid_sphere_hrtf_spectrum(SyntheticHead(), freqs[in_band], 1.5, 18)
@@ -462,10 +462,74 @@ class TestFirSynthesis:
         tracemalloc.start()
         try:
             rendering.synth_fir_filters(composite, target, angles, spec, band, nfft, fs)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 13e6
+
+    def test_bank_narrow_holds_each_bin_sized_array_once(self, composite):
+        # 8.4 MB of tracemalloc once each bin-sized array was held once,
+        # against 19.2 MB with Psi's rows kept whole and the tail's copies
+        assert self.bank_narrow_peak(composite) <= 13e6
+
+    def test_bank_narrow_holds_its_halves_and_taps_one_after_another(self, composite):
+        # 6.1 MB with the Xi half and hw gone before the Psi half is built and
+        # the taps written in place, 16 mics of an ear at a time; 8.4 MB with
+        # both halves in the solve pass, and the whole responses, the unshifted
+        # impulses and the bank's copy of the taps in the tail
+        assert self.bank_narrow_peak(composite) <= 7.5e6
+
+    def test_rows_drop_the_xi_half_and_hw_before_the_psi_half(self, composite, monkeypatch):
+        import weakref
+
+        held, alive = [], []
+        xi_grid, psi_grid = rendering.XiGrid, rendering.PsiGrid
+
+        class Tracked(xi_grid):
+            def xi_rows(self, hw, orders):
+                held.extend(weakref.ref(a) for a in (self, self._plan, self._plan.angular, self._table, hw))
+                return super().xi_rows(hw, orders)
+
+        def checked(*args, **kwargs):
+            alive.append([ref() is not None for ref in held])
+            return psi_grid(*args, **kwargs)
+
+        monkeypatch.setattr(rendering, "XiGrid", Tracked)
+        monkeypatch.setattr(rendering, "PsiGrid", checked)
+        freqs = np.arange(100.0, 1601.0, 100.0)
+        spec = rigid_sphere_hrtf_spectrum(SyntheticHead(), freqs, 1.5, 18)
+        rendering.grid_rows(composite, freqs, np.array([0.03, -0.02, 0.01]), EulerAngles(0.3, 0.2, 0.1), spec)
+        assert alive == [[False] * 5]
+
+    @pytest.mark.parametrize("lam, message", [("auto", "^wavenumber must be positive$"),
+                                              (-1.0, "^lambda must be non-negative$")])
+    def test_rows_check_the_grid_before_either_half(self, composite, monkeypatch, lam, message):
+        def no_plan(*args):
+            raise AssertionError("a plan was built before the input checks")
+
+        monkeypatch.setattr(estimation.TranslationPlan, "build", no_plan)
+        freqs = np.array([0.0, 500.0]) if lam == "auto" else np.array([300.0, 500.0])
+        spec = rigid_sphere_hrtf_spectrum(SyntheticHead(), [300.0, 500.0], 1.5, 4)
+        with pytest.raises(ValueError, match=message):
+            rendering.grid_rows(composite, freqs, np.zeros(3), EulerAngles(), spec, lam=lam)
+
+    def test_bank_drops_a_handed_over_spectrum_before_its_tail(self, composite, monkeypatch):
+        import weakref
+
+        fs, nfft, band = 48000.0, 256, (300.0, 1500.0)
+        freqs, in_band = rendering.fft_grid(band, nfft, fs)
+        spec = rigid_sphere_hrtf_spectrum(SyntheticHead(), freqs[in_band], 1.5, 8)
+        ref, alive = weakref.ref(spec), []
+        irfft = np.fft.irfft
+
+        def checked(*args, **kwargs):
+            alive.append(ref() is not None)
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", checked)
+        handed = [spec]
+        del spec
+        rendering.synth_fir_filters(composite, np.zeros(3), EulerAngles(), handed.pop(), band, nfft, fs)
+        assert alive == [False] * 8
 
     @pytest.fixture(scope="class")
     def bank_wide(self):
@@ -496,10 +560,11 @@ class TestFirSynthesis:
         assert peak <= 10.5e6
 
     def test_rows_drop_the_turned_spectrum_before_the_estimator(self, composite, bank_wide, monkeypatch):
+        # the estimator's first half, Xi's, is built without the turned spectrum
         import weakref
 
         turned, alive = [], []
-        rotate, grid_estimator = rendering._rotate_hrtf, rendering.GridEstimator
+        rotate, xi_grid = rendering._rotate_hrtf, rendering.XiGrid
 
         def tracked(h, angles):
             out = rotate(h, angles)
@@ -511,13 +576,31 @@ class TestFirSynthesis:
 
         def checked(*args, **kwargs):
             alive.append(turned[0]() is not None)
-            return grid_estimator(*args, **kwargs)
+            return xi_grid(*args, **kwargs)
 
         monkeypatch.setattr(rendering, "_rotate_hrtf", tracked)
-        monkeypatch.setattr(rendering, "GridEstimator", checked)
+        monkeypatch.setattr(rendering, "XiGrid", checked)
         freqs, spec = bank_wide
         rendering.grid_rows(composite, freqs, np.zeros(3), EulerAngles(0.3, 0.2, 0.1), spec)
         assert alive == [False]
+
+    @staticmethod
+    def reference_tail(rows, freqs, in_band, nfft, window):
+        """The taps of (F, 2, n_mics) rows by the whole-array tail: responses over
+        every bin, the roll-off and the DC/Nyquist rule, one irfft, ``np.roll`` by
+        nfft/2 and a windowed copy."""
+        responses = np.zeros((2, rows.shape[2], nfft // 2 + 1), dtype=complex)
+        responses[:, :, in_band] = rows.transpose(1, 2, 0)
+        edge = int(in_band[-1])
+        for b in range(edge + 1, nfft // 2 + 1):
+            scale = max(0.0, 1.0 - (freqs[b] - freqs[edge]) / freqs[edge])
+            if scale == 0.0:
+                break
+            responses[:, :, b] = responses[:, :, edge] * scale
+        responses[:, :, 0] = responses[:, :, 1].real
+        responses[:, :, -1] = responses[:, :, -1 if edge == nfft // 2 else -2].real
+        taps = np.roll(np.fft.irfft(responses, n=nfft, axis=2), nfft // 2, axis=2)
+        return taps * rendering._tukey(nfft, 0.25) if window == "tukey" else taps
 
     @pytest.mark.parametrize("window", ["tukey", "boxcar"])
     def test_taps_are_bitwise_the_rolled_windowed_responses(self, bank_setup, window):
@@ -526,21 +609,41 @@ class TestFirSynthesis:
         bank = rendering.synth_fir_filters(geom, np.zeros(3), EulerAngles(), spec, band, nfft, fs,
                                            window=window)
         freqs, in_band = rendering.fft_grid(band, nfft, fs)
-        responses = np.zeros((2, geom.n_mics, nfft // 2 + 1), dtype=complex)
-        responses[:, :, in_band] = rendering.grid_rows(
-            geom, freqs[in_band], np.zeros(3), EulerAngles(), spec).transpose(1, 2, 0)
-        edge = int(in_band[-1])
-        for b in range(edge + 1, nfft // 2 + 1):
-            scale = max(0.0, 1.0 - (freqs[b] - freqs[edge]) / freqs[edge])
-            if scale == 0.0:
-                break
-            responses[:, :, b] = responses[:, :, edge] * scale
-        responses[:, :, 0] = responses[:, :, 1].real
-        responses[:, :, -1] = responses[:, :, -2].real
-        want = np.roll(np.fft.irfft(responses, n=nfft, axis=2), nfft // 2, axis=2)
-        if window == "tukey":
-            want = want * rendering._tukey(nfft, 0.25)[None, None, :]
-        assert bank.taps.tobytes() == want.tobytes()
+        rows = rendering.grid_rows(geom, freqs[in_band], np.zeros(3), EulerAngles(), spec)
+        assert bank.taps.tobytes() == self.reference_tail(rows, freqs, in_band, nfft, window).tobytes()
+
+    @pytest.mark.parametrize("case", ["bank-narrow", "bank-wide", "nyquist", "21-mics", "boxcar"])
+    def test_taps_are_bitwise_the_whole_array_tail(self, composite, bank_wide, case):
+        # the tail, 16 mics of an ear at a time into the taps' buffer, against
+        # the whole-array tail on the bench's two grids, a band that ends at
+        # Nyquist, 21 mics (one chunk of 16 and one of 5) and the boxcar window
+        geom = arrays.ArrayGeometry(mics=composite.mics[:21]) if case == "21-mics" else composite
+        band, nfft, order = {"bank-wide": ((100.0, 12000.0), 128, 35),
+                             "nyquist": ((3000.0, 24000.0), 64, 6)}.get(case, ((100.0, 1600.0), 4096, 18))
+        fs, window = 48000.0, "boxcar" if case == "boxcar" else "tukey"
+        freqs, in_band = rendering.fft_grid(band, nfft, fs)
+        spec = bank_wide[1] if case == "bank-wide" else rigid_sphere_hrtf_spectrum(
+            SyntheticHead(), freqs[in_band], 1.5, order)
+        args = (geom, np.array([0.03, -0.02, 0.01]), EulerAngles(0.3, 0.2, 0.1), spec)
+        bank = rendering.synth_fir_filters(*args, band, nfft, fs, window=window, order_cap=order)
+        rows = rendering.grid_rows(geom, freqs[in_band], *args[1:], order_cap=order)
+        assert (in_band[-1] == nfft // 2) == (case == "nyquist")
+        assert bank.taps.tobytes() == self.reference_tail(rows, freqs, in_band, nfft, window).tobytes()
+
+    def test_bank_adopts_the_taps_it_is_handed(self, bank_setup, monkeypatch):
+        # the tail's one buffer becomes the bank's taps, read-only, without a copy
+        head, geom, fs, nfft, band, spec, _ = bank_setup
+        handed = []
+
+        class Recording(rendering.BinauralFilterBank):
+            def __post_init__(self):
+                handed.append(self.taps)
+                super().__post_init__()
+
+        monkeypatch.setattr(rendering, "BinauralFilterBank", Recording)
+        bank = rendering.synth_fir_filters(geom, np.zeros(3), EulerAngles(), spec, band, nfft, fs)
+        assert bank.taps is handed[0]
+        assert bank.taps.base is None and not bank.taps.flags.writeable
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     def test_complex_signals_raise_before_any_work(self, monkeypatch, dtype):

@@ -27,7 +27,7 @@ LAYER_KEYS = {
     "rows": under("grids", ["bank-narrow", "bank-wide"],
                   ["bins", "top_order", "per_bin_ms", "blocked_ms", "ratio", "rel_diff",
                    "estimators_solve_ms", "pass_solve_ms", "solve_ratio", "bitwise", "peak_mb"])
-    | {"grids.bank-wide.fit_peak_mb"},
+    | {"grids.bank-narrow.bank_peak_mb", "grids.bank-wide.fit_peak_mb"},
     "kernel": under("sh_tables", ["target-mics-lmax3", "target-mics-lmax19", "target-mics-lmax36",
                                   "mic-pairs-lmax2"],
                     ["lmax", "points", "sh_table_ms", "sph_harm_y_all_ms", "ratio"])

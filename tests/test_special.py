@@ -126,7 +126,7 @@ class TestSphJnTable:
         # wavenumbers) over the composite array's 245 pair distances, l <= 2:
         # 13983 of the 31360 arguments run Miller from degree 23 at most, so a
         # table of every row from there would hold 25 x 13983 doubles (2.8 MB)
-        # and peak at 4.72 MB; the scipy j_0/j_1 call now sets the 2.70 MB peak
+        # and peak at 4.72 MB
         import tracemalloc
 
         from binrender import arrays, rendering, wavefield
@@ -147,6 +147,36 @@ class TestSphJnTable:
             tracemalloc.stop()
         assert table.nbytes == 752_640
         assert peak <= 4.72e6 - 2e6
+
+    def test_chunks_are_bitwise_and_peak_a_megabyte_lower(self):
+        # the 31360 arguments of the bank-narrow Psi table, l <= 2, more than
+        # seven chunks: j_0 and j_1 are the bytes of one broadcast spherical_jn
+        # call, and each bin's 245 arguments (one call per degree and one Miller
+        # pass) the bytes of its own table; the call peaked at 2.45 MB of
+        # tracemalloc with one anchor call and one pass over all 13983 Miller
+        # columns, and peaks at 1.34 MB in chunks
+        import tracemalloc
+
+        from binrender import arrays, rendering, wavefield
+
+        geom = arrays.build_composite_array()
+        freqs, in_band = rendering.fft_grid((100.0, 1600.0), 4096, 48000.0)
+        c, p = geom.directivities
+        pos = geom.positions()
+        iu, ju = geom.upper_pairs
+        pairs = wavefield.TranslationPlan.build(pos[iu] - pos[ju], p, c[ju])
+        z = np.multiply.outer(2.0 * math.pi * freqs[in_band] / 346.2, pairs.radii)
+        assert z.size == 31360 > 7 * sp._JN_CHUNK
+        tracemalloc.start()
+        try:
+            table = sp.sph_jn_table(2, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table[:2].tobytes() == spherical_jn(np.arange(2)[:, None, None], z).tobytes()
+        for b, row in enumerate(z):
+            assert table[:, b].tobytes() == sp.sph_jn_table(2, row).tobytes()
+        assert peak <= 2.45e6 - 1e6
 
     def test_origin_and_tiny_argument(self):
         table = sp.sph_jn_table(30, np.array([0.0, 1e-6]))

@@ -70,3 +70,37 @@ def test_own_arrays_stores_read_only_converted_copies():
     assert np.array_equal(held.a, a) and np.array_equal(held.b, b)
     assert not held.a.flags.writeable and not held.b.flags.writeable
     assert a.flags.writeable and held.a is not a
+
+
+@dataclass(frozen=True)
+class _Taps:
+    taps: object
+
+
+def test_own_arrays_adopts_an_owned_read_only_array():
+    buf = np.zeros((2, 3, 8))
+    buf.flags.writeable = False
+    held = _Taps(buf)
+    adopted, = utils.own_arrays(held, taps=float)
+    assert adopted is held.taps is buf
+    assert np.shares_memory(held.taps, buf)
+
+
+def test_own_arrays_copies_what_its_caller_could_write():
+    # an ordinary array, a read-only view of a writeable one, and an owned
+    # read-only array of another dtype are copied; the caller's stay as they were
+    plain = np.zeros((2, 3, 8))
+    base = np.zeros((2, 3, 8))
+    view = base[:]
+    view.flags.writeable = False
+    other = np.zeros((2, 3, 8), dtype=np.float32)
+    other.flags.writeable = False
+    helds = [_Taps(value) for value in (plain, view, other)]
+    for held, value in zip(helds, (plain, view, other)):
+        utils.own_arrays(held, taps=float)
+        assert not np.shares_memory(held.taps, value)
+        assert held.taps.dtype == float and not held.taps.flags.writeable
+    assert plain.flags.writeable and base.flags.writeable
+    plain[0, 0, 0] = base[0, 0, 0] = 1.0
+    assert all(held.taps[0, 0, 0] == 0.0 for held in helds)
+
