@@ -29,8 +29,8 @@ orders 2-18).
   responses), beyond the set.
 * ``kernel``: ``special.sh_table`` against ``sph_harm_y_all`` (lmax 3, 19,
   36 on the 64 target-mic directions, 2 on the 2080 mic pairs); a move's 16
-  ``build_xi`` calls (one shared plan and one radial table over the 16
-  wavenumbers) against 16 ``translate_multi`` calls (a plan and a table per
+  ``build_xi`` calls (one shared ``XiGrid`` over the 16 wavenumbers)
+  against 16 ``translate_multi`` calls (a plan and a table per
   bin); a rotation's 16 ``_rotate_hrtf`` calls, Wigner-D blocks
   shared across bins against rebuilt per bin; new targets and angles per repeat.
   Then a cold order-35 ``TranslationPlan.build`` over the target-mic
@@ -43,8 +43,8 @@ orders 2-18).
   beyond the ``HrtfSet``.
 * ``track``: one ``Estimator`` per head-track bin serves a seeded trajectory
   of 16-bin ``render_full`` updates: rotations (each bin reuses its Xi) and
-  moves in a 0.1 m ball (the first bin builds the target's plan and one
-  radial table over the 16 wavenumbers, the rest reuse both), beside an
+  moves in a 0.1 m ball (the first bin builds the target's ``XiGrid`` over
+  the 16 wavenumbers, the rest reuse it), beside an
   update's 16 ``render_weights`` and ``solve`` calls.
 * ``convolve``: ``rendering.apply_filter_bank`` on seeded 64-channel float32
   noise of 1 s and 10 s at 48 kHz, through random banks of 128 and 4096
@@ -174,8 +174,20 @@ def rows(geom, repeats):
                      "solve_ratio": solve_ratio, "bitwise": bitwise,
                      "peak_mb": grid_rows_peak(geom, ks, top)}
     out["bank-narrow"]["bank_peak_mb"] = bank_peak(geom, *GRIDS["bank-narrow"])
-    out["bank-wide"]["fit_peak_mb"] = fit_peak(fit_set(BUNDLE_FREQS))
+    hs = fit_set(BUNDLE_FREQS)
+    out["bank-wide"]["fit_peak_mb"] = peak_mb(lambda: hrtf.fit_sh(hs, 35))
     return {"grids": out}
+
+
+def peak_mb(call):
+    """The tracemalloc peak, in MB, of one ``call()``, its result included."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return round(peak / 1e6, 2)
 
 
 def grid_rows_peak(geom, ks, top):
@@ -184,13 +196,7 @@ def grid_rows_peak(geom, ks, top):
     spectrum = hrtf.rigid_sphere_hrtf_spectrum(hrtf.SyntheticHead(), freqs, MEASURE_RADIUS, top)
     call = lambda: rendering.grid_rows(geom, freqs, TARGET, EulerAngles(), spectrum)
     call()
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return round(peak / 1e6, 2)
+    return peak_mb(call)
 
 
 def bank_peak(geom, band, nfft):
@@ -202,13 +208,7 @@ def bank_peak(geom, band, nfft):
     call = lambda: rendering.synth_fir_filters(geom, TARGET, EulerAngles(0.3, 0.2, 0.1), spectrum, band,
                                                nfft, SAMPLE_RATE)
     call()
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return round(peak / 1e6, 2)
+    return peak_mb(call)
 
 
 def kernel(geom, repeats):
@@ -229,7 +229,7 @@ def kernel(geom, repeats):
     targets = rng.uniform(-0.1, 0.1, size=(repeats, 3))
     c, _ = geom.directivities
     bins = list(zip(TRACK_KS, TRACK_ORDERS))
-    for k, order in bins:  # warm-up: the plan slot sized by a whole move
+    for k, order in bins:  # warm-up: the slot's XiGrid sized by a whole move
         estimation.build_xi(geom, TARGET, k, order)
     out["move_16_build_xi_ms"], out["move_16_translate_multi_ms"], out["move_ratio"] = versus({
         "build_xi": lambda i: [estimation.build_xi(geom, targets[i], k, n) for k, n in bins],
@@ -294,23 +294,12 @@ def fit_set(freqs):
     return hrtf.HrtfSet(MEASURE_RADIUS, grid, freqs, responses, SAMPLE_RATE)
 
 
-def fit_peak(hs):
-    """The tracemalloc peak, in MB, of one order-35 ``fit_sh`` of ``hs`` beyond the set."""
-    tracemalloc.start()
-    try:
-        hrtf.fit_sh(hs, 35)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return round(peak / 1e6, 2)
-
-
 def fit_35(repeats):
     """``fit_sh`` at order 35 on 2232 directions: median ms and tracemalloc peak beyond the set."""
     hs = fit_set(np.linspace(1000.0, 12000.0, 8))
     median = timed({"fit": lambda i: hrtf.fit_sh(hs, 35)}, repeats)["fit"][0]
     return {"directions": hs.n_directions, "freqs": hs.freqs.size, "median_ms": median,
-            "peak_mb": fit_peak(hs)}
+            "peak_mb": peak_mb(lambda: hrtf.fit_sh(hs, 35))}
 
 
 def pose(rng, position=None):
@@ -367,14 +356,9 @@ def convolve(geom, repeats):
                 taps=rng.standard_normal((2, geom.n_mics, taps)), sample_rate=SAMPLE_RATE,
                 delay_samples=taps // 2, band=(100.0, 1000.0))
             median = timed({"call": lambda i: rendering.apply_filter_bank(bank, signals)}, repeats)["call"][0]
-            tracemalloc.start()
-            try:
-                rendering.apply_filter_bank(bank, signals)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            out[f"{seconds}s-{taps}taps"] = {"seconds": seconds, "taps": taps, "median_ms": median,
-                                             "peak_mb": round(peak / 1e6, 2)}
+            out[f"{seconds}s-{taps}taps"] = {
+                "seconds": seconds, "taps": taps, "median_ms": median,
+                "peak_mb": peak_mb(lambda: rendering.apply_filter_bank(bank, signals))}
     return {"mics": geom.n_mics, "signals": out}
 
 

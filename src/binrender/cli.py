@@ -34,7 +34,7 @@ from .arrays import (
     load_geometry,
 )
 from .estimation import PsiGrid, XiGrid, rigid_sphere_estimate
-from .hrtf import SyntheticHead, rigid_sphere_hrtf_spectrum
+from .hrtf import HrtfSet, SyntheticHead, rigid_sphere_hrtf_spectrum
 from .metrics import (
     ITD_MAX_LAG_S,
     BinauralPair,
@@ -202,7 +202,10 @@ def parse_scene(doc) -> Scene:
             freqs = np.asarray(doc["freqs"], dtype=float)
         elif "band" in doc:
             grid = "band"
-            freqs = band_freqs(*_value(doc, "scene", "band"))
+            try:
+                freqs = band_freqs(*_value(doc, "scene", "band"))
+            except ValueError as exc:  # a descending band or a step <= 0
+                raise ConfigError(f"scene.band: {exc}") from exc
         else:
             raise ConfigError("scene needs 'freqs' or 'band'")
         if (freqs.ndim != 1 or freqs.size == 0 or not np.all(np.isfinite(freqs))
@@ -282,8 +285,7 @@ class RunConfig:
         self.angles = EulerAngles(*(math.radians(a) for a in deg))
 
         hrtf_ref = doc.get("hrtf")
-        self.hrtf_set = None
-        self.synthetic_head = None
+        self.head = None  # a SyntheticHead or a measured HrtfSet
         if isinstance(hrtf_ref, dict) and "synthetic" in hrtf_ref:
             _section(hrtf_ref, "hrtf")
             syn = _section(hrtf_ref["synthetic"], "hrtf.synthetic")
@@ -293,12 +295,12 @@ class RunConfig:
             if not 0 < head_radius < self.measure_radius < math.inf:
                 raise ConfigError("hrtf.synthetic needs 0 < head_radius < measure_radius, got "
                                   f"{head_radius} and {self.measure_radius}")
-            self.synthetic_head = SyntheticHead(
+            self.head = SyntheticHead(
                 radius=head_radius, ear_azimuths=(math.radians(az[0]), math.radians(az[1])))
         elif isinstance(hrtf_ref, str):
             with _user_file("HRTF bundle", base / hrtf_ref):
-                self.hrtf_set = bundleio.load_hrtf_bundle(base / hrtf_ref)
-            self.measure_radius = self.hrtf_set.radius
+                self.head = bundleio.load_hrtf_bundle(base / hrtf_ref)
+            self.measure_radius = self.head.radius
         elif hrtf_ref is not None:
             raise ConfigError("hrtf must be a bundle path or {\"synthetic\": {...}}")
 
@@ -311,7 +313,7 @@ class RunConfig:
 
     def require_rendering(self):
         """An HRTF, and free-field mics: the only kind the distributed estimator models."""
-        if self.hrtf_set is None and self.synthetic_head is None:
+        if self.head is None:
             raise ConfigError("this command needs an 'hrtf' entry in the config")
         if self.geometry.baffle is not None:
             raise ConfigError("rigid-baffle arrays are not rendered; use 'estimate'")
@@ -321,20 +323,20 @@ class RunConfig:
 
         A measured bundle must cover them; that is checked before the fit.
         """
-        if self.hrtf_set is not None:
-            lo, hi = self.hrtf_set.freqs[0], self.hrtf_set.freqs[-1]
+        if isinstance(self.head, HrtfSet):
+            lo, hi = self.head.freqs[0], self.head.freqs[-1]
             if np.min(freqs) < lo or np.max(freqs) > hi:
                 raise ConfigError(
                     f"rendered frequencies {np.min(freqs):g}-{np.max(freqs):g} Hz are not "
                     f"covered by the HRTF grid [{lo:g}, {hi:g}] Hz")
         k_max = 2.0 * math.pi * np.max(freqs) / self.scene.sound_speed
         order = truncation_order(k_max, self.shoulder_radius, self.order_cap)
-        if self.synthetic_head is not None:
+        if isinstance(self.head, SyntheticHead):
             return rigid_sphere_hrtf_spectrum(
-                self.synthetic_head, np.unique(freqs), self.measure_radius, order,
+                self.head, np.unique(freqs), self.measure_radius, order,
                 sample_rate=self.sample_rate, sound_speed=self.scene.sound_speed)
-        order = min(order, math.isqrt(self.hrtf_set.n_directions) - 1)
-        return hrtf.fit_sh(self.hrtf_set, order)
+        order = min(order, math.isqrt(self.head.n_directions) - 1)
+        return hrtf.fit_sh(self.head, order)
 
 
 @contextmanager
@@ -510,12 +512,12 @@ def _check_truth(cfg: RunConfig):
     if not cfg.scene.sources:
         raise ConfigError("evaluate needs at least one scene source")
     dists = [np.linalg.norm(src.position - cfg.listener_position) for src in cfg.scene.sources]
-    if cfg.hrtf_set is not None:
-        radius = cfg.hrtf_set.radius
+    if isinstance(cfg.head, HrtfSet):
+        radius = cfg.head.radius
         if any(abs(d - radius) > 1e-6 * radius for d in dists):
             raise ConfigError("evaluate against a measured HRTF bundle needs every source on "
                               f"its measurement sphere, {radius:g} m from the listener")
-    elif min(dists) <= cfg.synthetic_head.radius:
+    elif min(dists) <= cfg.head.radius:
         raise ConfigError("a scene source lies inside the synthetic head")
 
 
@@ -583,7 +585,7 @@ def render(config_path, lam, observations):
     freqs = cfg.scene.freqs
     spectrum = cfg.spectrum_at(freqs)
     # as in filters: the fit replaces the measured set before the rows are built
-    cfg.hrtf_set = None
+    cfg.head = None
     responses = _render_responses(cfg, obs, spectrum)
     with _output_step(cfg, "render", "binaural_response.csv", "binaural.wav") as out:
         with open(out / "binaural_response.csv", "w") as f:
@@ -609,7 +611,7 @@ def filters(config_path, lam):
     # 2232-direction bundle at 61 frequencies) go before the bank is built,
     # and the bank takes the fit's only reference, to drop it before its tail
     fit = [cfg.spectrum_at(freqs[in_band])]
-    cfg.hrtf_set = None
+    cfg.head = None
     with _chosen_lambda(cfg):
         bank = synth_fir_filters(
             cfg.geometry, cfg.listener_position, cfg.angles, fit.pop(),
@@ -628,7 +630,7 @@ def evaluate(config_path, lam, observations):
     """Compare rendered binaural responses against the analytic ground truth."""
     cfg = _load_config(config_path, lam=lam)
     cfg.require_rendering()
-    if cfg.hrtf_set is not None and not np.array_equal(cfg.scene.freqs, cfg.hrtf_set.freqs):
+    if isinstance(cfg.head, HrtfSet) and not np.array_equal(cfg.scene.freqs, cfg.head.freqs):
         raise ConfigError("evaluate against a measured HRTF bundle needs the scene grid "
                           "to equal the bundle's frequency grid")
     _check_truth(cfg)
@@ -640,9 +642,7 @@ def evaluate(config_path, lam, observations):
                           f"least {shortest:g} s, got {json.dumps(cfg.wav_duration)}")
     obs = _observations(cfg, observations)
     responses = _render_responses(cfg, obs, cfg.spectrum_at(freqs))
-    reference = true_binaural(
-        cfg.scene, cfg.synthetic_head if cfg.synthetic_head is not None else cfg.hrtf_set,
-        cfg.listener_position, cfg.angles)
+    reference = true_binaural(cfg.scene, cfg.head, cfg.listener_position, cfg.angles)
 
     pos = ";".join(f"{x:.6g}" for x in cfg.listener_position)
 

@@ -10,10 +10,9 @@ Two estimators:
   pairs and is independent of the evaluation position, so one Hermitian
   factorization of (Psi + lambda I) serves every target position and head
   rotation; retargeting only swaps the synthesis matrix Xi(r), which
-  ``build_xi`` translates from the directivities through one
-  ``wavefield.TranslationPlan`` per target, shared by every wavenumber,
-  and one radial table over the wavenumbers recorded on the geometry,
-  shared by the bins of a head-tracking move.
+  ``build_xi`` takes from the ``XiGrid`` of the last target, built over
+  the wavenumbers recorded on the geometry and shared by the bins of a
+  head-tracking move.
   Over a grid of wavenumbers it comes in two halves, built and dropped one
   after the other: ``XiGrid``, the Xi(target) plan and one radial table over
   every bin, and ``PsiGrid``, the Psi pairs' folded plan and one radial
@@ -22,8 +21,6 @@ Two estimators:
   Psi as it goes, with no per-bin ``Estimator`` and no factor kept; filter
   banks and ``estimate`` go through them.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import zpotrf, zpotrs
@@ -127,20 +124,13 @@ def lambda_rule(ks, lam):
 # Bins per chunk of ``PsiGrid``'s solve pass: 1 MB of matrices at 64 mics.
 _CHUNK = 16
 
-class _XiSlot(NamedTuple):
-    """``build_xi``'s state on the last geometry."""
-
-    geom: ArrayGeometry  # compared by identity, kept alive by the slot
-    target: bytes | None
-    plan: TranslationPlan | None
-    order: int  # the highest order asked since the plan was built
-    table: np.ndarray | None  # the radial table over ``rows`` as they were when the plan was built
-    rows: dict  # each wavenumber asked on the geometry, in first-asked order: its row in the tables
-
-
-# Wavenumbers recorded per geometry; they bound the radial table.
+# Wavenumbers recorded per geometry; they bound the slot's ``XiGrid``.
 _XI_WAVENUMBERS = 128
 
+# ``build_xi``'s state on the last geometry, (grid, rows, order): the last
+# target's ``XiGrid``, which keeps the geometry alive; each wavenumber asked
+# on the geometry, in first-asked order, mapped to its row in the grid; and
+# the highest order asked since the grid was built.
 _xi_slot = None
 
 
@@ -149,48 +139,37 @@ def build_xi(geom: ArrayGeometry, target, k, order):
 
     The rows of Xi are independent, so the returned block for any order is
     identical to the corresponding block of a higher-order build; buffering
-    matters only when the estimated vector is subsequently translated. The
-    columns are ``plan.apply(radial, order)`` of the ``TranslationPlan`` of
-    the displacements r - r_i and a table ``radial`` of j_l(k |r - r_i|), so
-    every wavenumber at one target shares the plan's angular sums and pays
-    one contraction; a grid of wavenumbers takes them from
-    ``XiGrid.xi`` instead.
+    matters only when the estimated vector is subsequently translated. Xi is
+    ``XiGrid.xi`` of the last target's grid, kept in a module-level slot with
+    the first 128 wavenumbers asked on its geometry and the highest order
+    asked since the grid was built; a grid of wavenumbers takes it from its
+    own ``XiGrid`` instead.
 
-    One plan is kept, in a module-level slot with the first 128 wavenumbers
-    asked on its geometry (which the slot keeps alive) and the highest order
-    asked since the plan was built. A call on another geometry object starts
-    an empty slot. A call at another target, or above the plan's order,
-    rebuilds: the plan at the larger of ``order`` and that highest order,
-    and one radial table at the plan's order over every recorded wavenumber.
-    So the first bin of a head-tracking move sizes the plan and the table
-    for the move's other bins, and each bin applies its k's row of the
-    table, found by exact float equality; a k without a row takes a table of
-    its own. Table entries depend on (l, kr) alone and a plan slice does not
-    depend on the plan's order, so the result depends on neither.
-
-    The slot holds the plan, 1.1 MB at order 18 and 4.0 MB at order 35 on 64
-    cardioids, and the table: 8 (N + n + 1) bytes per wavenumber and distinct
-    target-mic distance at plan order N and directivity order n. At most 128
-    wavenumbers are recorded, so the table holds at most 2,424,832 bytes
-    (2.4 MB) at order 35 on 64 cardioids, and 163,840 bytes for the 16
-    head-tracking bins at order 18.
+    A call on another geometry object starts an empty slot. A call at another
+    target, or above the grid's order, builds a new ``XiGrid`` over every
+    recorded wavenumber at the larger of ``order`` and that highest order.
+    So the first bin of a head-tracking move sizes the grid for the move's
+    other bins, and each bin applies its k's row, found by exact float
+    equality; a k without a row takes a radial table of its own from the
+    grid's plan. Table entries depend on (l, kr) alone and a plan slice does
+    not depend on the plan's order, so the result depends on neither. At
+    most 128 wavenumbers are recorded, which bounds the grid's sizes (stated
+    on ``XiGrid``).
     """
     global _xi_slot
-    target = np.asarray(target, dtype=float)
-    k, order, key = float(k), int(order), target.tobytes()
+    target = np.array(target, dtype=float)
+    k, order = float(k), int(order)
     slot = _xi_slot
-    if slot is None or slot.geom is not geom:
-        slot = _XiSlot(geom, None, None, 0, None, {})
-    if len(slot.rows) < _XI_WAVENUMBERS:
-        slot.rows.setdefault(k, len(slot.rows))
-    if slot.target != key or order > slot.plan.order:
-        top = max(order, slot.order)
-        plan = TranslationPlan.build(target - geom.positions(), top, geom.directivities[0])
-        slot = _XiSlot(geom, key, plan, order, plan.radial(np.array(list(slot.rows)), top), slot.rows)
-    _xi_slot = slot = slot._replace(order=max(order, slot.order))
-    row = slot.rows.get(k, len(slot.table))
-    radial = slot.table[row] if row < len(slot.table) else slot.plan.radial(k, order)
-    return slot.plan.apply(radial, order)
+    grid, rows, top = slot if slot is not None and slot[0].geom is geom else (None, {}, 0)
+    if len(rows) < _XI_WAVENUMBERS:
+        rows.setdefault(k, len(rows))
+    if grid is None or grid.target.tobytes() != target.tobytes() or order > grid.order:
+        grid, top = XiGrid(geom, list(rows), target, max(order, top)), order
+    _xi_slot = grid, rows, max(order, top)
+    row = rows.get(k, grid.ks.size)
+    if row < grid.ks.size:
+        return grid.xi(row, order)
+    return grid._plan.apply(grid._plan.radial(k, order), order)
 
 
 class Estimator:
@@ -200,7 +179,7 @@ class Estimator:
     across target positions, rotations, and observations, plus the most
     recently requested synthesis matrix Xi(r), which head rotations at a
     fixed position reuse. ``psi_upper`` is handed to ``build_psi``; Xi always
-    comes from ``build_xi``, whose plan the estimators of one target share.
+    comes from ``build_xi``, whose ``XiGrid`` the estimators of one target share.
     """
 
     def __init__(self, geom: ArrayGeometry, k, lam="auto", psi_upper=None):
@@ -251,21 +230,25 @@ class XiGrid:
 
     Built once over all of ``ks`` up to ``top_order``, it holds Xi(target)'s
     k-independent part, the ``TranslationPlan`` of the target-mic
-    displacements, and one ``special.sph_jn_table`` of its k-dependent part.
-    At the 128 bins of a 100-1600 Hz, nfft-4096 grid on the 64-cardioid
-    composite array (top order 18) that is:
+    displacements, and one ``special.sph_jn_table`` of its k-dependent part:
 
-    * the plan's angular part: 1,108,992 bytes (1.1 MB; 4.0 MB at order 35);
-    * the radial table, j_l(k_b |target - r_p|) for l <= 19 at the 64
-      target-mic distances: 1,310,720 bytes (1.3 MB).
+    * the plan's angular part: 1,108,992 bytes (1.1 MB) at order 18 and
+      4.0 MB at order 35 on the 64-cardioid composite array;
+    * the radial table, j_l(k_b |target - r_p|) for l <= N + n at every
+      wavenumber and distinct target-mic distance, at top order N and
+      directivity order n: 8 (N + n + 1) bytes per wavenumber and distance.
+      On 64 cardioids that is 1,310,720 bytes (1.3 MB) at the 128 bins of a
+      100-1600 Hz, nfft-4096 grid (top order 18), 163,840 bytes at the 16
+      head-tracking bins at order 18 and, at ``build_xi``'s bound of 128
+      wavenumbers, at most 2,424,832 bytes (2.4 MB) at order 35.
 
-    A retarget is a new ``XiGrid`` beside a kept ``PsiGrid``.
+    A retarget is a new ``XiGrid`` beside a kept ``PsiGrid``, and
+    ``build_xi`` keeps the last target's grid for single bins.
     ``rendering.grid_rows`` drops this half, and the weighted HRTF rows it was
     given, as soon as ``xi_rows`` returns, before the Psi half is built. A
-    warm bank-narrow ``filters`` call (the bench's seed-1 inputs) now peaks at
+    warm bank-narrow ``filters`` call (the bench's seed-1 inputs) peaks at
     7.6 MB of tracemalloc in ``xi_rows``, 7.2 MB while this half is built and
-    6.8 MB in the solve pass after it, which peaked at 9.9 MB beside this
-    half and those rows. ``ks`` need not be sorted or distinct.
+    6.8 MB in the solve pass after it. ``ks`` need not be sorted or distinct.
     """
 
     def __init__(self, geom: ArrayGeometry, ks, target, top_order):

@@ -209,8 +209,7 @@ def _fit_rings(responses, zeniths, rings, offsets, order, gamma):
     loop; the (2N+1, N+1, 2F) array of all degrees at once is never held.
     Memory above the set is then the (2N+1, R, 2F) ring spectra and the
     coefficients: a tracemalloc peak of 8.6 MB for ``fit_sh`` at order 35 on
-    the 2232-direction ``equiangular_grid`` at 61 frequencies (R = 31),
-    where the stacked right-hand side took 5.0 MB more.
+    the 2232-direction ``equiangular_grid`` at 61 frequencies (R = 31).
     """
     degrees = np.arange(-order, order + 1)
     h = responses.reshape(-1, responses.shape[2])

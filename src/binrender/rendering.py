@@ -275,9 +275,7 @@ def synth_fir_filters(geometry, target, angles: EulerAngles, spectrum: HrtfShSpe
     the nfft/2 shift of ``np.roll``. The window multiplies the buffer in
     place, and the bank adopts it read-only without a copy. A warm
     bank-narrow call (128 bins, nfft 4096, 64 mics) peaks at 6.1 MB of
-    tracemalloc in the tail, against 8.4 MB with the whole (2, n_mics,
-    nfft/2 + 1) responses, the unshifted impulses and the bank's copy of the
-    taps.
+    tracemalloc in the tail.
     """
     freqs, in_band = fft_grid(band, nfft, sample_rate)
     if in_band.size == 0:

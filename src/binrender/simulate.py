@@ -59,10 +59,13 @@ class Scene:
 
 
 def band_freqs(lo=100.0, hi=15000.0, step=100.0):
-    """Frequency grid from ``lo`` to ``hi`` inclusive in steps of ``step``."""
+    """Frequency grid lo, lo + step, ... up to ``hi`` inclusive: the largest n
+    with lo + n step <= hi, allowing 1e-9 of a step for rounding."""
     if not step > 0:
         raise ValueError(f"band step must be positive, got {step}")
-    n = int(round((hi - lo) / step))
+    if hi < lo:
+        raise ValueError(f"band must have lo <= hi, got lo {lo} and hi {hi}")
+    n = math.floor((hi - lo) / step + 1e-9)
     return lo + step * np.arange(n + 1)
 
 

@@ -104,11 +104,9 @@ def sph_jn_table(lmax, z):
     recurrence over that many of its columns per pass (``_miller``). Every
     entry depends on its own z alone, so the table is bitwise one broadcast
     call and one pass over all columns, while the memory beyond the output
-    no longer grows with the arguments: on the 31360 arguments of the
+    does not grow with the arguments: on the 31360 arguments of the
     bank-narrow Psi table (lmax 2) the call peaks at 1.3 MB of tracemalloc
-    with its 0.75 MB result, against 2.45 MB with one anchor call (1.5 MB of
-    temporaries for 0.5 MB of anchors) and one pass over its 13983 Miller
-    columns.
+    with its 0.75 MB result.
     """
     z = np.asarray(z, dtype=float)
     flat = z.reshape(-1)

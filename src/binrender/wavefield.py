@@ -255,10 +255,8 @@ class TranslationPlan:
     is a plan at one wavenumber; a grid estimator builds two, one per half:
     ``estimation.PsiGrid`` for Psi's pairs, folded into its per-bin upper
     triangles, and ``estimation.XiGrid`` for Xi(target); a single-k Xi comes
-    from the one plan ``estimation.build_xi`` keeps for the last target,
-    shared by every wavenumber asked there, and from its one radial table
-    over the wavenumbers recorded on the geometry, shared by the bins of a
-    head-tracking move.
+    from the ``XiGrid`` that ``estimation.build_xi`` keeps for the last
+    target.
     """
 
     angular: np.ndarray

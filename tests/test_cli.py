@@ -1053,7 +1053,9 @@ class TestExitCodes:
         ({"freqs": [100.0, float("inf")]}, "scene.freqs"),
         ({"freqs": [[100.0, 200.0]]}, "scene.freqs"),
         ({"band": [100.0, float("inf"), 100.0]}, "scene.band"),
-    ], ids=["empty", "band-descending", "nan", "infinity", "two-dimensional", "band-infinity"])
+        ({"band": [500.0, 450.0, 100.0]}, "scene.band"),
+    ], ids=["empty", "band-descending", "nan", "infinity", "two-dimensional", "band-infinity",
+            "band-below-a-step"])
     def test_malformed_frequency_grid_is_user_error(self, tmp_path, capsys, grid, key):
         cfg = write_config(tmp_path)
         scene = {name: value for name, value in SCENE.items() if name != "band"}

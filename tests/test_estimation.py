@@ -175,6 +175,7 @@ class TestXiPlanSlot:
         del builds[:]
         update(np.array([-0.03, 0.01, 0.02]), 0.4)  # a move
         assert [order for order, _ in builds] == [18]
+        assert builds[0][1] is estimation._xi_slot[0]._plan  # the plan of the slot's XiGrid
         update(np.array([-0.03, 0.01, 0.02]), -0.7)  # a rotation
         assert len(builds) == 1
 
@@ -270,25 +271,26 @@ class TestXiRadialTable:
         extra = (k_of(1234.5), 14)
         self.move(composite, np.array([0.01, 0.02, 0.0]))
         self.move(composite, np.array([0.02, -0.01, 0.03]), self.BINS[:8] + [extra] + self.BINS[8:])
-        assert estimation._xi_slot.table.shape[0] == 16  # the extra k took a table of its own
+        assert estimation._xi_slot[0].ks.size == 16  # the extra k took a table of its own
         self.move(composite, np.array([-0.04, 0.0, 0.01]), [extra] + self.BINS)
-        assert estimation._xi_slot.table.shape[0] == 17
-        assert estimation._xi_slot.rows[extra[0]] == 16  # rows in first-asked order on the geometry
+        grid = estimation._xi_slot[0]
+        assert grid.ks.size == grid._table.shape[0] == 17
+        assert grid.ks[16] == extra[0]  # rows in first-asked order on the geometry
 
     def test_same_target_at_higher_order(self, composite, tables):
         target = np.array([0.02, 0.03, -0.01])
         self.move(composite, np.array([0.01, 0.02, 0.0]))
         self.move(composite, target)
         k, order = self.BINS[5]
-        self.checked(composite, target, k, 24)  # rebuilds the plan and the table at order 24
-        slot = estimation._xi_slot
-        assert slot.plan.order == 24 and slot.table.shape == (16, 26, slot.plan.radii.size)
+        self.checked(composite, target, k, 24)  # rebuilds the grid at order 24
+        grid = estimation._xi_slot[0]
+        assert grid.order == 24 and grid._table.shape == (16, 26, grid._plan.radii.size)
         self.move(composite, target)
         self.checked(composite, target, k, order)
-        # the next target's plan and table are at order 24
+        # the next target's grid is at order 24
         self.move(composite, np.array([-0.02, 0.0, 0.04]))
-        slot = estimation._xi_slot
-        assert slot.plan.order == 24 and slot.table.shape == (16, 26, slot.plan.radii.size)
+        grid = estimation._xi_slot[0]
+        assert grid.order == 24 and grid._table.shape == (16, 26, grid._plan.radii.size)
 
     def test_another_geometry_between_targets(self, composite, tables):
         small = arrays.build_small_array()
@@ -297,7 +299,7 @@ class TestXiRadialTable:
         self.move(composite, np.array([-0.03, 0.01, 0.02]))  # cold: the slot held the small array
         self.move(small, np.array([0.03, 0.0, -0.01]), self.BINS[:6])
         self.move(small, np.array([0.02, 0.01, -0.01]), self.BINS[:6])
-        assert estimation._xi_slot.table.shape[0] == 6
+        assert estimation._xi_slot[0].ks.size == 6
 
     def test_table_is_bounded(self, composite, tables):
         # 200 wavenumbers at one target, one of them at order 35: the next
@@ -306,12 +308,13 @@ class TestXiRadialTable:
         estimation.build_xi(composite, np.array([0.01, 0.02, 0.0]), ks[0], 35)
         for k in ks[1:]:
             estimation.build_xi(composite, np.array([0.01, 0.02, 0.0]), k, 1)
-        assert len(estimation._xi_slot.rows) == estimation._XI_WAVENUMBERS == 128
+        assert len(estimation._xi_slot[1]) == estimation._XI_WAVENUMBERS == 128
         self.checked(composite, np.array([-0.03, 0.01, 0.02]), ks[-1], 2)  # past the cap: its own table
         self.checked(composite, np.array([-0.03, 0.01, 0.02]), ks[127], 2)
-        table = estimation._xi_slot.table
-        assert table.shape == (128, 37, 64)
-        assert table.nbytes == 2_424_832
+        grid = estimation._xi_slot[0]
+        assert grid.ks.size == 128 and grid.order == 35
+        assert grid._table.shape == (128, 37, 64)
+        assert grid._table.nbytes == 2_424_832
 
 
 class TestBuildPsi:

@@ -41,6 +41,30 @@ class TestScene:
             simulate.Scene(sources=(), **kwargs)
 
 
+class TestBandFreqs:
+    def test_grid_never_passes_hi(self):
+        # 15.5 steps: the grid ends at the last step below hi, not the rounded one
+        freqs = simulate.band_freqs(100.0, 1650.0, 100.0)
+        assert freqs[0] == 100.0 and freqs[-1] == 1600.0 and freqs.size == 16
+
+    def test_whole_steps_are_the_rounded_grid(self):
+        # a span of whole steps keeps its last point, bit for bit, also
+        # where it falls a rounding error short of hi
+        for lo, hi, step in ((100.0, 1600.0, 100.0), (100.0, 12100.0, 200.0), (100.0, 12000.0, 100.0),
+                             (200.0, 1600.0, 200.0), (0.1, 0.3, 0.1), (500.0, 500.0, 100.0)):
+            want = lo + step * np.arange(round((hi - lo) / step) + 1)
+            assert simulate.band_freqs(lo, hi, step).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("band, message", [
+        ((500.0, 450.0, 100.0), "lo <= hi"),
+        ((1000.0, 100.0, 100.0), "lo <= hi"),
+        ((100.0, 1000.0, 0.0), "step must be positive"),
+    ], ids=["below-a-step", "descending", "zero-step"])
+    def test_bad_band_rejected(self, band, message):
+        with pytest.raises(ValueError, match=message):
+            simulate.band_freqs(*band)
+
+
 class TestDirectionalObservation:
     def test_omni_observation_is_green(self, rng):
         geom = arrays.ArrayGeometry(mics=(omni_mic([0.05, -0.02, 0.01]),))
