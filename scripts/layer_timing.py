@@ -33,6 +33,12 @@ orders 2-18).
   against 16 ``translate_multi`` calls (a plan and a table per
   bin); a rotation's 16 ``_rotate_hrtf`` calls, Wigner-D blocks
   shared across bins against rebuilt per bin; new targets and angles per repeat.
+  Then two spectrum turns, one ``_rotate_hrtf`` call each on seeded random
+  rows: 256 x order 18 (bank-narrow's 128 bins, both ears) and 122 x order
+  35 (bank-wide's 61-frequency bundle, both ears), the Wigner-D cache
+  cleared before each call and the two in reverse order every other repeat:
+  the median time and the tracemalloc peak of one more call, its blocks and
+  output included.
   Then a cold order-35 ``TranslationPlan.build`` over the target-mic
   displacements (``gaunt_grid``, ``_term_constants`` and the Legendre tables
   cleared before each): the median time, then the tracemalloc peak of one
@@ -249,6 +255,23 @@ def kernel(geom, repeats):
     shared, per_bin, _ = versus({"shared": lambda i: rotate(i, True),
                                  "per_bin": lambda i: rotate(i, False)}, repeats)
     out["rotation_16_rotate_hrtf_ms"] = {"shared_blocks": shared, "per_bin_blocks": per_bin}
+
+    spectra = {(rows, order): rng.normal(size=(rows, num_coeffs(order)))
+               + 1j * rng.normal(size=(rows, num_coeffs(order))) for rows, order in ((256, 18), (122, 35))}
+
+    def turn(shape, i):
+        special.wigner_d_block.cache_clear()
+        start = time.perf_counter()
+        rendering._rotate_hrtf(spectra[shape], angles[i])
+        return (time.perf_counter() - start) * 1e3
+
+    times = {shape: [] for shape in spectra}
+    for i in range(repeats):  # the two turns in reverse order every other repeat
+        for shape in list(spectra)[:: 1 - 2 * (i % 2)]:
+            times[shape].append(turn(shape, i))
+    out["spectrum_turns"] = {f"{rows}x{order}": {
+        "rows": rows, "order": order, "median_ms": round(float(np.median(times[rows, order])), 4),
+        "peak_mb": peak_mb(lambda: turn((rows, order), 0))} for rows, order in spectra}
     out["cold_plan_35"] = cold_plan(TARGET - pos, c, repeats)
     out["fit_35"] = fit_35(repeats)
     return out

@@ -157,7 +157,7 @@ def build_xi(geom: ArrayGeometry, target, k, order):
     on ``XiGrid``).
     """
     global _xi_slot
-    target = np.array(target, dtype=float)
+    target = np.asarray(target, dtype=float)
     k, order = float(k), int(order)
     slot = _xi_slot
     grid, rows, top = slot if slot is not None and slot[0].geom is geom else (None, {}, 0)
@@ -248,13 +248,15 @@ class XiGrid:
     given, as soon as ``xi_rows`` returns, before the Psi half is built. A
     warm bank-narrow ``filters`` call (the bench's seed-1 inputs) peaks at
     7.6 MB of tracemalloc in ``xi_rows``, 7.2 MB while this half is built and
-    6.8 MB in the solve pass after it. ``ks`` need not be sorted or distinct.
+    6.8 MB in the solve pass after it. ``target`` is copied read-only; ``ks``
+    need not be sorted or distinct.
     """
 
     def __init__(self, geom: ArrayGeometry, ks, target, top_order):
         self.geom = geom
         self.ks = np.asarray(ks, dtype=float)
-        self.target = np.asarray(target, dtype=float)
+        self.target = np.array(target, dtype=float)
+        self.target.flags.writeable = False
         self.order = int(top_order)
         self._plan = TranslationPlan.build(self.target - geom.positions(), self.order, geom.directivities[0])
         self._table = self._plan.radial(self.ks, self.order)

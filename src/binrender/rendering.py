@@ -35,7 +35,7 @@ from .metrics import ORDER_CAP, SHOULDER_RADIUS, truncation_order
 from .special import SQRT_4PI, EulerAngles, ipow, num_coeffs, orders_degrees, sph_hankel2
 from .special import wigner_d_block  # noqa: F401 -- kept for perfbench/tracing.py to rebind
 from .utils import own_arrays
-from .wavefield import ShCoeffVec, rotate_blocks, rotate_coeffs
+from .wavefield import ShCoeffVec, _rotate_rows, rotate_coeffs
 
 
 @functools.lru_cache(maxsize=512)
@@ -98,14 +98,12 @@ def render_coeffs(alpha: ShCoeffVec, h_pair, mode, measure_radius=None, order=No
 
 
 def _rotate_hrtf(h, angles: EulerAngles):
-    """HRTF rows (K, (N+1)^2) times blockdiag(D_n^H): the head rotation, HRTF side.
+    """HRTF rows (..., (N+1)^2) times blockdiag(D_n^H): the head rotation, HRTF side.
 
-    Allocates two arrays of h's size: one conjugate copy of ``h``, dropped
-    when ``rotate_blocks`` returns, and the rotated blocks, conjugated in
-    place and returned: for complex ``h`` a new array, the identity included.
+    D_n(angles)^H = D_n(angles.inverse()), taken as it is. Allocates one array
+    of h's size, the result, the identity included; ``h`` is left as it was.
     """
-    out = rotate_blocks(h.conj().T, angles.inverse())
-    return np.conjugate(out, out=out).T
+    return _rotate_rows(h, angles.inverse())
 
 
 def binaural_rows(estimator: Estimator, target, angles: EulerAngles, h_pair,
@@ -127,12 +125,12 @@ def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpec
               lam="auto", order_cap=ORDER_CAP, shoulder_radius=SHOULDER_RADIUS, sound_speed=SOUND_SPEED):
     """Rows r with binaural pair y = r @ s per frequency, shape (F, 2, n_mics).
 
-    Once per call, ``spectrum`` is turned by ``angles``, and every table that
-    depends on k is taken over all of ``freqs`` at the highest order
-    rendered: the rendering weights, then the two halves of the estimator,
-    ``estimation.XiGrid`` and ``estimation.PsiGrid`` (the translation plans
-    of Xi(target) and of Psi's pairs, and their radial tables over every
-    frequency). Each frequency renders at
+    Once per call, ``spectrum`` is turned by ``angles`` into one array of its
+    size, and every table that depends on k is taken over all of ``freqs`` at
+    the highest order rendered: the rendering weights, then the two halves of
+    the estimator, ``estimation.XiGrid`` and ``estimation.PsiGrid`` (the
+    translation plans of Xi(target) and of Psi's pairs, and their radial
+    tables over every frequency). Each frequency renders at
     ``truncation_order(k, shoulder_radius, order_cap)`` against the
     interpolated spectrum; the weighted HRTF rows of all frequencies go
     through ``XiGrid.xi_rows`` together, which folds in Xi degree by degree,
@@ -150,8 +148,7 @@ def grid_rows(geometry, freqs, target, angles: EulerAngles, spectrum: HrtfShSpec
     the Psi half is built, so Psi's pair table and its 1 MB solve buffer meet
     neither.
     """
-    shape = spectrum.coeffs.shape
-    turned = _rotate_hrtf(spectrum.coeffs.reshape(-1, shape[2]), angles).reshape(shape)
+    turned = _rotate_hrtf(spectrum.coeffs, angles)
     ks = 2.0 * math.pi * np.asarray(freqs, dtype=float) / sound_speed
     orders = [min(truncation_order(k, shoulder_radius, order_cap), spectrum.order) for k in ks]
     top = max(orders, default=0)

@@ -370,9 +370,10 @@ def wigner_d_block(n, angles):
     in the convention where the actively rotated harmonic satisfies
     ``Y_n^m(R(angles)^{-1} x) = sum_{m'} D[m', m] Y_n^{m'}(x)``.
 
-    D(identity angles) is the identity and D(g1) @ D(g2) = D(g1 o g2).
-    The returned array is read-only and cached, so the bins of one head
-    rotation build each order's block once.
+    D(identity angles) is the identity and D(g1) @ D(g2) = D(g1 o g2);
+    D^H = D(angles.inverse()) and, d being real, conj D(a, b, g) = D(-a, b, -g),
+    so no rotation copies a block. The returned array is read-only and cached,
+    so the bins of one head rotation build each order's block once.
     """
     d = _wigner_little_d(n, angles.beta)
     m = np.arange(-n, n + 1)

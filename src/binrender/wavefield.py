@@ -339,21 +339,18 @@ def translate_coeffs(alpha: ShCoeffVec, new_center, out_order=None) -> ShCoeffVe
     return t.apply(alpha)
 
 
-def rotate_blocks(x, angles: EulerAngles):
-    """Apply the per-order rotation blocks along the leading axis of ``x``.
-
-    ``x`` has leading length (N+1)^2 (a coefficient vector, or a matrix
-    whose rows are indexed by q = n^2 + n + m); order n's rows are mapped
-    by the conjugate transpose of the Wigner-D block. The identity rotation
-    returns ``x`` itself.
-    """
+def _rotate_rows(x, angles: EulerAngles):
+    """``x`` times blockdiag(D_n(angles)) along its last axis (length (N+1)^2,
+    q = n^2 + n + m), as one new complex array: each degree's slice times the
+    cached ``wigner_d_block`` as it is, written into that degree's slice of the
+    output, with no copy of ``x`` or of a block. At the identity, ``x`` copied
+    bit for bit, which the identity block (within 1e-14 of I) would not give."""
     if angles == EulerAngles():
-        return x
-    out = np.empty_like(x)
-    for n in range(math.isqrt(x.shape[0])):
-        block = wigner_d_block(n, angles).conj().T
-        sl = slice(n * n, n * n + 2 * n + 1)
-        out[sl] = block @ x[sl]
+        return np.array(x, dtype=complex)
+    out = np.empty(x.shape, dtype=complex)
+    for n in range(math.isqrt(x.shape[-1])):
+        sl = slice(n * n, (n + 1) ** 2)
+        np.matmul(x[..., sl], wigner_d_block(n, angles), out=out[..., sl])
     return out
 
 
@@ -366,12 +363,13 @@ def rotate_coeffs(alpha: ShCoeffVec, angles: EulerAngles) -> ShCoeffVec:
 
         evaluate_field(rotate_coeffs(a, g), x) == evaluate_field(a, R(g) @ x)
 
-    Per order this applies the conjugate transpose of the Wigner-D block
-    (equivalently the block of the inverse rotation), so a pure yaw by psi
+    Per order this applies the conjugate transpose of the Wigner-D block, as
+    alpha conj(D) with conj D(a, b, g) = D(-a, b, -g), so a pure yaw by psi
     multiplies alpha_n^m by exp(+j m psi). The expansion center is kept;
     rotating about a different pivot is translation + rotation.
     """
-    return ShCoeffVec(rotate_blocks(alpha.coeffs, angles), alpha.center, alpha.k, alpha.order)
+    conj = EulerAngles(-angles.alpha, angles.beta, -angles.gamma)
+    return ShCoeffVec(_rotate_rows(alpha.coeffs, conj), alpha.center, alpha.k, alpha.order)
 
 
 def point_source_coeffs(r_src, center, k, order) -> ShCoeffVec:

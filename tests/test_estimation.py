@@ -632,6 +632,19 @@ class TestGridEstimator:
             with pytest.raises(ValueError):
                 call()
 
+    def test_keeps_its_own_target(self):
+        # the caller's array is copied: writing to it later moves neither the
+        # grid's target nor the centre of the coefficients it returns
+        geom = arrays.build_small_array()
+        t = np.array([0.02, -0.01, 0.03])
+        grid = estimation.XiGrid(geom, [5.0], t, 3)
+        t[0] = 0.5
+        old = np.array([0.02, -0.01, 0.03])
+        assert np.array_equal(grid.target, old)
+        assert not grid.target.flags.writeable
+        alpha = grid.coeffs(np.ones((1, geom.n_mics), dtype=complex), [3])[0]
+        assert np.array_equal(alpha.center, old)
+
 
 class TestEstimator:
     def test_linearity(self, composite, rng):

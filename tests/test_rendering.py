@@ -334,6 +334,20 @@ class TestRenderFull:
                 render(s, est, target, angles, h, "sph", 1.5, n)
             assert wigner_d_block.cache_info().misses - before <= max(orders) + 1
 
+    def test_turning_a_spectrum_allocates_one_array_of_its_size(self, rng):
+        # the bank-wide bundle's 2 ears x 61 frequencies at order 35, warm
+        # blocks: the turned array (2.5 MB) and nothing else of its size
+        h = rng.normal(size=(122, 1296)) + 1j * rng.normal(size=(122, 1296))
+        angles = EulerAngles(0.3, 0.2, 0.1)
+        rendering._rotate_hrtf(h, angles)
+        tracemalloc.start()
+        try:
+            rendering._rotate_hrtf(h, angles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1e6
+
     def test_half_turn_swaps_ears_for_symmetric_head(self, head, composite):
         # frontal source, mirror-symmetric head: yawing the listener 180 deg
         # swaps left/right up to estimation/fit error

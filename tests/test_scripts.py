@@ -35,7 +35,8 @@ LAYER_KEYS = {
        "rotation_16_rotate_hrtf_ms.shared_blocks", "rotation_16_rotate_hrtf_ms.per_bin_blocks",
        "cold_plan_35.median_ms", "cold_plan_35.peak_mb", "cold_plan_35.retained_mb",
        "cold_plan_35.tables_held", "fit_35.directions", "fit_35.freqs", "fit_35.median_ms",
-       "fit_35.peak_mb"},
+       "fit_35.peak_mb"}
+    | under("spectrum_turns", ["256x18", "122x35"], ["rows", "order", "median_ms", "peak_mb"]),
     "track": {"bins", "orders", "updates"}
     | {f"{call}{stat}" for call in ("rotate", "move", "weights", "solve") for stat in ("_ms", "_p90_ms")},
     "convolve": {"mics"} | under("signals", ["1s-128taps", "1s-4096taps", "10s-128taps", "10s-4096taps"],

@@ -281,6 +281,58 @@ class TestRotateCoeffs:
         _, m = orders_degrees(4)
         assert np.max(np.abs(rot.coeffs - coeffs * np.exp(1j * m * psi))) < 1e-12
 
+    def test_matches_dense_conjugate_transpose(self, rng):
+        # D^H alpha with the dense block-diagonal of the Wigner-D blocks
+        for order in (0, 1, 7, 18, 35):
+            coeffs = rng.normal(size=(order + 1) ** 2) + 1j * rng.normal(size=(order + 1) ** 2)
+            alpha = wf.ShCoeffVec(coeffs, np.zeros(3), 4.0, order)
+            ang = EulerAngles(*rng.uniform(-3.0, 3.0, 3))
+            want = TestRotateRows.dense(order, ang).conj().T @ coeffs
+            got = wf.rotate_coeffs(alpha, ang).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestRotateRows:
+    @staticmethod
+    def dense(order, angles):
+        """blockdiag(D_0, ..., D_order) at ``angles``, from ``wigner_d_block``."""
+        from scipy.linalg import block_diag
+
+        from binrender.special import wigner_d_block
+
+        return block_diag(*(wigner_d_block(n, angles) for n in range(order + 1)))
+
+    @staticmethod
+    def operand(rng, rows, order):
+        shape = (rows, (order + 1) ** 2) if rows > 1 else ((order + 1) ** 2,)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    @pytest.mark.parametrize("rows", [1, 2, 122, 256])
+    def test_matches_dense_block_diagonal(self, rng, rows):
+        for order in range(36):
+            x = self.operand(rng, rows, order)
+            kept = x.copy()
+            ang = EulerAngles(*rng.uniform(-3.0, 3.0, 3))
+            want = x @ self.dense(order, ang)
+            got = wf._rotate_rows(x, ang)
+            assert got.shape == x.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.array_equal(x, kept) and not np.shares_memory(got, x)
+
+    def test_stacked_rows(self, rng):
+        # a spectrum's (ears, frequencies, coefficients) turns along its last axis
+        x = rng.normal(size=(2, 61, 1296)) + 1j * rng.normal(size=(2, 61, 1296))
+        ang = EulerAngles(0.3, -1.1, 2.0)
+        want = x @ self.dense(35, ang)
+        assert np.max(np.abs(wf._rotate_rows(x, ang) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("rows", [1, 2, 122, 256])
+    def test_identity_copies_bit_for_bit(self, rng, rows):
+        for order in (0, 5, 35):
+            x = self.operand(rng, rows, order)
+            got = wf._rotate_rows(x, EulerAngles())
+            assert got.tobytes() == x.tobytes() and not np.shares_memory(got, x)
+
 
 class TestTranslateMulti:
     @staticmethod
